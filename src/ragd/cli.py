@@ -11,6 +11,7 @@ environment variable selects error, info, or debug verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -111,22 +112,9 @@ def _maybe_enlarge(problem: Problem, config: SolverConfig,
     new_l = trig_coeff(kappa, 2.0 * float(reach))
     if not new_l > problem.L:
         return None
-    import dataclasses
-
     new_problem = dataclasses.replace(problem, L=new_l)
     new_problem.set_optimum(problem.optimum)
-    kwargs = {
-        "mode": config.mode,
-        "mu": config.mu,
-        "L": new_l,
-        "gamma": config.gamma,
-        "xi0": config.xi0,
-        "max_iters": config.max_iters,
-        "delta_const": config.delta_const,
-        "sharp_distortion": config.sharp_distortion,
-        "record_diagnostics": config.record_diagnostics,
-    }
-    return new_problem, SolverConfig(**kwargs)
+    return new_problem, dataclasses.replace(config, L=new_l)
 
 
 def _predicted_rate(config: SolverConfig, trace: ConvergenceTrace) -> float:

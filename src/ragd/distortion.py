@@ -30,12 +30,11 @@ __all__ = [
     "trig_coeff",
     "t_kappa",
     "t_kappa_hat",
-    "valid_rate_rauch",
     "valid_rate_hadamard",
     "valid_rate_nonhadamard",
 ]
 
-_SOURCES = ("rauch_S", "improved_T", "epsilon_opt_That", "nonhadamard", "constant")
+_SOURCES = ("improved_T", "epsilon_opt_That", "nonhadamard", "constant")
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,6 @@ def t_kappa_hat(kappa: float, r: float) -> float:
         if res.fun < best:
             best = float(res.fun)
     return min(best, _t_hat_objective(1.0, w))
-
-
-def valid_rate_rauch(kappa: float, d_xz: float) -> DistortionRate:
-    """Distortion rate from the plain Rauch bound, ``s_kappa(d(x, z))``."""
-    if d_xz == 0.0 or kappa == 0.0:
-        return DistortionRate(1.0, "rauch_S")
-    return DistortionRate(s_kappa(kappa, d_xz), "rauch_S")
 
 
 def valid_rate_hadamard(

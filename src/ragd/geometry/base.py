@@ -8,63 +8,56 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import DomainError, NonFiniteError
+from ..errors import DomainError
 
 __all__ = ["ManifoldPoint", "TangentVector", "Manifold"]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+def require_base(x: ManifoldPoint, v: "TangentVector") -> None:
+    """Raise DomainError unless ``v`` is anchored at ``x``."""
+    if v.base is not x and not np.array_equal(v.base.coords, x.coords):
+        raise DomainError("tangent vector is anchored at a different point")
 
 
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
-    """Immutable coordinate container for a point on a manifold."""
+    """Read-only coordinate holder for a point on a manifold.
+
+    A trusted container: construction only marks ``coords`` read-only, so
+    the caller hands over a float array it no longer writes to.  Validation
+    (copy, shape, finiteness, membership) happens in :meth:`Manifold.point`;
+    values computed inside the library are checked where non-finite values
+    can arise, not on every construction.
+    """
 
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _freeze(self.coords)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("point coordinates must be finite")
-        object.__setattr__(self, "coords", arr)
+        self.coords.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """Tangent vector anchored at a base point.
+    """Read-only tangent vector anchored at a base point.
 
-    Supports the linear operations used by the solvers; operands must share
-    the same base point.
+    A trusted container like :class:`ManifoldPoint`; validation happens in
+    :meth:`Manifold.tangent`, and a problem's gradients are checked in
+    ``Problem.grad``.  Supports the linear operations used by the solvers;
+    operands must share the same base point.
     """
 
     base: ManifoldPoint
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _freeze(self.coords)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tangent coordinates must be finite")
-        if arr.shape != self.base.coords.shape:
-            raise DomainError(
-                f"tangent shape {arr.shape} does not match base {self.base.coords.shape}"
-            )
-        object.__setattr__(self, "coords", arr)
-
-    def _require_same_base(self, other: "TangentVector") -> None:
-        if self.base is not other.base and not np.array_equal(
-            self.base.coords, other.base.coords
-        ):
-            raise DomainError("tangent vectors live at different base points")
+        self.coords.setflags(write=False)
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
-        self._require_same_base(other)
+        require_base(self.base, other)
         return TangentVector(self.base, self.coords + other.coords)
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
-        self._require_same_base(other)
+        require_base(self.base, other)
         return TangentVector(self.base, self.coords - other.coords)
 
     def __neg__(self) -> "TangentVector":
@@ -94,6 +87,14 @@ class Manifold(abc.ABC):
 
     # ----- membership ------------------------------------------------
 
+    @staticmethod
+    def _check_coords(coords: np.ndarray, shape: tuple[int, ...]) -> None:
+        """Shape and finiteness prologue shared by every membership check."""
+        if coords.shape != shape:
+            raise DomainError(f"expected shape {shape}, got {coords.shape}")
+        if not np.all(np.isfinite(coords)):
+            raise DomainError("coordinates must be finite")
+
     @abc.abstractmethod
     def check_point(self, coords: np.ndarray) -> None:
         """Raise DomainError if the coordinates do not describe a point."""
@@ -103,21 +104,20 @@ class Manifold(abc.ABC):
         """Raise DomainError if the coordinates are not tangent at ``x``."""
 
     def point(self, coords: Iterable[float]) -> ManifoldPoint:
-        arr = np.asarray(coords, dtype=float)
+        """Validated point: copies ``coords`` and runs :meth:`check_point`."""
+        arr = np.array(coords, dtype=float)
         self.check_point(arr)
         return ManifoldPoint(arr)
 
     def tangent(self, x: ManifoldPoint, coords: Iterable[float]) -> TangentVector:
-        arr = np.asarray(coords, dtype=float)
+        """Validated tangent at ``x``: copies ``coords`` and runs
+        :meth:`check_tangent`."""
+        arr = np.array(coords, dtype=float)
         self.check_tangent(x, arr)
         return TangentVector(x, arr)
 
     def zero_tangent(self, x: ManifoldPoint) -> TangentVector:
         return TangentVector(x, np.zeros_like(x.coords))
-
-    def _require_base(self, x: ManifoldPoint, v: TangentVector) -> None:
-        if v.base is not x and not np.array_equal(v.base.coords, x.coords):
-            raise DomainError("tangent vector is anchored at a different point")
 
     # ----- metric ----------------------------------------------------
 

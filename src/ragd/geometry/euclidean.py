@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from .base import Manifold, ManifoldPoint, TangentVector
+from .base import Manifold, ManifoldPoint, TangentVector, require_base
 
 __all__ = ["Euclidean"]
 
@@ -27,23 +27,13 @@ class Euclidean(Manifold):
         return f"Euclidean(dim={self.dim})"
 
     def check_point(self, coords: np.ndarray) -> None:
-        if coords.shape != (self.dim,):
-            raise DomainError(
-                f"expected shape ({self.dim},), got {coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("coordinates must be finite")
+        self._check_coords(coords, (self.dim,))
 
     def check_tangent(self, x: ManifoldPoint, coords: np.ndarray) -> None:
-        if coords.shape != x.coords.shape:
-            raise DomainError(
-                f"tangent shape {coords.shape} does not match point {x.coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("coordinates must be finite")
+        self._check_coords(coords, x.coords.shape)
 
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        self._require_base(x, v)
+        require_base(x, v)
         return ManifoldPoint(x.coords + v.coords)
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
@@ -53,8 +43,8 @@ class Euclidean(Manifold):
         return float(np.linalg.norm(y.coords - x.coords))
 
     def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-        self._require_base(x, u)
-        self._require_base(x, v)
+        require_base(x, u)
+        require_base(x, v)
         return float(np.dot(u.coords, v.coords))
 
     def base_point(self) -> ManifoldPoint:

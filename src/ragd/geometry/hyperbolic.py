@@ -18,7 +18,7 @@ import numpy as np
 
 from .._scalars import acosh_ratio, sinch
 from ..errors import DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector
+from .base import Manifold, ManifoldPoint, TangentVector, require_base
 
 __all__ = ["Hyperbolic"]
 
@@ -67,12 +67,7 @@ class Hyperbolic(Manifold):
     # ----- membership --------------------------------------------------
 
     def check_point(self, coords: np.ndarray) -> None:
-        if coords.shape != (self.dim + 1,):
-            raise DomainError(
-                f"expected shape ({self.dim + 1},), got {coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("coordinates must be finite")
+        self._check_coords(coords, (self.dim + 1,))
         resid = self.kappa * self._mdot(coords, coords) + 1.0
         tol = _POINT_TOL * (1.0 + self.kappa * self._scale_sq(coords, coords))
         if abs(resid) > tol:
@@ -83,12 +78,7 @@ class Hyperbolic(Manifold):
             raise DomainError("point lies on the lower sheet")
 
     def check_tangent(self, x: ManifoldPoint, coords: np.ndarray) -> None:
-        if coords.shape != x.coords.shape:
-            raise DomainError(
-                f"tangent shape {coords.shape} does not match point {x.coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("coordinates must be finite")
+        self._check_coords(coords, x.coords.shape)
         resid = self._mdot(x.coords, coords)
         tol = _TANGENT_TOL * (1.0 + self._scale_sq(x.coords, coords))
         if abs(resid) > tol:
@@ -112,12 +102,12 @@ class Hyperbolic(Manifold):
     # ----- metric -------------------------------------------------------
 
     def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-        self._require_base(x, u)
-        self._require_base(x, v)
+        require_base(x, u)
+        require_base(x, v)
         return self._mdot(u.coords, v.coords)
 
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        self._require_base(x, v)
+        require_base(x, v)
         sq = max(self._mdot(v.coords, v.coords), 0.0)
         r = math.sqrt(sq)
         w = math.sqrt(self.kappa) * r

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError
-from .base import Manifold, ManifoldPoint, TangentVector
+from .base import Manifold, ManifoldPoint, TangentVector, require_base
 
 __all__ = ["SPD"]
 
@@ -65,12 +65,7 @@ class SPD(Manifold):
     # ----- membership ------------------------------------------------------
 
     def _check_sym(self, coords: np.ndarray) -> None:
-        if coords.shape != (self.n, self.n):
-            raise DomainError(
-                f"expected shape ({self.n}, {self.n}), got {coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("coordinates must be finite")
+        self._check_coords(coords, (self.n, self.n))
         scale = 1.0 + float(np.max(np.abs(coords)))
         if float(np.max(np.abs(coords - coords.T))) > _SYM_TOL * scale:
             raise DomainError("matrix is not symmetric within tolerance")
@@ -90,15 +85,15 @@ class SPD(Manifold):
     # ----- metric -----------------------------------------------------------
 
     def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-        self._require_base(x, u)
-        self._require_base(x, v)
+        require_base(x, u)
+        require_base(x, v)
         _, isqrt = self._sqrt_pair(x.coords)
         a = isqrt @ u.coords @ isqrt
         b = isqrt @ v.coords @ isqrt
         return float(np.sum(a * b))
 
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        self._require_base(x, v)
+        require_base(x, v)
         root, isqrt = self._sqrt_pair(x.coords)
         s = _sym(isqrt @ v.coords @ isqrt)
         w, q = self._eigh(s)

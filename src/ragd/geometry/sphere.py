@@ -13,7 +13,7 @@ import numpy as np
 
 from .._scalars import acos_ratio, sin_ratio
 from ..errors import AntipodalError, DomainError, InjectivityError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector
+from .base import Manifold, ManifoldPoint, TangentVector, require_base
 
 __all__ = ["Sphere"]
 
@@ -44,12 +44,7 @@ class Sphere(Manifold):
     # ----- membership --------------------------------------------------
 
     def check_point(self, coords: np.ndarray) -> None:
-        if coords.shape != (self.dim + 1,):
-            raise DomainError(
-                f"expected shape ({self.dim + 1},), got {coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("coordinates must be finite")
+        self._check_coords(coords, (self.dim + 1,))
         resid = self.sigma * float(np.dot(coords, coords)) - 1.0
         if abs(resid) > _POINT_TOL:
             raise DomainError(
@@ -57,12 +52,7 @@ class Sphere(Manifold):
             )
 
     def check_tangent(self, x: ManifoldPoint, coords: np.ndarray) -> None:
-        if coords.shape != x.coords.shape:
-            raise DomainError(
-                f"tangent shape {coords.shape} does not match point {x.coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("coordinates must be finite")
+        self._check_coords(coords, x.coords.shape)
         resid = float(np.dot(x.coords, coords))
         tol = _TANGENT_TOL * (
             1.0 + float(np.linalg.norm(x.coords)) * float(np.linalg.norm(coords))
@@ -82,12 +72,12 @@ class Sphere(Manifold):
     # ----- metric -------------------------------------------------------
 
     def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-        self._require_base(x, u)
-        self._require_base(x, v)
+        require_base(x, u)
+        require_base(x, v)
         return float(np.dot(u.coords, v.coords))
 
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        self._require_base(x, v)
+        require_base(x, v)
         r = float(np.linalg.norm(v.coords))
         root_sigma = math.sqrt(self.sigma)
         if r >= math.pi / root_sigma:

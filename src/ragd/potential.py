@@ -37,7 +37,6 @@ from .solvers import StepParams, step_params
 from .trace import ConvergenceTrace
 
 __all__ = [
-    "potential_value",
     "CoefficientBlock",
     "coefficient_block",
     "trace_coefficient_blocks",
@@ -58,24 +57,6 @@ __all__ = [
 ]
 
 _GOLDEN_DENOM = 5.0 + math.sqrt(5.0)
-
-
-def potential_value(a_weight: float, b_weight: float, f_gap: float, dist_sq: float) -> float:
-    """Weighted potential A * f_gap + B * dist_sq.
-
-    The same formula serves the flat and the curved case; they differ only
-    in which squared distance is passed (plain versus projected).  A small
-    negative ``f_gap`` is tolerated for float noise at the optimum.
-    """
-    if not a_weight > 0.0:
-        raise DomainError(f"the cost weight must be positive, got {a_weight}")
-    if not b_weight >= 0.0:
-        raise DomainError(f"the distance weight must be >= 0, got {b_weight}")
-    if not f_gap >= -1e-9:
-        raise DomainError(f"f_gap must be >= -1e-9, got {f_gap}")
-    if not dist_sq >= 0.0:
-        raise DomainError(f"dist_sq must be >= 0, got {dist_sq}")
-    return a_weight * f_gap + b_weight * dist_sq
 
 
 @dataclass(frozen=True)
@@ -199,11 +180,7 @@ def certify_trace(
     per-step condition is Phi_{t+1} <= Phi_t + tol * (1 + |Phi_t|),
     checked in normalized form.  Requires diagnostics and a known optimum.
     """
-    _require_full_diagnostics(trace)
-    if trace.meta.get("solver") == "rgd":
-        raise MissingDataError("plain gradient descent has no potential certificate")
-    if problem.optimum is None:
-        raise MissingDataError("problem has no optimum; call oracle_optimum first")
+    _require_potential_inputs(trace, problem)
     d = trace.diagnostics
     xis = trace.column("xi")
     n_rows = trace.rows.shape[0]
@@ -282,6 +259,16 @@ def _require_full_diagnostics(trace: ConvergenceTrace) -> None:
         raise MissingDataError("diagnostics do not cover every trace row")
 
 
+def _require_potential_inputs(trace: ConvergenceTrace, problem: Problem) -> None:
+    """Preamble of the potential analyses: full diagnostics, an accelerated
+    solver and a known optimum."""
+    _require_full_diagnostics(trace)
+    if trace.meta.get("solver") == "rgd":
+        raise MissingDataError("plain gradient descent has no potential certificate")
+    if problem.optimum is None:
+        raise MissingDataError("problem has no optimum; call oracle_optimum first")
+
+
 def _recomputed_phis(trace: ConvergenceTrace, problem: Problem) -> np.ndarray:
     """Normalized potentials phi_t re-evaluated from stored iterates."""
     d = trace.diagnostics
@@ -313,10 +300,7 @@ def quadratic_form_audit(
     _require_full_diagnostics(trace)
     if not isinstance(problem.manifold, Euclidean):
         raise DomainError("the quadratic-form audit applies to flat runs only")
-    if trace.meta.get("solver") == "rgd":
-        raise MissingDataError("plain gradient descent has no potential certificate")
-    if problem.optimum is None:
-        raise MissingDataError("problem has no optimum; call oracle_optimum first")
+    _require_potential_inputs(trace, problem)
     d = trace.diagnostics
     opt = problem.optimum
     xis = trace.column("xi")
@@ -393,11 +377,7 @@ def mirror_step_audit(
 
     identically; the audit recomputes both sides from the stored points.
     """
-    _require_full_diagnostics(trace)
-    if trace.meta.get("solver") == "rgd":
-        raise MissingDataError("plain gradient descent takes no mirror step")
-    if problem.optimum is None:
-        raise MissingDataError("problem has no optimum; call oracle_optimum first")
+    _require_potential_inputs(trace, problem)
     d = trace.diagnostics
     m = problem.manifold
     opt = problem.optimum
@@ -440,11 +420,7 @@ def rate_envelope(
     resolution of the float objective, the comparison measures rounding
     noise, not the method.
     """
-    _require_full_diagnostics(trace)
-    if trace.meta.get("solver") == "rgd":
-        raise MissingDataError("plain gradient descent has no momentum envelope")
-    if problem.optimum is None:
-        raise MissingDataError("problem has no optimum; call oracle_optimum first")
+    _require_potential_inputs(trace, problem)
     phis = _recomputed_phis(trace, problem)
     f_opt = problem.optimum_value
     d = trace.diagnostics

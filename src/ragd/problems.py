@@ -18,7 +18,7 @@ import numpy as np
 
 from ._scalars import tan_ratio
 from .distortion import trig_coeff
-from .errors import ConvergenceError, DomainError, MissingDataError
+from .errors import ConvergenceError, DomainError, MissingDataError, NonFiniteError
 from .geometry import (
     SPD,
     Euclidean,
@@ -84,7 +84,17 @@ class Problem:
         return float(self.objective(x))
 
     def grad(self, x: ManifoldPoint) -> TangentVector:
-        return self.gradient(x)
+        """Gradient at ``x``.  The user callable's output is checked here,
+        once: DomainError on a shape mismatch, NonFiniteError on a
+        non-finite coordinate."""
+        g = self.gradient(x)
+        if g.coords.shape != x.coords.shape:
+            raise DomainError(
+                f"gradient shape {g.coords.shape} does not match point {x.coords.shape}"
+            )
+        if not np.all(np.isfinite(g.coords)):
+            raise NonFiniteError("gradient is not finite")
+        return g
 
     def set_optimum(self, x: ManifoldPoint) -> None:
         self.manifold.check_point(x.coords)

@@ -40,7 +40,6 @@ __all__ = [
     "SolverConfig",
     "StepParams",
     "step_params",
-    "euclid_step",
     "ragd_step",
     "run",
 ]
@@ -143,31 +142,6 @@ def step_params(xi: float, mu: float, delta_gamma: float) -> StepParams:
     beta = 1.0 - a / xi
     eta = 2.0 * delta_gamma / xi
     return StepParams(alpha=alpha, beta=beta, eta=eta)
-
-
-def euclid_step(
-    problem: Problem,
-    x: ManifoldPoint,
-    y: ManifoldPoint,
-    z: ManifoldPoint,
-    params: StepParams,
-    gamma: float,
-) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
-    """One flat-space accelerated step, written in plain vector arithmetic.
-
-    Bit-for-bit identical to :func:`ragd_step` on a Euclidean manifold;
-    kept separate so the reduction is testable rather than assumed.
-    """
-    m = problem.manifold
-    if not isinstance(m, Euclidean):
-        raise DomainError("euclid_step requires a Euclidean manifold")
-    x1 = m.point(y.coords + params.alpha * (z.coords - y.coords))
-    g = problem.grad(x1)
-    y1 = m.point(x1.coords + (-gamma) * g.coords)
-    z1 = m.point(
-        x1.coords + (params.beta * (z.coords - x1.coords) - params.eta * g.coords)
-    )
-    return x1, y1, z1, g
 
 
 def ragd_step(
@@ -322,14 +296,15 @@ def run(
             delta_rate = _distortion_rate(m, d_xz, d_yz, config)
             xi = next_xi(xi, XiParams(a=a, delta=delta_rate))
             params = step_params(xi, config.mu, delta_gamma)
-            x, y, z, g = ragd_step(problem, x, y, z, params, gamma)
+            x, y, z, _ = ragd_step(problem, x, y, z, params, gamma)
             log_a_t -= math.log1p(-xi)
         else:
             g = problem.grad(y)
             y = m.exp(y, (-gamma) * g)
             x = z = y
-        if not np.all(np.isfinite(g.coords)):
-            raise NonFiniteError(f"gradient is not finite at step {t + 1}")
+        for name, p in (("x", x), ("y", y), ("z", z)):
+            if not np.all(np.isfinite(p.coords)):
+                raise NonFiniteError(f"iterate {name} is not finite at step {t + 1}")
         worst = _check_containment(problem, (x, y, z), t + 1, warned)
         if not math.isnan(worst):
             max_ref_dist = worst if math.isnan(max_ref_dist) else max(max_ref_dist, worst)

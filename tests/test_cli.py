@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, exit codes, files, determinism."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import ragd.cli as cli
 from ragd.errors import NonFiniteError
+from ragd.geometry import Hyperbolic
+from ragd.problems import oracle_optimum, random_karcher
+from ragd.solvers import SolverConfig, run
 from ragd.sweep import SWEEP_COLUMNS
 from ragd.xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi
 
@@ -156,6 +161,32 @@ def test_run_solver_abort_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run", explode)
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_ABORT
+
+
+def test_maybe_enlarge_grows_L_and_keeps_other_settings():
+    prob = random_karcher(Hyperbolic(6, kappa=1.0), 5, 0.8, seed=1)
+    oracle_optimum(prob)
+    rng = np.random.default_rng(0)
+    far = prob.manifold.random_point(rng, prob.reference, 3.0)
+    config = SolverConfig(
+        mode="ragd",
+        mu=prob.mu,
+        L=prob.L,
+        xi0=0.3,
+        max_iters=30,
+        sharp_distortion=True,
+        record_diagnostics=True,
+    )
+    trace = run(prob, config, x0=far)
+    enlarged = cli._maybe_enlarge(prob, config, trace)
+    assert enlarged is not None
+    new_problem, new_config = enlarged
+    assert new_config.L > config.L
+    assert new_problem.L == new_config.L
+    assert new_problem.optimum is prob.optimum
+    for field in dataclasses.fields(SolverConfig):
+        if field.name != "L":
+            assert getattr(new_config, field.name) == getattr(config, field.name)
 
 
 def test_verify_xi_suite_reports_ok(capsys):

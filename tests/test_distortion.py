@@ -80,15 +80,6 @@ def test_valid_rate_hadamard():
     assert sharp.source == "epsilon_opt_That"
 
 
-def test_valid_rate_rauch():
-    from ragd.distortion import valid_rate_rauch
-
-    assert valid_rate_rauch(1.0, 0.0).value == 1.0
-    rate = valid_rate_rauch(1.0, 1.0)
-    assert abs(rate.value - math.sinh(1.0) ** 2) < tol
-    assert rate.source == "rauch_S"
-
-
 def test_valid_rate_nonhadamard():
     assert valid_rate_nonhadamard(1.0, 0.0, 0.0).value == 1.0
     assert abs(valid_rate_nonhadamard(1.0, 0.0, 0.5).value - 1.5) < 1e-9

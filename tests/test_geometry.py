@@ -84,6 +84,18 @@ def test_projected_distance_is_tangent_gap(label, m, scale):
         assert m.projected_distance(x, y, y) < tol
 
 
+@pytest.mark.parametrize("label,m,scale", CASES)
+def test_point_rejects_bad_shape_and_non_finite(label, m, scale):
+    good = m.base_point().coords
+    with pytest.raises(DomainError):
+        m.point(np.zeros(good.size + 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        coords = good.copy()
+        coords.flat[0] = bad
+        with pytest.raises(DomainError):
+            m.point(coords)
+
+
 def test_euclidean_projected_distance_equals_distance():
     m = Euclidean(6)
     rng = np.random.default_rng(3)

@@ -15,7 +15,6 @@ from ragd.potential import (
     count_shrink_violations,
     gradient_step_audit,
     mirror_step_audit,
-    potential_value,
     quadratic_form_audit,
     rate_envelope,
     shrink_bounds,
@@ -52,25 +51,6 @@ def _curved_run(max_iters=120):
         mode="ragd", mu=prob.mu, L=prob.L, max_iters=max_iters, record_diagnostics=True
     )
     return prob, run(prob, config)
-
-
-def test_potential_value_formula():
-    assert potential_value(2.0, 3.0, 0.5, 4.0) == 13.0
-    assert potential_value(1.0, 0.0, 0.0, 9.0) == 0.0
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        (0.0, 1.0, 0.1, 1.0),
-        (1.0, -1.0, 0.1, 1.0),
-        (1.0, 1.0, -1e-3, 1.0),
-        (1.0, 1.0, 0.1, -1.0),
-    ],
-)
-def test_potential_value_domain(args):
-    with pytest.raises(DomainError):
-        potential_value(*args)
 
 
 @pytest.mark.parametrize("delta", [1.0, 1.2])
@@ -212,6 +192,18 @@ def test_quadratic_form_audit_flat_only():
     cprob, ctrace = _curved_run(max_iters=20)
     with pytest.raises(DomainError):
         quadratic_form_audit(ctrace, cprob)
+
+
+def test_quadratic_form_audit_checks_flatness_before_solver_and_optimum():
+    # a curved input gets DomainError even when it also lacks an optimum
+    # or comes from plain gradient descent
+    cprob = random_karcher(Hyperbolic(6, kappa=1.0), 5, 1.0, seed=4)
+    for mode in ("ragd", "rgd"):
+        config = SolverConfig(
+            mode=mode, mu=cprob.mu, L=cprob.L, max_iters=5, record_diagnostics=True
+        )
+        with pytest.raises(DomainError):
+            quadratic_form_audit(run(cprob, config), cprob)
 
 
 def test_rate_envelope_holds_with_floor():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ragd.distortion import trig_coeff
-from ragd.errors import DomainError, MissingDataError
-from ragd.geometry import SPD, Hyperbolic, Sphere
+from ragd.errors import DomainError, MissingDataError, NonFiniteError
+from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.problems import (
+    Problem,
     gradient_audit,
     make_quadratic,
     oracle_optimum,
@@ -92,6 +93,31 @@ def test_oracle_optimum_matches_gradient_zero():
     for _ in range(10):
         x = prob.manifold.random_point(rng, opt, 0.5)
         assert prob.value(x) >= prob.optimum_value - 1e-12
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        lambda prob: oracle_optimum(prob, max_iters=10),
+        lambda prob: gradient_audit(prob, n_points=2, n_pairs=2),
+    ],
+    ids=["oracle_optimum", "gradient_audit"],
+)
+def test_non_finite_gradient_is_rejected(consumer):
+    m = Euclidean(3)
+    prob = Problem(
+        name="nan-gradient",
+        manifold=m,
+        objective=lambda x: 0.0,
+        gradient=lambda x: TangentVector(x, np.full(3, np.nan)),
+        mu=1.0,
+        L=1.0,
+        start=m.point(np.ones(3)),
+        reference=m.point(np.zeros(3)),
+    )
+    with pytest.raises(NonFiniteError):
+        consumer(prob)
+    assert prob.optimum is None
 
 
 def test_optimum_required_before_use():

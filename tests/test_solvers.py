@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from ragd.errors import DomainError, RuntimeContainmentError
-from ragd.geometry import Hyperbolic, Sphere
+from ragd.errors import DomainError, NonFiniteError, RuntimeContainmentError
+from ragd.geometry import Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.problems import (
+    Problem,
     make_quadratic,
     oracle_optimum,
     quadratic_from_arrays,
@@ -19,7 +20,6 @@ from ragd.problems import (
 from ragd.solvers import (
     SOLVER_MODES,
     SolverConfig,
-    euclid_step,
     ragd_step,
     run,
     step_params,
@@ -80,22 +80,32 @@ def test_step_params_critical_step_simplification():
     assert math.isclose(p.eta, 1.0 / math.sqrt(mu * big), rel_tol=1e-12)
 
 
+def _nesterov_step(problem, x, y, z, params, gamma):
+    """Classical Nesterov step in plain vector arithmetic, the flat-space
+    reference that ragd_step must reproduce bit for bit."""
+    x1 = y + params.alpha * (z - y)
+    g = problem.grad(problem.manifold.point(x1)).coords
+    y1 = x1 + (-gamma) * g
+    z1 = x1 + (params.beta * (z - x1) - params.eta * g)
+    return x1, y1, z1, g
+
+
 def test_single_flat_step_hand_cases():
     hessian = np.array([[1.0]])
     prob = quadratic_from_arrays(hessian, np.zeros(1), np.array([1.0]))
     m = prob.manifold
     one = m.point(np.array([1.0]))
     params = step_params(0.5, 1.0, 0.1)
-    x1, y1, z1, g = euclid_step(prob, one, one, one, params, gamma=1.0)
+    x1, y1, z1, g = ragd_step(prob, one, one, one, params, gamma=1.0)
     assert x1.coords[0] == 1.0
     assert g.coords[0] == 1.0
     assert y1.coords[0] == 0.0
     zero = m.point(np.zeros(1))
-    x1, y1, z1, g = euclid_step(prob, zero, zero, zero, params, gamma=1.0)
+    x1, y1, z1, g = ragd_step(prob, zero, zero, zero, params, gamma=1.0)
     assert x1.coords[0] == y1.coords[0] == z1.coords[0] == 0.0
 
 
-def test_euclid_step_matches_ragd_step_bitwise():
+def test_ragd_step_matches_closed_form_nesterov_bitwise():
     prob = make_quadratic(8, 1.0, 25.0, seed=5)
     rng = np.random.default_rng(5)
     m = prob.manifold
@@ -103,18 +113,48 @@ def test_euclid_step_matches_ragd_step_bitwise():
     y = m.point(rng.standard_normal(8))
     z = m.point(rng.standard_normal(8))
     params = step_params(0.3, 1.0, 0.01)
-    flat = euclid_step(prob, x, y, z, params, gamma=0.02)
+    flat = _nesterov_step(prob, x.coords, y.coords, z.coords, params, gamma=0.02)
     curved = ragd_step(prob, x, y, z, params, gamma=0.02)
-    for lhs, rhs in zip(flat, curved):
-        assert np.array_equal(lhs.coords, rhs.coords)
+    for want, got in zip(flat, curved):
+        assert np.array_equal(want, got.coords)
 
 
-def test_euclid_step_rejects_curved_manifold():
-    prob = random_karcher(Hyperbolic(4, kappa=1.0), 3, 0.5, seed=0)
-    x = prob.start
-    params = step_params(0.3, 1.0, 0.01)
+def _constant_gradient_problem(m, start, coords):
+    return Problem(
+        name="constant-gradient",
+        manifold=m,
+        objective=lambda x: 0.0,
+        gradient=lambda x: TangentVector(x, np.array(coords, dtype=float)),
+        mu=0.01,
+        L=1.0,
+        start=m.point(start),
+        reference=m.point(start),
+        feasible_radius=1.0,
+        containment_radius=1.0,
+    )
+
+
+def test_run_rejects_overflowing_step_output():
+    # finite value and gradient, but eta * grad overflows in the z-update
+    prob = _constant_gradient_problem(Euclidean(2), np.zeros(2), np.full(2, 1e308))
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=3)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        run(prob, config)
+
+
+@pytest.mark.parametrize("mode", ["ragd", "rgd"])
+def test_run_rejects_infinite_gradient_on_sphere(mode):
+    prob = _constant_gradient_problem(Sphere(2), [1.0, 0.0, 0.0], [0.0, math.inf, 0.0])
+    config = SolverConfig(mode=mode, mu=prob.mu, L=prob.L, max_iters=3)
+    with pytest.raises(NonFiniteError):
+        run(prob, config)
+
+
+def test_run_rejects_wrong_shape_gradient():
+    prob = _constant_gradient_problem(Euclidean(3), np.zeros(3), [1.0])
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=3)
     with pytest.raises(DomainError):
-        euclid_step(prob, x, x, x, params, gamma=0.02)
+        run(prob, config)
 
 
 @pytest.mark.parametrize(
