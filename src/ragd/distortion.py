@@ -17,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import minimize_scalar
-
 from ._scalars import coth_ratio as _coth_ratio
 from ._scalars import sinch as _sinch
 from .errors import DomainError
@@ -98,23 +95,105 @@ def t_kappa(kappa: float, r: float) -> float:
     return max(first, _sinch(2.0 * w) ** 2)
 
 
+# Search interval of the free split eps in t_kappa_hat.
+_EPS_LO = 1e-3
+_EPS_HI = 10.0
+# The root search stops once its lower and upper bound on the minimum agree
+# to half an ulp; a geometric bisection after every third step that keeps
+# the same end bounds the step count well below _ROOT_ITERS.
+_ROOT_RTOL = 2.0**-53
+_ROOT_ITERS = 200
+
+
+def _t_hat_branches(eps: float, w: float, excess: float) -> tuple[float, float]:
+    """Decreasing and increasing branch of the ``t_kappa_hat`` objective;
+    ``excess`` is ``coth_ratio(w) - 1``."""
+    return 1.0 + (1.0 + 1.0 / eps) ** 2 * excess, _sinch((1.0 + eps) * w) ** 2
+
+
 def _t_hat_objective(eps: float, w: float) -> float:
-    stretch = 1.0 + eps
-    first = 1.0 + (1.0 + 1.0 / eps) ** 2 * (_coth_ratio(w) - 1.0)
-    if stretch * w > 350.0:
+    if (1.0 + eps) * w > 350.0:
         return math.inf
-    second = _sinch(stretch * w) ** 2
-    return max(first, second)
+    return max(_t_hat_branches(eps, w, _coth_ratio(w) - 1.0))
+
+
+def _crossing(w: float, lo: float, hi: float) -> tuple[float, float]:
+    """Bracket ``(a, b)`` around the crossing of the two branches of the
+    ``t_kappa_hat`` objective on ``[lo, hi]``.
+
+    The first branch decreases and the second increases in ``eps``, so
+    their difference ``h`` has one sign change.  Illinois (regula falsi)
+    steps narrow the bracket, with a geometric bisection after every third
+    step that keeps the same end.  The first step tries ``eps = 1``, where
+    the crossing tends as ``w -> 0``.  The minimum lies between
+    ``max(first(b), second(a))`` and ``min(first(a), second(b))``; the
+    search stops when these agree to ``_ROOT_RTOL``, when ``h`` vanishes,
+    when the ends are adjacent floats, or after ``_ROOT_ITERS`` steps.  A
+    crossing outside ``[lo, hi]`` gives the nearer end twice.
+    """
+    excess = _coth_ratio(w) - 1.0
+
+    def branches(eps: float) -> tuple[float, float, float]:
+        first, second = _t_hat_branches(eps, w, excess)
+        return first, second, first - second
+
+    a, b = lo, hi
+    fa, sa, ha = branches(a)
+    if ha <= 0.0:
+        return a, a
+    fb, sb, hb = branches(b)
+    if hb >= 0.0:
+        return b, b
+    side = kept = 0
+    for step in range(_ROOT_ITERS):
+        upper = min(fa, sb)
+        if upper - max(fb, sa) <= _ROOT_RTOL * upper:
+            break
+        if step == 0 and a < 1.0 < b:
+            c = 1.0
+        elif kept >= 3:
+            c = math.sqrt(a * b)
+            kept = 0
+        else:
+            c = b - hb * (b - a) / (hb - ha)
+        if not a < c < b:
+            c = a + 0.5 * (b - a)
+            if not a < c < b:
+                break
+        fc, sc, hc = branches(c)
+        if hc == 0.0:
+            return c, c
+        if hc > 0.0:
+            if side > 0:
+                hb *= 0.5
+                kept += 1
+            else:
+                kept = 1
+            a, fa, sa, ha = c, fc, sc, hc
+            side = 1
+        else:
+            if side < 0:
+                ha *= 0.5
+                kept += 1
+            else:
+                kept = 1
+            b, fb, sb, hb = c, fc, sc, hc
+            side = -1
+    return a, b
 
 
 def t_kappa_hat(kappa: float, r: float) -> float:
     """Sharpened distortion factor, minimized over the free split ``eps > 0``.
 
     ``min_eps max(1 + (1 + 1/eps)**2 (coth term - 1), (sinh((1+eps) w) /
-    ((1+eps) w))**2)``.  Choosing ``eps = 1`` recovers ``t_kappa``, so the
-    result never exceeds it.  The objective is the maximum of a decreasing
-    and an increasing function of ``eps``, hence unimodal; a log-spaced
-    grid followed by golden-section refinement locates the crossing.
+    ((1+eps) w))**2)`` with ``w = sqrt(kappa) r``.  The first branch
+    decreases and the second increases in ``eps``, so the minimum sits at
+    their crossing.  The crossing is bracketed by a root search on
+    ``eps`` in ``[1e-3, min(10, 350/w - 1)]`` (past ``350/w - 1`` the
+    objective counts the sinh term as overflowing); a crossing outside
+    that interval gives its nearer end.  The result is the objective evaluated at both ends of the
+    final bracket and at ``eps = 1``, the smallest of the three.  Choosing
+    ``eps = 1`` recovers ``t_kappa``, so the result never exceeds it.
     """
     _check_args(kappa, r)
     w = math.sqrt(kappa) * r
@@ -122,20 +201,12 @@ def t_kappa_hat(kappa: float, r: float) -> float:
         return 1.0
     if math.isinf(r):
         return math.inf
-    grid = np.logspace(-3.0, 1.0, 200)
-    values = [_t_hat_objective(e, w) for e in grid]
-    i = int(np.argmin(values))
-    best = values[i]
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if math.isfinite(best) and lo < hi:
-        res = minimize_scalar(
-            _t_hat_objective, args=(w,), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if res.fun < best:
-            best = float(res.fun)
-    return min(best, _t_hat_objective(1.0, w))
+    plain = _t_hat_objective(1.0, w)
+    hi = min(_EPS_HI, 350.0 / w - 1.0)
+    if not _EPS_LO <= hi:
+        return plain
+    a, b = _crossing(w, _EPS_LO, hi)
+    return min(_t_hat_objective(a, w), _t_hat_objective(b, w), plain)
 
 
 def valid_rate_hadamard(

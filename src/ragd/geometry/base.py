@@ -151,6 +151,23 @@ class Manifold(abc.ABC):
         diff = self.log(x, y) - self.log(x, z)
         return self.norm(x, diff)
 
+    # ----- stacked kernels ----------------------------------------------
+
+    def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
+        """Distances from ``x`` to each row of ``anchors``, a stack of valid
+        point coordinates of shape ``(k, *point_shape)``.
+
+        Loops over :meth:`distance`; manifolds with a cheaper batched form
+        override it.
+        """
+        return np.array([self.distance(x, ManifoldPoint(p)) for p in anchors])
+
+    def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
+        """Coordinates of ``log_x`` of each row of ``anchors``, stacked to
+        shape ``(k, *point_shape)``; loops over :meth:`log` unless
+        overridden."""
+        return np.stack([self.log(x, ManifoldPoint(p)).coords for p in anchors])
+
     # ----- sampling ---------------------------------------------------
 
     @abc.abstractmethod

@@ -134,6 +134,36 @@ class Hyperbolic(Manifold):
         nrm = math.sqrt(max(self._mdot(u, u), 0.0))
         return acosh_ratio(cm1) * nrm
 
+    # ----- stacked kernels --------------------------------------------------
+
+    @staticmethod
+    def _mdot_rows(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``_mdot(row, a)`` for every row, as one matrix product."""
+        flipped = a.copy()
+        flipped[-1] = -flipped[-1]
+        return rows @ flipped
+
+    def _chords(
+        self, x: np.ndarray, anchors: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_chord` for every anchor row: the rows ``u_i`` and the
+        ``acosh_ratio(c_i - 1)`` that scale them to logarithms."""
+        cm1 = np.maximum(-self.kappa * self._mdot_rows(anchors, x) - 1.0, 0.0)
+        u = (anchors - x) - cm1[:, None] * x
+        return u, np.array([acosh_ratio(c) for c in cm1.tolist()])
+
+    def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
+        u, ratio = self._chords(x.coords, anchors)
+        spatial = u[:, :-1]
+        sq = np.einsum("ij,ij->i", spatial, spatial) - u[:, -1] ** 2
+        return ratio * np.sqrt(np.maximum(sq, 0.0))
+
+    def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
+        u, ratio = self._chords(x.coords, anchors)
+        v = ratio[:, None] * u
+        # _project_tangent applied to every row.
+        return v + (self.kappa * self._mdot_rows(v, x.coords))[:, None] * x.coords
+
     # ----- sampling -------------------------------------------------------
 
     def base_point(self) -> ManifoldPoint:

@@ -22,7 +22,8 @@ _EIG_FLOOR = 1e-12
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 class SPD(Manifold):
@@ -120,6 +121,29 @@ class SPD(Manifold):
         if w[0] <= 0.0:
             raise ConvergenceError("distance to a non-PD midpoint matrix")
         return float(np.linalg.norm(np.log(w)))
+
+    # ----- stacked kernels ------------------------------------------------------
+    # One square root of x serves every anchor.  The batched products,
+    # eigendecompositions and row norms round as the single-anchor methods
+    # do, so each row equals the corresponding distance or log bit for bit.
+
+    def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
+        _, isqrt = self._sqrt_pair(x.coords)
+        w = np.linalg.eigvalsh(_sym(isqrt @ anchors @ isqrt))
+        if np.any(w[:, 0] <= 0.0):
+            raise ConvergenceError("distance to a non-PD midpoint matrix")
+        logs = np.log(w)
+        # Row-wise dot products through matmul, which rounds as the dot
+        # product inside np.linalg.norm does.
+        return np.sqrt((logs[:, None, :] @ logs[:, :, None]).reshape(-1))
+
+    def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
+        root, isqrt = self._sqrt_pair(x.coords)
+        w, q = self._eigh(_sym(isqrt @ anchors @ isqrt))
+        if np.any(w[:, 0] <= 0.0):
+            raise ConvergenceError("logarithm of a non-PD midpoint matrix")
+        lg = (q * np.log(w)[:, None, :]) @ q.swapaxes(-1, -2)
+        return _sym(root @ lg @ root)
 
     # ----- sampling -----------------------------------------------------------
 

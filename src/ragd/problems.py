@@ -255,15 +255,21 @@ def _mean_point(m: Manifold, anchors: Sequence[ManifoldPoint]) -> ManifoldPoint:
 def _barycenter_callables(
     m: Manifold, anchors: list[ManifoldPoint], w: np.ndarray
 ) -> tuple[Callable, Callable]:
+    # Stacked once here; the manifold's stacked kernels take every anchor in
+    # one call.  Both sums run in anchor order, as a loop over the anchors
+    # would, so the rounding is that of the per-anchor formula.
+    stack = np.stack([p.coords for p in anchors])
+    stack.setflags(write=False)
+    weights = w.tolist()
+
     def objective(x: ManifoldPoint) -> float:
-        return 0.5 * sum(
-            wi * m.distance(x, p) ** 2 for wi, p in zip(w, anchors)
-        )
+        dists = m._dist_many(x, stack).tolist()
+        return 0.5 * sum(wi * d**2 for wi, d in zip(weights, dists))
 
     def gradient(x: ManifoldPoint) -> TangentVector:
         acc = np.zeros_like(x.coords)
-        for wi, p in zip(w, anchors):
-            acc = acc - wi * m.log(x, p).coords
+        for wi, row in zip(weights, m._log_many(x, stack)):
+            acc = acc - wi * row
         return TangentVector(x, acc)
 
     return objective, gradient

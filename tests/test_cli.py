@@ -3,10 +3,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ragd
 import ragd.cli as cli
 from ragd.errors import NonFiniteError
 from ragd.geometry import Hyperbolic
@@ -247,3 +252,20 @@ def test_unknown_log_level_falls_back(monkeypatch):
         ["xi-trace", "--a", "0.25", "--delta", "1.0", "--xi0", "0.9", "--steps", "1"]
     )
     assert rc == cli.EXIT_OK
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it at start-up would cost
+    # every command about half a second and some 40 MB.
+    env = dict(os.environ)
+    src = str(Path(ragd.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, ragd, ragd.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"

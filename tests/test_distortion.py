@@ -41,27 +41,46 @@ def test_t_kappa_values():
     assert abs(t_kappa(1.0, 1.0) - 3.288527) < 1e-5
 
 
-def test_t_kappa_hat_matches_dense_grid():
+# w = sqrt(kappa) r across the scales t_kappa_hat meets, with the overflow
+# edges on both sides: 11 w (eps = 10) crossing 350 between 31 and 32, 2 w
+# (eps = 1) crossing 350 between 174 and 176, and every split overflowing
+# once w exceeds 350 / 1.001 ~ 349.65.
+_HAT_W = (1e-6, 1e-3, 0.5, 1.0, 3.0, 6.0, 12.0, 31.0, 32.0, 100.0, 174.0, 176.0, 400.0)
+
+
+@pytest.mark.parametrize("kappa", (0.5, 1.0, 2.0))
+@pytest.mark.parametrize("w", _HAT_W)
+def test_t_kappa_hat_matches_dense_grid(kappa, w):
     from scipy.optimize import minimize_scalar
 
-    kappa, r = 1.0, 1.0
+    r = w / math.sqrt(kappa)
     grid = np.linspace(1e-3, 10.0, 10_000)
     w = math.sqrt(kappa) * r
     def bound(eps):
         first = 1.0 + (1.0 + 1.0 / eps) ** 2 * (w / math.tanh(w) - 1.0)
         arg = (1.0 + eps) * w
+        if arg > 350.0:
+            # math.sinh overflows near 710; like t_kappa_hat, treat the
+            # branch as unbounded past 350.
+            return math.inf
         second = (math.sinh(arg) / arg) ** 2
         return max(first, second)
     vals = [bound(e) for e in grid]
     i = int(np.argmin(vals))
-    res = minimize_scalar(
-        bound,
-        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    brute = min(vals[i], float(res.fun))
-    assert abs(t_kappa_hat(kappa, r) - brute) < 1e-4
+    brute = vals[i]
+    if math.isfinite(brute):
+        res = minimize_scalar(
+            bound,
+            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        brute = min(brute, float(res.fun))
+    got = t_kappa_hat(kappa, r)
+    assert math.isfinite(got) == math.isfinite(brute)
+    if math.isfinite(brute):
+        assert abs(got - brute) < 1e-4
+        assert got <= brute * (1 + 4 * 2**-52)
 
 
 def test_t_kappa_hat_at_zero():

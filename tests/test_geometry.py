@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ragd.errors import DomainError
-from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere
+from ragd.errors import AntipodalError, ConvergenceError, DomainError
+from ragd.geometry import SPD, Euclidean, Hyperbolic, Manifold, Sphere
 from ragd.problems import manifold_from_dict, manifold_to_dict
 
 tol = 1e-9
@@ -94,6 +94,50 @@ def test_point_rejects_bad_shape_and_non_finite(label, m, scale):
         coords.flat[0] = bad
         with pytest.raises(DomainError):
             m.point(coords)
+
+
+@pytest.mark.parametrize("label,m,scale", CASES)
+def test_stacked_kernels_match_per_anchor_loop(label, m, scale):
+    rng = np.random.default_rng(10)
+    base = m.base_point()
+    for _ in range(10):
+        x = m.random_point(rng, base, scale)
+        anchors = [m.random_point(rng, base, scale) for _ in range(5)]
+        stack = np.stack([p.coords for p in anchors])
+        dists = np.array([m.distance(x, p) for p in anchors])
+        logs = np.stack([m.log(x, p).coords for p in anchors])
+        # The base-class loop is the reference every override must match.
+        assert np.array_equal(Manifold._dist_many(m, x, stack), dists)
+        assert np.array_equal(Manifold._log_many(m, x, stack), logs)
+        got_d, got_l = m._dist_many(x, stack), m._log_many(x, stack)
+        if isinstance(m, Hyperbolic):
+            # One matrix product forms every Minkowski inner product, which
+            # sums in another order than the per-anchor dot product.
+            assert np.all(np.abs(got_d - dists) <= 1e-13 * dists)
+            row_scale = np.max(np.abs(logs), axis=1)
+            assert np.all(np.max(np.abs(got_l - logs), axis=1) <= 1e-13 * row_scale)
+        else:
+            assert np.array_equal(got_d, dists)
+            assert np.array_equal(got_l, logs)
+
+
+def test_spd_stacked_kernels_reject_non_pd_midpoint():
+    m = SPD(3)
+    x = m.base_point()
+    stack = np.stack([np.eye(3), np.diag([1.0, -1.0, 2.0])])
+    with pytest.raises(ConvergenceError):
+        m._dist_many(x, stack)
+    with pytest.raises(ConvergenceError):
+        m._log_many(x, stack)
+
+
+def test_sphere_stacked_kernels_at_the_antipode():
+    m = Sphere(3, sigma=4.0)
+    x = m.base_point()
+    stack = np.stack([m.random_point(np.random.default_rng(11), x, 0.2).coords, -x.coords])
+    assert m._dist_many(x, stack)[1] == math.pi / math.sqrt(m.sigma)
+    with pytest.raises(AntipodalError):
+        m._log_many(x, stack)
 
 
 def test_euclidean_projected_distance_equals_distance():

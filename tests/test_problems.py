@@ -9,6 +9,7 @@ from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.problems import (
     Problem,
     gradient_audit,
+    make_karcher,
     make_quadratic,
     oracle_optimum,
     problem_from_dict,
@@ -68,6 +69,22 @@ def test_karcher_audit_spd():
     assert rep["max_fd_rel_err"] < audit_tol
     assert rep["strong_convexity_violations"] == 0
     assert rep["smoothness_violations"] == 0
+
+
+def test_spd_karcher_matches_per_anchor_formula_bitwise():
+    m = SPD(4)
+    rng = rng_from_seed(5)
+    anchors = [m.random_point(rng, m.base_point(), 1.5) for _ in range(6)]
+    weights = [0.05, 0.1, 0.15, 0.2, 0.22, 0.28]
+    prob = make_karcher(m, anchors, weights)
+    for _ in range(5):
+        x = m.random_point(rng, m.base_point(), 1.5)
+        value = 0.5 * sum(wi * m.distance(x, p) ** 2 for wi, p in zip(weights, anchors))
+        grad = np.zeros_like(x.coords)
+        for wi, p in zip(weights, anchors):
+            grad = grad - wi * m.log(x, p).coords
+        assert prob.value(x) == value
+        assert np.array_equal(prob.grad(x).coords, grad)
 
 
 def test_sphere_mean_constants_and_audit():
