@@ -3,9 +3,17 @@
 Subcommands: ``run`` (execute configured solvers on a problem and write
 traces), ``verify`` (seeded property suites with a JSON report),
 ``sweep`` (one-axis parameter sweeps), and ``xi-trace`` (momentum
-recursion trace as CSV on stdout).  Exit codes: 0 success, 1 verify
-violation, 2 configuration error, 3 solver abort.  The ``RAGD_LOG``
-environment variable selects error, info, or debug verbosity.
+recursion trace as CSV on stdout).
+
+Each subcommand runs in two phases.  The parse phase reads and checks the
+whole request (config file, problem, solver entries, sweep values, seed,
+output directory) before any oracle or solver work starts and returns the
+execute phase, which does the work.  :func:`main` maps errors to exit
+codes once, for every subcommand: 0 success, 1 verify violation, 2 a bad
+request (an ``OSError``, ``TypeError``, ``ValueError``, ``KeyError`` or
+library error raised while parsing), 3 a library error raised while
+executing.  A failure logs one error line and no traceback.  The
+``RAGD_LOG`` environment variable selects error, info, or debug verbosity.
 """
 
 from __future__ import annotations
@@ -15,17 +23,20 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from . import __version__
 from .distortion import trig_coeff
-from .errors import DomainError, MissingDataError, RagdError
+from .errors import DomainError, RagdError
 from .problems import Problem, oracle_optimum, problem_from_dict
 from .solvers import SolverConfig, run
-from .sweep import SWEEP_AXES, run_sweep, write_sweep_csv
+from .sweep import (
+    SWEEP_AXES, build_sweep, problem_description, solver_config, solver_entries,
+    sweep_point, write_sweep_csv,
+)
 from .trace import ConvergenceTrace, estimate_rate
 from .verify import VERIFY_SUITES, run_suite
 from .xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi, xi_residual
@@ -40,6 +51,12 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_ABORT = 3
+
+# Errors that make a request bad when raised before any work starts.
+_REQUEST_ERRORS = (OSError, TypeError, ValueError, KeyError, RagdError)
+
+# A parsed request's work; returns the exit code.
+Execute = Callable[[], int]
 
 
 def _setup_logging() -> None:
@@ -61,40 +78,22 @@ def _config_hash(effective: dict) -> str:
 
 
 def _load_config(path: str) -> dict:
+    """Read a config file shared by ``run`` and ``sweep``."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise DomainError("config root must be a JSON object")
+    emit = cfg.get("emit", "csv")
+    if emit not in _EMIT_CHOICES:
+        raise DomainError(f"emit must be one of {_EMIT_CHOICES}, got {emit!r}")
     return cfg
 
 
-def _build_problem(cfg: dict, seed: int | None) -> tuple[Problem, dict]:
-    desc = cfg.get("problem")
-    if not isinstance(desc, dict):
-        raise MissingDataError("config has no 'problem' object")
-    desc = dict(desc)
-    if seed is not None and "seed" not in desc and "hessian" not in desc \
-            and "anchors" not in desc:
-        desc["seed"] = int(seed)
-    return problem_from_dict(desc), desc
-
-
-def _solver_configs(cfg: dict, problem: Problem) -> list[SolverConfig]:
-    entries = cfg.get("solvers")
-    if not isinstance(entries, list) or not entries:
-        raise MissingDataError("config lists no solvers")
-    out = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise DomainError("each solver entry must be a JSON object")
-        kwargs = dict(entry)
-        kwargs.setdefault("mu", problem.mu)
-        kwargs.setdefault("L", problem.L)
-        try:
-            out.append(SolverConfig(**kwargs))
-        except TypeError as exc:
-            raise DomainError(f"bad solver entry: {exc}") from exc
-    return out
+def _output_dir(out: str | None, cfg: dict) -> Path:
+    """Create the output directory: ``--out`` if given, else the config's."""
+    path = Path(out if out is not None else cfg.get("out", "."))
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _maybe_enlarge(problem: Problem, config: SolverConfig,
@@ -131,23 +130,12 @@ def _trace_paths(out_dir: Path, problem: Problem, mode: str, counts: dict) -> st
     return str(out_dir / stem)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.get("seed")
-        emit = cfg.get("emit", "csv")
-        if emit not in _EMIT_CHOICES:
-            raise DomainError(f"emit must be one of {_EMIT_CHOICES}, got {emit!r}")
-        out_dir = Path(args.out if args.out is not None else cfg.get("out", "."))
-        problem, problem_desc = _build_problem(cfg, seed)
-        configs = _solver_configs(cfg, problem)
-    except (OSError, json.JSONDecodeError) as exc:
-        logger.error("cannot read config: %s", exc)
-        return EXIT_CONFIG
-    except (RagdError, KeyError, ValueError) as exc:
-        logger.error("bad config: %s", exc)
-        return EXIT_CONFIG
-
+def cmd_run(args: argparse.Namespace) -> Execute:
+    cfg = _load_config(args.config)
+    emit = cfg.get("emit", "csv")
+    problem_desc, seed = problem_description(cfg, args.seed)
+    problem = problem_from_dict(problem_desc)
+    configs = [solver_config(entry, problem) for entry in solver_entries(cfg)]
     effective = {
         "problem": problem_desc,
         "solvers": cfg.get("solvers"),
@@ -155,20 +143,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         "emit": emit,
     }
     chash = _config_hash(effective)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out, cfg)
 
-    if problem.optimum is None:
-        logger.info("locating the optimum with the gradient-descent oracle")
-        try:
+    def execute() -> int:
+        if problem.optimum is None:
+            logger.info("locating the optimum with the gradient-descent oracle")
             oracle_optimum(problem)
-        except RagdError as exc:
-            logger.error("oracle failed: %s", exc)
-            return EXIT_ABORT
-
-    counts: dict = {}
-    summary = []
-    for config in configs:
-        try:
+        counts: dict = {}
+        summary = []
+        for config in configs:
             trace = run(problem, config)
             enlarged = _maybe_enlarge(problem, config, trace)
             if enlarged is not None:
@@ -179,86 +162,86 @@ def cmd_run(args: argparse.Namespace) -> int:
                 )
                 trace = run(new_problem, new_config)
                 trace.meta["enlarged_L"] = new_problem.L
-        except RagdError as exc:
-            logger.error("solver %s aborted: %s", config.mode, exc)
-            return EXIT_ABORT
-        trace.meta["config_hash"] = chash
-        trace.meta["seed"] = seed
-        stem = _trace_paths(out_dir, problem, config.mode, counts)
-        if emit in ("csv", "both"):
-            with open(stem + ".csv", "w") as fh:
-                trace.write_csv(fh)
-        if emit in ("json", "both"):
-            with open(stem + ".json", "w") as fh:
-                trace.write_json(fh)
-        gaps = trace.column("f_gap")
-        est = estimate_rate(gaps)
-        summary.append(
-            (config.mode, float(gaps[-1]), est.rate, _predicted_rate(config, trace))
-        )
-        logger.info("wrote %s", stem)
+            trace.meta["config_hash"] = chash
+            trace.meta["seed"] = seed
+            stem = _trace_paths(out_dir, problem, config.mode, counts)
+            if emit in ("csv", "both"):
+                with open(stem + ".csv", "w") as fh:
+                    trace.write_csv(fh)
+            if emit in ("json", "both"):
+                with open(stem + ".json", "w") as fh:
+                    trace.write_json(fh)
+            gaps = trace.column("f_gap")
+            est = estimate_rate(gaps)
+            summary.append(
+                (config.mode, float(gaps[-1]), est.rate, _predicted_rate(config, trace))
+            )
+            logger.info("wrote %s", stem)
 
-    print(f"# problem={problem.name} seed={seed} config_hash={chash}")
-    print(f"{'solver':24s} {'final_gap':>14s} {'rate':>10s} {'pred_rate':>10s}")
-    for mode, gap, rate, pred in summary:
-        print(f"{mode:24s} {gap:14.6e} {rate:10.6f} {pred:10.6f}")
-    return EXIT_OK
+        print(f"# problem={problem.name} seed={seed} config_hash={chash}")
+        print(f"{'solver':24s} {'final_gap':>14s} {'rate':>10s} {'pred_rate':>10s}")
+        for mode, gap, rate, pred in summary:
+            print(f"{mode:24s} {gap:14.6e} {rate:10.6f} {pred:10.6f}")
+        return EXIT_OK
 
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(args.suite, args.seed)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK if report["ok"] else EXIT_VIOLATION
+    return execute
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args.config)
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-        points = run_sweep(cfg, args.axis, values, seed=args.seed)
-    except (OSError, json.JSONDecodeError) as exc:
-        logger.error("cannot read config: %s", exc)
-        return EXIT_CONFIG
-    except (DomainError, MissingDataError, ValueError, KeyError) as exc:
-        logger.error("bad sweep request: %s", exc)
-        return EXIT_CONFIG
-    except RagdError as exc:
-        logger.error("sweep point aborted: %s", exc)
-        return EXIT_ABORT
-    out_dir = Path(args.out if args.out is not None else cfg.get("out", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"sweep_{args.axis}.csv"
-    write_sweep_csv(points, path)
-    print(f"# axis={args.axis} -> {path}")
-    print(f"{'value':>10s} {'solver':20s} {'final_gap':>14s} {'rate':>10s} "
-          f"{'xi_pred':>10s} {'pred_rate':>10s} {'settle':>7s}")
-    for p in points:
-        print(f"{p.value:10.5f} {p.solver:20s} {p.final_gap:14.6e} "
-              f"{p.rate:10.6f} {p.xi_pred:10.6f} {p.pred_rate:10.6f} "
-              f"{p.xi_settle_iters:7d}")
-    return EXIT_OK
+def cmd_verify(args: argparse.Namespace) -> Execute:
+    if args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
+
+    def execute() -> int:
+        report = run_suite(args.suite, args.seed)
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return EXIT_OK if report["ok"] else EXIT_VIOLATION
+
+    return execute
 
 
-def cmd_xi_trace(args: argparse.Namespace) -> int:
-    try:
-        params = XiParams(a=args.a, delta=args.delta)
-        if not 0.0 < args.a:
-            raise DomainError(f"a must lie in (0, 1), got {args.a}")
-        if not 0.0 < args.xi0 < 1.0:
-            raise DomainError(f"xi0 must lie in (0, 1), got {args.xi0}")
+def cmd_sweep(args: argparse.Namespace) -> Execute:
+    cfg = _load_config(args.config)
+    values = [float(v) for v in args.values.split(",") if v.strip()]
+    cases = build_sweep(cfg, args.axis, values, seed=args.seed)
+    path = _output_dir(args.out, cfg) / f"sweep_{args.axis}.csv"
+
+    def execute() -> int:
+        points = [sweep_point(args.axis, *case) for case in cases]
+        write_sweep_csv(points, path)
+        print(f"# axis={args.axis} -> {path}")
+        print(f"{'value':>10s} {'solver':20s} {'final_gap':>14s} {'rate':>10s} "
+              f"{'xi_pred':>10s} {'pred_rate':>10s} {'settle':>7s}")
+        for p in points:
+            print(f"{p.value:10.5f} {p.solver:20s} {p.final_gap:14.6e} "
+                  f"{p.rate:10.6f} {p.xi_pred:10.6f} {p.pred_rate:10.6f} "
+                  f"{p.xi_settle_iters:7d}")
+        return EXIT_OK
+
+    return execute
+
+
+def cmd_xi_trace(args: argparse.Namespace) -> Execute:
+    params = XiParams(a=args.a, delta=args.delta)
+    if not 0.0 < args.a:
+        raise DomainError(f"a must lie in (0, 1), got {args.a}")
+    if not 0.0 < args.xi0 < 1.0:
+        raise DomainError(f"xi0 must lie in (0, 1), got {args.xi0}")
+    if args.steps < 0:
+        raise DomainError(f"steps must be >= 0, got {args.steps}")
+
+    def execute() -> int:
         xs = iterate_xi(args.xi0, params, args.steps)
-    except RagdError as exc:
-        logger.error("bad xi-trace request: %s", exc)
-        return EXIT_CONFIG
-    star = fixed_point_xi(params)
-    lam = contraction_factor(params)
-    env = abs(args.xi0 - star)
-    print("t,xi,residual,err_fixed_point,envelope")
-    for t, xi in enumerate(xs):
-        resid = 0.0 if t == 0 else xi_residual(xi, xs[t - 1], params)
-        print(f"{t},{xi!r},{resid!r},{abs(xi - star)!r},{env!r}")
-        env *= lam
-    return EXIT_OK
+        star = fixed_point_xi(params)
+        lam = contraction_factor(params)
+        env = abs(args.xi0 - star)
+        print("t,xi,residual,err_fixed_point,envelope")
+        for t, xi in enumerate(xs):
+            resid = 0.0 if t == 0 else xi_residual(xi, xs[t - 1], params)
+            print(f"{t},{xi!r},{resid!r},{abs(xi - star)!r},{env!r}")
+            env *= lam
+        return EXIT_OK
+
+    return execute
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,9 +282,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        execute = args.func(args)
+    except _REQUEST_ERRORS as exc:
+        logger.error("bad %s request: %s: %s", args.command, type(exc).__name__, exc)
+        return EXIT_CONFIG
+    try:
+        return execute()
+    except RagdError as exc:
+        logger.error("%s aborted: %s: %s", args.command, type(exc).__name__, exc)
+        return EXIT_ABORT
 
 
 if __name__ == "__main__":

@@ -87,12 +87,8 @@ def t_kappa(kappa: float, r: float) -> float:
     _check_args(kappa, r)
     if math.isinf(r):
         return math.inf
-    w = math.sqrt(kappa) * r
-    first = 1.0 + 4.0 * (_coth_ratio(w) - 1.0)
-    if 2.0 * w > 350.0:
-        # sinh overflows around 710; the second branch already dominates.
-        return math.inf
-    return max(first, _sinch(2.0 * w) ** 2)
+    # The t_kappa_hat objective at the split eps = 1.
+    return _t_hat_objective(1.0, math.sqrt(kappa) * r)
 
 
 # Search interval of the free split eps in t_kappa_hat.

@@ -116,9 +116,6 @@ class Manifold(abc.ABC):
         self.check_tangent(x, arr)
         return TangentVector(x, arr)
 
-    def zero_tangent(self, x: ManifoldPoint) -> TangentVector:
-        return TangentVector(x, np.zeros_like(x.coords))
-
     # ----- metric ----------------------------------------------------
 
     @abc.abstractmethod

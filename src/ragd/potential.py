@@ -72,9 +72,6 @@ class CoefficientBlock:
     c5: float
     c6: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3, self.c4, self.c5, self.c6])
-
 
 def coefficient_block(
     a_t: float,
@@ -237,7 +234,10 @@ class StepAuditReport:
     name: str
     residuals: np.ndarray
     allowed: np.ndarray
-    violations: int
+
+    @property
+    def violations(self) -> int:
+        return int(np.count_nonzero(self.residuals > self.allowed))
 
     @property
     def ok(self) -> bool:
@@ -309,7 +309,6 @@ def quadratic_form_audit(
     n_steps = trace.n_iters
     residuals = np.empty(n_steps)
     allowed = np.empty(n_steps)
-    violations = 0
     for t in range(n_steps):
         u = d.points_x[t + 1]
         w = d.points_z[t].coords - u.coords
@@ -327,9 +326,7 @@ def quadratic_form_audit(
         lhs = phis[t + 1] / (1.0 - float(xis[t + 1])) - phis[t]
         residuals[t] = lhs - form
         allowed[t] = tol * (1.0 + abs(phis[t]) + abs(form))
-        if residuals[t] > allowed[t]:
-            violations += 1
-    return StepAuditReport("quadratic_form", residuals, allowed, violations)
+    return StepAuditReport("quadratic_form", residuals, allowed)
 
 
 def gradient_step_audit(
@@ -349,7 +346,6 @@ def gradient_step_audit(
     n_steps = trace.n_iters
     residuals = np.empty(n_steps)
     allowed = np.empty(n_steps)
-    violations = 0
     for t in range(n_steps):
         base = d.points_y[t] if plain else d.points_x[t + 1]
         new = d.points_y[t + 1]
@@ -359,9 +355,7 @@ def gradient_step_audit(
         decrease = delta_gamma * m.norm(base, g) ** 2
         residuals[t] = (f_new - f_base) + decrease
         allowed[t] = tol * (1.0 + abs(f_base) + decrease)
-        if residuals[t] > allowed[t]:
-            violations += 1
-    return StepAuditReport("gradient_step", residuals, allowed, violations)
+    return StepAuditReport("gradient_step", residuals, allowed)
 
 
 def mirror_step_audit(
@@ -387,7 +381,6 @@ def mirror_step_audit(
     n_steps = trace.n_iters
     residuals = np.empty(n_steps)
     allowed = np.empty(n_steps)
-    violations = 0
     for t in range(n_steps):
         u = d.points_x[t + 1]
         params = step_params(float(xis[t + 1]), mu, delta_gamma)
@@ -402,9 +395,7 @@ def mirror_step_audit(
         rhs = s * s * m.norm(u, g) ** 2 + 2.0 * s * m.inner(u, g, lo - v)
         residuals[t] = abs(lhs - rhs)
         allowed[t] = tol * (1.0 + abs(lhs) + abs(rhs))
-        if residuals[t] > allowed[t]:
-            violations += 1
-    return StepAuditReport("mirror_step", residuals, allowed, violations)
+    return StepAuditReport("mirror_step", residuals, allowed)
 
 
 def rate_envelope(
@@ -428,7 +419,6 @@ def rate_envelope(
     n_rows = trace.rows.shape[0]
     residuals = np.empty(n_rows)
     allowed = np.empty(n_rows)
-    violations = 0
     log_prod = 0.0
     for t in range(n_rows):
         if t >= 1:
@@ -437,9 +427,7 @@ def rate_envelope(
         gap = problem.value(d.points_y[t]) - f_opt
         residuals[t] = gap - bound
         allowed[t] = tol * (1.0 + abs(bound)) if bound >= floor else math.inf
-        if residuals[t] > allowed[t]:
-            violations += 1
-    return StepAuditReport("rate_envelope", residuals, allowed, violations)
+    return StepAuditReport("rate_envelope", residuals, allowed)
 
 
 # ----- distance-shrinking bounds ---------------------------------------------
@@ -494,8 +482,7 @@ def shrink_bounds(trace: ConvergenceTrace, problem: Problem) -> list[ShrinkRecor
     All bounds share the root sqrt(D0 * prod_{j<=t} (1 - xi_j)) built from
     the recorded momentum column; D0 is the normalized potential at row 0.
     """
-    if trace.diagnostics is None:
-        raise MissingDataError("trace has no diagnostics; rerun with record_diagnostics")
+    _require_full_diagnostics(trace)
     if problem.optimum is None:
         raise MissingDataError("problem has no optimum; call oracle_optimum first")
     d = trace.diagnostics

@@ -3,9 +3,11 @@
 One row per swept value: the measured contraction rate from the trailing
 half of the log-gap curve next to its fixed-point prediction, the mean
 distortion rate that produced it, and the predicted iteration count for
-the momentum to settle.  Swept axes rebuild either the solver (gamma,
-delta_const) or the problem (condition_number, curvature) and rows are
-emitted in the order the values were given.
+the momentum to settle.  Swept axes edit either the solver entry (gamma,
+delta_const) or the problem description (condition_number, curvature);
+every case is built before the first runs, and rows are emitted in the
+order the values were given.  The config helpers here are shared with
+``ragd run``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from .solvers import SolverConfig, run
 from .trace import ConvergenceTrace, estimate_rate
 from .xi import XiParams, contraction_factor, fixed_point_xi
 
-__all__ = ["SWEEP_AXES", "SweepPoint", "run_sweep", "write_sweep_csv"]
+__all__ = [
+    "SWEEP_AXES", "SweepPoint", "build_sweep", "problem_description", "run_sweep",
+    "solver_config", "solver_entries", "sweep_point", "write_sweep_csv",
+]
 
 SWEEP_AXES = ("gamma", "condition_number", "curvature", "delta_const")
 
@@ -70,9 +75,11 @@ def _settle_iters(xi0: float, params: XiParams) -> int:
     return int(math.ceil(math.log(_XI_SETTLE_TOL / gap0) / math.log(lam)))
 
 
-def _point(
+def sweep_point(
     axis: str, value: float, problem: Problem, config: SolverConfig
 ) -> SweepPoint:
+    """Run one sweep case and measure it; locates the optimum first when
+    the problem has none."""
     if problem.optimum is None:
         oracle_optimum(problem)
     trace: ConvergenceTrace = run(problem, config)
@@ -104,75 +111,80 @@ def _point(
     )
 
 
-def _solver_kwargs(entry: dict, problem: Problem) -> dict:
-    kwargs = dict(entry)
-    kwargs.setdefault("mu", problem.mu)
-    kwargs.setdefault("L", problem.L)
-    return kwargs
+def problem_description(config: dict, seed: int | None) -> tuple[dict, int | None]:
+    """The config's problem description and the seed in force: ``seed``,
+    else the config's.  That seed fills in the generator seed of a random
+    problem (no ``seed``, ``hessian`` or ``anchors`` given)."""
+    if seed is None:
+        seed = config.get("seed")
+    desc = config.get("problem")
+    if not isinstance(desc, dict):
+        raise MissingDataError("config has no 'problem' object")
+    desc = dict(desc)
+    if seed is not None and not desc.keys() & {"seed", "hessian", "anchors"}:
+        desc["seed"] = int(seed)
+    return desc, seed
+
+
+def solver_entries(config: dict) -> list[dict]:
+    """The config's non-empty list of solver entries, each an object."""
+    entries = config.get("solvers")
+    if not isinstance(entries, list) or not entries:
+        raise MissingDataError("config lists no solvers")
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise DomainError("each solver entry must be a JSON object")
+    return entries
+
+
+def solver_config(entry: dict, problem: Problem) -> SolverConfig:
+    """Solver settings from one config entry; ``mu`` and ``L`` default to
+    the problem's."""
+    return SolverConfig(**{"mu": problem.mu, "L": problem.L, **entry})
+
+
+def build_sweep(
+    config: dict, axis: str, values: list[float], seed: int | None = None
+) -> list[tuple[float, Problem, SolverConfig]]:
+    """Every ``(value, problem, solver)`` case of a sweep of the first
+    configured solver, all built before any of them runs."""
+    if axis not in SWEEP_AXES:
+        raise DomainError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if not values:
+        raise DomainError("sweep needs at least one axis value")
+    entry = solver_entries(config)[0]
+    desc, _ = problem_description(config, seed)
+    if axis == "condition_number" and desc.get("kind") != "quadratic":
+        raise DomainError("condition_number sweeps need a quadratic problem")
+    if axis == "curvature" and desc.get("manifold") is None:
+        raise DomainError("curvature sweeps need a problem with a manifold block")
+    shared = problem_from_dict(desc) if axis in ("gamma", "delta_const") else None
+
+    cases = []
+    for v in values:
+        d, e = dict(desc), dict(entry)
+        if axis == "gamma":
+            e["gamma"] = float(v) / e.get("L", shared.L)
+        elif axis == "delta_const":
+            e.update(mode="ragd_constant_delta", delta_const=float(v))
+        elif axis == "condition_number":
+            big = float(d.get("L", 1.0))
+            d.update(mu=float(v) * big, L=big)
+        else:
+            d["manifold"] = {**d["manifold"], "kappa": float(v)}
+        if shared is None:
+            problem = problem_from_dict(d)
+            e.update(mu=problem.mu, L=problem.L)
+        else:
+            problem = shared
+        cases.append((v, problem, solver_config(e, problem)))
+    return cases
 
 
 def run_sweep(
     config: dict, axis: str, values: list[float], seed: int | None = None
 ) -> list[SweepPoint]:
     """Run the first configured solver across ``values`` of ``axis``."""
-    if axis not in SWEEP_AXES:
-        raise DomainError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    if not values:
-        raise DomainError("sweep needs at least one axis value")
-    solvers = config.get("solvers") or []
-    if not solvers:
-        raise MissingDataError("config lists no solvers")
-    entry = dict(solvers[0])
-    problem_desc = config.get("problem")
-    if problem_desc is None:
-        raise MissingDataError("config has no problem description")
-    problem_desc = dict(problem_desc)
-    if seed is None:
-        seed = config.get("seed")
-    if seed is not None:
-        problem_desc.setdefault("seed", int(seed))
-
-    points: list[SweepPoint] = []
-    if axis == "gamma":
-        problem = problem_from_dict(problem_desc)
-        for v in values:
-            kwargs = _solver_kwargs(entry, problem)
-            kwargs["gamma"] = float(v) / kwargs["L"]
-            points.append(_point(axis, v, problem, SolverConfig(**kwargs)))
-    elif axis == "delta_const":
-        problem = problem_from_dict(problem_desc)
-        for v in values:
-            kwargs = _solver_kwargs(entry, problem)
-            kwargs["mode"] = "ragd_constant_delta"
-            kwargs["delta_const"] = float(v)
-            points.append(_point(axis, v, problem, SolverConfig(**kwargs)))
-    elif axis == "condition_number":
-        if problem_desc.get("kind") != "quadratic":
-            raise DomainError("condition_number sweeps need a quadratic problem")
-        for v in values:
-            desc = dict(problem_desc)
-            big = float(desc.get("L", 1.0))
-            desc["mu"] = float(v) * big
-            desc["L"] = big
-            problem = problem_from_dict(desc)
-            kwargs = dict(entry)
-            kwargs["mu"] = problem.mu
-            kwargs["L"] = problem.L
-            points.append(_point(axis, v, problem, SolverConfig(**kwargs)))
-    else:  # curvature
-        manifold_desc = problem_desc.get("manifold")
-        if manifold_desc is None:
-            raise DomainError("curvature sweeps need a problem with a manifold block")
-        for v in values:
-            desc = dict(problem_desc)
-            desc["manifold"] = dict(manifold_desc)
-            desc["manifold"]["kappa"] = float(v)
-            problem = problem_from_dict(desc)
-            kwargs = dict(entry)
-            kwargs["mu"] = problem.mu
-            kwargs["L"] = problem.L
-            points.append(_point(axis, v, problem, SolverConfig(**kwargs)))
-    return points
+    return [sweep_point(axis, *case) for case in build_sweep(config, axis, values, seed)]
 
 
 def write_sweep_csv(points: list[SweepPoint], path) -> None:

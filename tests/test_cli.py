@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 
 import ragd
 import ragd.cli as cli
-from ragd.errors import NonFiniteError
+import ragd.sweep
+from ragd.errors import InjectivityError, NonFiniteError
 from ragd.geometry import Hyperbolic
 from ragd.problems import oracle_optimum, random_karcher
 from ragd.solvers import SolverConfig, run
@@ -61,6 +63,7 @@ def test_xi_trace_stdout(capsys):
         ["xi-trace", "--a", "0.0", "--delta", "1.0", "--xi0", "0.9", "--steps", "3"],
         ["xi-trace", "--a", "0.25", "--delta", "0.5", "--xi0", "0.9", "--steps", "3"],
         ["xi-trace", "--a", "0.25", "--delta", "1.0", "--xi0", "1.5", "--steps", "3"],
+        ["xi-trace", "--a", "0.25", "--delta", "1.0", "--xi0", "0.9", "--steps", "-1"],
     ],
 )
 def test_xi_trace_rejects_bad_parameters(argv, capsys):
@@ -142,19 +145,78 @@ def test_run_unparseable_config_is_config_error(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
 
 
+_BAD_CONFIG_CONTENTS = [
+    {"solvers": []},
+    {"solvers": [{"mode": "warp"}]},
+    {"solvers": [{"mode": "rgd", "bogus": 1}]},
+    {"emit": "yaml"},
+    {"problem": {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": 20.0}},
+    {"problem": {"kind": "quadratic", "dim": [4], "mu": 1.0, "L": 20.0, "seed": 3}},
+]
+
+
+def _argv(command, cfg, out):
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "gamma", "--values", "1.05"]
+    return argv
+
+
+def _cli_errors(caplog):
+    return [
+        r for r in caplog.records if r.name == "ragd.cli" and r.levelno == logging.ERROR
+    ]
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {"solvers": []},
-        {"solvers": [{"mode": "warp"}]},
-        {"solvers": [{"mode": "rgd", "bogus": 1}]},
-        {"emit": "yaml"},
-        {"problem": {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": 20.0}},
+    "command, overrides",
+    [pytest.param("run", o, id=f"overrides{i}") for i, o in enumerate(_BAD_CONFIG_CONTENTS)]
+    + [
+        pytest.param("sweep", o, id=f"sweep-overrides{i}")
+        for i, o in enumerate(_BAD_CONFIG_CONTENTS)
     ],
 )
-def test_run_bad_config_contents_are_config_errors(tmp_path, overrides):
+def test_run_bad_config_contents_are_config_errors(tmp_path, caplog, command, overrides):
     cfg = _write_config(tmp_path, seed=None, **overrides)
-    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    out = tmp_path / "out"
+    assert cli.main(_argv(command, cfg, out)) == cli.EXIT_CONFIG
+    assert len(_cli_errors(caplog)) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unusable_out_is_config_error_before_any_solve(
+    tmp_path, monkeypatch, caplog, command
+):
+    cfg = _write_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    calls = []
+
+    def record(problem, config, x0=None):
+        calls.append(config.mode)
+        return run(problem, config, x0)
+
+    monkeypatch.setattr(cli, "run", record)
+    monkeypatch.setattr(ragd.sweep, "run", record)
+    rc = cli.main(_argv(command, cfg, blocker / "out"))
+    assert rc == cli.EXIT_CONFIG
+    assert calls == []
+    assert len(_cli_errors(caplog)) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_solver_domain_error_is_abort(tmp_path, monkeypatch, caplog, command):
+    cfg = _write_config(tmp_path)
+
+    def explode(problem, config, x0=None):
+        raise InjectivityError("tangent reaches past the injectivity radius")
+
+    monkeypatch.setattr(cli, "run", explode)
+    monkeypatch.setattr(ragd.sweep, "run", explode)
+    rc = cli.main(_argv(command, cfg, tmp_path / "out"))
+    assert rc == cli.EXIT_ABORT
+    assert len(_cli_errors(caplog)) == 1
 
 
 def test_run_solver_abort_exit_code(tmp_path, monkeypatch):
@@ -209,6 +271,12 @@ def test_verify_violation_exit_code(monkeypatch, capsys):
         cli, "run_suite", lambda suite, seed: {"suite": suite, "ok": False}
     )
     assert cli.main(["verify", "--suite", "xi"]) == cli.EXIT_VIOLATION
+
+
+def test_verify_negative_seed_is_config_error(monkeypatch, caplog):
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: pytest.fail("ran"))
+    assert cli.main(["verify", "--suite", "xi", "--seed", "-1"]) == cli.EXIT_CONFIG
+    assert len(_cli_errors(caplog)) == 1
 
 
 def test_sweep_writes_axis_csv(tmp_path, capsys):

@@ -240,6 +240,18 @@ def test_shrink_bounds_hold_along_run():
     assert summary.skipped > 0
 
 
+def test_shrink_bounds_rejects_diagnostics_missing_rows():
+    prob, trace = _curved_run(max_iters=10)
+    for points in (
+        trace.diagnostics.points_x,
+        trace.diagnostics.points_y,
+        trace.diagnostics.points_z,
+    ):
+        points.pop()
+    with pytest.raises(MissingDataError, match="do not cover every trace row"):
+        shrink_bounds(trace, prob)
+
+
 def test_count_shrink_violations_floor_skips_everything():
     prob, trace = _curved_run(max_iters=20)
     records = shrink_bounds(trace, prob)
