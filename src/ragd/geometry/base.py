@@ -27,7 +27,9 @@ class ManifoldPoint:
     the caller hands over a float array it no longer writes to.  Validation
     (copy, shape, finiteness, membership) happens in :meth:`Manifold.point`;
     values computed inside the library are checked where non-finite values
-    can arise, not on every construction.
+    can arise, not on every construction.  Because ``coords`` never changes,
+    a manifold may cache data derived from it on the instance (SPD keeps the
+    matrix square root there).
     """
 
     coords: np.ndarray

@@ -91,6 +91,10 @@ class Hyperbolic(Manifold):
             raise NonFiniteError("projection target has non-finite coordinates")
         if self.kappa * self._scale_sq(coords, coords) > _RENORM_SCALE:
             return ManifoldPoint(coords)
+        return self._normalize_point(coords)
+
+    def _normalize_point(self, coords: np.ndarray) -> ManifoldPoint:
+        """Scale a timelike vector onto the hyperboloid, at any magnitude."""
         s = -self.kappa * self._mdot(coords, coords)
         if not s > 0.0:
             raise NonFiniteError("projection target left the timelike cone")

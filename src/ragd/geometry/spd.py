@@ -4,6 +4,11 @@ A Hadamard manifold; its sectional curvature lies in ``[-1/2, 0]`` after
 the usual normalization, so the distortion bounds apply with
 ``kappa = 1/2`` (overridable).  All matrix functions go through symmetric
 eigendecompositions.
+
+Every map at a point ``x`` starts from the square root of ``x`` and its
+inverse (Pennec, Fillard & Ayache, "A Riemannian framework for tensor
+computing", IJCV 2006).  Points are immutable, so that pair is computed
+once, on the first call that needs it, and kept on the point itself.
 """
 
 from __future__ import annotations
@@ -55,13 +60,25 @@ class SPD(Manifold):
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
 
-    def _sqrt_pair(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix square root of ``x`` and its inverse."""
-        w, q = self._eigh(x)
+    def _sqrt_pair(self, x: ManifoldPoint) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix square root of ``x`` and its inverse, cached on ``x``.
+
+        The pair goes into the point's own instance dict, read-only, after
+        the first successful factorization; a failed ``eigh`` or a non-PD
+        input caches nothing and raises again on the next call.
+        """
+        pair = x.__dict__.get("_spd_sqrt_pair")
+        if pair is not None:
+            return pair
+        w, q = self._eigh(x.coords)
         if w[0] <= 0.0:
             raise ConvergenceError("matrix square root of a non-PD input")
         root = np.sqrt(w)
-        return (q * root) @ q.T, (q / root) @ q.T
+        pair = (q * root) @ q.T, (q / root) @ q.T
+        for a in pair:
+            a.setflags(write=False)
+        object.__setattr__(x, "_spd_sqrt_pair", pair)
+        return pair
 
     # ----- membership ------------------------------------------------------
 
@@ -88,14 +105,14 @@ class SPD(Manifold):
     def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
         require_base(x, u)
         require_base(x, v)
-        _, isqrt = self._sqrt_pair(x.coords)
+        _, isqrt = self._sqrt_pair(x)
         a = isqrt @ u.coords @ isqrt
         b = isqrt @ v.coords @ isqrt
         return float(np.sum(a * b))
 
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
         require_base(x, v)
-        root, isqrt = self._sqrt_pair(x.coords)
+        root, isqrt = self._sqrt_pair(x)
         s = _sym(isqrt @ v.coords @ isqrt)
         w, q = self._eigh(s)
         if w[-1] > 700.0:
@@ -106,7 +123,7 @@ class SPD(Manifold):
         return ManifoldPoint(_sym(root @ e @ root))
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
-        root, isqrt = self._sqrt_pair(x.coords)
+        root, isqrt = self._sqrt_pair(x)
         s = _sym(isqrt @ y.coords @ isqrt)
         w, q = self._eigh(s)
         if w[0] <= 0.0:
@@ -115,7 +132,7 @@ class SPD(Manifold):
         return TangentVector(x, _sym(root @ lg @ root))
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        _, isqrt = self._sqrt_pair(x.coords)
+        _, isqrt = self._sqrt_pair(x)
         s = _sym(isqrt @ y.coords @ isqrt)
         w = np.linalg.eigvalsh(s)
         if w[0] <= 0.0:
@@ -128,7 +145,7 @@ class SPD(Manifold):
     # do, so each row equals the corresponding distance or log bit for bit.
 
     def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        _, isqrt = self._sqrt_pair(x.coords)
+        _, isqrt = self._sqrt_pair(x)
         w = np.linalg.eigvalsh(_sym(isqrt @ anchors @ isqrt))
         if np.any(w[:, 0] <= 0.0):
             raise ConvergenceError("distance to a non-PD midpoint matrix")
@@ -138,7 +155,7 @@ class SPD(Manifold):
         return np.sqrt((logs[:, None, :] @ logs[:, :, None]).reshape(-1))
 
     def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        root, isqrt = self._sqrt_pair(x.coords)
+        root, isqrt = self._sqrt_pair(x)
         w, q = self._eigh(_sym(isqrt @ anchors @ isqrt))
         if np.any(w[:, 0] <= 0.0):
             raise ConvergenceError("logarithm of a non-PD midpoint matrix")

@@ -245,7 +245,12 @@ def _mean_point(m: Manifold, anchors: Sequence[ManifoldPoint]) -> ManifoldPoint:
     mean = np.mean([p.coords for p in anchors], axis=0)
     if isinstance(m, Euclidean):
         return m.point(mean)
-    if isinstance(m, (Hyperbolic, Sphere)):
+    if isinstance(m, Hyperbolic):
+        # The mean of upper-sheet points is strictly timelike, so it is
+        # normalized at any magnitude.  ``_project_point`` leaves large
+        # vectors as they are, which suits only exp's near-unit results.
+        return m._normalize_point(mean)
+    if isinstance(m, Sphere):
         return m._project_point(mean)
     if isinstance(m, SPD):
         return m.point(0.5 * (mean + mean.T))

@@ -134,6 +134,26 @@ def test_run_seed_flag_fills_generator_seed(tmp_path):
     assert a != b
 
 
+def test_run_hyperbolic_karcher_at_high_curvature(tmp_path):
+    # kappa 20 puts the anchors' coordinate mean above the hyperbolic
+    # renormalization guard; the reference point must still be normalized
+    # for the certified L and the oracle to be usable.  The adaptive "ragd"
+    # mode is left out: from this far start its z step loses the point to
+    # hyperboloid round-off and aborts with exit code 3.
+    problem = {
+        "kind": "karcher",
+        "manifold": {"kind": "hyperbolic", "dim": 4, "kappa": 20.0},
+        "n_anchors": 4,
+        "radius": 3.0,
+        "seed": 2,
+    }
+    solvers = [{"mode": "rgd"}, {"mode": "ragd_constant_delta", "delta_const": 1.0}]
+    cfg = _write_config(tmp_path, problem=problem, solvers=solvers)
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 2
+
+
 def test_run_missing_config_file_is_config_error(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "absent.json")])
     assert rc == cli.EXIT_CONFIG

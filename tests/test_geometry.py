@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ragd.errors import AntipodalError, ConvergenceError, DomainError
-from ragd.geometry import SPD, Euclidean, Hyperbolic, Manifold, Sphere
+from ragd.geometry import SPD, Euclidean, Hyperbolic, Manifold, ManifoldPoint, Sphere, TangentVector
 from ragd.problems import manifold_from_dict, manifold_to_dict
 
 tol = 1e-9
@@ -129,6 +129,47 @@ def test_spd_stacked_kernels_reject_non_pd_midpoint():
         m._dist_many(x, stack)
     with pytest.raises(ConvergenceError):
         m._log_many(x, stack)
+
+
+@pytest.mark.parametrize("label,m,scale", [c for c in CASES if isinstance(c[1], SPD)])
+def test_spd_cached_square_root_is_exact_and_read_only(label, m, scale):
+    rng = np.random.default_rng(12)
+    base = m.base_point()
+    for _ in range(5):
+        x = m.random_point(rng, base, scale)
+        y = m.random_point(rng, base, scale)
+        u = m.random_tangent(rng, x, scale)
+        v = m.random_tangent(rng, x, scale)
+        stack = np.stack([m.random_point(rng, base, scale).coords for _ in range(4)])
+        m.inner(x, u, v)  # warms the cache on x
+
+        def cold():
+            # A copy of x carries no cached factorization.
+            return ManifoldPoint(x.coords.copy())
+
+        c = cold()
+        assert np.array_equal(m.exp(x, u).coords, m.exp(c, TangentVector(c, u.coords)).coords)
+        assert np.array_equal(m.log(x, y).coords, m.log(cold(), y).coords)
+        assert m.distance(x, y) == m.distance(cold(), y)
+        c = cold()
+        cu, cv = TangentVector(c, u.coords), TangentVector(c, v.coords)
+        assert m.inner(x, u, v) == m.inner(c, cu, cv)
+        assert np.array_equal(m._dist_many(x, stack), m._dist_many(cold(), stack))
+        assert np.array_equal(m._log_many(x, stack), m._log_many(cold(), stack))
+
+        root, isqrt = m._sqrt_pair(x)
+        assert m._sqrt_pair(x)[0] is root and m._sqrt_pair(x)[1] is isqrt
+        assert not root.flags.writeable and not isqrt.flags.writeable
+        with pytest.raises(ValueError):
+            root[0, 0] = 0.0
+
+
+def test_spd_non_pd_trusted_point_raises_on_every_call():
+    m = SPD(3)
+    bad = ManifoldPoint(np.diag([1.0, -1.0, 2.0]))  # trusted, never validated
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            m.distance(bad, m.base_point())
 
 
 def test_sphere_stacked_kernels_at_the_antipode():

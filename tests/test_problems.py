@@ -6,6 +6,7 @@ import pytest
 from ragd.distortion import trig_coeff
 from ragd.errors import DomainError, MissingDataError, NonFiniteError
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
+from ragd.geometry.hyperbolic import _POINT_TOL, _RENORM_SCALE
 from ragd.problems import (
     Problem,
     gradient_audit,
@@ -61,6 +62,25 @@ def test_karcher_constants():
     assert rep["max_fd_rel_err"] < audit_tol
     assert rep["strong_convexity_violations"] == 0
     assert rep["smoothness_violations"] == 0
+
+
+@pytest.mark.parametrize("kappa", [1.0, 5.0, 20.0])
+def test_hyperbolic_karcher_reference_is_on_the_hyperboloid(kappa):
+    m = Hyperbolic(4, kappa=kappa)
+    prob = random_karcher(m, 4, 3.0, seed=2)
+    ref = prob.reference.coords
+    assert abs(kappa * m._mdot(ref, ref) + 1.0) <= _POINT_TOL
+    m.check_point(ref)
+    assert prob.feasible_radius > 0.0
+    anchors = [m.point(a) for a in prob.payload["anchors"]]
+    spread = max(m.distance(prob.reference, p) for p in anchors)
+    assert prob.feasible_radius == spread
+    assert prob.L == trig_coeff(kappa, 2.0 * spread)
+    mean = np.mean([p.coords for p in anchors], axis=0)
+    if kappa * m._scale_sq(mean, mean) <= _RENORM_SCALE:
+        # Below the renormalization guard the reference is what the
+        # exponential map's projection gives, bit for bit.
+        assert np.array_equal(ref, m._project_point(mean).coords)
 
 
 def test_karcher_audit_spd():

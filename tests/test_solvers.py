@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ragd.errors import DomainError, NonFiniteError, RuntimeContainmentError
-from ragd.geometry import Euclidean, Hyperbolic, Sphere, TangentVector
+from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.problems import (
     Problem,
     make_quadratic,
@@ -332,3 +332,24 @@ def test_x0_override_changes_start():
     base = run(prob, config)
     moved = run(prob, config, x0=shifted)
     assert moved.column("f_gap")[0] != base.column("f_gap")[0]
+
+
+def test_spd_run_factors_each_base_point_once(monkeypatch):
+    steps = 10
+    problem = random_karcher(SPD(3), 5, 1.0, seed=4)
+    oracle_optimum(problem)
+    eigh = SPD._eigh
+    misses = []
+
+    def counting_eigh(a):
+        # A point's own coordinates are the only read-only matrices that
+        # reach eigh; every intermediate matrix is a fresh writable array.
+        if not a.flags.writeable:
+            misses.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(SPD, "_eigh", staticmethod(counting_eigh))
+    config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps)
+    run(problem, config)
+    # The start, reference and optimum, then x+ and y+ of each step.
+    assert 0 < len(misses) <= 2 * steps + 4
