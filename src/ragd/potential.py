@@ -21,12 +21,19 @@ form in (gradient, displacement) being non-positive; with the scheme's
 parameter choices five of the coefficients vanish identically and the
 first is negative.  :func:`coefficient_block` exposes them for direct
 numerical inspection.
+
+The certifier, the quadratic-form audit, the rate envelope and the
+shrink report read one replay of the run, which evaluates f(y_t) - f*,
+pd_t and phi_t once per row.  Every check allows :data:`CERT_TOL` (the
+envelope :data:`ENVELOPE_TOL`) times the magnitudes it compares.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +44,8 @@ from .solvers import StepParams, step_params
 from .trace import ConvergenceTrace
 
 __all__ = [
+    "CERT_TOL",
+    "ENVELOPE_TOL",
     "CoefficientBlock",
     "coefficient_block",
     "trace_coefficient_blocks",
@@ -56,7 +65,26 @@ __all__ = [
     "acceleration_threshold",
 ]
 
+CERT_TOL = 1e-9
+"""Relative allowance of the certifier, the step audits and the shrink tally."""
+
+ENVELOPE_TOL = 1e-7
+"""Relative allowance of the cumulative rate envelope."""
+
+# Envelope rows below this multiple of phi_0 are beneath the float
+# resolution of the objective and are not compared.
+_ENVELOPE_FLOOR = 100.0 * np.finfo(float).eps
+
 _GOLDEN_DENOM = 5.0 + math.sqrt(5.0)
+
+
+def _allowance(unit: float, *magnitudes: float, rel: float = CERT_TOL) -> float:
+    """Float slack of one checked inequality: ``rel`` times its unit term
+    plus the magnitudes of the quantities it compares."""
+    total = unit
+    for mag in magnitudes:
+        total += mag
+    return rel * total
 
 
 @dataclass(frozen=True)
@@ -149,7 +177,6 @@ class PotentialRecord:
     """
 
     t: int
-    potential: float
     phi: float
     margin: float
     allowed: float
@@ -167,40 +194,28 @@ class CertificationReport:
         return self.violations == 0
 
 
-def certify_trace(
-    trace: ConvergenceTrace, problem: Problem, tol: float = 1e-9
-) -> CertificationReport:
+def certify_trace(trace: ConvergenceTrace, problem: Problem) -> CertificationReport:
     """Recompute the potential from recorded iterates and certify descent.
 
     Independent of the solver's own bookkeeping: objective values and
     projected distances are re-evaluated from the stored points.  The
-    per-step condition is Phi_{t+1} <= Phi_t + tol * (1 + |Phi_t|),
+    per-step condition is Phi_{t+1} <= Phi_t + CERT_TOL * (1 + |Phi_t|),
     checked in normalized form.  Requires diagnostics and a known optimum.
     """
     _require_potential_inputs(trace, problem)
-    d = trace.diagnostics
-    xis = trace.column("xi")
-    n_rows = trace.rows.shape[0]
-
-    phis = _recomputed_phis(trace, problem)
-    pots = np.empty(n_rows)
-    for t in range(n_rows):
-        log_a = d.log_a[t]
-        pots[t] = (
-            math.copysign(math.exp(log_a + math.log(abs(phis[t]))), phis[t])
-            if phis[t] != 0.0 and log_a + math.log(abs(phis[t])) <= 700.0
-            else (0.0 if phis[t] == 0.0 else math.copysign(math.inf, phis[t]))
-        )
+    log_a = trace.diagnostics.log_a
+    r = _replay(trace, problem)
+    phis = r.phi
+    n_rows = phis.shape[0]
 
     records = []
     violations = 0
     worst = math.inf
     for t in range(n_rows):
         if t + 1 < n_rows:
-            xi_n = float(xis[t + 1])
-            shrink = 1.0 - xi_n
+            shrink = 1.0 - float(r.xi[t + 1])
             margin = shrink * phis[t] - phis[t + 1]
-            allowed = tol * (math.exp(-d.log_a[t + 1]) + shrink * abs(phis[t]))
+            allowed = _allowance(math.exp(-log_a[t + 1]), shrink * abs(phis[t]))
             ok = margin >= -allowed
             if not ok:
                 violations += 1
@@ -210,7 +225,6 @@ def certify_trace(
         records.append(
             PotentialRecord(
                 t=t,
-                potential=float(pots[t]),
                 phi=float(phis[t]),
                 margin=float(margin),
                 allowed=float(allowed),
@@ -269,26 +283,36 @@ def _require_potential_inputs(trace: ConvergenceTrace, problem: Problem) -> None
         raise MissingDataError("problem has no optimum; call oracle_optimum first")
 
 
-def _recomputed_phis(trace: ConvergenceTrace, problem: Problem) -> np.ndarray:
-    """Normalized potentials phi_t re-evaluated from stored iterates."""
+class _Replay(NamedTuple):
+    """Per-row quantities of a recorded run, re-evaluated from the stored
+    iterates: the momentum ``xi``, the gap f(y_t) - f*, the projected
+    distance pd(x_t; z_t, x*), the normalized potential phi_t and its
+    certified envelope phi_0 * prod_{1<=j<=t} (1 - xi_j)."""
+
+    xi: np.ndarray
+    gap: np.ndarray
+    pd: np.ndarray
+    phi: np.ndarray
+    envelope: np.ndarray
+
+
+def _replay(trace: ConvergenceTrace, problem: Problem) -> _Replay:
+    """One pass over the diagnostics; the caller has checked its inputs."""
     d = trace.diagnostics
     m = problem.manifold
     opt = problem.optimum
-    f_opt = problem.optimum_value
-    delta_gamma = float(trace.meta["delta_gamma"])
     xis = trace.column("xi")
-    n_rows = trace.rows.shape[0]
-    phis = np.empty(n_rows)
-    for t in range(n_rows):
-        gap = problem.value(d.points_y[t]) - f_opt
-        pd = m.projected_distance(d.points_x[t], d.points_z[t], opt)
-        phis[t] = gap + (xis[t] ** 2 / (4.0 * delta_gamma)) * pd * pd
-    return phis
+    gap = np.array([problem.value(y) - problem.optimum_value for y in d.points_y])
+    pd = np.array(
+        [m.projected_distance(x, z, opt) for x, z in zip(d.points_x, d.points_z)]
+    )
+    phi = gap + (xis**2 / (4.0 * float(trace.meta["delta_gamma"]))) * pd * pd
+    logs = itertools.accumulate((math.log1p(-float(xi)) for xi in xis[1:]), initial=0.0)
+    envelope = np.array([float(phi[0]) * math.exp(s) for s in logs])
+    return _Replay(xis, gap, pd, phi, envelope)
 
 
-def quadratic_form_audit(
-    trace: ConvergenceTrace, problem: Problem, tol: float = 1e-9
-) -> StepAuditReport:
+def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
     """Check each step's potential difference against its quadratic form.
 
     For the flat solver the per-step potential change is bounded by the
@@ -303,8 +327,8 @@ def quadratic_form_audit(
     _require_potential_inputs(trace, problem)
     d = trace.diagnostics
     opt = problem.optimum
-    xis = trace.column("xi")
-    phis = _recomputed_phis(trace, problem)
+    r = _replay(trace, problem)
+    phis = r.phi
     blocks = trace_coefficient_blocks(trace)
     n_steps = trace.n_iters
     residuals = np.empty(n_steps)
@@ -323,15 +347,13 @@ def quadratic_form_audit(
             + c.c5 * float(w @ g)
             + c.c6 * float(x_vec @ g)
         )
-        lhs = phis[t + 1] / (1.0 - float(xis[t + 1])) - phis[t]
+        lhs = phis[t + 1] / (1.0 - float(r.xi[t + 1])) - phis[t]
         residuals[t] = lhs - form
-        allowed[t] = tol * (1.0 + abs(phis[t]) + abs(form))
+        allowed[t] = _allowance(1.0, abs(phis[t]), abs(form))
     return StepAuditReport("quadratic_form", residuals, allowed)
 
 
-def gradient_step_audit(
-    trace: ConvergenceTrace, problem: Problem, tol: float = 1e-9
-) -> StepAuditReport:
+def gradient_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
     """Check the per-step cost decrease of the gradient update.
 
     Each y-update must satisfy f(new) - f(base) <= -Delta * |grad|**2
@@ -354,13 +376,11 @@ def gradient_step_audit(
         f_new = problem.value(new)
         decrease = delta_gamma * m.norm(base, g) ** 2
         residuals[t] = (f_new - f_base) + decrease
-        allowed[t] = tol * (1.0 + abs(f_base) + decrease)
+        allowed[t] = _allowance(1.0, abs(f_base), decrease)
     return StepAuditReport("gradient_step", residuals, allowed)
 
 
-def mirror_step_audit(
-    trace: ConvergenceTrace, problem: Problem, tol: float = 1e-9
-) -> StepAuditReport:
+def mirror_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
     """Check the z-update against the exact mirror-step identity.
 
     With u = x_{t+1}, v = beta * Log_u(z_t), s = eta and g the gradient
@@ -394,43 +414,43 @@ def mirror_step_audit(
         )
         rhs = s * s * m.norm(u, g) ** 2 + 2.0 * s * m.inner(u, g, lo - v)
         residuals[t] = abs(lhs - rhs)
-        allowed[t] = tol * (1.0 + abs(lhs) + abs(rhs))
+        allowed[t] = _allowance(1.0, abs(lhs), abs(rhs))
     return StepAuditReport("mirror_step", residuals, allowed)
 
 
-def rate_envelope(
-    trace: ConvergenceTrace,
-    problem: Problem,
-    tol: float = 1e-7,
-    floor: float = 0.0,
-) -> StepAuditReport:
-    """Check the cumulative rate f(y_t) - f(x*) <= D0 * prod (1 - xi_j).
+def rate_envelope(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
+    """Check the cumulative rate f(y_t) - f(x*) <= phi_0 * prod (1 - xi_j).
 
-    Rows whose theoretical envelope falls below ``floor`` are skipped
-    (their allowance is infinite): once the envelope drops under the
-    resolution of the float objective, the comparison measures rounding
-    noise, not the method.
+    Rows whose envelope falls below 100 * eps * phi_0 are skipped (their
+    allowance is infinite): once the envelope drops under the resolution
+    of the float objective, the comparison measures rounding noise, not
+    the method.
     """
     _require_potential_inputs(trace, problem)
-    phis = _recomputed_phis(trace, problem)
-    f_opt = problem.optimum_value
-    d = trace.diagnostics
-    xis = trace.column("xi")
-    n_rows = trace.rows.shape[0]
-    residuals = np.empty(n_rows)
-    allowed = np.empty(n_rows)
-    log_prod = 0.0
-    for t in range(n_rows):
-        if t >= 1:
-            log_prod += math.log1p(-float(xis[t]))
-        bound = phis[0] * math.exp(log_prod)
-        gap = problem.value(d.points_y[t]) - f_opt
-        residuals[t] = gap - bound
-        allowed[t] = tol * (1.0 + abs(bound)) if bound >= floor else math.inf
-    return StepAuditReport("rate_envelope", residuals, allowed)
+    r = _replay(trace, problem)
+    bounds = r.envelope
+    floor = _ENVELOPE_FLOOR * r.phi[0]
+    allowed = np.array([
+        _allowance(1.0, abs(b), rel=ENVELOPE_TOL) if b >= floor else math.inf
+        for b in bounds
+    ])
+    return StepAuditReport("rate_envelope", r.gap - bounds, allowed)
 
 
 # ----- distance-shrinking bounds ---------------------------------------------
+
+
+def _shrink_scales(mu: float, L: float, gamma: float) -> tuple[float, ...]:
+    """(Delta, a, s_opt, s_proj, s_grad, den) at step size gamma: the
+    per-root scales of the distance to the optimum, of the projected
+    distance and of the gradient term, and the long-step denominator
+    (gamma L - 1) * (gamma L - 1 + a)."""
+    delta_gamma = gamma * (1.0 - L * gamma / 2.0)
+    a = 2.0 * mu * delta_gamma
+    s_opt = math.sqrt(2.0 / mu)
+    s_proj = math.sqrt(1.0 / (mu * mu * delta_gamma))
+    den = (gamma * L - 1.0) * (gamma * L - 1.0 + a)
+    return delta_gamma, a, s_opt, s_proj, (L / mu) * s_opt, den
 
 
 def shrink_constant(mu: float, L: float, gamma: float) -> float:
@@ -444,13 +464,8 @@ def shrink_constant(mu: float, L: float, gamma: float) -> float:
         raise DomainError(f"gamma must be < 2/L, got {gamma}")
     if not gamma * L > 1.0:
         raise HypothesisError(f"the bound requires gamma * L > 1, got {gamma * L}")
-    delta_gamma = gamma * (1.0 - L * gamma / 2.0)
-    a = 2.0 * mu * delta_gamma
-    s_opt = math.sqrt(2.0 / mu)
-    s_proj = math.sqrt(1.0 / (mu * mu * delta_gamma))
-    s_grad = (L / mu) * s_opt
+    delta_gamma, a, s_opt, s_proj, s_grad, den = _shrink_scales(mu, L, gamma)
     num = (s_opt + s_proj + s_grad) * (2.0 * L * delta_gamma + 1.0 - a)
-    den = (gamma * L - 1.0) * (gamma * L - 1.0 + a)
     return num / den + s_grad
 
 
@@ -480,7 +495,7 @@ def shrink_bounds(trace: ConvergenceTrace, problem: Problem) -> list[ShrinkRecor
     """Evaluate the distance-shrinking bounds along a recorded run.
 
     All bounds share the root sqrt(D0 * prod_{j<=t} (1 - xi_j)) built from
-    the recorded momentum column; D0 is the normalized potential at row 0.
+    the recorded momentum column; D0 is the normalized potential phi_0.
     """
     _require_full_diagnostics(trace)
     if problem.optimum is None:
@@ -488,81 +503,49 @@ def shrink_bounds(trace: ConvergenceTrace, problem: Problem) -> list[ShrinkRecor
     d = trace.diagnostics
     m = problem.manifold
     opt = problem.optimum
-    f_opt = problem.optimum_value
     mu = float(trace.meta["mu"])
     L = float(trace.meta["L"])
     gamma = float(trace.meta["gamma"])
-    delta_gamma = float(trace.meta["delta_gamma"])
-    a = float(trace.meta["a"])
-    xis = trace.column("xi")
-    n_rows = trace.rows.shape[0]
-
-    gap0 = problem.value(d.points_y[0]) - f_opt
-    d0 = gap0 + (xis[0] ** 2 / (4.0 * delta_gamma)) * m.distance(
-        d.points_x[0], opt
-    ) ** 2
-    s_opt = math.sqrt(2.0 / mu)
-    s_proj = math.sqrt(1.0 / (mu * mu * delta_gamma))
-    s_grad = (L / mu) * s_opt
+    _, a, s_opt, s_proj, s_grad, den = _shrink_scales(mu, L, gamma)
     try:
         c_shrink = shrink_constant(mu, L, gamma)
     except HypothesisError:
         c_shrink = math.nan
+    r = _replay(trace, problem)
+    n_rows = r.phi.shape[0]
+    roots = np.sqrt(r.envelope) if r.phi[0] > 0.0 else np.zeros(n_rows)
 
     def hyp_ok(xi_next: float) -> bool:
-        return (
-            gamma * L > 1.0
-            and gamma * L <= 2.0 - xi_next
-            and xi_next > a
-        )
+        return gamma * L > 1.0 and gamma * L <= 2.0 - xi_next and xi_next > a
 
     records = []
-    log_prod = 0.0
     for t in range(n_rows):
-        if t >= 1:
-            log_prod += math.log1p(-float(xis[t]))
-        root = math.sqrt(d0 * math.exp(log_prod)) if d0 > 0.0 else 0.0
+        root = float(roots[t])
         x_t, y_t, z_t = d.points_x[t], d.points_y[t], d.points_z[t]
-        proj_z_opt = m.projected_distance(x_t, z_t, opt)
-        d_y_opt = m.distance(y_t, opt)
-        proj_yz = m.projected_distance(x_t, y_t, z_t)
-        d_yz = m.distance(y_t, z_t)
-        d_xz = m.distance(x_t, z_t)
-
-        if t + 1 < n_rows and hyp_ok(float(xis[t + 1])):
-            xi_n = float(xis[t + 1])
-            beta = 1.0 - a / xi_n
-            d_yz_bound = (
-                root
-                / beta
-                * (s_opt + s_proj + s_grad)
-                * (1.0 - a)
-                / ((gamma * L - 1.0) * (gamma * L - 1.0 + a))
-            )
+        if t + 1 < n_rows and hyp_ok(float(r.xi[t + 1])):
+            beta = 1.0 - a / float(r.xi[t + 1])
+            d_yz_bound = root / beta * (s_opt + s_proj + s_grad) * (1.0 - a) / den
         else:
             d_yz_bound = math.nan
         if t == 0:
             d_xz_bound = 0.0
-        elif hyp_ok(float(xis[t])) and not math.isnan(c_shrink):
-            # bound for row t uses the root of row t-1
-            prev_root = math.sqrt(
-                d0 * math.exp(log_prod - math.log1p(-float(xis[t])))
-            )
-            d_xz_bound = c_shrink * prev_root
+        elif hyp_ok(float(r.xi[t])) and not math.isnan(c_shrink):
+            # the bound for row t uses the root of row t-1
+            d_xz_bound = c_shrink * float(roots[t - 1])
         else:
             d_xz_bound = math.nan
         records.append(
             ShrinkRecord(
                 t=t,
-                proj_z_opt=proj_z_opt,
+                proj_z_opt=float(r.pd[t]),
                 proj_z_opt_bound=root * s_proj,
-                d_y_opt=d_y_opt,
+                d_y_opt=m.distance(y_t, opt),
                 d_y_opt_bound=root * s_opt,
-                proj_yz=proj_yz,
+                proj_yz=m.projected_distance(x_t, y_t, z_t),
                 proj_yz_bound=root * (s_opt + s_proj),
-                d_yz=d_yz,
+                d_yz=m.distance(y_t, z_t),
                 d_yz_bound=d_yz_bound,
-                d_xz=d_xz,
+                d_xz=m.distance(x_t, z_t),
                 d_xz_bound=d_xz_bound,
             )
         )
@@ -585,7 +568,7 @@ class ShrinkSummary:
 
 
 def count_shrink_violations(
-    records: list[ShrinkRecord], rel_slack: float = 1e-9, floor: float = 0.0
+    records: list[ShrinkRecord], floor: float = 0.0
 ) -> ShrinkSummary:
     """Tally bound violations across all five distance comparisons."""
     pairs = (
@@ -605,7 +588,7 @@ def count_shrink_violations(
                 skipped += 1
                 continue
             checked += 1
-            if getattr(rec, field_obs) > bound + rel_slack * (1.0 + bound):
+            if getattr(rec, field_obs) > bound + _allowance(1.0, bound):
                 violations += 1
     return ShrinkSummary(violations=violations, checked=checked, skipped=skipped)
 

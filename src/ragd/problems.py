@@ -38,6 +38,7 @@ __all__ = [
     "random_sphere_mean",
     "oracle_optimum",
     "gradient_audit",
+    "curvature_key",
     "manifold_to_dict",
     "manifold_from_dict",
     "problem_to_dict",
@@ -533,32 +534,62 @@ def gradient_audit(
 # ----- serialization ----------------------------------------------------------
 
 
+# Manifold kinds: class, size key, curvature key and its default (None in
+# flat space).  A description takes exactly these keys.
+_MANIFOLD_KINDS = {
+    "euclidean": (Euclidean, "dim", None, None),
+    "hyperbolic": (Hyperbolic, "dim", "kappa", 1.0),
+    "sphere": (Sphere, "dim", "sigma", 1.0),
+    "spd": (SPD, "n", "kappa", 0.5),
+}
+
+
 def manifold_to_dict(m: Manifold) -> dict:
-    if isinstance(m, Euclidean):
-        return {"kind": "euclidean", "dim": m.dim}
-    if isinstance(m, Hyperbolic):
-        return {"kind": "hyperbolic", "dim": m.dim, "kappa": m.kappa}
-    if isinstance(m, Sphere):
-        return {"kind": "sphere", "dim": m.dim, "sigma": m.sigma}
-    if isinstance(m, SPD):
-        return {"kind": "spd", "n": m.n, "kappa": m.kappa}
+    for kind, (cls, size_key, curv_key, _) in _MANIFOLD_KINDS.items():
+        if isinstance(m, cls):
+            out = {"kind": kind, size_key: getattr(m, size_key)}
+            if curv_key is not None:
+                out[curv_key] = getattr(m, curv_key)
+            return out
     raise DomainError(f"cannot serialize manifold {m!r}")
 
 
-def manifold_from_dict(d: dict) -> Manifold:
+def _manifold_kind(d: dict) -> str:
     try:
         kind = d["kind"]
     except KeyError as exc:
         raise MissingDataError("manifold description needs a 'kind'") from exc
-    if kind == "euclidean":
-        return Euclidean(int(d["dim"]))
-    if kind == "hyperbolic":
-        return Hyperbolic(int(d["dim"]), float(d.get("kappa", 1.0)))
-    if kind == "sphere":
-        return Sphere(int(d["dim"]), float(d.get("sigma", 1.0)))
-    if kind == "spd":
-        return SPD(int(d["n"]), float(d.get("kappa", 0.5)))
-    raise DomainError(f"unknown manifold kind {kind!r}")
+    if kind not in _MANIFOLD_KINDS:
+        raise DomainError(f"unknown manifold kind {kind!r}")
+    return kind
+
+
+def curvature_key(d: dict) -> str:
+    """The key of a manifold description's curvature parameter: ``sigma``
+    on a sphere, ``kappa`` on hyperbolic and SPD spaces."""
+    kind = _manifold_kind(d)
+    curv_key = _MANIFOLD_KINDS[kind][2]
+    if curv_key is None:
+        raise DomainError(f"a {kind!r} manifold has no curvature parameter")
+    return curv_key
+
+
+def manifold_from_dict(d: dict) -> Manifold:
+    """Build a manifold from its description; a key its kind does not take
+    (``kappa`` on a sphere, a misspelt key) is a DomainError."""
+    kind = _manifold_kind(d)
+    cls, size_key, curv_key, default = _MANIFOLD_KINDS[kind]
+    keys = {"kind", size_key, curv_key} - {None}
+    unknown = d.keys() - keys
+    if unknown:
+        raise DomainError(
+            f"a {kind!r} manifold takes no {sorted(unknown)}; its keys are {sorted(keys)}"
+        )
+    if size_key not in d:
+        raise MissingDataError(f"a {kind!r} manifold description needs {size_key!r}")
+    if curv_key is None:
+        return cls(int(d[size_key]))
+    return cls(int(d[size_key]), float(d.get(curv_key, default)))
 
 
 def problem_to_dict(problem: Problem) -> dict:

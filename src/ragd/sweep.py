@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, MissingDataError
-from .problems import Problem, oracle_optimum, problem_from_dict
+from .problems import Problem, curvature_key, oracle_optimum, problem_from_dict
 from .solvers import SolverConfig, run
 from .trace import ConvergenceTrace, estimate_rate
 from .xi import XiParams, contraction_factor, fixed_point_xi
@@ -155,8 +155,10 @@ def build_sweep(
     desc, _ = problem_description(config, seed)
     if axis == "condition_number" and desc.get("kind") != "quadratic":
         raise DomainError("condition_number sweeps need a quadratic problem")
-    if axis == "curvature" and desc.get("manifold") is None:
-        raise DomainError("curvature sweeps need a problem with a manifold block")
+    if axis == "curvature":
+        if desc.get("manifold") is None:
+            raise DomainError("curvature sweeps need a problem with a manifold block")
+        curv_key = curvature_key(desc["manifold"])
     shared = problem_from_dict(desc) if axis in ("gamma", "delta_const") else None
 
     cases = []
@@ -170,7 +172,7 @@ def build_sweep(
             big = float(d.get("L", 1.0))
             d.update(mu=float(v) * big, L=big)
         else:
-            d["manifold"] = {**d["manifold"], "kappa": float(v)}
+            d["manifold"] = {**d["manifold"], curv_key: float(v)}
         if shared is None:
             problem = problem_from_dict(d)
             e.update(mu=problem.mu, L=problem.L)

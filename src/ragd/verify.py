@@ -17,6 +17,8 @@ from .distortion import s_kappa, t_kappa, t_kappa_hat, trig_coeff
 from .errors import DomainError
 from .geometry import SPD, Euclidean, Hyperbolic, Manifold, Sphere
 from .potential import (
+    CERT_TOL,
+    ENVELOPE_TOL,
     certify_trace,
     gradient_step_audit,
     mirror_step_audit,
@@ -42,7 +44,6 @@ _STAIRCASE = (0.6625, 0.5748, 0.5360)
 _GEOM_TOL = 1e-9
 _DISTORTION_SLACK = 1e-8
 _XI_SLACK = 1e-12
-_POTENTIAL_TOL = 1e-9
 
 
 def _check(name: str, count: int, violations: int, worst: float, tol: float) -> dict:
@@ -296,32 +297,31 @@ def potential_suite(seed: int, steps: int = 300) -> dict:
         ("spd", *_certified_karcher(SPD(4), seed + 100, steps)),
     ]
     for label, prob, tr in runs:
-        rep = certify_trace(tr, prob, tol=_POTENTIAL_TOL)
+        rep = certify_trace(tr, prob)
         checks.append(
             _check(f"{label}/certified-decrease", len(rep.records) - 1,
-                   rep.violations, -rep.worst_margin, _POTENTIAL_TOL)
+                   rep.violations, -rep.worst_margin, CERT_TOL)
         )
         ma = mirror_step_audit(tr, prob)
         checks.append(
             _check(f"{label}/mirror-identity", len(ma.residuals), ma.violations,
-                   ma.worst_excess, _POTENTIAL_TOL)
+                   ma.worst_excess, CERT_TOL)
         )
         ga = gradient_step_audit(tr, prob)
         checks.append(
             _check(f"{label}/gradient-decrease", len(ga.residuals), ga.violations,
-                   ga.worst_excess, _POTENTIAL_TOL)
+                   ga.worst_excess, CERT_TOL)
         )
-        env = rate_envelope(tr, prob, floor=100.0 * np.finfo(float).eps
-                            * tr.column("potential")[0])
+        env = rate_envelope(tr, prob)
         checks.append(
             _check(f"{label}/rate-envelope", len(env.residuals), env.violations,
-                   env.worst_excess, 1e-7)
+                   env.worst_excess, ENVELOPE_TOL)
         )
     label, prob, tr = runs[0]
     qa = quadratic_form_audit(tr, prob)
     checks.append(
         _check("quadratic/coefficient-form", len(qa.residuals), qa.violations,
-               qa.worst_excess, _POTENTIAL_TOL)
+               qa.worst_excess, CERT_TOL)
     )
     return _finish("potential", seed, checks)
 

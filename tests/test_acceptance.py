@@ -44,7 +44,6 @@ LIMIT_TOL = 1e-8
 FIXED_POINT_TOL = 1e-12
 CURVED_FP_TOL = 1e-6
 ENVELOPE_SLACK = 1e-12
-CERT_TOL = 1e-9
 VANISH_TOL = 1e-12
 CROSS_TOL = 1e-10
 RATE_REL_TOL = 0.10
@@ -128,7 +127,7 @@ def test_criterion_04_flat_certificates_across_quadratics():
             record_diagnostics=True,
         )
         trace = run(prob, config)
-        report = certify_trace(trace, prob, tol=CERT_TOL)
+        report = certify_trace(trace, prob)
         assert report.violations == 0
         for block in trace_coefficient_blocks(trace):
             assert block.c1 <= VANISH_TOL
@@ -155,7 +154,7 @@ def test_criterion_05_curved_certificates_across_instances():
             record_diagnostics=True,
         )
         trace = run(prob, config)
-        report = certify_trace(trace, prob, tol=CERT_TOL)
+        report = certify_trace(trace, prob)
         assert report.violations == 0
 
 

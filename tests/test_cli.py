@@ -326,6 +326,18 @@ def test_sweep_writes_axis_csv(tmp_path, capsys):
     assert float(first[1]) == 1.0 and float(second[1]) == 2.0
 
 
+def test_curvature_sweep_of_a_flat_block_is_config_error(tmp_path):
+    problem = {
+        "kind": "karcher", "manifold": {"kind": "euclidean", "dim": 4},
+        "n_anchors": 4, "radius": 0.3, "seed": 1,
+    }
+    cfg = _write_config(tmp_path, problem=problem)
+    argv = ["sweep", "--config", str(cfg), "--axis", "curvature", "--values", "0.5,1",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_unparseable_values(tmp_path):
     cfg = _write_config(tmp_path)
     rc = cli.main(

@@ -27,7 +27,6 @@ from ragd.xi import XiParams, next_xi
 
 VANISH_TOL = 1e-12
 BLOCK_TOL = 1e-10
-CERT_TOL = 1e-9
 
 logging.getLogger("ragd.solvers").setLevel(logging.ERROR)
 
@@ -88,7 +87,7 @@ def test_trace_coefficient_blocks_structure():
 
 def test_certify_flat_run_clean():
     prob, trace = _flat_run()
-    report = certify_trace(trace, prob, tol=CERT_TOL)
+    report = certify_trace(trace, prob)
     assert report.violations == 0
     assert len(report.records) == trace.rows.shape[0]
     assert math.isnan(report.records[-1].margin)
@@ -112,7 +111,7 @@ def test_certify_curved_run_clean():
         record_diagnostics=True,
     )
     trace = run(prob, config)
-    report = certify_trace(trace, prob, tol=CERT_TOL)
+    report = certify_trace(trace, prob)
     assert report.violations == 0
 
 
@@ -121,7 +120,7 @@ def test_certify_detects_corrupted_iterate():
     m = prob.manifold
     spoiled = m.point(trace.diagnostics.points_y[40].coords + 5.0)
     trace.diagnostics.points_y[40] = spoiled
-    report = certify_trace(trace, prob, tol=CERT_TOL)
+    report = certify_trace(trace, prob)
     assert report.violations >= 1
 
 
@@ -208,8 +207,7 @@ def test_quadratic_form_audit_checks_flatness_before_solver_and_optimum():
 
 def test_rate_envelope_holds_with_floor():
     prob, trace = _flat_run()
-    phi0 = trace.column("potential")[0]
-    report = rate_envelope(trace, prob, floor=100.0 * np.finfo(float).eps * phi0)
+    report = rate_envelope(trace, prob)
     assert report.violations == 0
     prob2 = make_quadratic(15, 1.0, 30.0, seed=20)
     config = SolverConfig(
@@ -217,6 +215,60 @@ def test_rate_envelope_holds_with_floor():
     )
     with pytest.raises(MissingDataError):
         rate_envelope(run(prob2, config), prob2)
+
+
+def _counting_value(monkeypatch, prob):
+    """Count calls of ``prob.value``; the optimum value is cached first."""
+    prob.optimum_value
+    calls = [0]
+    value = prob.value
+
+    def counted(x):
+        calls[0] += 1
+        return value(x)
+
+    monkeypatch.setattr(prob, "value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("check", [certify_trace, rate_envelope])
+def test_replay_evaluates_each_row_once(monkeypatch, check):
+    prob, trace = _flat_run()
+    calls = _counting_value(monkeypatch, prob)
+    check(trace, prob)
+    assert calls[0] == trace.rows.shape[0]
+
+
+def _reference_rate_envelope(trace, prob, floor):
+    """The envelope check row by row, with the skip floor given explicitly."""
+    d = trace.diagnostics
+    m = prob.manifold
+    xis = trace.column("xi")
+    delta_gamma = trace.meta["delta_gamma"]
+    pd0 = m.projected_distance(d.points_x[0], d.points_z[0], prob.optimum)
+    gap0 = prob.value(d.points_y[0]) - prob.optimum_value
+    phi0 = gap0 + (xis[0] ** 2 / (4.0 * delta_gamma)) * pd0 * pd0
+    residuals, allowed = [], []
+    log_prod = 0.0
+    for t in range(trace.rows.shape[0]):
+        if t >= 1:
+            log_prod += math.log1p(-float(xis[t]))
+        bound = phi0 * math.exp(log_prod)
+        residuals.append(prob.value(d.points_y[t]) - prob.optimum_value - bound)
+        allowed.append(1e-7 * (1.0 + abs(bound)) if bound >= floor else math.inf)
+    return np.array(residuals), np.array(allowed)
+
+
+@pytest.mark.parametrize("max_iters", [80, 400])
+def test_rate_envelope_floor_is_100_eps_phi0(max_iters):
+    prob, trace = _flat_run(max_iters=max_iters)
+    report = rate_envelope(trace, prob)
+    floor = 100.0 * np.finfo(float).eps * trace.column("potential")[0]
+    residuals, allowed = _reference_rate_envelope(trace, prob, floor)
+    assert np.array_equal(report.residuals, residuals)
+    assert np.array_equal(report.allowed, allowed)
+    skipped = np.count_nonzero(np.isinf(report.allowed))
+    assert (skipped > 0) == (max_iters == 400)
 
 
 def test_shrink_constant_domain():

@@ -9,9 +9,12 @@ from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.geometry.hyperbolic import _POINT_TOL, _RENORM_SCALE
 from ragd.problems import (
     Problem,
+    curvature_key,
     gradient_audit,
     make_karcher,
     make_quadratic,
+    manifold_from_dict,
+    manifold_to_dict,
     oracle_optimum,
     problem_from_dict,
     problem_to_dict,
@@ -195,6 +198,51 @@ def test_problem_from_generator_block():
     assert abs(a.value(a.start) - b.value(b.start)) < tol
     with pytest.raises(DomainError):
         problem_from_dict({"kind": "mystery"})
+
+
+@pytest.mark.parametrize(
+    "manifold",
+    [Euclidean(3), Hyperbolic(4, kappa=2.0), Sphere(5, sigma=0.5), SPD(3, kappa=0.7)],
+)
+def test_manifold_dict_roundtrip(manifold):
+    again = manifold_from_dict(manifold_to_dict(manifold))
+    assert repr(again) == repr(manifold)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"kind": "hyperbolic", "dim": 4}, "kappa"),
+        ({"kind": "sphere", "dim": 4}, "sigma"),
+        ({"kind": "spd", "n": 3}, "kappa"),
+    ],
+)
+def test_curvature_key_names_each_kinds_own_parameter(doc, key):
+    assert curvature_key(doc) == key
+    assert getattr(manifold_from_dict({**doc, key: 3.0}), key) == 3.0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "sphere", "dim": 4, "kappa": 2.0},
+        {"kind": "hyperbolic", "dim": 4, "kapa": 2.0},
+        {"kind": "euclidean", "dim": 4, "sigma": 1.0},
+        {"kind": "torus", "dim": 4},
+    ],
+)
+def test_manifold_from_dict_rejects_keys_its_kind_does_not_take(doc):
+    with pytest.raises(DomainError):
+        manifold_from_dict(doc)
+
+
+def test_manifold_description_needs_kind_and_size():
+    with pytest.raises(MissingDataError):
+        manifold_from_dict({"dim": 4})
+    with pytest.raises(MissingDataError):
+        manifold_from_dict({"kind": "spd", "kappa": 1.0})
+    with pytest.raises(DomainError):
+        curvature_key({"kind": "euclidean", "dim": 4})
 
 
 def test_declared_constants_validated():

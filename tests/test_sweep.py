@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ragd.errors import DomainError, MissingDataError
-from ragd.sweep import SWEEP_COLUMNS, run_sweep, write_sweep_csv
+from ragd.sweep import SWEEP_COLUMNS, build_sweep, run_sweep, write_sweep_csv
 from ragd.xi import XiParams, fixed_point_xi
 
 GAMMA_XI_REL_TOL = 0.05
@@ -37,6 +37,19 @@ def _karcher_config(**solver):
             "seed": 2,
         },
         "solvers": [entry],
+    }
+
+
+def _sphere_config(manifold=None):
+    return {
+        "problem": {
+            "kind": "sphere_mean",
+            "manifold": manifold or {"kind": "sphere", "dim": 4},
+            "n_anchors": 4,
+            "radius": 0.3,
+            "seed": 1,
+        },
+        "solvers": [{"mode": "ragd", "max_iters": 100}],
     }
 
 
@@ -86,6 +99,28 @@ def test_curvature_sweep_rebuilds_manifold():
     points = run_sweep(_karcher_config(max_iters=150), "curvature", [0.5, 2.0])
     assert [p.value for p in points] == [0.5, 2.0]
     assert points[0].delta_bar <= points[1].delta_bar
+
+
+def test_curvature_sweep_on_a_sphere_rewrites_sigma():
+    values = [0.25, 0.5, 1.0]
+    cases = build_sweep(_sphere_config(), "curvature", values)
+    assert [problem.manifold.sigma for _, problem, _ in cases] == values
+    points = run_sweep(_sphere_config(), "curvature", values)
+    assert len({p.rate for p in points}) == len(values)
+
+
+@pytest.mark.parametrize(
+    "kind, manifold",
+    [
+        ("karcher", {"kind": "euclidean", "dim": 4}),
+        ("sphere_mean", {"kind": "sphere", "dim": 4, "kappa": 1.0}),
+    ],
+)
+def test_curvature_sweep_rejects_blocks_without_the_swept_key(kind, manifold):
+    config = _sphere_config(manifold)
+    config["problem"]["kind"] = kind
+    with pytest.raises(DomainError):
+        build_sweep(config, "curvature", [0.5, 1.0])
 
 
 def test_sweep_rejects_bad_requests():
