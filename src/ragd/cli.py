@@ -122,6 +122,13 @@ def _predicted_rate(config: SolverConfig, trace: ConvergenceTrace) -> float:
     return 1.0 - float(trace.column("xi")[-1])
 
 
+def _check_trace_stem(name: str) -> None:
+    """Trace files are named after the problem inside the output directory,
+    so the name must be a single path component."""
+    if not isinstance(name, str) or os.path.basename(name) != name or "\0" in name:
+        raise DomainError(f"problem name must be a single path component, got {name!r}")
+
+
 def _trace_paths(out_dir: Path, problem: Problem, mode: str, counts: dict) -> str:
     counts[mode] = counts.get(mode, 0) + 1
     stem = f"{problem.name}_{mode}"
@@ -135,6 +142,7 @@ def cmd_run(args: argparse.Namespace) -> Execute:
     emit = cfg.get("emit", "csv")
     problem_desc, seed = problem_description(cfg, args.seed)
     problem = problem_from_dict(problem_desc)
+    _check_trace_stem(problem.name)
     configs = [solver_config(entry, problem) for entry in solver_entries(cfg)]
     effective = {
         "problem": problem_desc,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 from .distortion import valid_rate_hadamard, valid_rate_nonhadamard
@@ -85,8 +86,14 @@ class SolverConfig:
             )
         if self.xi0 is not None and not (0.0 < self.xi0 < 1.0):
             raise DomainError(f"xi0 must lie in (0, 1), got {self.xi0}")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral):
+            raise DomainError(f"max_iters must be an integer, got {iters!r}")
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
+        for flag in ("sharp_distortion", "record_diagnostics"):
+            if not isinstance(getattr(self, flag), bool):
+                raise DomainError(f"{flag} must be a bool, got {getattr(self, flag)!r}")
         if self.mode == "ragd_constant_delta":
             if self.delta_const is None:
                 raise DomainError("mode 'ragd_constant_delta' requires delta_const")

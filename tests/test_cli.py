@@ -172,6 +172,10 @@ _BAD_CONFIG_CONTENTS = [
     {"emit": "yaml"},
     {"problem": {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": 20.0}},
     {"problem": {"kind": "quadratic", "dim": [4], "mu": 1.0, "L": 20.0, "seed": 3}},
+    {"solvers": [{"mode": "rgd", "max_iters": 20.5}]},
+    {"solvers": [{"mode": "rgd", "max_iters": True}]},
+    {"solvers": [{"mode": "ragd", "sharp_distortion": "no"}]},
+    {"solvers": [{"mode": "rgd", "record_diagnostics": 1}]},
 ]
 
 
@@ -202,6 +206,28 @@ def test_run_bad_config_contents_are_config_errors(tmp_path, caplog, command, ov
     assert cli.main(_argv(command, cfg, out)) == cli.EXIT_CONFIG
     assert len(_cli_errors(caplog)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["nested", "absolute", "parent"])
+def test_run_problem_name_cannot_leave_out(tmp_path, monkeypatch, caplog, where):
+    escape = tmp_path.parent / f"{tmp_path.name}-escape"
+    name = {
+        "nested": "sub/dir",
+        "absolute": str(escape),
+        "parent": f"../../{escape.name}",
+    }[where]
+    problem = {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": 20.0, "seed": 3,
+               "name": name}
+    cfg = _write_config(tmp_path, problem=problem)
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append("run"))
+    monkeypatch.setattr(cli, "oracle_optimum", lambda *a, **k: calls.append("oracle"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert calls == []
+    assert len(_cli_errors(caplog)) == 1
+    assert not out.exists()
+    assert not list(tmp_path.parent.glob(f"{escape.name}*"))
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

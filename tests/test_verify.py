@@ -1,9 +1,11 @@
 """Seeded property suites behind the verify subcommand."""
 
 import logging
+import math
 
 import pytest
 
+import ragd.verify
 from ragd.errors import DomainError
 from ragd.verify import VERIFY_SUITES, run_suite
 
@@ -29,12 +31,18 @@ def test_suite_listing():
 
 
 def test_all_suite_aggregates():
-    report = run_suite("all", seed=0)
-    assert report["suite"] == "all"
-    assert report["ok"] is True
-    names = [s["suite"] for s in report["suites"]]
-    assert names == ["geometry", "distortion", "xi", "potential"]
-    assert all(s["ok"] for s in report["suites"])
+    for seed in (0, 1):
+        report = run_suite("all", seed=seed)
+        assert report["suite"] == "all"
+        assert report["ok"] is True
+        names = [s["suite"] for s in report["suites"]]
+        assert names == ["geometry", "distortion", "xi", "potential"]
+        assert all(s["ok"] for s in report["suites"])
+        checks = [c for suite in report["suites"] for c in suite["checks"]]
+        assert len(checks) == 51
+        for check in checks:
+            ok_by_worst = check["worst"] <= check["tol"]
+            assert check["ok"] == (check["violations"] == 0) == ok_by_worst, check
 
 
 def test_unknown_suite_is_rejected():
@@ -49,3 +57,30 @@ def test_suites_depend_on_seed_but_stay_clean():
     other = run_suite("xi", seed=2)
     assert other["ok"] is True
     assert other != first
+
+
+def test_broken_inequality_is_reported(monkeypatch):
+    monkeypatch.setattr(ragd.verify, "t_kappa", lambda kappa, r: 1.0)
+    report = run_suite("distortion", seed=0)
+    check = next(c for c in report["checks"] if c["name"] == "improved-distortion")
+    assert check["violations"] > 0
+    assert check["worst"] > check["tol"]
+    assert check["ok"] is False
+    assert report["ok"] is False
+
+
+def test_fixed_point_at_a_is_reported(monkeypatch):
+    monkeypatch.setattr(ragd.verify, "fixed_point_xi", lambda params: params.a)
+    report = run_suite("xi", seed=0)
+    check = next(c for c in report["checks"] if c["name"] == "fixed-point-above-a")
+    assert check["violations"] == check["count"] > 0
+    assert check["worst"] > check["tol"]
+    assert check["ok"] is False
+
+
+def test_nan_residual_is_a_violation():
+    check = ragd.verify._check("probe", [0.0, math.nan], 1.0)
+    assert check["count"] == 2
+    assert check["violations"] == 1
+    assert math.isnan(check["worst"])
+    assert check["ok"] is False
