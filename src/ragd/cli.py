@@ -19,7 +19,6 @@ executing.  A failure logs one error line and no traceback.  The
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import logging
@@ -29,13 +28,12 @@ from collections.abc import Callable
 from pathlib import Path
 
 from . import __version__
-from .distortion import trig_coeff
 from .errors import DomainError, RagdError
 from .problems import Problem, oracle_optimum, problem_from_dict
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig
 from .sweep import (
-    SWEEP_AXES, build_sweep, problem_description, solver_config, solver_entries,
-    sweep_point, write_sweep_csv,
+    SWEEP_AXES, build_sweep, problem_description, run_enlarging, solver_config,
+    solver_entries, sweep_point, write_sweep_csv,
 )
 from .trace import ConvergenceTrace, estimate_rate
 from .verify import VERIFY_SUITES, run_suite
@@ -96,26 +94,6 @@ def _output_dir(out: str | None, cfg: dict) -> Path:
     return path
 
 
-def _maybe_enlarge(problem: Problem, config: SolverConfig,
-                   trace: ConvergenceTrace) -> tuple[Problem, SolverConfig] | None:
-    """Karcher smoothness certificates hold on the visited ball; when a run
-    leaves it, rebuild (L, gamma) from the largest observed excursion."""
-    if not trace.meta.get("left_feasible_radius"):
-        return None
-    if problem.payload.get("kind") != "karcher":
-        return None
-    reach = trace.meta.get("max_reference_distance")
-    if reach is None:
-        return None
-    kappa = getattr(problem.manifold, "curv_lower_mag", 0.0)
-    new_l = trig_coeff(kappa, 2.0 * float(reach))
-    if not new_l > problem.L:
-        return None
-    new_problem = dataclasses.replace(problem, L=new_l)
-    new_problem.set_optimum(problem.optimum)
-    return new_problem, dataclasses.replace(config, L=new_l)
-
-
 def _predicted_rate(config: SolverConfig, trace: ConvergenceTrace) -> float:
     if config.mode == "rgd":
         return 1.0 - config.mu * config.resolved_gamma
@@ -160,16 +138,7 @@ def cmd_run(args: argparse.Namespace) -> Execute:
         counts: dict = {}
         summary = []
         for config in configs:
-            trace = run(problem, config)
-            enlarged = _maybe_enlarge(problem, config, trace)
-            if enlarged is not None:
-                new_problem, new_config = enlarged
-                logger.info(
-                    "iterates left the certified ball; re-running with "
-                    "L enlarged to %r", new_problem.L,
-                )
-                trace = run(new_problem, new_config)
-                trace.meta["enlarged_L"] = new_problem.L
+            trace, config = run_enlarging(problem, config)
             trace.meta["config_hash"] = chash
             trace.meta["seed"] = seed
             stem = _trace_paths(out_dir, problem, config.mode, counts)

@@ -122,7 +122,12 @@ class Manifold(abc.ABC):
 
     @abc.abstractmethod
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        """Geodesic endpoint ``exp_x(v)``."""
+        """Geodesic endpoint ``exp_x(v)``.
+
+        Returns a point with finite coordinates or raises
+        :class:`~ragd.errors.NonFiniteError` (or another library error); the
+        solvers rely on this and do not re-check the points they step to.
+        """
 
     @abc.abstractmethod
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
@@ -135,6 +140,13 @@ class Manifold(abc.ABC):
     @abc.abstractmethod
     def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
         """Riemannian inner product at ``x``."""
+
+    def _log_dist(
+        self, x: ManifoldPoint, y: ManifoldPoint
+    ) -> tuple[TangentVector, float]:
+        """``(log(x, y), distance(x, y))`` from one evaluation where the
+        manifold shares the work; the default calls both methods."""
+        return self.log(x, y), self.distance(x, y)
 
     def norm(self, x: ManifoldPoint, v: TangentVector) -> float:
         return float(np.sqrt(max(self.inner(x, v, v), 0.0)))

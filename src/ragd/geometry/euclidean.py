@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, NonFiniteError
 from .base import Manifold, ManifoldPoint, TangentVector, require_base
 
 __all__ = ["Euclidean"]
@@ -34,13 +34,22 @@ class Euclidean(Manifold):
 
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
         require_base(x, v)
-        return ManifoldPoint(x.coords + v.coords)
+        coords = x.coords + v.coords
+        if not np.isfinite(coords).all():
+            raise NonFiniteError("exponential map left the finite range")
+        return ManifoldPoint(coords)
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         return TangentVector(x, y.coords - x.coords)
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         return float(np.linalg.norm(y.coords - x.coords))
+
+    def _log_dist(
+        self, x: ManifoldPoint, y: ManifoldPoint
+    ) -> tuple[TangentVector, float]:
+        diff = y.coords - x.coords
+        return TangentVector(x, diff), float(np.linalg.norm(diff))
 
     def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
         require_base(x, u)

@@ -123,20 +123,29 @@ class Hyperbolic(Manifold):
         return self._project_point(y)
 
     def _chord(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """Chordal direction u and ``c - 1`` for the pair (x, y)."""
+        """Chordal direction u for the pair (x, y) and the
+        ``acosh_ratio(c - 1)`` that scales it to the logarithm."""
         cm1 = max(-self.kappa * self._mdot(x, y) - 1.0, 0.0)
         u = (y - x) - cm1 * x
-        return u, cm1
+        return u, acosh_ratio(cm1)
+
+    def _chord_log(self, x: ManifoldPoint, u: np.ndarray, ratio: float) -> TangentVector:
+        return TangentVector(x, self._project_tangent(x.coords, ratio * u))
+
+    def _chord_dist(self, u: np.ndarray, ratio: float) -> float:
+        return ratio * math.sqrt(max(self._mdot(u, u), 0.0))
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
-        u, cm1 = self._chord(x.coords, y.coords)
-        v = acosh_ratio(cm1) * u
-        return TangentVector(x, self._project_tangent(x.coords, v))
+        return self._chord_log(x, *self._chord(x.coords, y.coords))
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        u, cm1 = self._chord(x.coords, y.coords)
-        nrm = math.sqrt(max(self._mdot(u, u), 0.0))
-        return acosh_ratio(cm1) * nrm
+        return self._chord_dist(*self._chord(x.coords, y.coords))
+
+    def _log_dist(
+        self, x: ManifoldPoint, y: ManifoldPoint
+    ) -> tuple[TangentVector, float]:
+        u, ratio = self._chord(x.coords, y.coords)
+        return self._chord_log(x, u, ratio), self._chord_dist(u, ratio)
 
     # ----- stacked kernels --------------------------------------------------
 

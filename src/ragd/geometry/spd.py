@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConvergenceError, DomainError
+from ..errors import ConvergenceError, DomainError, NonFiniteError
 from .base import Manifold, ManifoldPoint, TangentVector, require_base
 
 __all__ = ["SPD"]
@@ -120,16 +120,26 @@ class SPD(Manifold):
                 f"geodesic argument {w[-1]:.1f} exceeds the double-precision range"
             )
         e = (q * np.exp(w)) @ q.T
-        return ManifoldPoint(_sym(root @ e @ root))
+        coords = _sym(root @ e @ root)
+        if not np.isfinite(coords).all():
+            raise NonFiniteError("exponential map left the finite range")
+        return ManifoldPoint(coords)
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
+        return self._log_dist(x, y)[0]
+
+    def _log_dist(
+        self, x: ManifoldPoint, y: ManifoldPoint
+    ) -> tuple[TangentVector, float]:
+        # The eigenvalues that give the logarithm give the distance too.
         root, isqrt = self._sqrt_pair(x)
         s = _sym(isqrt @ y.coords @ isqrt)
         w, q = self._eigh(s)
         if w[0] <= 0.0:
             raise ConvergenceError("logarithm of a non-PD midpoint matrix")
-        lg = (q * np.log(w)) @ q.T
-        return TangentVector(x, _sym(root @ lg @ root))
+        logs = np.log(w)
+        lg = (q * logs) @ q.T
+        return TangentVector(x, _sym(root @ lg @ root)), math.sqrt(logs.dot(logs))
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         _, isqrt = self._sqrt_pair(x)

@@ -263,20 +263,22 @@ def _barycenter_callables(
 ) -> tuple[Callable, Callable]:
     # Stacked once here; the manifold's stacked kernels take every anchor in
     # one call.  Both sums run in anchor order, as a loop over the anchors
-    # would, so the rounding is that of the per-anchor formula.
+    # would, so the rounding is that of the per-anchor formula: a running
+    # sum adds the rows one after another (``np.sum`` may pair them up, as
+    # it does for one-coordinate points), and ``0 - (a + b + ...)`` equals
+    # ``((0 - a) - b) - ...`` bit for bit, signed zeros included.
     stack = np.stack([p.coords for p in anchors])
     stack.setflags(write=False)
     weights = w.tolist()
+    w_col = np.array(w).reshape((-1,) + (1,) * (stack.ndim - 1))
 
     def objective(x: ManifoldPoint) -> float:
         dists = m._dist_many(x, stack).tolist()
         return 0.5 * sum(wi * d**2 for wi, d in zip(weights, dists))
 
     def gradient(x: ManifoldPoint) -> TangentVector:
-        acc = np.zeros_like(x.coords)
-        for wi, row in zip(weights, m._log_many(x, stack)):
-            acc = acc - wi * row
-        return TangentVector(x, acc)
+        terms = w_col * m._log_many(x, stack)
+        return TangentVector(x, 0.0 - np.cumsum(terms, axis=0)[-1])
 
     return objective, gradient
 

@@ -17,6 +17,17 @@ classical Nesterov method exactly).
 Weighted bookkeeping (the growth factor A_t and the distance weight B_t)
 is tracked in normalized form: ``log A_t`` plus the exact ratio
 ``B_t / A_t = xi_t**2 / (4 * Delta)``, so long runs cannot overflow.
+
+:func:`run` makes one geometry pass per step.  Each trace row takes
+``Log_x(z)`` and ``Log_y(z)`` together with their distances from one
+evaluation each (``Manifold._log_dist``): ``d(x, z)`` and the projected
+distance in the potential reuse the first, ``d(y, z)`` and the next step's
+x-update the second.  Beyond those, a step computes ``Log_x(x*)``,
+``d(y, x*)``, three ``Exp`` maps, ``Log_{x+}(z)`` and one gradient, and the
+containment check measures x, y and z from the reference point in one
+stacked call, skipped when the problem has no finite radius.  Step outputs
+are not re-checked for finiteness: every ``Exp`` returns a finite point or
+raises :class:`~ragd.errors.NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -160,8 +171,20 @@ def ragd_step(
     gamma: float,
 ) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
     """One accelerated step through the exponential/logarithm maps."""
+    return _step(problem, y, z, problem.manifold.log(y, z), params, gamma)
+
+
+def _step(
+    problem: Problem,
+    y: ManifoldPoint,
+    z: ManifoldPoint,
+    log_yz: TangentVector,
+    params: StepParams,
+    gamma: float,
+) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
+    """:func:`ragd_step` given ``log_y(z)``, which ``run`` already holds."""
     m = problem.manifold
-    x1 = m.exp(y, params.alpha * m.log(y, z))
+    x1 = m.exp(y, params.alpha * log_yz)
     g = problem.grad(x1)
     y1 = m.exp(x1, (-gamma) * g)
     z1 = m.exp(x1, params.beta * m.log(x1, z) - params.eta * g)
@@ -186,12 +209,12 @@ def _distortion_rate(
 def _check_containment(
     problem: Problem, pts: tuple[ManifoldPoint, ...], t: int, warned: list[bool]
 ) -> float:
-    m = problem.manifold
     radius = problem.containment_radius
     feas = problem.feasible_radius
     if not (math.isfinite(radius) or math.isfinite(feas)):
         return math.nan
-    worst = max(m.distance(problem.reference, p) for p in pts)
+    stack = np.stack([p.coords for p in pts])
+    worst = float(problem.manifold._dist_many(problem.reference, stack).max())
     if math.isfinite(radius) and worst > radius:
         raise RuntimeContainmentError(
             f"iterate left the containment ball at step {t}: "
@@ -275,14 +298,16 @@ def run(
         gap = math.nan
         d_yopt = math.nan
         phi = math.nan
+        log_xz, d_xz = m._log_dist(x, z)
+        log_yz, d_yz = m._log_dist(y, z)
         if opt is not None:
             gap = fy - f_opt
             d_yopt = m.distance(y, opt)
             if accelerated:
                 b_over_a = xi * xi / (4.0 * delta_gamma)
-                phi = gap + b_over_a * m.projected_distance(x, z, opt) ** 2
-        d_xz = m.distance(x, z)
-        d_yz = m.distance(y, z)
+                # projected_distance(x, z, opt), reusing log_x(z)
+                pd = m.norm(x, log_xz - m.log(x, opt))
+                phi = gap + b_over_a * pd**2
         rows[t, 0] = t
         rows[t, 1] = gap
         rows[t, 2] = xi
@@ -303,15 +328,12 @@ def run(
             delta_rate = _distortion_rate(m, d_xz, d_yz, config)
             xi = next_xi(xi, XiParams(a=a, delta=delta_rate))
             params = step_params(xi, config.mu, delta_gamma)
-            x, y, z, _ = ragd_step(problem, x, y, z, params, gamma)
+            x, y, z, _ = _step(problem, y, z, log_yz, params, gamma)
             log_a_t -= math.log1p(-xi)
         else:
             g = problem.grad(y)
             y = m.exp(y, (-gamma) * g)
             x = z = y
-        for name, p in (("x", x), ("y", y), ("z", z)):
-            if not np.all(np.isfinite(p.coords)):
-                raise NonFiniteError(f"iterate {name} is not finite at step {t + 1}")
         worst = _check_containment(problem, (x, y, z), t + 1, warned)
         if not math.isnan(worst):
             max_ref_dist = worst if math.isnan(max_ref_dist) else max(max_ref_dist, worst)

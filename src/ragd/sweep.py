@@ -13,9 +13,12 @@ order the values were given.  The config helpers here are shared with
 from __future__ import annotations
 
 import csv
+import dataclasses
+import logging
 import math
 from dataclasses import dataclass
 
+from .distortion import trig_coeff
 from .errors import DomainError, MissingDataError
 from .problems import Problem, curvature_key, oracle_optimum, problem_from_dict
 from .solvers import SolverConfig, run
@@ -23,9 +26,11 @@ from .trace import ConvergenceTrace, estimate_rate
 from .xi import XiParams, contraction_factor, fixed_point_xi
 
 __all__ = [
-    "SWEEP_AXES", "SweepPoint", "build_sweep", "problem_description", "run_sweep",
-    "solver_config", "solver_entries", "sweep_point", "write_sweep_csv",
+    "SWEEP_AXES", "SweepPoint", "build_sweep", "problem_description", "run_enlarging",
+    "run_sweep", "solver_config", "solver_entries", "sweep_point", "write_sweep_csv",
 ]
+
+logger = logging.getLogger("ragd.sweep")
 
 SWEEP_AXES = ("gamma", "condition_number", "curvature", "delta_const")
 
@@ -75,14 +80,45 @@ def _settle_iters(xi0: float, params: XiParams) -> int:
     return int(math.ceil(math.log(_XI_SETTLE_TOL / gap0) / math.log(lam)))
 
 
+def run_enlarging(
+    problem: Problem, config: SolverConfig
+) -> tuple[ConvergenceTrace, SolverConfig]:
+    """Run ``config`` on ``problem``, and once more with a larger ``L`` when
+    a Karcher run leaves its certified ball.
+
+    Karcher smoothness certificates hold on the visited ball; when the
+    iterates leave it, (L, gamma) are rebuilt from the largest observed
+    excursion and the re-run's trace records the new L as
+    ``meta["enlarged_L"]``.  Returns the trace and the settings that made it.
+    """
+    trace = run(problem, config)
+    reach = trace.meta.get("max_reference_distance")
+    if (
+        not trace.meta.get("left_feasible_radius")
+        or problem.payload.get("kind") != "karcher"
+        or reach is None
+    ):
+        return trace, config
+    new_l = trig_coeff(problem.manifold.curv_lower_mag, 2.0 * float(reach))
+    if not new_l > problem.L:
+        return trace, config
+    logger.info(
+        "iterates left the certified ball; re-running with L enlarged to %r", new_l
+    )
+    new_config = dataclasses.replace(config, L=new_l)
+    trace = run(dataclasses.replace(problem, L=new_l), new_config)
+    trace.meta["enlarged_L"] = new_l
+    return trace, new_config
+
+
 def sweep_point(
     axis: str, value: float, problem: Problem, config: SolverConfig
 ) -> SweepPoint:
-    """Run one sweep case and measure it; locates the optimum first when
-    the problem has none."""
+    """Run one sweep case, through :func:`run_enlarging`, and measure it;
+    locates the optimum first when the problem has none."""
     if problem.optimum is None:
         oracle_optimum(problem)
-    trace: ConvergenceTrace = run(problem, config)
+    trace, config = run_enlarging(problem, config)
     gaps = trace.column("f_gap")
     est = estimate_rate(gaps)
     if config.mode == "rgd":

@@ -91,13 +91,11 @@ class ConvergenceTrace:
         return lines
 
     def write_csv(self, fh: IO[str]) -> None:
-        for line in self._header_lines():
-            fh.write(line + "\n")
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in self.rows:
-            cells = [str(int(row[0]))]
-            cells += [repr(float(v)) for v in row[1:]]
-            fh.write(",".join(cells) + "\n")
+        lines = self._header_lines()
+        lines.append(",".join(TRACE_COLUMNS))
+        for t, *cells in self.rows.tolist():
+            lines.append(",".join([str(int(t)), *map(repr, cells)]))
+        fh.write("\n".join(lines) + "\n")
 
     def to_json_dict(self) -> dict:
         meta = {

@@ -220,7 +220,7 @@ def test_run_problem_name_cannot_leave_out(tmp_path, monkeypatch, caplog, where)
                "name": name}
     cfg = _write_config(tmp_path, problem=problem)
     calls = []
-    monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append("run"))
+    monkeypatch.setattr(ragd.sweep, "run", lambda *a, **k: calls.append("run"))
     monkeypatch.setattr(cli, "oracle_optimum", lambda *a, **k: calls.append("oracle"))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
@@ -243,7 +243,6 @@ def test_unusable_out_is_config_error_before_any_solve(
         calls.append(config.mode)
         return run(problem, config, x0)
 
-    monkeypatch.setattr(cli, "run", record)
     monkeypatch.setattr(ragd.sweep, "run", record)
     rc = cli.main(_argv(command, cfg, blocker / "out"))
     assert rc == cli.EXIT_CONFIG
@@ -258,7 +257,6 @@ def test_solver_domain_error_is_abort(tmp_path, monkeypatch, caplog, command):
     def explode(problem, config, x0=None):
         raise InjectivityError("tangent reaches past the injectivity radius")
 
-    monkeypatch.setattr(cli, "run", explode)
     monkeypatch.setattr(ragd.sweep, "run", explode)
     rc = cli.main(_argv(command, cfg, tmp_path / "out"))
     assert rc == cli.EXIT_ABORT
@@ -271,7 +269,7 @@ def test_run_solver_abort_exit_code(tmp_path, monkeypatch):
     def explode(problem, config, x0=None):
         raise NonFiniteError("objective value is not finite at step 3")
 
-    monkeypatch.setattr(cli, "run", explode)
+    monkeypatch.setattr(ragd.sweep, "run", explode)
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_ABORT
 
@@ -281,6 +279,7 @@ def test_maybe_enlarge_grows_L_and_keeps_other_settings():
     oracle_optimum(prob)
     rng = np.random.default_rng(0)
     far = prob.manifold.random_point(rng, prob.reference, 3.0)
+    prob = dataclasses.replace(prob, start=far)
     config = SolverConfig(
         mode="ragd",
         mu=prob.mu,
@@ -290,13 +289,10 @@ def test_maybe_enlarge_grows_L_and_keeps_other_settings():
         sharp_distortion=True,
         record_diagnostics=True,
     )
-    trace = run(prob, config, x0=far)
-    enlarged = cli._maybe_enlarge(prob, config, trace)
-    assert enlarged is not None
-    new_problem, new_config = enlarged
+    trace, new_config = ragd.sweep.run_enlarging(prob, config)
     assert new_config.L > config.L
-    assert new_problem.L == new_config.L
-    assert new_problem.optimum is prob.optimum
+    assert trace.meta["enlarged_L"] == new_config.L == trace.meta["L"]
+    assert np.isfinite(trace.column("potential")).all()  # the optimum was kept
     for field in dataclasses.fields(SolverConfig):
         if field.name != "L":
             assert getattr(new_config, field.name) == getattr(config, field.name)

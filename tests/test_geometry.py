@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ragd.errors import AntipodalError, ConvergenceError, DomainError
+from ragd.errors import AntipodalError, ConvergenceError, DomainError, NonFiniteError
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Manifold, ManifoldPoint, Sphere, TangentVector
 from ragd.problems import manifold_from_dict, manifold_to_dict
 
@@ -119,6 +119,35 @@ def test_stacked_kernels_match_per_anchor_loop(label, m, scale):
         else:
             assert np.array_equal(got_d, dists)
             assert np.array_equal(got_l, logs)
+
+
+@pytest.mark.parametrize("label,m,scale", CASES)
+def test_log_dist_matches_log_and_distance(label, m, scale):
+    rng = np.random.default_rng(11)
+    base = m.base_point()
+    for _ in range(20):
+        x = m.random_point(rng, base, scale)
+        y = m.random_point(rng, base, scale)
+        for a, b in ((x, y), (x, x)):
+            log, dist = m._log_dist(a, b)
+            assert log.base is a
+            assert np.array_equal(log.coords, m.log(a, b).coords)
+            want = m.distance(a, b)
+            if isinstance(m, SPD):
+                # eigh eigenvalues here, eigvalsh ones in distance; d(x, x)
+                # is pure round-off, so it gets an absolute bound
+                assert abs(dist - want) <= 1e-14 * (want if a is not b else 1.0)
+            else:
+                assert dist == want
+
+
+@pytest.mark.parametrize("m", [Euclidean(3), SPD(2)], ids=["euclidean", "spd"])
+def test_exp_raises_on_overflow(m):
+    x = m.point(1e200 * np.eye(2)) if isinstance(m, SPD) else m.point(np.full(3, 1e308))
+    # A tangent whose endpoint exceeds the double range: e^699 * 1e200 on SPD.
+    v = m.tangent(x, 699.0 * x.coords if isinstance(m, SPD) else x.coords)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        m.exp(x, v)
 
 
 def test_spd_stacked_kernels_reject_non_pd_midpoint():

@@ -13,6 +13,7 @@ from ragd.problems import (
     gradient_audit,
     make_karcher,
     make_quadratic,
+    make_sphere_mean,
     manifold_from_dict,
     manifold_to_dict,
     oracle_optimum,
@@ -108,6 +109,38 @@ def test_spd_karcher_matches_per_anchor_formula_bitwise():
             grad = grad - wi * m.log(x, p).coords
         assert prob.value(x) == value
         assert np.array_equal(prob.grad(x).coords, grad)
+
+
+@pytest.mark.parametrize(
+    "m,make",
+    [
+        (Hyperbolic(6, kappa=1.5), make_karcher),
+        (Sphere(5), make_sphere_mean),
+        (Euclidean(2), make_karcher),
+        (Euclidean(1), make_karcher),
+    ],
+    ids=["hyperbolic", "sphere_mean", "euclidean", "euclidean-1d"],
+)
+def test_barycenter_gradient_matches_per_anchor_loop_bitwise(m, make):
+    rng = rng_from_seed(6)
+    for trial in range(24):
+        k = 1 + trial % 12
+        anchors = [m.random_point(rng, m.base_point(), 0.4) for _ in range(k)]
+        if isinstance(m, Euclidean):
+            # Signed zeros in the anchors give signed-zero log rows.
+            anchors[0] = m.point([-0.0] + [0.0] * (m.dim - 1))
+        weights = rng.uniform(0.1, 1.0, size=k)
+        weights /= weights.sum()
+        prob = make(m, anchors, weights.tolist())
+        stack = np.stack([p.coords for p in anchors])
+        # An anchor itself gives zero log rows, so signed zeros are covered.
+        for x in (m.random_point(rng, m.base_point(), 0.4), anchors[0]):
+            want = np.zeros_like(x.coords)
+            for wi, row in zip(weights.tolist(), m._log_many(x, stack)):
+                want = want - wi * row
+            got = prob.grad(x).coords
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_sphere_mean_constants_and_audit():

@@ -353,3 +353,32 @@ def test_spd_run_factors_each_base_point_once(monkeypatch):
     run(problem, config)
     # The start, reference and optimum, then x+ and y+ of each step.
     assert 0 < len(misses) <= 2 * steps + 4
+
+
+def test_run_makes_one_geometry_pass_per_step(monkeypatch):
+    steps = 10
+    problem = random_karcher(Hyperbolic(5, kappa=1.0), 6, 1.0, seed=3)
+    oracle_optimum(problem)
+    assert math.isfinite(problem.feasible_radius)  # containment runs every step
+    calls = dict.fromkeys(("distance", "_log_dist", "log", "exp", "_dist_many"), 0)
+    for name in calls:
+        method = getattr(Hyperbolic, name)
+
+        def counted(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Hyperbolic, name, counted)
+    config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps)
+    run(problem, config)
+    rows = steps + 1
+    # Per row: d(y, x*), log_x(z) with d(x, z), log_y(z) with d(y, z),
+    # log_x(x*) and f(y).  Per step: three exp, log_{x+}(z) and one
+    # containment call.  Once: f(x*).
+    assert calls == {
+        "distance": rows,
+        "_log_dist": 2 * rows,
+        "log": rows + steps,
+        "exp": 3 * steps,
+        "_dist_many": rows + steps + 1,
+    }

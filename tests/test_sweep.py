@@ -1,13 +1,18 @@
 """One-axis sweeps: ordering, predictions, and the documented examples."""
 
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from ragd.distortion import trig_coeff
 from ragd.errors import DomainError, MissingDataError
-from ragd.sweep import SWEEP_COLUMNS, build_sweep, run_sweep, write_sweep_csv
+from ragd.geometry import Hyperbolic
+from ragd.problems import oracle_optimum, random_karcher
+from ragd.solvers import SolverConfig, run
+from ragd.sweep import SWEEP_COLUMNS, build_sweep, run_sweep, sweep_point, write_sweep_csv
 from ragd.xi import XiParams, fixed_point_xi
 
 GAMMA_XI_REL_TOL = 0.05
@@ -121,6 +126,25 @@ def test_curvature_sweep_rejects_blocks_without_the_swept_key(kind, manifold):
     config["problem"]["kind"] = kind
     with pytest.raises(DomainError):
         build_sweep(config, "curvature", [0.5, 1.0])
+
+
+def test_sweep_point_reruns_with_enlarged_L_when_iterates_leave_the_ball(caplog):
+    prob = random_karcher(Hyperbolic(6, kappa=1.0), 5, 0.8, seed=1)
+    oracle_optimum(prob)
+    far = prob.manifold.random_point(np.random.default_rng(0), prob.reference, 3.0)
+    prob = dataclasses.replace(prob, start=far)
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, xi0=0.3, max_iters=30)
+    with caplog.at_level(logging.INFO, logger="ragd.sweep"):
+        point = sweep_point("gamma", 1.0, prob, config)
+    assert any("L enlarged" in r.getMessage() for r in caplog.records)
+
+    reach = run(prob, config).meta["max_reference_distance"]
+    enlarged = dataclasses.replace(config, L=trig_coeff(1.0, 2.0 * reach))
+    assert enlarged.L > config.L
+    trace = run(dataclasses.replace(prob, L=enlarged.L), enlarged)
+    assert point.final_gap == trace.column("f_gap")[-1]
+    delta_bar = float(trace.column("delta_rate")[1:].mean())
+    assert point.xi_pred == fixed_point_xi(XiParams(a=enlarged.a, delta=delta_bar))
 
 
 def test_sweep_rejects_bad_requests():

@@ -49,6 +49,25 @@ def test_csv_format():
     assert float(first[1]) == 1.0
 
 
+def test_csv_rows_match_per_cell_formatting_byte_for_byte():
+    rng = np.random.default_rng(3)
+    tr = make_trace(500)
+    tr.rows[:, 1:] = rng.normal(size=(500, 8)) * 10.0 ** rng.integers(-300, 300, (500, 8))
+    tr.rows[7, 4] = math.nan
+    tr.rows[9, 2] = -0.0
+    tr.rows[11, 5] = math.inf
+    tr.rows[-1, -1] = math.nan
+    buf = io.StringIO()
+    tr.write_csv(buf)
+    want = "".join(line + "\n" for line in tr._header_lines())
+    want += ",".join(TRACE_COLUMNS) + "\n"
+    for row in tr.rows:
+        cells = [str(int(row[0]))] + [repr(float(v)) for v in row[1:]]
+        want += ",".join(cells) + "\n"
+    assert buf.getvalue() == want
+    assert ",-0.0," in want and ",nan," in want
+
+
 def test_json_mirrors_columns():
     tr = make_trace()
     buf = io.StringIO()
