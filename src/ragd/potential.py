@@ -203,7 +203,6 @@ def certify_trace(trace: ConvergenceTrace, problem: Problem) -> CertificationRep
     checked in normalized form.  Requires diagnostics and a known optimum.
     """
     _require_potential_inputs(trace, problem)
-    log_a = trace.diagnostics.log_a
     r = _replay(trace, problem)
     phis = r.phi
     n_rows = phis.shape[0]
@@ -215,7 +214,7 @@ def certify_trace(trace: ConvergenceTrace, problem: Problem) -> CertificationRep
         if t + 1 < n_rows:
             shrink = 1.0 - float(r.xi[t + 1])
             margin = shrink * phis[t] - phis[t + 1]
-            allowed = _allowance(math.exp(-log_a[t + 1]), shrink * abs(phis[t]))
+            allowed = _allowance(float(r.decay[t + 1]), shrink * abs(phis[t]))
             ok = margin >= -allowed
             if not ok:
                 violations += 1
@@ -257,12 +256,6 @@ class StepAuditReport:
     def ok(self) -> bool:
         return self.violations == 0
 
-    @property
-    def worst_excess(self) -> float:
-        if self.residuals.size == 0:
-            return -math.inf
-        return float(np.max(self.residuals - self.allowed))
-
 
 def _require_full_diagnostics(trace: ConvergenceTrace) -> None:
     if trace.diagnostics is None:
@@ -286,14 +279,15 @@ def _require_potential_inputs(trace: ConvergenceTrace, problem: Problem) -> None
 class _Replay(NamedTuple):
     """Per-row quantities of a recorded run, re-evaluated from the stored
     iterates: the momentum ``xi``, the gap f(y_t) - f*, the projected
-    distance pd(x_t; z_t, x*), the normalized potential phi_t and its
-    certified envelope phi_0 * prod_{1<=j<=t} (1 - xi_j)."""
+    distance pd(x_t; z_t, x*), the normalized potential phi_t, and the
+    weight decay prod_{1<=j<=t} (1 - xi_j) = 1 / A_t, which turns phi_0
+    into the certified envelope."""
 
     xi: np.ndarray
     gap: np.ndarray
     pd: np.ndarray
     phi: np.ndarray
-    envelope: np.ndarray
+    decay: np.ndarray
 
 
 def _replay(trace: ConvergenceTrace, problem: Problem) -> _Replay:
@@ -308,8 +302,8 @@ def _replay(trace: ConvergenceTrace, problem: Problem) -> _Replay:
     )
     phi = gap + (xis**2 / (4.0 * float(trace.meta["delta_gamma"]))) * pd * pd
     logs = itertools.accumulate((math.log1p(-float(xi)) for xi in xis[1:]), initial=0.0)
-    envelope = np.array([float(phi[0]) * math.exp(s) for s in logs])
-    return _Replay(xis, gap, pd, phi, envelope)
+    decay = np.array([math.exp(s) for s in logs])
+    return _Replay(xis, gap, pd, phi, decay)
 
 
 def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
@@ -428,7 +422,7 @@ def rate_envelope(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
     """
     _require_potential_inputs(trace, problem)
     r = _replay(trace, problem)
-    bounds = r.envelope
+    bounds = r.phi[0] * r.decay
     floor = _ENVELOPE_FLOOR * r.phi[0]
     allowed = np.array([
         _allowance(1.0, abs(b), rel=ENVELOPE_TOL) if b >= floor else math.inf
@@ -513,7 +507,7 @@ def shrink_bounds(trace: ConvergenceTrace, problem: Problem) -> list[ShrinkRecor
         c_shrink = math.nan
     r = _replay(trace, problem)
     n_rows = r.phi.shape[0]
-    roots = np.sqrt(r.envelope) if r.phi[0] > 0.0 else np.zeros(n_rows)
+    roots = np.sqrt(r.phi[0] * r.decay) if r.phi[0] > 0.0 else np.zeros(n_rows)
 
     def hyp_ok(xi_next: float) -> bool:
         return gamma * L > 1.0 and gamma * L <= 2.0 - xi_next and xi_next > a

@@ -1,9 +1,9 @@
 """Benchmark problems: strongly convex quadratics and weighted barycenters.
 
 Every problem bundles its manifold, objective/gradient callables, the
-certified strong-convexity and smoothness constants (mu, L), a start
-point, and a reference point whose surrounding ball the certificates were
-derived on.  Builders are deterministic: all randomness flows through a
+certified strong-convexity and smoothness constants (mu, L), the start
+point of every run, and the ball around a reference point on which the
+certificates hold.  Builders are deterministic: all randomness flows through a
 Philox generator keyed by an explicit seed, and problems round-trip
 through plain dictionaries (see :func:`problem_to_dict`).
 """
@@ -11,7 +11,7 @@ through plain dictionaries (see :func:`problem_to_dict`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "Problem",
     "make_quadratic",
     "make_karcher",
+    "recertified",
     "random_karcher",
     "make_sphere_mean",
     "random_sphere_mean",
@@ -48,6 +49,7 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 _SPECTRUM_TOL = 1e-8
 _AUDIT_TOL = 1e-8
+_FD_STEP = 1e-5
 # Strong convexity of the spherical mean degenerates as the anchor spread
 # approaches the quarter-sphere; keep the certified constant positive.
 _MU_FLOOR = 1e-6
@@ -61,7 +63,8 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 @dataclass
 class Problem:
-    """A geodesically strongly convex objective with certified constants."""
+    """A geodesically strongly convex objective whose certified (mu, L)
+    hold on the ball of ``certified_radius`` around ``reference``."""
 
     name: str
     manifold: Manifold
@@ -71,8 +74,7 @@ class Problem:
     L: float
     start: ManifoldPoint
     reference: ManifoldPoint
-    feasible_radius: float = math.inf
-    containment_radius: float = math.inf
+    certified_radius: float = math.inf
     optimum: ManifoldPoint | None = None
     payload: dict = field(default_factory=dict)
     _f_opt: float | None = field(default=None, init=False, repr=False)
@@ -283,6 +285,11 @@ def _barycenter_callables(
     return objective, gradient
 
 
+def _karcher_smoothness(manifold: Manifold, radius: float) -> float:
+    """L of a Hadamard barycenter on a ball of ``radius`` that holds its anchors."""
+    return trig_coeff(manifold.curv_lower_mag, 2.0 * radius)
+
+
 def make_karcher(
     manifold: Manifold,
     anchors: Sequence[ManifoldPoint],
@@ -307,7 +314,6 @@ def make_karcher(
     w = _normalized_weights(len(anchors), weights)
     ref = _mean_point(manifold, anchors)
     spread = max(manifold.distance(ref, p) for p in anchors)
-    lips = trig_coeff(manifold.curv_lower_mag, 2.0 * spread)
     objective, gradient = _barycenter_callables(manifold, anchors, w)
     payload = {
         "kind": "karcher",
@@ -321,12 +327,24 @@ def make_karcher(
         objective=objective,
         gradient=gradient,
         mu=1.0,
-        L=lips,
+        L=_karcher_smoothness(manifold, spread),
         start=anchors[0],
         reference=ref,
-        feasible_radius=spread,
+        certified_radius=spread,
         payload=payload,
     )
+
+
+def recertified(problem: Problem, radius: float) -> Problem | None:
+    """``problem`` certified on the larger ball of ``radius``: a Karcher
+    problem with L rebuilt for that ball.  None for any other kind, or when
+    L would not grow."""
+    if problem.payload.get("kind") != "karcher":
+        return None
+    lips = _karcher_smoothness(problem.manifold, radius)
+    if not lips > problem.L:
+        return None
+    return replace(problem, L=lips, certified_radius=radius)
 
 
 def random_karcher(
@@ -365,10 +383,10 @@ def make_sphere_mean(
     """Weighted barycenter on the sphere, certified on a quarter-sphere cap.
 
     All anchors must lie strictly inside the ball of radius
-    ``pi / (4 sqrt(sigma))`` around their projected mean; iterates are
-    hard-contained in that ball, where the objective is strongly convex
-    with mu = w_max / tan(w_max) at the worst in-ball separation w_max
-    and 1-smooth.
+    ``pi / (4 sqrt(sigma))`` around their projected mean.  That cap is the
+    certified ball: there the objective is strongly convex with
+    mu = w_max / tan(w_max) at the worst in-ball separation w_max and
+    1-smooth.
     """
     if not isinstance(manifold, Sphere):
         raise DomainError("make_sphere_mean requires a Sphere manifold")
@@ -402,8 +420,7 @@ def make_sphere_mean(
         L=1.0,
         start=anchors[0],
         reference=ref,
-        feasible_radius=spread,
-        containment_radius=cap,
+        certified_radius=cap,
         payload=payload,
     )
 
@@ -446,17 +463,16 @@ def oracle_optimum(
     problem: Problem,
     tol: float = 1e-10,
     max_iters: int = 1_000_000,
-    start: ManifoldPoint | None = None,
 ) -> ManifoldPoint:
     """Locate the optimum by plain geodesic gradient descent at step 1/L.
 
     Independent of the accelerated solver on purpose: its fixed point is
-    used as the ground truth the solver traces are judged against.  Stops
-    when the gradient norm falls below ``tol``; stores the result on the
-    problem and returns it.
+    used as the ground truth the solver traces are judged against.  Starts
+    at ``problem.start``, stops when the gradient norm falls below ``tol``,
+    and stores the result on the problem and returns it.
     """
     m = problem.manifold
-    x = start if start is not None else problem.start
+    x = problem.start
     step = 1.0 / problem.L
     for _ in range(max_iters):
         g = problem.grad(x)
@@ -474,7 +490,6 @@ def gradient_audit(
     n_points: int = 20,
     n_pairs: int = 40,
     seed: int = 0,
-    h: float = 1e-5,
 ) -> dict:
     """Finite-difference and convexity audit of a problem's callables.
 
@@ -486,7 +501,7 @@ def gradient_audit(
     """
     m = problem.manifold
     rng = rng_from_seed(seed)
-    radius = min(problem.feasible_radius, problem.containment_radius)
+    radius = problem.certified_radius
     if not math.isfinite(radius):
         radius = 1.0 + 2.0 * m.distance(problem.start, problem.reference)
     samples = [
@@ -498,9 +513,9 @@ def gradient_audit(
         v = m.random_tangent(rng, x, 1.0)
         nrm = m.norm(x, v)
         v = (1.0 / nrm) * v
-        plus = problem.value(m.exp(x, h * v))
-        minus = problem.value(m.exp(x, (-h) * v))
-        fd = (plus - minus) / (2.0 * h)
+        plus = problem.value(m.exp(x, _FD_STEP * v))
+        minus = problem.value(m.exp(x, (-_FD_STEP) * v))
+        fd = (plus - minus) / (2.0 * _FD_STEP)
         exact = m.inner(x, g, v)
         max_fd_err = max(max_fd_err, abs(fd - exact) / (1.0 + abs(exact)))
     sc_violations = 0

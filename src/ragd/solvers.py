@@ -14,9 +14,10 @@ recursion in :mod:`ragd.xi`, fed with a per-step distortion rate from
 :mod:`ragd.distortion` (flat geometry uses rate 1, which reproduces the
 classical Nesterov method exactly).
 
-Weighted bookkeeping (the growth factor A_t and the distance weight B_t)
-is tracked in normalized form: ``log A_t`` plus the exact ratio
-``B_t / A_t = xi_t**2 / (4 * Delta)``, so long runs cannot overflow.
+A run starts at ``problem.start``.  An iterate outside the problem's
+certified ball (``certified_radius`` around ``reference``) warns once, and
+is recorded in the trace meta, on a Hadamard manifold; on any other
+manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.
 
 :func:`run` makes one geometry pass per step.  Each trace row takes
 ``Log_x(z)`` and ``Log_y(z)`` together with their distances from one
@@ -25,7 +26,7 @@ distance in the potential reuse the first, ``d(y, z)`` and the next step's
 x-update the second.  Beyond those, a step computes ``Log_x(x*)``,
 ``d(y, x*)``, three ``Exp`` maps, ``Log_{x+}(z)`` and one gradient, and the
 containment check measures x, y and z from the reference point in one
-stacked call, skipped when the problem has no finite radius.  Step outputs
+stacked call, skipped when the certified radius is infinite.  Step outputs
 are not re-checked for finiteness: every ``Exp`` returns a finite point or
 raises :class:`~ragd.errors.NonFiniteError`.
 """
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 from .distortion import valid_rate_hadamard, valid_rate_nonhadamard
 from .errors import DomainError, NonFiniteError, RuntimeContainmentError
-from .geometry import Euclidean, Manifold, ManifoldPoint, Sphere, TangentVector
+from .geometry import Euclidean, Manifold, ManifoldPoint, TangentVector
 from .trace import ConvergenceTrace, TraceDiagnostics
 from .xi import XiParams, next_xi
 from . import __version__ as _VERSION
@@ -209,33 +210,30 @@ def _distortion_rate(
 def _check_containment(
     problem: Problem, pts: tuple[ManifoldPoint, ...], t: int, warned: list[bool]
 ) -> float:
-    radius = problem.containment_radius
-    feas = problem.feasible_radius
-    if not (math.isfinite(radius) or math.isfinite(feas)):
+    radius = problem.certified_radius
+    if not math.isfinite(radius):
         return math.nan
     stack = np.stack([p.coords for p in pts])
     worst = float(problem.manifold._dist_many(problem.reference, stack).max())
-    if math.isfinite(radius) and worst > radius:
+    if worst > radius and not problem.manifold.is_hadamard:
         raise RuntimeContainmentError(
-            f"iterate left the containment ball at step {t}: "
+            f"iterate left the certified ball at step {t}: "
             f"distance {worst!r} exceeds radius {radius!r}"
         )
-    if math.isfinite(feas) and worst > feas and not warned[0]:
+    if worst > radius and not warned[0]:
         warned[0] = True
         logger.warning(
             "iterates left the certified radius %r at step %d (distance %r); "
             "the (mu, L) certificates no longer apply",
-            feas,
+            radius,
             t,
             worst,
         )
     return worst
 
 
-def run(
-    problem: Problem, config: SolverConfig, x0: ManifoldPoint | None = None
-) -> ConvergenceTrace:
-    """Run the configured solver and return its trace.
+def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
+    """Run the configured solver from ``problem.start`` and return its trace.
 
     Row t of the trace describes iterate t: the objective gap at y_t, the
     momentum value xi_t, the distortion rate used to produce xi_t (1.0 by
@@ -251,10 +249,10 @@ def run(
     m = problem.manifold
     if config.mode == "euclid_nesterov" and not isinstance(m, Euclidean):
         raise DomainError("mode 'euclid_nesterov' requires a Euclidean manifold")
-    if config.mode in ("ragd", "ragd_constant_delta") and isinstance(m, Sphere):
-        if not math.isfinite(problem.containment_radius):
+    if config.mode in ("ragd", "ragd_constant_delta") and not m.is_hadamard:
+        if not math.isfinite(problem.certified_radius):
             raise DomainError(
-                "positively curved problems need a finite containment_radius"
+                "positively curved problems need a finite certified_radius"
             )
     if config.mode == "ragd" and config.mu > 0.0:
         gl = config.resolved_gamma * config.L
@@ -272,16 +270,14 @@ def run(
     a = config.a
     n_steps = config.max_iters
 
-    start = x0 if x0 is not None else problem.start
-    m.check_point(start.coords)
-    x = y = z = start
+    m.check_point(problem.start.coords)
+    x = y = z = problem.start
 
     opt = problem.optimum
     f_opt = problem.optimum_value if opt is not None else math.nan
 
     accelerated = config.mode != "rgd"
     xi = config.resolved_xi0 if accelerated else a
-    log_a_t = 0.0
 
     rows = np.full((n_steps + 1, 9), math.nan)
     diag = TraceDiagnostics() if config.record_diagnostics else None
@@ -320,7 +316,6 @@ def run(
             diag.points_x.append(x)
             diag.points_y.append(y)
             diag.points_z.append(z)
-            diag.log_a.append(log_a_t)
         if t == n_steps:
             break
 
@@ -329,7 +324,6 @@ def run(
             xi = next_xi(xi, XiParams(a=a, delta=delta_rate))
             params = step_params(xi, config.mu, delta_gamma)
             x, y, z, _ = _step(problem, y, z, log_yz, params, gamma)
-            log_a_t -= math.log1p(-xi)
         else:
             g = problem.grad(y)
             y = m.exp(y, (-gamma) * g)

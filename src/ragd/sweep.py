@@ -18,9 +18,10 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .distortion import trig_coeff
 from .errors import DomainError, MissingDataError
-from .problems import Problem, curvature_key, oracle_optimum, problem_from_dict
+from .problems import (
+    Problem, curvature_key, oracle_optimum, problem_from_dict, recertified,
+)
 from .solvers import SolverConfig, run
 from .trace import ConvergenceTrace, estimate_rate
 from .xi import XiParams, contraction_factor, fixed_point_xi
@@ -83,31 +84,27 @@ def _settle_iters(xi0: float, params: XiParams) -> int:
 def run_enlarging(
     problem: Problem, config: SolverConfig
 ) -> tuple[ConvergenceTrace, SolverConfig]:
-    """Run ``config`` on ``problem``, and once more with a larger ``L`` when
-    a Karcher run leaves its certified ball.
+    """Run ``config`` on ``problem``, and once more on the problem certified
+    on the observed ball (:func:`~ragd.problems.recertified`) when the
+    iterates leave its certified ball.
 
-    Karcher smoothness certificates hold on the visited ball; when the
-    iterates leave it, (L, gamma) are rebuilt from the largest observed
-    excursion and the re-run's trace records the new L as
-    ``meta["enlarged_L"]``.  Returns the trace and the settings that made it.
+    The re-run's (L, gamma) are rebuilt from the largest observed excursion,
+    and its trace records the new L as ``meta["enlarged_L"]``.  Returns the
+    trace and the settings that made it.
     """
     trace = run(problem, config)
-    reach = trace.meta.get("max_reference_distance")
-    if (
-        not trace.meta.get("left_feasible_radius")
-        or problem.payload.get("kind") != "karcher"
-        or reach is None
-    ):
+    if not trace.meta["left_feasible_radius"]:
         return trace, config
-    new_l = trig_coeff(problem.manifold.curv_lower_mag, 2.0 * float(reach))
-    if not new_l > problem.L:
+    enlarged = recertified(problem, trace.meta["max_reference_distance"])
+    if enlarged is None:
         return trace, config
     logger.info(
-        "iterates left the certified ball; re-running with L enlarged to %r", new_l
+        "iterates left the certified ball; re-running with L enlarged to %r",
+        enlarged.L,
     )
-    new_config = dataclasses.replace(config, L=new_l)
-    trace = run(dataclasses.replace(problem, L=new_l), new_config)
-    trace.meta["enlarged_L"] = new_l
+    new_config = dataclasses.replace(config, L=enlarged.L)
+    trace = run(enlarged, new_config)
+    trace.meta["enlarged_L"] = enlarged.L
     return trace, new_config
 
 

@@ -58,7 +58,6 @@ class TraceDiagnostics:
     points_x: list[ManifoldPoint] = field(default_factory=list)
     points_y: list[ManifoldPoint] = field(default_factory=list)
     points_z: list[ManifoldPoint] = field(default_factory=list)
-    log_a: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -130,13 +129,13 @@ class RateEstimate:
     n_used: int
 
 
-def estimate_rate(gaps: Sequence[float], tail_fraction: float = 0.5) -> RateEstimate:
-    """Fit a linear rate to the trailing part of a gap sequence.
+def estimate_rate(gaps: Sequence[float]) -> RateEstimate:
+    """Fit a linear rate to the trailing half of a gap sequence.
 
     Rows at or below ``100 * eps * initial_gap`` (float-noise floor) and
     non-positive rows are discarded first; the fit then uses the trailing
-    ``tail_fraction`` of the surviving rows, so fast runs that bottom out
-    early are still fitted on their pre-floor decay.
+    half of the surviving rows, so fast runs that bottom out early are
+    still fitted on their pre-floor decay.
     """
     g = np.asarray(gaps, dtype=float)
     if g.ndim != 1 or g.size < 4:
@@ -147,8 +146,7 @@ def estimate_rate(gaps: Sequence[float], tail_fraction: float = 0.5) -> RateEsti
     floor = _FLOOR_FACTOR * finite[0]
     idx = np.arange(g.size)
     valid = idx[np.isfinite(g) & (g > floor)]
-    start = int(valid.size * (1.0 - tail_fraction))
-    used = valid[start:]
+    used = valid[valid.size // 2:]
     if used.size < 2:
         return RateEstimate(math.nan, math.nan, int(used.size))
     t = used.astype(float)

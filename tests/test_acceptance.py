@@ -74,7 +74,7 @@ def long_step_run():
         max_iters=400,
         record_diagnostics=True,
     )
-    return prob, config, run(prob, config, x0=x0)
+    return prob, config, run(dataclasses.replace(prob, start=x0), config)
 
 
 def test_criterion_01_momentum_staircase_and_limit():

@@ -239,9 +239,9 @@ def test_unusable_out_is_config_error_before_any_solve(
     blocker.write_text("")
     calls = []
 
-    def record(problem, config, x0=None):
+    def record(problem, config):
         calls.append(config.mode)
-        return run(problem, config, x0)
+        return run(problem, config)
 
     monkeypatch.setattr(ragd.sweep, "run", record)
     rc = cli.main(_argv(command, cfg, blocker / "out"))
@@ -254,7 +254,7 @@ def test_unusable_out_is_config_error_before_any_solve(
 def test_solver_domain_error_is_abort(tmp_path, monkeypatch, caplog, command):
     cfg = _write_config(tmp_path)
 
-    def explode(problem, config, x0=None):
+    def explode(problem, config):
         raise InjectivityError("tangent reaches past the injectivity radius")
 
     monkeypatch.setattr(ragd.sweep, "run", explode)
@@ -266,7 +266,7 @@ def test_solver_domain_error_is_abort(tmp_path, monkeypatch, caplog, command):
 def test_run_solver_abort_exit_code(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path)
 
-    def explode(problem, config, x0=None):
+    def explode(problem, config):
         raise NonFiniteError("objective value is not finite at step 3")
 
     monkeypatch.setattr(ragd.sweep, "run", explode)

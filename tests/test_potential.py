@@ -9,6 +9,7 @@ import pytest
 from ragd.errors import DomainError, HypothesisError, MissingDataError
 from ragd.geometry import Hyperbolic
 from ragd.potential import (
+    CERT_TOL,
     acceleration_threshold,
     certify_trace,
     coefficient_block,
@@ -115,6 +116,18 @@ def test_certify_curved_run_clean():
     assert report.violations == 0
 
 
+def test_certifier_allowance_uses_the_weight_of_the_xi_column():
+    prob, trace = _curved_run()
+    xi = trace.column("xi")
+    report = certify_trace(trace, prob)
+    log_decay = 0.0
+    for rec in report.records[:-1]:
+        xi_next = float(xi[rec.t + 1])
+        log_decay += math.log1p(-xi_next)
+        want = CERT_TOL * (math.exp(log_decay) + (1.0 - xi_next) * abs(rec.phi))
+        assert rec.allowed == want
+
+
 def test_certify_detects_corrupted_iterate():
     prob, trace = _flat_run()
     m = prob.manifold
@@ -155,7 +168,7 @@ def test_gradient_step_audit_passes():
     report = gradient_step_audit(trace, prob)
     assert report.name == "gradient_step"
     assert report.ok and report.violations == 0
-    assert report.worst_excess <= 0.0
+    assert np.max(report.residuals - report.allowed) <= 0.0
 
 
 def test_gradient_step_audit_covers_plain_descent():

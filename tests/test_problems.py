@@ -21,6 +21,7 @@ from ragd.problems import (
     problem_to_dict,
     random_karcher,
     random_sphere_mean,
+    recertified,
     rng_from_seed,
 )
 
@@ -60,7 +61,7 @@ def test_karcher_constants():
     m = Hyperbolic(6, kappa=1.0)
     prob = random_karcher(m, 5, 1.5, seed=2)
     assert prob.mu == 1.0
-    spread = prob.feasible_radius
+    spread = prob.certified_radius
     assert abs(prob.L - trig_coeff(1.0, 2.0 * spread)) < tol
     rep = gradient_audit(prob, seed=2)
     assert rep["max_fd_rel_err"] < audit_tol
@@ -75,16 +76,40 @@ def test_hyperbolic_karcher_reference_is_on_the_hyperboloid(kappa):
     ref = prob.reference.coords
     assert abs(kappa * m._mdot(ref, ref) + 1.0) <= _POINT_TOL
     m.check_point(ref)
-    assert prob.feasible_radius > 0.0
+    assert prob.certified_radius > 0.0
     anchors = [m.point(a) for a in prob.payload["anchors"]]
     spread = max(m.distance(prob.reference, p) for p in anchors)
-    assert prob.feasible_radius == spread
+    assert prob.certified_radius == spread
     assert prob.L == trig_coeff(kappa, 2.0 * spread)
     mean = np.mean([p.coords for p in anchors], axis=0)
     if kappa * m._scale_sq(mean, mean) <= _RENORM_SCALE:
         # Below the renormalization guard the reference is what the
         # exponential map's projection gives, bit for bit.
         assert np.array_equal(ref, m._project_point(mean).coords)
+
+
+def test_recertified_moves_L_and_radius_together():
+    kappa = 2.0
+    prob = random_karcher(Hyperbolic(5, kappa=kappa), 4, 1.0, seed=6)
+    r = 1.5 * prob.certified_radius
+    wider = recertified(prob, r)
+    assert wider.L == trig_coeff(kappa, 2.0 * r) > prob.L
+    assert wider.certified_radius == r
+    assert wider.mu == prob.mu
+    assert wider.start is prob.start and wider.reference is prob.reference
+    assert wider.payload == prob.payload
+    x = prob.manifold.random_point(rng_from_seed(1), prob.reference, r)
+    assert wider.value(x) == prob.value(x)
+
+
+def test_recertified_is_none_without_a_larger_karcher_ball():
+    prob = random_karcher(Hyperbolic(5, kappa=1.0), 4, 1.0, seed=6)
+    assert recertified(prob, prob.certified_radius) is None
+    assert recertified(prob, 0.5 * prob.certified_radius) is None
+    sphere = random_sphere_mean(Sphere(4, sigma=1.0), 4, 0.3, seed=6)
+    assert recertified(sphere, 2.0 * sphere.certified_radius) is None
+    quadratic = make_quadratic(4, 1.0, 10.0, seed=6)
+    assert recertified(quadratic, 10.0) is None
 
 
 def test_karcher_audit_spd():
@@ -148,7 +173,7 @@ def test_sphere_mean_constants_and_audit():
     prob = random_sphere_mean(m, 5, 0.3, seed=4)
     assert prob.L == 1.0
     assert 0.0 < prob.mu < 1.0
-    assert abs(prob.containment_radius - math.pi / 4.0) < tol
+    assert abs(prob.certified_radius - math.pi / 4.0) < tol
     rep = gradient_audit(prob, seed=4)
     assert rep["max_fd_rel_err"] < audit_tol
     assert rep["strong_convexity_violations"] == 0

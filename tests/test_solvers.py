@@ -129,8 +129,7 @@ def _constant_gradient_problem(m, start, coords):
         L=1.0,
         start=m.point(start),
         reference=m.point(start),
-        feasible_radius=1.0,
-        containment_radius=1.0,
+        certified_radius=1.0,
     )
 
 
@@ -211,7 +210,7 @@ def test_euclid_mode_requires_euclidean_manifold():
 
 def test_sphere_run_requires_containment_radius():
     prob = random_sphere_mean(Sphere(5, sigma=1.0), 4, 0.3, seed=0)
-    loose = dataclasses.replace(prob, containment_radius=math.inf)
+    loose = dataclasses.replace(prob, certified_radius=math.inf)
     config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=5)
     with pytest.raises(DomainError):
         run(loose, config)
@@ -296,12 +295,12 @@ def test_gap_without_optimum_uses_best_seen_value():
 
 def test_containment_abort_on_sphere():
     prob = random_sphere_mean(Sphere(5, sigma=1.0), 5, 0.3, seed=0)
-    tight = dataclasses.replace(prob, containment_radius=0.05)
     rng = np.random.default_rng(3)
     x0 = prob.manifold.random_point(rng, prob.reference, 0.3)
+    tight = dataclasses.replace(prob, certified_radius=0.05, start=x0)
     config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=50)
     with pytest.raises(RuntimeContainmentError):
-        run(tight, config, x0=x0)
+        run(tight, config)
 
 
 def test_feasible_radius_flag_in_meta():
@@ -309,11 +308,23 @@ def test_feasible_radius_flag_in_meta():
     rng = np.random.default_rng(0)
     far = prob.manifold.random_point(rng, prob.reference, 3.0)
     config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=30)
-    trace = run(prob, config, x0=far)
+    trace = run(dataclasses.replace(prob, start=far), config)
     assert trace.meta["left_feasible_radius"] is True
-    assert trace.meta["max_reference_distance"] > prob.feasible_radius
+    assert trace.meta["max_reference_distance"] > prob.certified_radius
     near = run(prob, config)
     assert near.meta["left_feasible_radius"] is False
+
+
+def test_leaving_the_certified_ball_warns_once_on_a_hadamard_manifold(caplog):
+    prob = random_karcher(Hyperbolic(6, kappa=1.0), 5, 0.8, seed=1)
+    far = prob.manifold.random_point(np.random.default_rng(0), prob.reference, 3.0)
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=30)
+    with caplog.at_level(logging.WARNING, logger="ragd.solvers"):
+        trace = run(dataclasses.replace(prob, start=far), config)
+    left = [r for r in caplog.records if "left the certified radius" in r.getMessage()]
+    assert len(left) == 1
+    assert trace.n_iters == 30
+    assert trace.meta["left_feasible_radius"] is True
 
 
 def test_run_is_deterministic():
@@ -330,8 +341,9 @@ def test_x0_override_changes_start():
     shifted = prob.manifold.point(prob.start.coords + 1.0)
     config = SolverConfig(mode="euclid_nesterov", mu=prob.mu, L=prob.L, max_iters=5)
     base = run(prob, config)
-    moved = run(prob, config, x0=shifted)
+    moved = run(dataclasses.replace(prob, start=shifted), config)
     assert moved.column("f_gap")[0] != base.column("f_gap")[0]
+    assert moved.column("f_gap")[0] == prob.value(shifted) - prob.optimum_value
 
 
 def test_spd_run_factors_each_base_point_once(monkeypatch):
@@ -359,7 +371,7 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     steps = 10
     problem = random_karcher(Hyperbolic(5, kappa=1.0), 6, 1.0, seed=3)
     oracle_optimum(problem)
-    assert math.isfinite(problem.feasible_radius)  # containment runs every step
+    assert math.isfinite(problem.certified_radius)  # containment runs every step
     calls = dict.fromkeys(("distance", "_log_dist", "log", "exp", "_dist_many"), 0)
     for name in calls:
         method = getattr(Hyperbolic, name)

@@ -12,7 +12,9 @@ from ragd.errors import DomainError, MissingDataError
 from ragd.geometry import Hyperbolic
 from ragd.problems import oracle_optimum, random_karcher
 from ragd.solvers import SolverConfig, run
-from ragd.sweep import SWEEP_COLUMNS, build_sweep, run_sweep, sweep_point, write_sweep_csv
+from ragd.sweep import (
+    SWEEP_COLUMNS, build_sweep, run_enlarging, run_sweep, sweep_point, write_sweep_csv,
+)
 from ragd.xi import XiParams, fixed_point_xi
 
 GAMMA_XI_REL_TOL = 0.05
@@ -145,6 +147,20 @@ def test_sweep_point_reruns_with_enlarged_L_when_iterates_leave_the_ball(caplog)
     assert point.final_gap == trace.column("f_gap")[-1]
     delta_bar = float(trace.column("delta_rate")[1:].mean())
     assert point.xi_pred == fixed_point_xi(XiParams(a=enlarged.a, delta=delta_bar))
+
+
+def test_enlarged_rerun_is_certified_on_the_observed_ball(caplog):
+    prob = random_karcher(Hyperbolic(6, kappa=1.0), 5, 0.8, seed=1)
+    oracle_optimum(prob)
+    far = prob.manifold.random_point(np.random.default_rng(0), prob.reference, 3.0)
+    prob = dataclasses.replace(prob, start=far)
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, xi0=0.3, max_iters=30)
+    with caplog.at_level(logging.WARNING, logger="ragd.solvers"):
+        trace, enlarged = run_enlarging(prob, config)
+    left = [r for r in caplog.records if "left the certified radius" in r.getMessage()]
+    assert len(left) == 1
+    assert trace.meta["left_feasible_radius"] is False
+    assert trace.meta["enlarged_L"] == enlarged.L > config.L
 
 
 def test_sweep_rejects_bad_requests():
