@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,6 +17,16 @@ def require_base(x: ManifoldPoint, v: "TangentVector") -> None:
     """Raise DomainError unless ``v`` is anchored at ``x``."""
     if v.base is not x and not np.array_equal(v.base.coords, x.coords):
         raise DomainError("tangent vector is anchored at a different point")
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[t], b[t])`` for every row t of two ``(k, d)`` stacks.
+
+    A stack of ``(1, d) @ (d, 1)`` products reaches the same BLAS dot
+    product as ``np.dot``, so each entry rounds as the single-pair call does;
+    ``einsum`` and a matrix-vector product sum in other orders.
+    """
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +188,18 @@ class Manifold(abc.ABC):
         shape ``(k, *point_shape)``; loops over :meth:`log` unless
         overridden."""
         return np.stack([self.log(x, ManifoldPoint(p)).coords for p in anchors])
+
+    def _projected_distances(
+        self,
+        xs: Sequence[ManifoldPoint],
+        zs: Sequence[ManifoldPoint],
+        p: ManifoldPoint,
+    ) -> np.ndarray:
+        """``projected_distance(x_t, z_t, p)`` for each pair of rows, that is
+        ``|| log_{x_t}(z_t) - log_{x_t}(p) ||``; loops over
+        :meth:`projected_distance` unless overridden.  Overrides equal the
+        loop bit for bit."""
+        return np.array([self.projected_distance(x, z, p) for x, z in zip(xs, zs)])
 
     # ----- sampling ---------------------------------------------------
 

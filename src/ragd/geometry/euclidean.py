@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, require_base
+from .base import Manifold, ManifoldPoint, TangentVector, require_base, row_dots
 
 __all__ = ["Euclidean"]
 
@@ -55,6 +57,25 @@ class Euclidean(Manifold):
         require_base(x, u)
         require_base(x, v)
         return float(np.dot(u.coords, v.coords))
+
+    # ----- stacked kernels ------------------------------------------------
+    # Row norms are square roots of row dot products, as in np.linalg.norm
+    # and norm(inner(v, v)), so each row equals the single-pair method.
+
+    def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
+        diff = anchors - x.coords
+        return np.sqrt(row_dots(diff, diff))
+
+    def _projected_distances(
+        self,
+        xs: Sequence[ManifoldPoint],
+        zs: Sequence[ManifoldPoint],
+        p: ManifoldPoint,
+    ) -> np.ndarray:
+        x = np.stack([pt.coords for pt in xs])
+        z = np.stack([pt.coords for pt in zs])
+        diff = (z - x) - (p.coords - x)
+        return np.sqrt(row_dots(diff, diff))
 
     def base_point(self) -> ManifoldPoint:
         return ManifoldPoint(np.zeros(self.dim))

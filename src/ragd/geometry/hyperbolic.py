@@ -13,12 +13,13 @@ which keeps small distances accurate to a few ulps instead of the
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .._scalars import acosh_ratio, sinch
 from ..errors import DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, require_base
+from .base import Manifold, ManifoldPoint, TangentVector, require_base, row_dots
 
 __all__ = ["Hyperbolic"]
 
@@ -176,6 +177,33 @@ class Hyperbolic(Manifold):
         v = ratio[:, None] * u
         # _project_tangent applied to every row.
         return v + (self.kappa * self._mdot_rows(v, x.coords))[:, None] * x.coords
+
+    # Row-paired kernels: row t pairs x_t with y_t.  Each Minkowski product is
+    # a row dot product (``row_dots``), so every row equals the single-pair
+    # method bit for bit.
+
+    @staticmethod
+    def _mdot_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``_mdot(a[t], b[t])`` for every row t."""
+        return row_dots(a[:, :-1], b[:, :-1]) - a[:, -1] * b[:, -1]
+
+    def _log_pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Coordinates of ``log(x_t, y_t)`` for every row t."""
+        cm1 = np.maximum(-self.kappa * self._mdot_pairs(x, y) - 1.0, 0.0)
+        u = (y - x) - cm1[:, None] * x
+        v = np.array([acosh_ratio(c) for c in cm1.tolist()])[:, None] * u
+        return v + (self.kappa * self._mdot_pairs(x, v))[:, None] * x
+
+    def _projected_distances(
+        self,
+        xs: Sequence[ManifoldPoint],
+        zs: Sequence[ManifoldPoint],
+        p: ManifoldPoint,
+    ) -> np.ndarray:
+        x = np.stack([pt.coords for pt in xs])
+        z = np.stack([pt.coords for pt in zs])
+        diff = self._log_pairs(x, z) - self._log_pairs(x, np.broadcast_to(p.coords, x.shape))
+        return np.sqrt(np.maximum(self._mdot_pairs(diff, diff), 0.0))
 
     # ----- sampling -------------------------------------------------------
 

@@ -14,11 +14,12 @@ once, on the first call that needs it, and kept on the point itself.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, require_base
+from .base import Manifold, ManifoldPoint, TangentVector, require_base, row_dots
 
 __all__ = ["SPD"]
 
@@ -150,8 +151,9 @@ class SPD(Manifold):
         return float(np.linalg.norm(np.log(w)))
 
     # ----- stacked kernels ------------------------------------------------------
-    # One square root of x serves every anchor.  The batched products,
-    # eigendecompositions and row norms round as the single-anchor methods
+    # One square root of x serves every anchor; the row-paired kernel stacks
+    # the cached square roots of its base points.  The batched products,
+    # eigendecompositions and row norms round as the single-pair methods
     # do, so each row equals the corresponding distance or log bit for bit.
 
     def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
@@ -160,17 +162,35 @@ class SPD(Manifold):
         if np.any(w[:, 0] <= 0.0):
             raise ConvergenceError("distance to a non-PD midpoint matrix")
         logs = np.log(w)
-        # Row-wise dot products through matmul, which rounds as the dot
-        # product inside np.linalg.norm does.
-        return np.sqrt((logs[:, None, :] @ logs[:, :, None]).reshape(-1))
+        return np.sqrt(row_dots(logs, logs))
 
-    def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        root, isqrt = self._sqrt_pair(x)
-        w, q = self._eigh(_sym(isqrt @ anchors @ isqrt))
+    def _logs(self, root: np.ndarray, isqrt: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Stacked logarithms from the square-root pair(s) of the base
+        point(s): one base with many ``y``, or one base per row."""
+        w, q = self._eigh(_sym(isqrt @ y @ isqrt))
         if np.any(w[:, 0] <= 0.0):
             raise ConvergenceError("logarithm of a non-PD midpoint matrix")
         lg = (q * np.log(w)[:, None, :]) @ q.swapaxes(-1, -2)
         return _sym(root @ lg @ root)
+
+    def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
+        return self._logs(*self._sqrt_pair(x), anchors)
+
+    def _projected_distances(
+        self,
+        xs: Sequence[ManifoldPoint],
+        zs: Sequence[ManifoldPoint],
+        p: ManifoldPoint,
+    ) -> np.ndarray:
+        pairs = [self._sqrt_pair(x) for x in xs]
+        root = np.stack([r for r, _ in pairs])
+        isqrt = np.stack([i for _, i in pairs])
+        z = np.stack([pt.coords for pt in zs])
+        diff = self._logs(root, isqrt, z) - self._logs(root, isqrt, p.coords)
+        # inner(x, diff, diff): the sum of squares of x^{-1/2} diff x^{-1/2}.
+        a = isqrt @ diff @ isqrt
+        sq = (a * a).reshape(len(a), -1).sum(axis=1)
+        return np.sqrt(np.maximum(sq, 0.0))
 
     # ----- sampling -----------------------------------------------------------
 

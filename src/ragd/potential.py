@@ -24,8 +24,9 @@ numerical inspection.
 
 The certifier, the quadratic-form audit, the rate envelope and the
 shrink report read one replay of the run, which evaluates f(y_t) - f*,
-pd_t and phi_t once per row.  Every check allows :data:`CERT_TOL` (the
-envelope :data:`ENVELOPE_TOL`) times the magnitudes it compares.
+pd_t and phi_t once per row (pd_t of every row in one stacked call,
+``Manifold._projected_distances``).  Every check allows :data:`CERT_TOL`
+(the envelope :data:`ENVELOPE_TOL`) times the magnitudes it compares.
 """
 
 from __future__ import annotations
@@ -297,9 +298,7 @@ def _replay(trace: ConvergenceTrace, problem: Problem) -> _Replay:
     opt = problem.optimum
     xis = trace.column("xi")
     gap = np.array([problem.value(y) - problem.optimum_value for y in d.points_y])
-    pd = np.array(
-        [m.projected_distance(x, z, opt) for x, z in zip(d.points_x, d.points_z)]
-    )
+    pd = m._projected_distances(d.points_x, d.points_z, opt)
     phi = gap + (xis**2 / (4.0 * float(trace.meta["delta_gamma"]))) * pd * pd
     logs = itertools.accumulate((math.log1p(-float(xi)) for xi in xis[1:]), initial=0.0)
     decay = np.array([math.exp(s) for s in logs])

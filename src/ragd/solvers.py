@@ -19,16 +19,20 @@ certified ball (``certified_radius`` around ``reference``) warns once, and
 is recorded in the trace meta, on a Hadamard manifold; on any other
 manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.
 
-:func:`run` makes one geometry pass per step.  Each trace row takes
-``Log_x(z)`` and ``Log_y(z)`` together with their distances from one
-evaluation each (``Manifold._log_dist``): ``d(x, z)`` and the projected
-distance in the potential reuse the first, ``d(y, z)`` and the next step's
-x-update the second.  Beyond those, a step computes ``Log_x(x*)``,
-``d(y, x*)``, three ``Exp`` maps, ``Log_{x+}(z)`` and one gradient, and the
-containment check measures x, y and z from the reference point in one
-stacked call, skipped when the certified radius is infinite.  Step outputs
-are not re-checked for finiteness: every ``Exp`` returns a finite point or
-raises :class:`~ragd.errors.NonFiniteError`.
+:func:`run` computes inside its step loop only what steers the iteration:
+f(y) (checked for finiteness at its step), ``d(x, z)`` for the distortion
+rate, ``Log_y(z)`` with ``d(y, z)`` from one evaluation
+(``Manifold._log_dist``), three ``Exp`` maps, ``Log_{x+}(z)`` and one
+gradient.  Step outputs are not re-checked for finiteness: every ``Exp``
+returns a finite point or raises :class:`~ragd.errors.NonFiniteError`.
+The rest of each trace row (``d(y_t, x*)``, the projected distance in the
+potential ``phi_t`` and, on a Hadamard manifold, the containment
+distances) is trace-only.  It is computed after every block of
+``_ROW_BLOCK`` rows, one stacked call per quantity, so a library error
+raised there surfaces at the end of its block, not at its step.  On the
+sphere the containment check stays in the loop and raises at its step.
+Without diagnostics a run holds the iterates of at most one block, so its
+memory grows with the step count only by the trace rows.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ __all__ = [
 logger = logging.getLogger("ragd.solvers")
 
 SOLVER_MODES = ("euclid_nesterov", "ragd", "ragd_constant_delta", "rgd")
+
+# Trace rows whose trace-only cells are filled per stacked call.  With
+# diagnostics off, ``run`` holds the iterates of at most this many rows.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -207,29 +215,78 @@ def _distortion_rate(
     return valid_rate_nonhadamard(m.curv_lower_mag, d_xz, d_yz).value
 
 
-def _check_containment(
-    problem: Problem, pts: tuple[ManifoldPoint, ...], t: int, warned: list[bool]
-) -> float:
-    radius = problem.certified_radius
-    if not math.isfinite(radius):
-        return math.nan
-    stack = np.stack([p.coords for p in pts])
-    worst = float(problem.manifold._dist_many(problem.reference, stack).max())
-    if worst > radius and not problem.manifold.is_hadamard:
-        raise RuntimeContainmentError(
-            f"iterate left the certified ball at step {t}: "
-            f"distance {worst!r} exceeds radius {radius!r}"
-        )
-    if worst > radius and not warned[0]:
-        warned[0] = True
-        logger.warning(
-            "iterates left the certified radius %r at step %d (distance %r); "
-            "the (mu, L) certificates no longer apply",
-            radius,
-            t,
-            worst,
-        )
-    return worst
+class _Containment:
+    """Distances of the iterates from ``problem.reference``, checked against
+    ``problem.certified_radius`` (finite).
+
+    :meth:`check` measures the x, y and z of consecutive steps in one
+    stacked call.  Outside the radius it raises
+    :class:`~ragd.errors.RuntimeContainmentError` on a manifold that is not
+    Hadamard, and otherwise logs one warning for the whole run.
+    """
+
+    def __init__(self, problem: Problem) -> None:
+        self.problem = problem
+        self.left = False
+        self.worst = -math.inf
+
+    def check(self, steps: list[tuple[ManifoldPoint, ...]], first: int) -> None:
+        """Check the (x, y, z) iterates of steps ``first, first + 1, ...``."""
+        p = self.problem
+        stack = np.stack([pt.coords for pts in steps for pt in pts])
+        worst = p.manifold._dist_many(p.reference, stack).reshape(len(steps), -1).max(axis=1)
+        radius = p.certified_radius
+        outside = np.flatnonzero(worst > radius)
+        if outside.size:
+            t, dist = first + int(outside[0]), float(worst[outside[0]])
+            if not p.manifold.is_hadamard:
+                raise RuntimeContainmentError(
+                    f"iterate left the certified ball at step {t}: "
+                    f"distance {dist!r} exceeds radius {radius!r}"
+                )
+            if not self.left:
+                self.left = True
+                logger.warning(
+                    "iterates left the certified radius %r at step %d (distance %r); "
+                    "the (mu, L) certificates no longer apply",
+                    radius,
+                    t,
+                    dist,
+                )
+        self.worst = max(self.worst, float(worst.max()))
+
+
+def _finish_rows(
+    problem: Problem,
+    rows: np.ndarray,
+    lo: int,
+    block: list[tuple[ManifoldPoint, ...]],
+    delta_gamma: float | None,
+    containment: _Containment | None,
+) -> None:
+    """Fill the trace-only cells of rows ``lo, lo + 1, ...`` from their
+    (x, y, z) iterates in ``block``: ``d(y_t, x*)`` and, given Delta
+    (``delta_gamma``; None when no potential is tracked), ``phi_t``, each
+    from one stacked call; then check the containment of those rows on a
+    Hadamard manifold (row 0 is the start, which is not checked).  Column 1
+    holds f(y_t) at this point."""
+    m = problem.manifold
+    hi = lo + len(block)
+    opt = problem.optimum
+    if opt is not None:
+        xs, ys, zs = zip(*block)
+        rows[lo:hi, 6] = m._dist_many(opt, np.stack([y.coords for y in ys]))
+        if delta_gamma is not None:
+            pd = m._projected_distances(xs, zs, opt)
+            # pd**2 in Python floats (libm pow), which rounds differently
+            # from NumPy's square in about one case in a thousand.
+            pd_sq = np.array([d**2 for d in pd.tolist()])
+            xi = rows[lo:hi, 2]
+            gap = rows[lo:hi, 1] - problem.optimum_value
+            rows[lo:hi, 7] = gap + (xi * xi / (4.0 * delta_gamma)) * pd_sq
+    if containment is not None and m.is_hadamard:
+        first = max(lo, 1)
+        containment.check(block[first - lo:], first)
 
 
 def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
@@ -281,41 +338,34 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
 
     rows = np.full((n_steps + 1, 9), math.nan)
     diag = TraceDiagnostics() if config.record_diagnostics else None
-    warned = [False]
-    fvals = np.full(n_steps + 1, math.nan)
-    max_ref_dist = math.nan
+    containment = (
+        _Containment(problem) if math.isfinite(problem.certified_radius) else None
+    )
+    block: list[tuple[ManifoldPoint, ...]] = []
 
     delta_rate = 1.0
     for t in range(n_steps + 1):
         fy = problem.value(y)
         if not math.isfinite(fy):
             raise NonFiniteError(f"objective value is not finite at step {t}")
-        fvals[t] = fy
-        gap = math.nan
-        d_yopt = math.nan
-        phi = math.nan
-        log_xz, d_xz = m._log_dist(x, z)
+        d_xz = m.distance(x, z)
         log_yz, d_yz = m._log_dist(y, z)
-        if opt is not None:
-            gap = fy - f_opt
-            d_yopt = m.distance(y, opt)
-            if accelerated:
-                b_over_a = xi * xi / (4.0 * delta_gamma)
-                # projected_distance(x, z, opt), reusing log_x(z)
-                pd = m.norm(x, log_xz - m.log(x, opt))
-                phi = gap + b_over_a * pd**2
-        rows[t, 0] = t
-        rows[t, 1] = gap
-        rows[t, 2] = xi
-        rows[t, 3] = delta_rate
-        rows[t, 4] = d_xz
-        rows[t, 5] = d_yz
-        rows[t, 6] = d_yopt
-        rows[t, 7] = phi
+        rows[t, :6] = (t, fy, xi, delta_rate, d_xz, d_yz)
+        block.append((x, y, z))
         if diag is not None:
             diag.points_x.append(x)
             diag.points_y.append(y)
             diag.points_z.append(z)
+        if len(block) == _ROW_BLOCK or t == n_steps:
+            _finish_rows(
+                problem,
+                rows,
+                t + 1 - len(block),
+                block,
+                delta_gamma if accelerated else None,
+                containment,
+            )
+            block = []
         if t == n_steps:
             break
 
@@ -328,12 +378,10 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
             g = problem.grad(y)
             y = m.exp(y, (-gamma) * g)
             x = z = y
-        worst = _check_containment(problem, (x, y, z), t + 1, warned)
-        if not math.isnan(worst):
-            max_ref_dist = worst if math.isnan(max_ref_dist) else max(max_ref_dist, worst)
+        if containment is not None and not m.is_hadamard:
+            containment.check([(x, y, z)], t + 1)
 
-    if opt is None:
-        rows[:, 1] = fvals - fvals.min()
+    rows[:, 1] -= f_opt if opt is not None else rows[:, 1].min()
     rows[:-1, 8] = (1.0 - rows[1:, 2]) * rows[:-1, 7] - rows[1:, 7]
 
     meta = {
@@ -349,8 +397,12 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
         "xi0": config.resolved_xi0 if accelerated else math.nan,
         "max_iters": n_steps,
         "sharp_distortion": config.sharp_distortion,
-        "left_feasible_radius": warned[0],
-        "max_reference_distance": max_ref_dist if math.isfinite(max_ref_dist) else None,
+        "left_feasible_radius": containment is not None and containment.left,
+        "max_reference_distance": (
+            containment.worst
+            if containment is not None and math.isfinite(containment.worst)
+            else None
+        ),
         "config_hash": None,
         "seed": None,
     }

@@ -51,8 +51,10 @@ _FLOOR_FACTOR = 100.0 * np.finfo(float).eps
 class TraceDiagnostics:
     """Full per-iteration state, kept only when requested.
 
-    Needed by the potential certifier and the distance-shrinking report;
-    regular benchmark runs skip it to keep memory flat.
+    Needed by the potential certifier and the distance-shrinking report.
+    It holds three points per row; without it ``solvers.run`` keeps the
+    iterates of at most one block of rows, so a long run's memory grows
+    only by its (T+1, 9) rows.
     """
 
     points_x: list[ManifoldPoint] = field(default_factory=list)

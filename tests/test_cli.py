@@ -17,7 +17,7 @@ import ragd.cli as cli
 import ragd.sweep
 from ragd.errors import InjectivityError, NonFiniteError
 from ragd.geometry import Hyperbolic
-from ragd.problems import oracle_optimum, random_karcher
+from ragd.problems import oracle_optimum, problem_from_dict, random_karcher
 from ragd.solvers import SolverConfig, run
 from ragd.sweep import SWEEP_COLUMNS
 from ragd.xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi
@@ -272,6 +272,31 @@ def test_run_solver_abort_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(ragd.sweep, "run", explode)
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_ABORT
+
+
+def test_run_trace_only_error_is_abort(tmp_path, caplog):
+    # An optimum antipodal to the start leaves Log_x(x*), which only the
+    # potential column needs, undefined at row 0.  The error surfaces at the
+    # end of the first block of rows, with its class and exit code 3.
+    problem = {
+        "kind": "sphere_mean",
+        "manifold": {"kind": "sphere", "dim": 4},
+        "n_anchors": 6,
+        "radius": 0.3,
+        "seed": 17,
+    }
+    start = problem_from_dict(problem).start.coords
+    problem["optimum"] = (-start).tolist()
+    cfg = _write_config(
+        tmp_path, problem=problem, solvers=[{"mode": "ragd", "max_iters": 100}]
+    )
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_ABORT
+    errors = _cli_errors(caplog)
+    assert len(errors) == 1
+    assert "AntipodalError" in errors[0].getMessage()
+    assert not list(out.glob("*.csv"))
 
 
 def test_maybe_enlarge_grows_L_and_keeps_other_settings():

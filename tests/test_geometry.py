@@ -103,12 +103,17 @@ def test_stacked_kernels_match_per_anchor_loop(label, m, scale):
     for _ in range(10):
         x = m.random_point(rng, base, scale)
         anchors = [m.random_point(rng, base, scale) for _ in range(5)]
+        bases = [m.random_point(rng, base, scale) for _ in range(5)]
         stack = np.stack([p.coords for p in anchors])
         dists = np.array([m.distance(x, p) for p in anchors])
         logs = np.stack([m.log(x, p).coords for p in anchors])
+        pds = np.array([m.projected_distance(b, p, x) for b, p in zip(bases, anchors)])
         # The base-class loop is the reference every override must match.
         assert np.array_equal(Manifold._dist_many(m, x, stack), dists)
         assert np.array_equal(Manifold._log_many(m, x, stack), logs)
+        assert np.array_equal(Manifold._projected_distances(m, bases, anchors, x), pds)
+        # The row-paired kernel equals the loop on every manifold.
+        assert np.array_equal(m._projected_distances(bases, anchors, x), pds)
         got_d, got_l = m._dist_many(x, stack), m._log_many(x, stack)
         if isinstance(m, Hyperbolic):
             # One matrix product forms every Minkowski inner product, which

@@ -3,11 +3,12 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ragd.errors import DomainError, NonFiniteError, RuntimeContainmentError
+from ragd.errors import AntipodalError, DomainError, NonFiniteError, RuntimeContainmentError
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.problems import (
     Problem,
@@ -18,6 +19,7 @@ from ragd.problems import (
     random_sphere_mean,
 )
 from ragd.solvers import (
+    _ROW_BLOCK,
     SOLVER_MODES,
     SolverConfig,
     ragd_step,
@@ -368,11 +370,12 @@ def test_spd_run_factors_each_base_point_once(monkeypatch):
 
 
 def test_run_makes_one_geometry_pass_per_step(monkeypatch):
-    steps = 10
+    steps = _ROW_BLOCK + 10
     problem = random_karcher(Hyperbolic(5, kappa=1.0), 6, 1.0, seed=3)
     oracle_optimum(problem)
-    assert math.isfinite(problem.certified_radius)  # containment runs every step
-    calls = dict.fromkeys(("distance", "_log_dist", "log", "exp", "_dist_many"), 0)
+    assert math.isfinite(problem.certified_radius)  # containment is checked
+    names = ("distance", "_log_dist", "log", "exp", "_dist_many", "_projected_distances")
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         method = getattr(Hyperbolic, name)
 
@@ -384,13 +387,112 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps)
     run(problem, config)
     rows = steps + 1
-    # Per row: d(y, x*), log_x(z) with d(x, z), log_y(z) with d(y, z),
-    # log_x(x*) and f(y).  Per step: three exp, log_{x+}(z) and one
-    # containment call.  Once: f(x*).
+    blocks = 2
+    # Per row: f(y) (one _dist_many over the anchors), d(x, z), and log_y(z)
+    # with d(y, z).  Per step: three exp and log_{x+}(z).  Per block of
+    # rows: d(y_t, x*) and the containment distances (one _dist_many each)
+    # and the projected distances.  Once: f(x*).
     assert calls == {
         "distance": rows,
-        "_log_dist": 2 * rows,
-        "log": rows + steps,
+        "_log_dist": rows,
+        "log": steps,
         "exp": 3 * steps,
-        "_dist_many": rows + steps + 1,
+        "_dist_many": rows + 2 * blocks + 1,
+        "_projected_distances": blocks,
     }
+
+
+@pytest.mark.parametrize("kind", ["flat", "spd"])
+def test_trace_only_columns_match_row_by_row_reference(kind):
+    # 2 * _ROW_BLOCK + 1 rows: two full blocks and a one-row block.
+    if kind == "flat":
+        problem, mode = make_quadratic(12, 1.0, 50.0, seed=7), "euclid_nesterov"
+    else:
+        problem, mode = random_karcher(SPD(3), 5, 1.5, seed=13), "ragd"
+        oracle_optimum(problem)
+    config = SolverConfig(
+        mode=mode,
+        mu=problem.mu,
+        L=problem.L,
+        max_iters=2 * _ROW_BLOCK,
+        record_diagnostics=True,
+    )
+    trace = run(problem, config)
+    m, opt, d = problem.manifold, problem.optimum, trace.diagnostics
+    assert trace.rows.shape[0] == 2 * _ROW_BLOCK + 1
+    d_yopt, phi = [], []
+    for x, y, z, xi in zip(d.points_x, d.points_y, d.points_z, trace.column("xi")):
+        gap = problem.value(y) - problem.optimum_value
+        d_yopt.append(m.distance(opt, y))
+        phi.append(gap + xi * xi / (4.0 * config.delta_gamma) * m.projected_distance(x, z, opt) ** 2)
+    assert np.array_equal(trace.column("d_yopt"), d_yopt)
+    assert np.array_equal(trace.column("potential"), phi)
+
+
+def test_first_excursion_in_a_later_block_warns_at_its_step(caplog):
+    # A slow gradient run from a far start drifts steadily out of a ball
+    # around that start; the radius puts the first excursion in the second
+    # block of rows.
+    prob = random_karcher(SPD(3), 5, 0.8, seed=1)
+    m = prob.manifold
+    far = m.random_point(np.random.default_rng(0), prob.reference, 3.0)
+    config = SolverConfig(
+        mode="rgd", mu=prob.mu, L=50.0 * prob.L, max_iters=2 * _ROW_BLOCK,
+        record_diagnostics=True,
+    )
+    free = dataclasses.replace(prob, start=far, reference=far, certified_radius=math.inf)
+    d = run(free, config).diagnostics
+    # Each step's check, one stacked call on (x_t, y_t, z_t).
+    worst = [
+        float(m._dist_many(far, np.stack([p.coords for p in pts])).max())
+        for pts in zip(d.points_x, d.points_y, d.points_z)
+    ]
+    k = _ROW_BLOCK + 6
+    radius = 0.5 * (worst[k - 1] + worst[k])
+    step = next(t for t in range(1, len(worst)) if worst[t] > radius)
+    assert step >= _ROW_BLOCK
+    with caplog.at_level(logging.WARNING, logger="ragd.solvers"):
+        trace = run(dataclasses.replace(free, certified_radius=radius), config)
+    left = [r.getMessage() for r in caplog.records if "left the certified radius" in r.getMessage()]
+    assert len(left) == 1
+    assert f" at step {step} (distance {worst[step]!r})" in left[0]
+    assert trace.meta["left_feasible_radius"] is True
+    assert trace.meta["max_reference_distance"] == max(worst[1:])
+
+
+def test_run_keeps_at_most_one_block_of_iterates():
+    problem = make_quadratic(64, 1.0, 50.0, seed=1)
+
+    def peak(steps):
+        config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps)
+        tracemalloc.start()
+        try:
+            trace = run(problem, config)
+            return tracemalloc.get_traced_memory()[1], trace.rows.nbytes
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # warm-up
+    short, _ = peak(200)
+    long, rows_bytes = peak(2000)
+    block_bytes = _ROW_BLOCK * 3 * problem.start.coords.nbytes
+    assert long - short <= rows_bytes + block_bytes
+
+
+def test_trace_only_error_surfaces_at_the_end_of_its_block():
+    # With the optimum antipodal to the start, Log_x(x*) in the projected
+    # distance of row 0 is undefined; the steps themselves never need it.
+    prob = random_sphere_mean(Sphere(4), 6, 0.3, seed=17)
+    prob.set_optimum(prob.manifold.point(-prob.start.coords))
+    values = []
+
+    def counting(x):
+        values.append(x)
+        return prob.objective(x)
+
+    counted = dataclasses.replace(prob, objective=counting)
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=3 * _ROW_BLOCK)
+    with pytest.raises(AntipodalError):
+        run(counted, config)
+    # f(x*), then f(y_t) for every row of the first block.
+    assert len(values) == 1 + _ROW_BLOCK
