@@ -54,8 +54,8 @@ class TangentVector:
 
     A trusted container like :class:`ManifoldPoint`; validation happens in
     :meth:`Manifold.tangent`, and a problem's gradients are checked in
-    ``Problem.grad``.  Supports the linear operations used by the solvers;
-    operands must share the same base point.
+    ``Problem.grad``.  Supports sums and scalar multiples; operands must
+    share the same base point.
     """
 
     base: ManifoldPoint
@@ -71,9 +71,6 @@ class TangentVector:
     def __sub__(self, other: "TangentVector") -> "TangentVector":
         require_base(self.base, other)
         return TangentVector(self.base, self.coords - other.coords)
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.coords)
 
     def __mul__(self, scalar: float) -> "TangentVector":
         return TangentVector(self.base, float(scalar) * self.coords)
@@ -128,11 +125,26 @@ class Manifold(abc.ABC):
         self.check_tangent(x, arr)
         return TangentVector(x, arr)
 
-    # ----- metric ----------------------------------------------------
+    # ----- metric: typed methods check anchoring, then call the kernels ----
+
+    def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
+        """Geodesic endpoint ``exp_x(v)``; ``v`` must be anchored at ``x``."""
+        require_base(x, v)
+        return self._exp(x, v.coords)
+
+    def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
+        """Riemannian inner product of two tangents anchored at ``x``."""
+        require_base(x, u)
+        require_base(x, v)
+        return self._inner(x, u.coords, v.coords)
+
+    def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
+        """Initial velocity of the geodesic from ``x`` to ``y``."""
+        return TangentVector(x, self._log(x, y))
 
     @abc.abstractmethod
-    def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        """Geodesic endpoint ``exp_x(v)``.
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
+        """``exp_x(v)`` for the coordinates ``v`` of a tangent at ``x``.
 
         Returns a point with finite coordinates or raises
         :class:`~ragd.errors.NonFiniteError` (or another library error); the
@@ -140,23 +152,20 @@ class Manifold(abc.ABC):
         """
 
     @abc.abstractmethod
-    def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
-        """Initial velocity of the geodesic from ``x`` to ``y``."""
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
+        """Coordinates of ``log(x, y)``, a tangent at ``x``."""
 
     @abc.abstractmethod
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         """Geodesic distance; equals ``norm(x, log(x, y))``."""
 
     @abc.abstractmethod
-    def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-        """Riemannian inner product at ``x``."""
+    def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
+        """Inner product at ``x`` of the coordinates of two tangents at ``x``."""
 
-    def _log_dist(
-        self, x: ManifoldPoint, y: ManifoldPoint
-    ) -> tuple[TangentVector, float]:
-        """``(log(x, y), distance(x, y))`` from one evaluation where the
-        manifold shares the work; the default calls both methods."""
-        return self.log(x, y), self.distance(x, y)
+    def _log_dist(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, float]:
+        """``(_log(x, y), distance(x, y))``, from one evaluation where they share work."""
+        return self._log(x, y), self.distance(x, y)
 
     def norm(self, x: ManifoldPoint, v: TangentVector) -> float:
         return float(np.sqrt(max(self.inner(x, v, v), 0.0)))
@@ -169,8 +178,7 @@ class Manifold(abc.ABC):
         ``|| log_x(y) - log_x(z) ||_x``; coincides with ``distance(y, z)``
         in the flat case and is the quantity the potential function tracks.
         """
-        diff = self.log(x, y) - self.log(x, z)
-        return self.norm(x, diff)
+        return self.norm(x, TangentVector(x, self._log(x, y) - self._log(x, z)))
 
     # ----- stacked kernels ----------------------------------------------
 
@@ -185,9 +193,9 @@ class Manifold(abc.ABC):
 
     def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
         """Coordinates of ``log_x`` of each row of ``anchors``, stacked to
-        shape ``(k, *point_shape)``; loops over :meth:`log` unless
+        shape ``(k, *point_shape)``; loops over :meth:`_log` unless
         overridden."""
-        return np.stack([self.log(x, ManifoldPoint(p)).coords for p in anchors])
+        return np.stack([self._log(x, ManifoldPoint(p)) for p in anchors])
 
     def _projected_distances(
         self,

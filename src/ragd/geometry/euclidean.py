@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, require_base, row_dots
+from .base import Manifold, ManifoldPoint, TangentVector, row_dots
 
 __all__ = ["Euclidean"]
 
@@ -34,29 +35,26 @@ class Euclidean(Manifold):
     def check_tangent(self, x: ManifoldPoint, coords: np.ndarray) -> None:
         self._check_coords(coords, x.coords.shape)
 
-    def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        require_base(x, v)
-        coords = x.coords + v.coords
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
+        coords = x.coords + v
         if not np.isfinite(coords).all():
             raise NonFiniteError("exponential map left the finite range")
         return ManifoldPoint(coords)
 
-    def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
-        return TangentVector(x, y.coords - x.coords)
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
+        return y.coords - x.coords
 
+    # sqrt(d.dot(d)) is what np.linalg.norm computes for a real vector.
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        return float(np.linalg.norm(y.coords - x.coords))
+        d = y.coords - x.coords
+        return math.sqrt(d.dot(d))
 
-    def _log_dist(
-        self, x: ManifoldPoint, y: ManifoldPoint
-    ) -> tuple[TangentVector, float]:
-        diff = y.coords - x.coords
-        return TangentVector(x, diff), float(np.linalg.norm(diff))
+    def _log_dist(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, float]:
+        d = y.coords - x.coords
+        return d, math.sqrt(d.dot(d))
 
-    def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-        require_base(x, u)
-        require_base(x, v)
-        return float(np.dot(u.coords, v.coords))
+    def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
+        return float(np.dot(u, v))
 
     # ----- stacked kernels ------------------------------------------------
     # Row norms are square roots of row dot products, as in np.linalg.norm

@@ -19,7 +19,7 @@ import numpy as np
 
 from .._scalars import acosh_ratio, sinch
 from ..errors import DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, require_base, row_dots
+from .base import Manifold, ManifoldPoint, TangentVector, row_dots
 
 __all__ = ["Hyperbolic"]
 
@@ -34,6 +34,12 @@ _MAX_ARG = 352.0
 # near-unit result is dominated by cancellation noise, so renormalizing
 # by it would inject more error than the drift it removes.
 _RENORM_SCALE = 1e6
+
+# Far field: exp returns no point with sqrt(kappa) x[-1] > _MAX_TIME (~92.8 /
+# sqrt(kappa) from the base point); the stacked chord kernels need (1 + c) x[-1]
+# <= _MAX_CHORD_SCALE, c = -kappa <x, p>_L, so no square they form overflows.
+_MAX_TIME = 1e40
+_MAX_CHORD_SCALE = 1e140
 
 
 class Hyperbolic(Manifold):
@@ -90,6 +96,8 @@ class Hyperbolic(Manifold):
     def _project_point(self, coords: np.ndarray) -> ManifoldPoint:
         if not np.all(np.isfinite(coords)):
             raise NonFiniteError("projection target has non-finite coordinates")
+        if abs(float(coords[-1])) * math.sqrt(self.kappa) > _MAX_TIME:
+            raise DomainError("exp left the double-precision range of the hyperboloid")
         if self.kappa * self._scale_sq(coords, coords) > _RENORM_SCALE:
             return ManifoldPoint(coords)
         return self._normalize_point(coords)
@@ -106,21 +114,16 @@ class Hyperbolic(Manifold):
 
     # ----- metric -------------------------------------------------------
 
-    def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-        require_base(x, u)
-        require_base(x, v)
-        return self._mdot(u.coords, v.coords)
+    def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
+        return self._mdot(u, v)
 
-    def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        require_base(x, v)
-        sq = max(self._mdot(v.coords, v.coords), 0.0)
-        r = math.sqrt(sq)
-        w = math.sqrt(self.kappa) * r
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
+        w = math.sqrt(self.kappa) * math.sqrt(max(self._mdot(v, v), 0.0))
         if w > _MAX_ARG:
             raise DomainError(
                 f"geodesic argument {w:.1f} exceeds the double-precision range"
             )
-        y = math.cosh(w) * x.coords + sinch(w) * v.coords
+        y = math.cosh(w) * x.coords + sinch(w) * v
         return self._project_point(y)
 
     def _chord(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -130,23 +133,19 @@ class Hyperbolic(Manifold):
         u = (y - x) - cm1 * x
         return u, acosh_ratio(cm1)
 
-    def _chord_log(self, x: ManifoldPoint, u: np.ndarray, ratio: float) -> TangentVector:
-        return TangentVector(x, self._project_tangent(x.coords, ratio * u))
-
     def _chord_dist(self, u: np.ndarray, ratio: float) -> float:
         return ratio * math.sqrt(max(self._mdot(u, u), 0.0))
 
-    def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
-        return self._chord_log(x, *self._chord(x.coords, y.coords))
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
+        u, ratio = self._chord(x.coords, y.coords)
+        return self._project_tangent(x.coords, ratio * u)
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         return self._chord_dist(*self._chord(x.coords, y.coords))
 
-    def _log_dist(
-        self, x: ManifoldPoint, y: ManifoldPoint
-    ) -> tuple[TangentVector, float]:
+    def _log_dist(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, float]:
         u, ratio = self._chord(x.coords, y.coords)
-        return self._chord_log(x, u, ratio), self._chord_dist(u, ratio)
+        return self._project_tangent(x.coords, ratio * u), self._chord_dist(u, ratio)
 
     # ----- stacked kernels --------------------------------------------------
 
@@ -163,8 +162,11 @@ class Hyperbolic(Manifold):
         """:meth:`_chord` for every anchor row: the rows ``u_i`` and the
         ``acosh_ratio(c_i - 1)`` that scale them to logarithms."""
         cm1 = np.maximum(-self.kappa * self._mdot_rows(anchors, x) - 1.0, 0.0)
+        cms = cm1.tolist()
+        if not (1.0 + max(cms)) * float(x[-1]) <= _MAX_CHORD_SCALE:
+            raise DomainError("points too far apart for the double-precision range")
         u = (anchors - x) - cm1[:, None] * x
-        return u, np.array([acosh_ratio(c) for c in cm1.tolist()])
+        return u, np.array([acosh_ratio(c) for c in cms])
 
     def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
         u, ratio = self._chords(x.coords, anchors)

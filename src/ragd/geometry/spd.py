@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, require_base, row_dots
+from .base import Manifold, ManifoldPoint, TangentVector, row_dots
 
 __all__ = ["SPD"]
 
@@ -103,18 +103,15 @@ class SPD(Manifold):
 
     # ----- metric -----------------------------------------------------------
 
-    def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-        require_base(x, u)
-        require_base(x, v)
+    def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
         _, isqrt = self._sqrt_pair(x)
-        a = isqrt @ u.coords @ isqrt
-        b = isqrt @ v.coords @ isqrt
+        a = isqrt @ u @ isqrt
+        b = isqrt @ v @ isqrt
         return float(np.sum(a * b))
 
-    def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        require_base(x, v)
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
         root, isqrt = self._sqrt_pair(x)
-        s = _sym(isqrt @ v.coords @ isqrt)
+        s = _sym(isqrt @ v @ isqrt)
         w, q = self._eigh(s)
         if w[-1] > 700.0:
             raise DomainError(
@@ -126,12 +123,10 @@ class SPD(Manifold):
             raise NonFiniteError("exponential map left the finite range")
         return ManifoldPoint(coords)
 
-    def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         return self._log_dist(x, y)[0]
 
-    def _log_dist(
-        self, x: ManifoldPoint, y: ManifoldPoint
-    ) -> tuple[TangentVector, float]:
+    def _log_dist(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, float]:
         # The eigenvalues that give the logarithm give the distance too.
         root, isqrt = self._sqrt_pair(x)
         s = _sym(isqrt @ y.coords @ isqrt)
@@ -140,7 +135,7 @@ class SPD(Manifold):
             raise ConvergenceError("logarithm of a non-PD midpoint matrix")
         logs = np.log(w)
         lg = (q * logs) @ q.T
-        return TangentVector(x, _sym(root @ lg @ root)), math.sqrt(logs.dot(logs))
+        return _sym(root @ lg @ root), math.sqrt(logs.dot(logs))
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         _, isqrt = self._sqrt_pair(x)
@@ -201,8 +196,8 @@ class SPD(Manifold):
         self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0
     ) -> TangentVector:
         g = _sym(rng.normal(size=(self.n, self.n)))
-        nrm = math.sqrt(max(self.inner(x, TangentVector(x, g), TangentVector(x, g)), 0.0))
+        nrm = math.sqrt(max(self._inner(x, g, g), 0.0))
         if nrm < 1e-12:
             g = np.eye(self.n)
-            nrm = math.sqrt(self.inner(x, TangentVector(x, g), TangentVector(x, g)))
+            nrm = math.sqrt(self._inner(x, g, g))
         return TangentVector(x, (scale * rng.uniform() / nrm) * g)

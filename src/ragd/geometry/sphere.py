@@ -13,7 +13,7 @@ import numpy as np
 
 from .._scalars import acos_ratio, sin_ratio
 from ..errors import AntipodalError, DomainError, InjectivityError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, require_base
+from .base import Manifold, ManifoldPoint, TangentVector
 
 __all__ = ["Sphere"]
 
@@ -71,14 +71,11 @@ class Sphere(Manifold):
 
     # ----- metric -------------------------------------------------------
 
-    def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-        require_base(x, u)
-        require_base(x, v)
-        return float(np.dot(u.coords, v.coords))
+    def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
+        return float(np.dot(u, v))
 
-    def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        require_base(x, v)
-        r = float(np.linalg.norm(v.coords))
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
+        r = float(np.linalg.norm(v))
         root_sigma = math.sqrt(self.sigma)
         if r >= math.pi / root_sigma:
             raise InjectivityError(
@@ -86,19 +83,19 @@ class Sphere(Manifold):
                 f"{math.pi / root_sigma:.6g}"
             )
         w = root_sigma * r
-        y = math.cos(w) * x.coords + sin_ratio(w) * v.coords
+        y = math.cos(w) * x.coords + sin_ratio(w) * v
         return self._project_point(y)
 
     def _cos_angle(self, x: np.ndarray, y: np.ndarray) -> float:
         return min(1.0, max(-1.0, self.sigma * float(np.dot(x, y))))
 
-    def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         c = self._cos_angle(x.coords, y.coords)
         if 1.0 + c <= _ANTIPODAL_TOL:
             raise AntipodalError("logarithm is undefined between antipodal points")
         u = (y.coords - x.coords) + (1.0 - c) * x.coords
         v = acos_ratio(1.0 - c) * u
-        return TangentVector(x, self._project_tangent(x.coords, v))
+        return self._project_tangent(x.coords, v)
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         c = self._cos_angle(x.coords, y.coords)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError, HypothesisError, MissingDataError
 from .geometry import Euclidean
 from .problems import Problem
-from .solvers import StepParams, step_params
+from .solvers import StepParams, normalized_potential, step_params
 from .trace import ConvergenceTrace
 
 __all__ = [
@@ -299,7 +299,7 @@ def _replay(trace: ConvergenceTrace, problem: Problem) -> _Replay:
     xis = trace.column("xi")
     gap = np.array([problem.value(y) - problem.optimum_value for y in d.points_y])
     pd = m._projected_distances(d.points_x, d.points_z, opt)
-    phi = gap + (xis**2 / (4.0 * float(trace.meta["delta_gamma"]))) * pd * pd
+    phi = normalized_potential(gap, xis, pd, float(trace.meta["delta_gamma"]))
     logs = itertools.accumulate((math.log1p(-float(xi)) for xi in xis[1:]), initial=0.0)
     decay = np.array([math.exp(s) for s in logs])
     return _Replay(xis, gap, pd, phi, decay)

@@ -28,6 +28,7 @@ from .geometry import (
     Sphere,
     TangentVector,
 )
+from .geometry.base import require_base
 
 __all__ = [
     "Problem",
@@ -88,15 +89,17 @@ class Problem:
 
     def grad(self, x: ManifoldPoint) -> TangentVector:
         """Gradient at ``x``.  The user callable's output is checked here,
-        once: DomainError on a shape mismatch, NonFiniteError on a
-        non-finite coordinate."""
+        once: DomainError on a shape mismatch or a gradient anchored at
+        another point, NonFiniteError on a non-finite coordinate.  The
+        solvers then step with its coordinates unchecked."""
         g = self.gradient(x)
         if g.coords.shape != x.coords.shape:
             raise DomainError(
                 f"gradient shape {g.coords.shape} does not match point {x.coords.shape}"
             )
-        if not np.all(np.isfinite(g.coords)):
+        if not np.isfinite(g.coords).all():
             raise NonFiniteError("gradient is not finite")
+        require_base(x, g)
         return g
 
     def set_optimum(self, x: ManifoldPoint) -> None:
@@ -479,7 +482,7 @@ def oracle_optimum(
         if m.norm(x, g) <= tol:
             problem.set_optimum(x)
             return x
-        x = m.exp(x, (-step) * g)
+        x = m._exp(x, (-step) * g.coords)
     raise ConvergenceError(
         f"gradient norm did not reach {tol!r} within {max_iters} iterations"
     )

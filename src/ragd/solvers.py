@@ -23,8 +23,18 @@ manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.
 f(y) (checked for finiteness at its step), ``d(x, z)`` for the distortion
 rate, ``Log_y(z)`` with ``d(y, z)`` from one evaluation
 (``Manifold._log_dist``), three ``Exp`` maps, ``Log_{x+}(z)`` and one
-gradient.  Step outputs are not re-checked for finiteness: every ``Exp``
-returns a finite point or raises :class:`~ragd.errors.NonFiniteError`.
+gradient.  When the rate cannot change (``euclid_nesterov``,
+``ragd_constant_delta``, and ``ragd`` on a flat Hadamard manifold) the
+recursion's parameters are built once per run.
+
+The loop runs on coordinate arrays: ``Log_y(z)``, the gradient's
+coordinates and ``beta * Log_{x+}(z) - eta * grad`` are plain arrays
+passed to the manifold's kernels ``_exp`` and ``_log``.  Typed points and
+tangents, and the check that a tangent is anchored at its base point,
+belong to the API boundary: ``Manifold.exp``/``Manifold.log``,
+:func:`ragd_step` and ``Problem.grad``, which checks every gradient once.
+Step outputs are not re-checked for finiteness: every ``_exp`` returns a
+finite point or raises :class:`~ragd.errors.NonFiniteError`.
 The rest of each trace row (``d(y_t, x*)``, the projected distance in the
 potential ``phi_t`` and, on a Hadamard manifold, the containment
 distances) is trace-only.  It is computed after every block of
@@ -58,6 +68,7 @@ __all__ = [
     "StepParams",
     "step_params",
     "ragd_step",
+    "normalized_potential",
     "run",
 ]
 
@@ -180,23 +191,25 @@ def ragd_step(
     gamma: float,
 ) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
     """One accelerated step through the exponential/logarithm maps."""
-    return _step(problem, y, z, problem.manifold.log(y, z), params, gamma)
+    return _step(problem, y, z, problem.manifold._log(y, z), params, gamma)
 
 
 def _step(
     problem: Problem,
     y: ManifoldPoint,
     z: ManifoldPoint,
-    log_yz: TangentVector,
+    log_yz: np.ndarray,
     params: StepParams,
     gamma: float,
 ) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
-    """:func:`ragd_step` given ``log_y(z)``, which ``run`` already holds."""
+    """:func:`ragd_step` given the coordinates of ``log_y(z)``, which ``run``
+    already holds.  Every tangent is anchored where the kernels use it: the
+    logarithms by construction and the gradient by ``Problem.grad``."""
     m = problem.manifold
-    x1 = m.exp(y, params.alpha * log_yz)
+    x1 = m._exp(y, params.alpha * log_yz)
     g = problem.grad(x1)
-    y1 = m.exp(x1, (-gamma) * g)
-    z1 = m.exp(x1, params.beta * m.log(x1, z) - params.eta * g)
+    y1 = m._exp(x1, (-gamma) * g.coords)
+    z1 = m._exp(x1, params.beta * m._log(x1, z) - params.eta * g.coords)
     return x1, y1, z1, g
 
 
@@ -213,6 +226,26 @@ def _distortion_rate(
             m.curv_lower_mag, d_xz, sharp=config.sharp_distortion
         ).value
     return valid_rate_nonhadamard(m.curv_lower_mag, d_xz, d_yz).value
+
+
+def _fixed_xi_params(m: Manifold, config: SolverConfig) -> XiParams | None:
+    """The momentum recursion's parameters when the distortion rate does not
+    depend on the iterates (flat modes, constant rate, zero curvature on a
+    Hadamard manifold); None when each step needs its own rate."""
+    if config.mode == "ragd" and not (m.is_hadamard and m.curv_lower_mag == 0.0):
+        return None
+    return XiParams(a=config.a, delta=_distortion_rate(m, 0.0, 0.0, config))
+
+
+def normalized_potential(
+    gap: np.ndarray, xi: np.ndarray, pd: np.ndarray, delta_gamma: float
+) -> np.ndarray:
+    """``phi_t = gap_t + (xi_t**2 / (4 Delta)) * pd_t**2`` for every row:
+    the potential column of :func:`run` and the certifier's replay of it."""
+    # pd**2 in Python floats (libm pow), which rounds differently from
+    # NumPy's square (pd * pd) in about one case in a thousand.
+    pd_sq = np.array([d**2 for d in pd.tolist()])
+    return gap + (xi * xi / (4.0 * delta_gamma)) * pd_sq
 
 
 class _Containment:
@@ -277,13 +310,12 @@ def _finish_rows(
         xs, ys, zs = zip(*block)
         rows[lo:hi, 6] = m._dist_many(opt, np.stack([y.coords for y in ys]))
         if delta_gamma is not None:
-            pd = m._projected_distances(xs, zs, opt)
-            # pd**2 in Python floats (libm pow), which rounds differently
-            # from NumPy's square in about one case in a thousand.
-            pd_sq = np.array([d**2 for d in pd.tolist()])
-            xi = rows[lo:hi, 2]
-            gap = rows[lo:hi, 1] - problem.optimum_value
-            rows[lo:hi, 7] = gap + (xi * xi / (4.0 * delta_gamma)) * pd_sq
+            rows[lo:hi, 7] = normalized_potential(
+                rows[lo:hi, 1] - problem.optimum_value,
+                rows[lo:hi, 2],
+                m._projected_distances(xs, zs, opt),
+                delta_gamma,
+            )
     if containment is not None and m.is_hadamard:
         first = max(lo, 1)
         containment.check(block[first - lo:], first)
@@ -343,6 +375,7 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
     )
     block: list[tuple[ManifoldPoint, ...]] = []
 
+    fixed = xi_params = _fixed_xi_params(m, config) if accelerated else None
     delta_rate = 1.0
     for t in range(n_steps + 1):
         fy = problem.value(y)
@@ -370,13 +403,15 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
             break
 
         if accelerated:
-            delta_rate = _distortion_rate(m, d_xz, d_yz, config)
-            xi = next_xi(xi, XiParams(a=a, delta=delta_rate))
+            if fixed is None:
+                xi_params = XiParams(a=a, delta=_distortion_rate(m, d_xz, d_yz, config))
+            delta_rate = xi_params.delta
+            xi = next_xi(xi, xi_params)
             params = step_params(xi, config.mu, delta_gamma)
             x, y, z, _ = _step(problem, y, z, log_yz, params, gamma)
         else:
             g = problem.grad(y)
-            y = m.exp(y, (-gamma) * g)
+            y = m._exp(y, (-gamma) * g.coords)
             x = z = y
         if containment is not None and not m.is_hadamard:
             containment.check([(x, y, z)], t + 1)

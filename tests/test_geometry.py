@@ -135,8 +135,7 @@ def test_log_dist_matches_log_and_distance(label, m, scale):
         y = m.random_point(rng, base, scale)
         for a, b in ((x, y), (x, x)):
             log, dist = m._log_dist(a, b)
-            assert log.base is a
-            assert np.array_equal(log.coords, m.log(a, b).coords)
+            assert np.array_equal(log, m.log(a, b).coords)
             want = m.distance(a, b)
             if isinstance(m, SPD):
                 # eigh eigenvalues here, eigvalsh ones in distance; d(x, x)
@@ -144,6 +143,29 @@ def test_log_dist_matches_log_and_distance(label, m, scale):
                 assert abs(dist - want) <= 1e-14 * (want if a is not b else 1.0)
             else:
                 assert dist == want
+
+
+@pytest.mark.parametrize("label,m,scale", CASES)
+def test_coordinate_kernels_equal_the_typed_maps(label, m, scale):
+    rng = np.random.default_rng(13)
+    for x, v in sample(m, scale, seed=13, n=10):
+        y = m.random_point(rng, m.base_point(), scale)
+        assert np.array_equal(m._exp(x, v.coords).coords, m.exp(x, v).coords)
+        assert np.array_equal(m._log(x, y), m.log(x, y).coords)
+
+
+def test_euclidean_distance_equals_numpy_norm():
+    rng = np.random.default_rng(14)
+    m = Euclidean(7)
+    for mag in (1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e150, 1e160, 1e300):
+        for _ in range(20):
+            d = mag * rng.normal(size=7)
+            with np.errstate(over="ignore", under="ignore"):
+                want = float(np.linalg.norm(d))
+                got = m.distance(m.base_point(), ManifoldPoint(d))
+                log, dist = m._log_dist(m.base_point(), ManifoldPoint(d))
+            assert got == want
+            assert dist == got and np.array_equal(log, d)
 
 
 @pytest.mark.parametrize("m", [Euclidean(3), SPD(2)], ids=["euclidean", "spd"])
@@ -262,6 +284,28 @@ def test_hyperbolic_rejects_overlong_geodesics():
     v = (400.0 / m.norm(x, v)) * v
     with pytest.raises(DomainError):
         m.exp(x, v)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hyperbolic_far_field_raises_typed_errors():
+    m = Hyperbolic(3, kappa=1.0)
+
+    def at(t):  # the point at signed distance t along the first axis
+        return m.point([math.sinh(t), 0.0, 0.0, math.cosh(t)])
+
+    # Valid points whose chord rows would overflow when squared.
+    x = at(250.0)
+    stack = np.stack([at(-250.0).coords, x.coords])
+    with pytest.raises(DomainError, match="double-precision range"):
+        m._dist_many(x, stack)
+    with pytest.raises(DomainError, match="double-precision range"):
+        m._log_many(x, stack)
+    # exp stops at a timelike coordinate of 1e40, distance ~92.8 from the
+    # base point.
+    o = m.base_point()
+    assert m.exp(o, m.tangent(o, [92.0, 0.0, 0.0, 0.0])).coords[-1] < 1e40
+    with pytest.raises(DomainError, match="double-precision range"):
+        m.exp(o, m.tangent(o, [94.0, 0.0, 0.0, 0.0]))
 
 
 def test_sphere_antipodal_guard():

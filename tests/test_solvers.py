@@ -1,6 +1,7 @@
 """Solver step algebra, configuration validation, and trace conventions."""
 
 import dataclasses
+import json
 import logging
 import math
 import tracemalloc
@@ -8,10 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ragd.cli as cli
 from ragd.errors import AntipodalError, DomainError, NonFiniteError, RuntimeContainmentError
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.problems import (
     Problem,
+    make_karcher,
     make_quadratic,
     oracle_optimum,
     quadratic_from_arrays,
@@ -374,7 +377,8 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     problem = random_karcher(Hyperbolic(5, kappa=1.0), 6, 1.0, seed=3)
     oracle_optimum(problem)
     assert math.isfinite(problem.certified_radius)  # containment is checked
-    names = ("distance", "_log_dist", "log", "exp", "_dist_many", "_projected_distances")
+    names = ("distance", "_log_dist", "_log", "_exp", "log", "exp", "_dist_many",
+             "_projected_distances")
     calls = dict.fromkeys(names, 0)
     for name in calls:
         method = getattr(Hyperbolic, name)
@@ -389,17 +393,94 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     rows = steps + 1
     blocks = 2
     # Per row: f(y) (one _dist_many over the anchors), d(x, z), and log_y(z)
-    # with d(y, z).  Per step: three exp and log_{x+}(z).  Per block of
-    # rows: d(y_t, x*) and the containment distances (one _dist_many each)
-    # and the projected distances.  Once: f(x*).
+    # with d(y, z).  Per step: three exp and log_{x+}(z), all through the
+    # coordinate kernels.  Per block of rows: d(y_t, x*) and the containment
+    # distances (one _dist_many each) and the projected distances.  Once:
+    # f(x*).
     assert calls == {
         "distance": rows,
         "_log_dist": rows,
-        "log": steps,
-        "exp": 3 * steps,
+        "_log": steps,
+        "_exp": 3 * steps,
+        "log": 0,
+        "exp": 0,
         "_dist_many": rows + 2 * blocks + 1,
         "_projected_distances": blocks,
     }
+
+
+def test_flat_run_builds_one_tangent_vector_per_step(monkeypatch):
+    steps = 50
+    problem = make_quadratic(16, 1.0, 50.0, seed=2)
+    built = []
+    post_init = TangentVector.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TangentVector, "__post_init__", counted)
+    for mode, extra in (("euclid_nesterov", {}), ("ragd", {}),
+                        ("ragd_constant_delta", {"delta_const": 1.05})):
+        built.clear()
+        config = SolverConfig(mode=mode, mu=problem.mu, L=problem.L, max_iters=steps, **extra)
+        run(problem, config)
+        # The gradient's, one per step; the step itself runs on coordinates.
+        assert len(built) == steps
+
+
+def test_gradient_anchored_elsewhere_raises_domain_error():
+    problem = make_quadratic(4, 1.0, 10.0, seed=3)
+    m = problem.manifold
+    elsewhere = m.point(np.zeros(4))
+    h = np.asarray(problem.payload["hessian"])
+    c = np.asarray(problem.payload["center"])
+    stray = dataclasses.replace(
+        problem, gradient=lambda x: TangentVector(elsewhere, h @ (x.coords - c))
+    )
+    config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=5)
+    with pytest.raises(DomainError, match="anchored"):
+        run(stray, config)
+    with pytest.raises(DomainError, match="anchored"):
+        oracle_optimum(stray)
+
+
+def _far_line_problem(radius=18.0):
+    """Karcher problem on H(8) with 6 anchors alternating at +-radius along
+    one geodesic, with 1% jitter."""
+    m = Hyperbolic(8, kappa=1.0)
+    rng = np.random.default_rng(1)
+    o = m.base_point()
+    anchors = []
+    for i in range(6):
+        v = np.zeros(9)
+        v[0] = (-1) ** i * radius * (1.0 + 0.01 * rng.normal())
+        v[1:-1] = 0.01 * rng.normal(size=7)
+        anchors.append(m.exp(o, TangentVector(o, v)))
+    return make_karcher(m, anchors)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_field_divergence_ends_in_a_typed_error(tmp_path, caplog):
+    # The run drifts out along the line until its points leave the double
+    # range of the hyperboloid; that must end in a library error, not in a
+    # floating-point overflow.
+    problem = _far_line_problem()
+    oracle_optimum(problem)
+    config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=300)
+    with pytest.raises(DomainError, match="double-precision range"):
+        run(problem, config)
+
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({
+        "problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 8},
+                    "anchors": problem.payload["anchors"]},
+        "solvers": [{"mode": "ragd", "max_iters": 300}],
+    }))
+    with caplog.at_level(logging.ERROR, logger="ragd.cli"):
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_ABORT
+    assert any("DomainError" in r.getMessage() for r in caplog.records)
 
 
 @pytest.mark.parametrize("kind", ["flat", "spd"])
