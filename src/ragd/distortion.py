@@ -10,19 +10,19 @@ module provides the three nested factors
 together with the law-of-cosines coefficient ``trig_coeff`` they are built
 from, and the combined rates used by the solver on Hadamard manifolds and
 on the sphere.  All functions reduce to 1 at ``r = 0`` or ``kappa = 0``.
+The rate selectors return the bare rate; the bound behind it depends only on
+the run's settings, and ``XiParams`` checks that the rate is ``>= 1``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._scalars import coth_ratio as _coth_ratio
 from ._scalars import sinch as _sinch
 from .errors import DomainError
 
 __all__ = [
-    "DistortionRate",
     "s_kappa",
     "trig_coeff",
     "t_kappa",
@@ -30,23 +30,6 @@ __all__ = [
     "valid_rate_hadamard",
     "valid_rate_nonhadamard",
 ]
-
-_SOURCES = ("improved_T", "epsilon_opt_That", "nonhadamard", "constant")
-
-
-@dataclass(frozen=True)
-class DistortionRate:
-    """A certified distortion factor and the bound that produced it."""
-
-    value: float
-    source: str
-
-    def __post_init__(self) -> None:
-        if self.source not in _SOURCES:
-            raise DomainError(f"unknown rate source {self.source!r}")
-        if math.isnan(self.value) or self.value < 1.0:
-            raise DomainError(f"distortion rate must be >= 1, got {self.value}")
-
 
 def _check_args(kappa: float, r: float) -> None:
     if math.isnan(kappa) or kappa < 0.0:
@@ -205,9 +188,7 @@ def t_kappa_hat(kappa: float, r: float) -> float:
     return min(_t_hat_objective(a, w), _t_hat_objective(b, w), plain)
 
 
-def valid_rate_hadamard(
-    kappa: float, d_xz: float, sharp: bool = False
-) -> DistortionRate:
+def valid_rate_hadamard(kappa: float, d_xz: float, sharp: bool = False) -> float:
     """Distortion rate for one solver step on a Hadamard manifold.
 
     Uses the improved factor ``t_kappa`` of the distance between the
@@ -215,15 +196,11 @@ def valid_rate_hadamard(
     ``sharp`` is set.
     """
     if d_xz == 0.0 or kappa == 0.0:
-        return DistortionRate(1.0, "epsilon_opt_That" if sharp else "improved_T")
-    if sharp:
-        return DistortionRate(t_kappa_hat(kappa, d_xz), "epsilon_opt_That")
-    return DistortionRate(t_kappa(kappa, d_xz), "improved_T")
+        return 1.0
+    return t_kappa_hat(kappa, d_xz) if sharp else t_kappa(kappa, d_xz)
 
 
-def valid_rate_nonhadamard(
-    kappa: float, d_xz: float, d_yz: float
-) -> DistortionRate:
+def valid_rate_nonhadamard(kappa: float, d_xz: float, d_yz: float) -> float:
     """Distortion rate when positive curvature is present.
 
     Combines the lower-bound factor with the projection penalty of
@@ -232,4 +209,4 @@ def valid_rate_nonhadamard(
     if math.isnan(d_yz) or d_yz < 0.0:
         raise DomainError(f"distance must be >= 0, got {d_yz}")
     base = 1.0 if (d_xz == 0.0 or kappa == 0.0) else t_kappa(kappa, d_xz)
-    return DistortionRate(base * (1.0 + 2.0 * d_yz * d_yz), "nonhadamard")
+    return base * (1.0 + 2.0 * d_yz * d_yz)

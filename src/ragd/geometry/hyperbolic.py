@@ -36,10 +36,17 @@ _MAX_ARG = 352.0
 _RENORM_SCALE = 1e6
 
 # Far field: exp returns no point with sqrt(kappa) x[-1] > _MAX_TIME (~92.8 /
-# sqrt(kappa) from the base point); the stacked chord kernels need (1 + c) x[-1]
+# sqrt(kappa) from the base point); the chord kernels need (1 + c) x[-1]
 # <= _MAX_CHORD_SCALE, c = -kappa <x, p>_L, so no square they form overflows.
 _MAX_TIME = 1e40
 _MAX_CHORD_SCALE = 1e140
+
+
+def _check_chord_scale(cm1: float, x_time: float) -> None:
+    """Raise unless ``(1 + cm1) * x_time <= _MAX_CHORD_SCALE``, for the largest
+    ``c - 1`` of a call and the timelike coordinate of its base point."""
+    if not (1.0 + cm1) * x_time <= _MAX_CHORD_SCALE:
+        raise DomainError("points too far apart for the double-precision range")
 
 
 class Hyperbolic(Manifold):
@@ -130,6 +137,7 @@ class Hyperbolic(Manifold):
         """Chordal direction u for the pair (x, y) and the
         ``acosh_ratio(c - 1)`` that scales it to the logarithm."""
         cm1 = max(-self.kappa * self._mdot(x, y) - 1.0, 0.0)
+        _check_chord_scale(cm1, float(x[-1]))
         u = (y - x) - cm1 * x
         return u, acosh_ratio(cm1)
 
@@ -163,8 +171,7 @@ class Hyperbolic(Manifold):
         ``acosh_ratio(c_i - 1)`` that scale them to logarithms."""
         cm1 = np.maximum(-self.kappa * self._mdot_rows(anchors, x) - 1.0, 0.0)
         cms = cm1.tolist()
-        if not (1.0 + max(cms)) * float(x[-1]) <= _MAX_CHORD_SCALE:
-            raise DomainError("points too far apart for the double-precision range")
+        _check_chord_scale(max(cms), float(x[-1]))
         u = (anchors - x) - cm1[:, None] * x
         return u, np.array([acosh_ratio(c) for c in cms])
 
@@ -192,6 +199,7 @@ class Hyperbolic(Manifold):
     def _log_pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coordinates of ``log(x_t, y_t)`` for every row t."""
         cm1 = np.maximum(-self.kappa * self._mdot_pairs(x, y) - 1.0, 0.0)
+        _check_chord_scale(float(cm1.max()), float(x[:, -1].max()))
         u = (y - x) - cm1[:, None] * x
         v = np.array([acosh_ratio(c) for c in cm1.tolist()])[:, None] * u
         return v + (self.kappa * self._mdot_pairs(x, v))[:, None] * x

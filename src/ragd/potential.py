@@ -42,7 +42,8 @@ from .errors import DomainError, HypothesisError, MissingDataError
 from .geometry import Euclidean
 from .problems import Problem
 from .solvers import StepParams, normalized_potential, step_params
-from .trace import ConvergenceTrace
+from .trace import NOISE_FLOOR, ConvergenceTrace
+from .xi import XiParams, settle_steps, step_gain
 
 __all__ = [
     "CERT_TOL",
@@ -71,12 +72,6 @@ CERT_TOL = 1e-9
 
 ENVELOPE_TOL = 1e-7
 """Relative allowance of the cumulative rate envelope."""
-
-# Envelope rows below this multiple of phi_0 are beneath the float
-# resolution of the objective and are not compared.
-_ENVELOPE_FLOOR = 100.0 * np.finfo(float).eps
-
-_GOLDEN_DENOM = 5.0 + math.sqrt(5.0)
 
 
 def _allowance(unit: float, *magnitudes: float, rel: float = CERT_TOL) -> float:
@@ -314,7 +309,6 @@ def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAudit
     evaluated per unit of the weight A_t, so the comparison stays finite
     on long runs.  Euclidean only.
     """
-    _require_full_diagnostics(trace)
     if not isinstance(problem.manifold, Euclidean):
         raise DomainError("the quadratic-form audit applies to flat runs only")
     _require_potential_inputs(trace, problem)
@@ -414,7 +408,7 @@ def mirror_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditRep
 def rate_envelope(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
     """Check the cumulative rate f(y_t) - f(x*) <= phi_0 * prod (1 - xi_j).
 
-    Rows whose envelope falls below 100 * eps * phi_0 are skipped (their
+    Rows whose envelope falls below NOISE_FLOOR * phi_0 are skipped (their
     allowance is infinite): once the envelope drops under the resolution
     of the float objective, the comparison measures rounding noise, not
     the method.
@@ -422,7 +416,7 @@ def rate_envelope(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
     _require_potential_inputs(trace, problem)
     r = _replay(trace, problem)
     bounds = r.phi[0] * r.decay
-    floor = _ENVELOPE_FLOOR * r.phi[0]
+    floor = NOISE_FLOOR * r.phi[0]
     allowed = np.array([
         _allowance(1.0, abs(b), rel=ENVELOPE_TOL) if b >= floor else math.inf
         for b in bounds
@@ -438,8 +432,7 @@ def _shrink_scales(mu: float, L: float, gamma: float) -> tuple[float, ...]:
     per-root scales of the distance to the optimum, of the projected
     distance and of the gradient term, and the long-step denominator
     (gamma L - 1) * (gamma L - 1 + a)."""
-    delta_gamma = gamma * (1.0 - L * gamma / 2.0)
-    a = 2.0 * mu * delta_gamma
+    delta_gamma, a = step_gain(mu, L, gamma)
     s_opt = math.sqrt(2.0 / mu)
     s_proj = math.sqrt(1.0 / (mu * mu * delta_gamma))
     den = (gamma * L - 1.0) * (gamma * L - 1.0 + a)
@@ -598,8 +591,9 @@ def acceleration_threshold(
     ``eps`` below its flat-space limit sqrt(2 * mu * Delta).
 
     Combines the distance-shrinking constant, the curvature window in
-    which the distortion rate is quadratically close to 1, and the
-    geometric tracking rate of the momentum recursion.  Requires
+    which the distortion rate is quadratically close to 1, and the steps
+    the flat recursion takes to settle from ``2 sqrt(a)`` to ``eps``
+    (:func:`ragd.xi.settle_steps`).  Requires
     gamma * L > 1 and positive curvature magnitude ``kappa``.
     """
     if not kappa > 0.0:
@@ -609,14 +603,10 @@ def acceleration_threshold(
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     c = shrink_constant(mu, L, gamma)
-    delta_gamma = gamma * (1.0 - L * gamma / 2.0)
-    a = 2.0 * mu * delta_gamma
+    _, a = step_gain(mu, L, gamma)
     d_window = math.sqrt(3.0 / (1.0 + 1.0 / (2.0 * a))) / (2.0 * math.sqrt(kappa))
     log_shrink = -math.log1p(-a)
     term_window = 2.0 * math.log(c * math.sqrt(d0) / d_window) / log_shrink
     term_eps = math.log(2.0 * kappa * c * c * d0 / eps) / log_shrink
-    log_track = -math.log1p(-4.0 * a / _GOLDEN_DENOM)
-    term_track = math.log(2.0 * math.sqrt(a) / eps) / log_track
-    return int(
-        math.ceil(max(term_window, term_eps, 0.0) + max(term_track, 0.0))
-    )
+    term_track = settle_steps(2.0 * math.sqrt(a), eps, XiParams(a=a, delta=1.0))
+    return math.ceil(max(term_window, term_eps, 0.0) + term_track)

@@ -56,7 +56,7 @@ from .distortion import valid_rate_hadamard, valid_rate_nonhadamard
 from .errors import DomainError, NonFiniteError, RuntimeContainmentError
 from .geometry import Euclidean, Manifold, ManifoldPoint, TangentVector
 from .trace import ConvergenceTrace, TraceDiagnostics
-from .xi import XiParams, next_xi
+from .xi import XiParams, next_xi, step_gain
 from . import __version__ as _VERSION
 from .problems import Problem
 
@@ -141,12 +141,11 @@ class SolverConfig:
 
     @property
     def delta_gamma(self) -> float:
-        g = self.resolved_gamma
-        return g * (1.0 - self.L * g / 2.0)
+        return step_gain(self.mu, self.L, self.resolved_gamma)[0]
 
     @property
     def a(self) -> float:
-        return 2.0 * self.mu * self.delta_gamma
+        return step_gain(self.mu, self.L, self.resolved_gamma)[1]
 
     @property
     def resolved_xi0(self) -> float:
@@ -222,10 +221,8 @@ def _distortion_rate(
     if config.mode == "ragd_constant_delta":
         return float(config.delta_const)
     if m.is_hadamard:
-        return valid_rate_hadamard(
-            m.curv_lower_mag, d_xz, sharp=config.sharp_distortion
-        ).value
-    return valid_rate_nonhadamard(m.curv_lower_mag, d_xz, d_yz).value
+        return valid_rate_hadamard(m.curv_lower_mag, d_xz, sharp=config.sharp_distortion)
+    return valid_rate_nonhadamard(m.curv_lower_mag, d_xz, d_yz)
 
 
 def _fixed_xi_params(m: Manifold, config: SolverConfig) -> XiParams | None:

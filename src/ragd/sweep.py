@@ -24,7 +24,7 @@ from .problems import (
 )
 from .solvers import SolverConfig, run
 from .trace import ConvergenceTrace, estimate_rate
-from .xi import XiParams, contraction_factor, fixed_point_xi
+from .xi import XiParams, fixed_point_xi, settle_steps
 
 __all__ = [
     "SWEEP_AXES", "SweepPoint", "build_sweep", "problem_description", "run_enlarging",
@@ -70,15 +70,6 @@ class SweepPoint:
 
     def as_row(self) -> list:
         return [getattr(self, c) for c in SWEEP_COLUMNS]
-
-
-def _settle_iters(xi0: float, params: XiParams) -> int:
-    star = fixed_point_xi(params)
-    gap0 = abs(xi0 - star)
-    if gap0 <= _XI_SETTLE_TOL:
-        return 0
-    lam = contraction_factor(params)
-    return int(math.ceil(math.log(_XI_SETTLE_TOL / gap0) / math.log(lam)))
 
 
 def run_enlarging(
@@ -129,7 +120,8 @@ def sweep_point(
         params = XiParams(a=config.a, delta=delta_bar)
         xi_pred = fixed_point_xi(params)
         pred = 1.0 - xi_pred
-        settle = _settle_iters(config.resolved_xi0, params)
+        gap0 = abs(config.resolved_xi0 - xi_pred)
+        settle = math.ceil(settle_steps(gap0, _XI_SETTLE_TOL, params))
     return SweepPoint(
         axis=axis,
         value=float(value),

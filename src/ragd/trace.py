@@ -28,6 +28,7 @@ __all__ = [
     "ConvergenceTrace",
     "RateEstimate",
     "estimate_rate",
+    "NOISE_FLOOR",
 ]
 
 TRACE_COLUMNS = (
@@ -42,9 +43,9 @@ TRACE_COLUMNS = (
     "decrease_margin",
 )
 
-# Relative gap below which trailing rows are treated as float-noise floor
-# and excluded from rate fits.
-_FLOOR_FACTOR = 100.0 * np.finfo(float).eps
+NOISE_FLOOR = 100.0 * np.finfo(float).eps
+"""Float-noise floor relative to a run's first value: gaps below it are left
+out of rate fits, and rate-envelope rows below it are not compared."""
 
 
 @dataclass
@@ -145,7 +146,7 @@ def estimate_rate(gaps: Sequence[float]) -> RateEstimate:
     finite = g[np.isfinite(g) & (g > 0.0)]
     if finite.size == 0:
         return RateEstimate(math.nan, math.nan, 0)
-    floor = _FLOOR_FACTOR * finite[0]
+    floor = NOISE_FLOOR * finite[0]
     idx = np.arange(g.size)
     valid = idx[np.isfinite(g) & (g > floor)]
     used = valid[valid.size // 2:]

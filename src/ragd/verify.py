@@ -36,7 +36,7 @@ from .problems import (
     rng_from_seed,
 )
 from .solvers import SolverConfig, run
-from .xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi, next_xi
+from .xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi, next_xi, step_gain
 
 __all__ = ["VERIFY_SUITES", "run_suite"]
 
@@ -209,7 +209,7 @@ def _certified_karcher(manifold: Manifold, seed: int, steps: int) -> tuple:
     prob = random_karcher(manifold, 6, 1.2, seed=seed)
     oracle_optimum(prob)
     gamma = 5e-5
-    a = 2.0 * prob.mu * gamma * (1.0 - prob.L * gamma / 2.0)
+    _, a = step_gain(prob.mu, prob.L, gamma)
     cfg = SolverConfig(
         mode="ragd", mu=prob.mu, L=prob.L, gamma=gamma, xi0=math.sqrt(a),
         max_iters=steps, record_diagnostics=True,

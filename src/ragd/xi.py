@@ -5,15 +5,15 @@ positive root of
 
     xi * (xi - a) / (1 - xi) = xi_t**2 / delta,
 
-where ``a = 2 * mu * delta_gamma`` aggregates the strong-convexity gain of
-one gradient step and ``delta >= 1`` is the distortion rate charged for
-moving the reference point of the squared-distance term.  The root map is
-a contraction toward a delta-dependent fixed point; the product of the
-resulting ``(1 - xi_t)`` factors is the convergence rate of the method.
+where ``a = 2 * mu * Delta`` aggregates the strong-convexity gain of one
+gradient step (:func:`step_gain`) and ``delta >= 1`` is the distortion rate
+charged for moving the reference point of the squared-distance term.  The
+root map is a contraction toward a delta-dependent fixed point; the product
+of the resulting ``(1 - xi_t)`` factors is the convergence rate of the method.
 
-This module implements the root map, its fixed points, the contraction
-estimate, and the predicted iteration count for ``xi_t`` to fall below
-``sqrt(mu / L)``.
+This module is the one home of these formulas: the step gain, the root map
+and its fixed points (one quadratic-root helper), the contraction estimate
+and the settle-step count of its envelope.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ __all__ = [
     "fixed_point_xi",
     "contraction_factor",
     "theta",
-    "iterations_to_threshold",
+    "settle_steps",
+    "step_gain",
 ]
 
 # Slope constant of the derivative bound theta(v) < 1 - _C_THETA * v.
@@ -42,6 +43,22 @@ _C_THETA = 4.0 / (5.0 + math.sqrt(5.0))
 _XI_SUP = math.nextafter(1.0, 0.0)
 
 _RESIDUAL_TOL = 1e-12
+
+
+def step_gain(mu: float, L: float, gamma: float) -> tuple[float, float]:
+    """``(Delta, a)`` of a gradient step of size ``gamma``: the decrease
+    ``Delta = gamma * (1 - L * gamma / 2)`` and the gain ``a = 2 * mu * Delta``."""
+    delta_gamma = gamma * (1.0 - L * gamma / 2.0)
+    return delta_gamma, 2.0 * mu * delta_gamma
+
+
+def _positive_root(b: float, c: float) -> float:
+    """Root ``>= 0`` of ``x**2 + b x - c = 0`` for ``c >= 0``; the conjugate
+    form is used when ``b > 0``, so no cancellation occurs."""
+    disc = math.sqrt(b * b + 4.0 * c)
+    if b > 0.0:
+        return 2.0 * c / (disc + b)
+    return 0.5 * (disc - b)
 
 
 @dataclass(frozen=True)
@@ -72,21 +89,14 @@ def next_xi(xi_t: float, params: XiParams) -> float:
     """Advance the recursion by one step.
 
     Returns the unique root in ``[a, 1)`` of
-    ``xi * (xi - a) / (1 - xi) = xi_t**2 / delta``.  The conjugate form of
-    the quadratic formula is used when the linear coefficient is positive,
-    so no cancellation occurs for small ``a`` or large ``delta``.
+    ``xi * (xi - a) / (1 - xi) = xi_t**2 / delta``, that is of
+    ``xi**2 + (rhs - a) xi - rhs = 0`` with ``rhs = xi_t**2 / delta``.
     """
     if not math.isfinite(xi_t) or xi_t < 0.0:
         raise DomainError(f"xi_t must be finite and >= 0, got {xi_t}")
     a = params.a
     rhs = 0.0 if math.isinf(params.delta) else xi_t * xi_t / params.delta
-    b = rhs - a
-    disc = math.sqrt(b * b + 4.0 * rhs)
-    if b > 0.0:
-        nxt = 2.0 * rhs / (disc + b)
-    else:
-        nxt = 0.5 * (disc - b)
-    nxt = min(max(nxt, a), _XI_SUP)
+    nxt = min(max(_positive_root(rhs - a, rhs), a), _XI_SUP)
     res = xi_residual(nxt, xi_t, params)
     if abs(res) > _RESIDUAL_TOL * max(1.0, rhs):
         raise ConvergenceError(
@@ -114,18 +124,13 @@ def iterate_xi(xi0: float, params: XiParams, steps: int) -> list[float]:
 def fixed_point_xi(params: XiParams) -> float:
     """Fixed point ``xi(delta)`` of the recursion at constant parameters.
 
-    Closed form ``((delta - 1)**2 + 4 delta a)**0.5 - (delta - 1)) / 2``,
-    evaluated in conjugate form for ``delta > 1``.  Special cases:
+    The positive root of ``xi**2 + (delta - 1) xi - delta a = 0``:
     ``xi(1) = sqrt(a)`` and ``xi(delta) -> a`` as ``delta -> inf``.
     """
     a, d = params.a, params.delta
     if math.isinf(d):
         return a
-    if d == 1.0:
-        return math.sqrt(a)
-    b = d - 1.0
-    disc = math.sqrt(b * b + 4.0 * d * a)
-    return 2.0 * d * a / (disc + b)
+    return _positive_root(d - 1.0, d * a)
 
 
 def contraction_factor(params: XiParams) -> float:
@@ -160,36 +165,17 @@ def theta(v: float, a: float) -> float:
     return (v * q + 2.0 * v) / math.sqrt(q * q + 4.0 * v * v) - v
 
 
-def iterations_to_threshold(
-    xi0: float, mu: float, L: float, delta_gamma: float
-) -> int:
-    """Upper bound on the first ``t`` with ``xi_t <= sqrt(mu / L)``.
+def settle_steps(gap0: float, eps: float, params: XiParams) -> float:
+    """Steps after which the envelope ``gap0 * lam**t`` of
+    ``|xi_t - xi(delta)|``, with ``lam = contraction_factor(params)``,
+    reaches ``eps``: ``log(eps / gap0) / log(lam)``, not rounded.
 
-    Uses the contraction of the flat (``delta = 1``) recursion toward
-    ``sqrt(2 mu delta_gamma)``:
-
-        n = log((xi0 - sqrt(a)) / (sqrt(mu/L) - sqrt(a))) / log(1 / lam)
-
-    with ``lam = 1 - 2 * _C_THETA * mu * delta_gamma``.  Returns 0 when
-    ``xi0`` already sits at or below the threshold.  Requires
-    ``sqrt(2 mu delta_gamma) < sqrt(mu / L)``, i.e. ``gamma * L != 1``.
+    Returns 0 when ``gap0 <= eps``, and 1 when ``lam == 0`` (``delta`` is
+    infinite and one step lands on the fixed point).
     """
-    if mu <= 0.0 or L < mu:
-        raise DomainError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    if delta_gamma <= 0.0:
-        raise DomainError(f"delta_gamma must be positive, got {delta_gamma}")
-    if not 0.0 <= xi0 < 1.0:
-        raise DomainError(f"xi0 must lie in [0, 1), got {xi0}")
-    sqrt_q = math.sqrt(mu / L)
-    if xi0 <= sqrt_q:
-        return 0
-    a = 2.0 * mu * delta_gamma
-    sqrt_a = math.sqrt(a)
-    if sqrt_a >= sqrt_q:
-        raise DomainError(
-            "threshold sqrt(mu/L) is unreachable: 2*mu*delta_gamma >= mu/L "
-            "(gamma * L == 1 closes the gap)"
-        )
-    lam = 1.0 - 2.0 * _C_THETA * mu * delta_gamma
-    n = math.log((xi0 - sqrt_a) / (sqrt_q - sqrt_a)) / -math.log(lam)
-    return max(0, math.ceil(n))
+    if gap0 <= eps:
+        return 0.0
+    lam = contraction_factor(params)
+    if lam == 0.0:
+        return 1.0
+    return math.log(eps / gap0) / math.log(lam)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragd.distortion import (
-    DistortionRate,
     s_kappa,
     t_kappa,
     t_kappa_hat,
@@ -14,6 +13,8 @@ from ragd.distortion import (
     valid_rate_hadamard,
     valid_rate_nonhadamard,
 )
+from ragd.errors import DomainError
+from ragd.xi import XiParams
 
 tol = 1e-6
 
@@ -89,25 +90,36 @@ def test_t_kappa_hat_at_zero():
 
 
 def test_valid_rate_hadamard():
-    assert valid_rate_hadamard(1.0, 0.0).value == 1.0
-    assert valid_rate_hadamard(0.0, 7.0).value == 1.0
+    assert valid_rate_hadamard(1.0, 0.0) == 1.0
+    assert valid_rate_hadamard(0.0, 7.0) == 1.0
     rate = valid_rate_hadamard(1.0, 1.0)
-    assert abs(rate.value - 3.288527) < 1e-5
-    assert rate.source == "improved_T"
+    assert abs(rate - 3.288527) < 1e-5
     sharp = valid_rate_hadamard(1.0, 1.0, sharp=True)
-    assert sharp.value <= rate.value
-    assert sharp.source == "epsilon_opt_That"
+    assert sharp <= rate
 
 
 def test_valid_rate_nonhadamard():
-    assert valid_rate_nonhadamard(1.0, 0.0, 0.0).value == 1.0
-    assert abs(valid_rate_nonhadamard(1.0, 0.0, 0.5).value - 1.5) < 1e-9
-    assert abs(valid_rate_nonhadamard(1.0, 1.0, 0.5).value - 4.932791) < 1e-5
+    assert valid_rate_nonhadamard(1.0, 0.0, 0.0) == 1.0
+    assert abs(valid_rate_nonhadamard(1.0, 0.0, 0.5) - 1.5) < 1e-9
+    assert abs(valid_rate_nonhadamard(1.0, 1.0, 0.5) - 4.932791) < 1e-5
 
 
-def test_distortion_rate_invariant():
-    with pytest.raises(Exception):
-        DistortionRate(value=0.5, source="constant")
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("d_xz", [0.05, 0.7, 2.5])
+def test_rate_selectors_return_the_bound_as_a_float(kappa, d_xz):
+    plain = valid_rate_hadamard(kappa, d_xz)
+    sharp = valid_rate_hadamard(kappa, d_xz, sharp=True)
+    curved = valid_rate_nonhadamard(kappa, d_xz, 0.4)
+    assert all(type(r) is float for r in (plain, sharp, curved))
+    assert plain == t_kappa(kappa, d_xz)
+    assert sharp == t_kappa_hat(kappa, d_xz)
+    assert curved == t_kappa(kappa, d_xz) * (1.0 + 2.0 * 0.4 * 0.4)
+
+
+def test_rate_below_one_is_rejected_where_it_enters_the_recursion():
+    for bad in (0.5, math.nan):
+        with pytest.raises(DomainError, match="delta must be >= 1"):
+            XiParams(a=0.1, delta=bad)
 
 
 @settings(max_examples=200, deadline=None)

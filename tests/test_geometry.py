@@ -300,6 +300,13 @@ def test_hyperbolic_far_field_raises_typed_errors():
         m._dist_many(x, stack)
     with pytest.raises(DomainError, match="double-precision range"):
         m._log_many(x, stack)
+    # The single-pair maps and the row-paired kernel share the same bound.
+    y = at(-250.0)
+    for single_pair in (m.distance, m.log, m._log_dist):
+        with pytest.raises(DomainError, match="double-precision range"):
+            single_pair(x, y)
+    with pytest.raises(DomainError, match="double-precision range"):
+        m._projected_distances([x], [y], x)
     # exp stops at a timelike coordinate of 1e40, distance ~92.8 from the
     # base point.
     o = m.base_point()

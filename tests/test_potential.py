@@ -332,6 +332,33 @@ def test_acceleration_threshold_values():
     assert finer >= n
 
 
+# acceleration_threshold(1, 5, gamma_L / 5, kappa, d0, eps) as literals, keyed
+# by (gamma_L, kappa, d0, eps): its tracking term is log(eps / (2 sqrt a)) /
+# log(1 - 4 a / (5 + sqrt 5)), and any rewrite must keep these counts.
+_THRESHOLD_TABLE = {
+    (1.05, 0.5, 0.1, 1e-3): 146, (1.05, 0.5, 0.1, 1e-6): 236,
+    (1.05, 0.5, 2.0, 1e-3): 160, (1.05, 0.5, 2.0, 1e-6): 250,
+    (1.05, 2.0, 0.1, 1e-3): 152, (1.05, 2.0, 0.1, 1e-6): 243,
+    (1.05, 2.0, 2.0, 1e-3): 166, (1.05, 2.0, 2.0, 1e-6): 256,
+    (1.3, 0.5, 0.1, 1e-3): 137, (1.3, 0.5, 0.1, 1e-6): 236,
+    (1.3, 0.5, 2.0, 1e-3): 152, (1.3, 0.5, 2.0, 1e-6): 251,
+    (1.3, 2.0, 0.1, 1e-3): 144, (1.3, 2.0, 0.1, 1e-6): 243,
+    (1.3, 2.0, 2.0, 1e-3): 159, (1.3, 2.0, 2.0, 1e-6): 258,
+    (1.6, 0.5, 0.1, 1e-3): 181, (1.6, 0.5, 0.1, 1e-6): 325,
+    (1.6, 0.5, 2.0, 1e-3): 203, (1.6, 0.5, 2.0, 1e-6): 347,
+    (1.6, 2.0, 0.1, 1e-3): 191, (1.6, 2.0, 0.1, 1e-6): 336,
+    (1.6, 2.0, 2.0, 1e-3): 213, (1.6, 2.0, 2.0, 1e-6): 357,
+}
+
+
+def test_acceleration_threshold_table():
+    got = {
+        key: acceleration_threshold(1.0, 5.0, key[0] / 5.0, *key[1:])
+        for key in _THRESHOLD_TABLE
+    }
+    assert got == _THRESHOLD_TABLE
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

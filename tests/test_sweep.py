@@ -91,6 +91,18 @@ def test_gamma_sweep_momentum_matches_flat_limit():
         assert abs(p.xi_pred - flat_limit) <= GAMMA_XI_REL_TOL * flat_limit
 
 
+@pytest.mark.parametrize(
+    "config, axis, values, settle",
+    [
+        (_karcher_config(max_iters=120), "gamma", [1.02, 1.2, 1.45], [0, 7, 14]),
+        (_quadratic_config(max_iters=120), "delta_const", [1.0, 1.5, 4.0], [0, 21, 8]),
+    ],
+)
+def test_xi_settle_iters_table(config, axis, values, settle):
+    # Literal counts: ceil(log(1e-3 / |xi0 - xi*|) / log(lam)) at delta_bar.
+    assert [p.xi_settle_iters for p in run_sweep(config, axis, values)] == settle
+
+
 def test_condition_number_rate_scales_like_square_root():
     values = [0.1, 0.01, 0.001]
     config = _quadratic_config(mode="euclid_nesterov", max_iters=600)

@@ -9,8 +9,9 @@ from ragd.xi import (
     contraction_factor,
     fixed_point_xi,
     iterate_xi,
-    iterations_to_threshold,
     next_xi,
+    settle_steps,
+    step_gain,
     theta,
     xi_residual,
 )
@@ -109,17 +110,58 @@ def test_theta_bounds():
             assert 0.0 < th < 1.0
 
 
-def test_iterations_to_threshold():
-    mu, big_l = 1.0, 5.0
-    gamma = 1.05 / big_l
-    dg = gamma * (1.0 - big_l * gamma / 2.0)
-    n = iterations_to_threshold(0.9, mu, big_l, dg)
-    assert n > 0
-    # already inside the target window
-    assert iterations_to_threshold(math.sqrt(mu / big_l), mu, big_l, dg) == 0
-    # infeasible when sqrt(a) already exceeds the flat-space momentum
+# Reference closed forms, each with its own quadratic formula (next_xi's
+# without its clamp and residual check).
+def _reference_next_xi(xi_t, a, delta):
+    rhs = 0.0 if math.isinf(delta) else xi_t * xi_t / delta
+    b = rhs - a
+    disc = math.sqrt(b * b + 4.0 * rhs)
+    if b > 0.0:
+        return 2.0 * rhs / (disc + b)
+    return 0.5 * (disc - b)
+
+
+def _reference_fixed_point(a, d):
+    if math.isinf(d):
+        return a
+    if d == 1.0:
+        return math.sqrt(a)
+    b = d - 1.0
+    disc = math.sqrt(b * b + 4.0 * d * a)
+    return 2.0 * d * a / (disc + b)
+
+
+def test_root_maps_equal_reference_closed_forms_bit_for_bit():
+    rng = np.random.default_rng(11)
+    a_grid = [0.0, 1e-300, 1e-12, 1e-6, *rng.uniform(0.0, 0.999, 12).tolist()]
+    delta_grid = [1.0, math.nextafter(1.0, 2.0), 1.5, 30.0, 1e6, 1e12, math.inf,
+                  *(10.0 ** rng.uniform(0.0, 8.0, 6)).tolist()]
+    for a in a_grid:
+        for delta in delta_grid:
+            params = XiParams(a=a, delta=delta)
+            assert fixed_point_xi(params) == _reference_fixed_point(a, delta)
+            for xi_t in (a, *rng.uniform(max(a, 1e-9), 0.999999, 4).tolist()):
+                want = min(max(_reference_next_xi(xi_t, a, delta), a), math.nextafter(1.0, 0.0))
+                assert next_xi(xi_t, params) == want
+
+
+def test_settle_steps_is_the_envelope_count():
+    params = XiParams(a=0.2, delta=3.0)
+    lam = contraction_factor(params)
+    n = settle_steps(0.5, 1e-3, params)
+    assert n == math.log(1e-3 / 0.5) / math.log(lam)
+    assert 0.5 * lam ** math.ceil(n) <= 1e-3 < 0.5 * lam ** (math.ceil(n) - 1)
+    assert settle_steps(1e-3, 1e-3, params) == 0.0
+    assert settle_steps(0.5, 1e-3, XiParams(a=0.2, delta=math.inf)) == 1.0
     with pytest.raises(DomainError):
-        iterations_to_threshold(0.9, 1.0, 4.0, 0.2)
+        settle_steps(0.5, 1e-3, XiParams(a=0.0, delta=1.0))
+
+
+def test_step_gain():
+    delta_gamma, a = step_gain(2.0, 5.0, 1.05 / 5.0)
+    assert delta_gamma == (1.05 / 5.0) * (1.0 - 5.0 * (1.05 / 5.0) / 2.0)
+    assert a == 2.0 * 2.0 * delta_gamma
+    assert step_gain(0.0, 4.0, 0.25) == (0.125, 0.0)
 
 
 def test_iterate_includes_start():
