@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -76,6 +77,10 @@ class TangentVector:
         return TangentVector(self.base, float(scalar) * self.coords)
 
     __rmul__ = __mul__
+
+
+# The bases of a stacked kernel: one point shared by every row, or one per row.
+Bases = ManifoldPoint | Sequence[ManifoldPoint]
 
 
 class Manifold(abc.ABC):
@@ -181,33 +186,44 @@ class Manifold(abc.ABC):
         return self.norm(x, TangentVector(x, self._log(x, y) - self._log(x, z)))
 
     # ----- stacked kernels ----------------------------------------------
+    # Row t pairs the base x_t with row t of a stack of shape
+    # ``(k, *point_shape)``; ``xs`` is one point shared by every row or a
+    # sequence of k points.  The defaults loop over the single-pair methods
+    # and are the reference: overrides equal them bit for bit, except on the
+    # hyperbolic shared base (see there).
 
-    def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        """Distances from ``x`` to each row of ``anchors``, a stack of valid
-        point coordinates of shape ``(k, *point_shape)``.
+    @staticmethod
+    def _base_coords(xs: Bases) -> np.ndarray:
+        """Coordinates of a shared base, or one row per base (``np.array`` of
+        the list, which copies the same values as ``np.stack`` in about half
+        the time)."""
+        return xs.coords if isinstance(xs, ManifoldPoint) else np.array([x.coords for x in xs])
 
-        Loops over :meth:`distance`; manifolds with a cheaper batched form
-        override it.
-        """
-        return np.array([self.distance(x, ManifoldPoint(p)) for p in anchors])
+    @staticmethod
+    def _pairs(xs: Bases, rows: np.ndarray) -> Iterable[tuple[ManifoldPoint, np.ndarray]]:
+        """``(x_t, rows[t])`` for every row t."""
+        return zip([xs] * len(rows) if isinstance(xs, ManifoldPoint) else xs, rows)
 
-    def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        """Coordinates of ``log_x`` of each row of ``anchors``, stacked to
-        shape ``(k, *point_shape)``; loops over :meth:`_log` unless
-        overridden."""
-        return np.stack([self._log(x, ManifoldPoint(p)) for p in anchors])
+    def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
+        """``distance(x_t, y_t)`` for every row t of the point stack ``ys``."""
+        return np.array([self.distance(x, ManifoldPoint(y)) for x, y in self._pairs(xs, ys)])
+
+    def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
+        """Coordinates of ``log(x_t, y_t)``, stacked like ``ys``."""
+        return np.stack([self._log(x, ManifoldPoint(y)) for x, y in self._pairs(xs, ys)])
+
+    def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
+        """``norm`` at ``x_t`` of row t of the tangent stack ``vs``."""
+        return np.array([self.norm(x, TangentVector(x, v)) for x, v in self._pairs(xs, vs)])
 
     def _projected_distances(
-        self,
-        xs: Sequence[ManifoldPoint],
-        zs: Sequence[ManifoldPoint],
-        p: ManifoldPoint,
+        self, xs: Bases, zs: Sequence[ManifoldPoint], p: ManifoldPoint
     ) -> np.ndarray:
-        """``projected_distance(x_t, z_t, p)`` for each pair of rows, that is
-        ``|| log_{x_t}(z_t) - log_{x_t}(p) ||``; loops over
-        :meth:`projected_distance` unless overridden.  Overrides equal the
-        loop bit for bit."""
-        return np.array([self.projected_distance(x, z, p) for x, z in zip(xs, zs)])
+        """``projected_distance(x_t, z_t, p)`` for every row t, that is
+        ``|| log_{x_t}(z_t) - log_{x_t}(p) ||``."""
+        z = self._base_coords(zs)
+        diff = self._log_many(xs, z) - self._log_many(xs, np.broadcast_to(p.coords, z.shape))
+        return self._norm_many(xs, diff)
 
     # ----- sampling ---------------------------------------------------
 
@@ -215,12 +231,22 @@ class Manifold(abc.ABC):
     def base_point(self) -> ManifoldPoint:
         """A canonical point used as the default center for sampling."""
 
-    @abc.abstractmethod
+    def _project_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Tangent coordinates at the point ``x`` (coordinates) nearest to the
+        ambient coordinates ``v``; the identity unless overridden."""
+        return v
+
     def random_tangent(
         self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0
     ) -> TangentVector:
-        """Tangent vector with independent Gaussian components, rescaled so
-        its norm is uniform on ``(0, scale]``."""
+        """Projected Gaussian tangent vector, rescaled so its norm is uniform
+        on ``(0, scale]``."""
+        g = self._project_tangent(x.coords, rng.normal(size=x.coords.shape))
+        nrm = math.sqrt(max(self._inner(x, g, g), 0.0))
+        if nrm < 1e-12:
+            g = self._project_tangent(x.coords, np.ones(x.coords.shape))
+            nrm = math.sqrt(max(self._inner(x, g, g), 0.0))
+        return TangentVector(x, (scale * rng.uniform() / nrm) * g)
 
     def random_point(
         self,

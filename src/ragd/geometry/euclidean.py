@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, row_dots
+from .base import Bases, Manifold, ManifoldPoint, row_dots
 
 __all__ = ["Euclidean"]
 
@@ -60,30 +59,14 @@ class Euclidean(Manifold):
     # Row norms are square roots of row dot products, as in np.linalg.norm
     # and norm(inner(v, v)), so each row equals the single-pair method.
 
-    def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        diff = anchors - x.coords
-        return np.sqrt(row_dots(diff, diff))
+    def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
+        return ys - self._base_coords(xs)
 
-    def _projected_distances(
-        self,
-        xs: Sequence[ManifoldPoint],
-        zs: Sequence[ManifoldPoint],
-        p: ManifoldPoint,
-    ) -> np.ndarray:
-        x = np.stack([pt.coords for pt in xs])
-        z = np.stack([pt.coords for pt in zs])
-        diff = (z - x) - (p.coords - x)
-        return np.sqrt(row_dots(diff, diff))
+    def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
+        return np.sqrt(row_dots(vs, vs))
+
+    def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
+        return self._norm_many(xs, self._log_many(xs, ys))
 
     def base_point(self) -> ManifoldPoint:
         return ManifoldPoint(np.zeros(self.dim))
-
-    def random_tangent(
-        self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0
-    ) -> TangentVector:
-        g = rng.normal(size=self.dim)
-        nrm = np.linalg.norm(g)
-        if nrm == 0.0:
-            g = np.ones(self.dim)
-            nrm = np.linalg.norm(g)
-        return TangentVector(x, (scale * rng.uniform() / nrm) * g)

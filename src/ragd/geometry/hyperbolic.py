@@ -13,13 +13,12 @@ which keeps small distances accurate to a few ulps instead of the
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .._scalars import acosh_ratio, sinch
 from ..errors import DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, row_dots
+from .base import Bases, Manifold, ManifoldPoint, row_dots
 
 __all__ = ["Hyperbolic"]
 
@@ -156,64 +155,45 @@ class Hyperbolic(Manifold):
         return self._project_tangent(x.coords, ratio * u), self._chord_dist(u, ratio)
 
     # ----- stacked kernels --------------------------------------------------
+    # The shape of the base picks the Minkowski product.  A shared base takes
+    # one matrix-vector product, the fast path of the Karcher objective and
+    # oracle; its rows may differ from the single-pair method in the last
+    # bits, and with the stack height.  One base per row takes ``row_dots``,
+    # so every row equals the single-pair method bit for bit.
 
     @staticmethod
-    def _mdot_rows(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """``_mdot(row, a)`` for every row, as one matrix product."""
-        flipped = a.copy()
-        flipped[-1] = -flipped[-1]
-        return rows @ flipped
+    def _mdot_many(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``_mdot(x_t, y_t)`` for every row t of the stack ``y``; ``x`` is one
+        vector shared by every row or a stack like ``y``."""
+        if x.ndim == 1:
+            flipped = x.copy()
+            flipped[-1] = -flipped[-1]
+            return y @ flipped
+        return row_dots(x[:, :-1], y[:, :-1]) - x[:, -1] * y[:, -1]
 
-    def _chords(
-        self, x: np.ndarray, anchors: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_chord` for every anchor row: the rows ``u_i`` and the
-        ``acosh_ratio(c_i - 1)`` that scale them to logarithms."""
-        cm1 = np.maximum(-self.kappa * self._mdot_rows(anchors, x) - 1.0, 0.0)
+    def _chord_many(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_chord` for every row: the rows ``u_t`` and the
+        ``acosh_ratio(c_t - 1)`` that scale them to logarithms."""
+        cm1 = np.maximum(-self.kappa * self._mdot_many(x, y) - 1.0, 0.0)
         cms = cm1.tolist()
-        _check_chord_scale(max(cms), float(x[-1]))
-        u = (anchors - x) - cm1[:, None] * x
+        x_time = float(x[-1]) if x.ndim == 1 else max(x[:, -1].tolist())
+        _check_chord_scale(max(cms), x_time)
+        u = (y - x) - cm1[:, None] * x
         return u, np.array([acosh_ratio(c) for c in cms])
 
-    def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        u, ratio = self._chords(x.coords, anchors)
-        spatial = u[:, :-1]
-        sq = np.einsum("ij,ij->i", spatial, spatial) - u[:, -1] ** 2
-        return ratio * np.sqrt(np.maximum(sq, 0.0))
+    def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
+        u, ratio = self._chord_many(self._base_coords(xs), ys)
+        return ratio * self._norm_many(xs, u)
 
-    def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        u, ratio = self._chords(x.coords, anchors)
+    def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
+        x = self._base_coords(xs)
+        u, ratio = self._chord_many(x, ys)
         v = ratio[:, None] * u
         # _project_tangent applied to every row.
-        return v + (self.kappa * self._mdot_rows(v, x.coords))[:, None] * x.coords
+        return v + (self.kappa * self._mdot_many(x, v))[:, None] * x
 
-    # Row-paired kernels: row t pairs x_t with y_t.  Each Minkowski product is
-    # a row dot product (``row_dots``), so every row equals the single-pair
-    # method bit for bit.
-
-    @staticmethod
-    def _mdot_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``_mdot(a[t], b[t])`` for every row t."""
-        return row_dots(a[:, :-1], b[:, :-1]) - a[:, -1] * b[:, -1]
-
-    def _log_pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Coordinates of ``log(x_t, y_t)`` for every row t."""
-        cm1 = np.maximum(-self.kappa * self._mdot_pairs(x, y) - 1.0, 0.0)
-        _check_chord_scale(float(cm1.max()), float(x[:, -1].max()))
-        u = (y - x) - cm1[:, None] * x
-        v = np.array([acosh_ratio(c) for c in cm1.tolist()])[:, None] * u
-        return v + (self.kappa * self._mdot_pairs(x, v))[:, None] * x
-
-    def _projected_distances(
-        self,
-        xs: Sequence[ManifoldPoint],
-        zs: Sequence[ManifoldPoint],
-        p: ManifoldPoint,
-    ) -> np.ndarray:
-        x = np.stack([pt.coords for pt in xs])
-        z = np.stack([pt.coords for pt in zs])
-        diff = self._log_pairs(x, z) - self._log_pairs(x, np.broadcast_to(p.coords, x.shape))
-        return np.sqrt(np.maximum(self._mdot_pairs(diff, diff), 0.0))
+    def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(self._mdot_many(vs, vs), 0.0))
 
     # ----- sampling -------------------------------------------------------
 
@@ -221,13 +201,3 @@ class Hyperbolic(Manifold):
         coords = np.zeros(self.dim + 1)
         coords[-1] = 1.0 / math.sqrt(self.kappa)
         return ManifoldPoint(coords)
-
-    def random_tangent(
-        self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0
-    ) -> TangentVector:
-        g = self._project_tangent(x.coords, rng.normal(size=self.dim + 1))
-        nrm = math.sqrt(max(self._mdot(g, g), 0.0))
-        if nrm < 1e-12:
-            g = self._project_tangent(x.coords, np.ones(self.dim + 1))
-            nrm = math.sqrt(max(self._mdot(g, g), 0.0))
-        return TangentVector(x, (scale * rng.uniform() / nrm) * g)

@@ -14,12 +14,11 @@ once, on the first call that needs it, and kept on the point itself.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector, row_dots
+from .base import Bases, Manifold, ManifoldPoint, row_dots
 
 __all__ = ["SPD"]
 
@@ -101,6 +100,9 @@ class SPD(Manifold):
     def check_tangent(self, x: ManifoldPoint, coords: np.ndarray) -> None:
         self._check_sym(coords)
 
+    def _project_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return _sym(v)
+
     # ----- metric -----------------------------------------------------------
 
     def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
@@ -146,44 +148,39 @@ class SPD(Manifold):
         return float(np.linalg.norm(np.log(w)))
 
     # ----- stacked kernels ------------------------------------------------------
-    # One square root of x serves every anchor; the row-paired kernel stacks
-    # the cached square roots of its base points.  The batched products,
+    # A shared base serves every row with its one square-root pair; one base
+    # per row stacks the cached pairs of the bases.  The batched products,
     # eigendecompositions and row norms round as the single-pair methods
-    # do, so each row equals the corresponding distance or log bit for bit.
+    # do, so each row equals the corresponding method bit for bit.
 
-    def _dist_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        _, isqrt = self._sqrt_pair(x)
-        w = np.linalg.eigvalsh(_sym(isqrt @ anchors @ isqrt))
+    def _roots(self, xs: Bases) -> tuple[np.ndarray, np.ndarray]:
+        """The square-root pair of a shared base, or the stacked pairs of one
+        base per row."""
+        if isinstance(xs, ManifoldPoint):
+            return self._sqrt_pair(xs)
+        roots, isqrts = zip(*(self._sqrt_pair(x) for x in xs))
+        return np.array(roots), np.array(isqrts)
+
+    def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
+        _, isqrt = self._roots(xs)
+        w = np.linalg.eigvalsh(_sym(isqrt @ ys @ isqrt))
         if np.any(w[:, 0] <= 0.0):
             raise ConvergenceError("distance to a non-PD midpoint matrix")
         logs = np.log(w)
         return np.sqrt(row_dots(logs, logs))
 
-    def _logs(self, root: np.ndarray, isqrt: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Stacked logarithms from the square-root pair(s) of the base
-        point(s): one base with many ``y``, or one base per row."""
-        w, q = self._eigh(_sym(isqrt @ y @ isqrt))
+    def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
+        root, isqrt = self._roots(xs)
+        w, q = self._eigh(_sym(isqrt @ ys @ isqrt))
         if np.any(w[:, 0] <= 0.0):
             raise ConvergenceError("logarithm of a non-PD midpoint matrix")
         lg = (q * np.log(w)[:, None, :]) @ q.swapaxes(-1, -2)
         return _sym(root @ lg @ root)
 
-    def _log_many(self, x: ManifoldPoint, anchors: np.ndarray) -> np.ndarray:
-        return self._logs(*self._sqrt_pair(x), anchors)
-
-    def _projected_distances(
-        self,
-        xs: Sequence[ManifoldPoint],
-        zs: Sequence[ManifoldPoint],
-        p: ManifoldPoint,
-    ) -> np.ndarray:
-        pairs = [self._sqrt_pair(x) for x in xs]
-        root = np.stack([r for r, _ in pairs])
-        isqrt = np.stack([i for _, i in pairs])
-        z = np.stack([pt.coords for pt in zs])
-        diff = self._logs(root, isqrt, z) - self._logs(root, isqrt, p.coords)
-        # inner(x, diff, diff): the sum of squares of x^{-1/2} diff x^{-1/2}.
-        a = isqrt @ diff @ isqrt
+    def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
+        # inner(x, v, v): the sum of squares of x^{-1/2} v x^{-1/2}.
+        _, isqrt = self._roots(xs)
+        a = isqrt @ vs @ isqrt
         sq = (a * a).reshape(len(a), -1).sum(axis=1)
         return np.sqrt(np.maximum(sq, 0.0))
 
@@ -191,13 +188,3 @@ class SPD(Manifold):
 
     def base_point(self) -> ManifoldPoint:
         return ManifoldPoint(np.eye(self.n))
-
-    def random_tangent(
-        self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0
-    ) -> TangentVector:
-        g = _sym(rng.normal(size=(self.n, self.n)))
-        nrm = math.sqrt(max(self._inner(x, g, g), 0.0))
-        if nrm < 1e-12:
-            g = np.eye(self.n)
-            nrm = math.sqrt(self._inner(x, g, g))
-        return TangentVector(x, (scale * rng.uniform() / nrm) * g)

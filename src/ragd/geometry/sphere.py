@@ -13,7 +13,7 @@ import numpy as np
 
 from .._scalars import acos_ratio, sin_ratio
 from ..errors import AntipodalError, DomainError, InjectivityError, NonFiniteError
-from .base import Manifold, ManifoldPoint, TangentVector
+from .base import Manifold, ManifoldPoint
 
 __all__ = ["Sphere"]
 
@@ -110,13 +110,3 @@ class Sphere(Manifold):
         coords = np.zeros(self.dim + 1)
         coords[-1] = 1.0 / math.sqrt(self.sigma)
         return ManifoldPoint(coords)
-
-    def random_tangent(
-        self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0
-    ) -> TangentVector:
-        g = self._project_tangent(x.coords, rng.normal(size=self.dim + 1))
-        nrm = float(np.linalg.norm(g))
-        if nrm < 1e-12:
-            g = self._project_tangent(x.coords, np.ones(self.dim + 1))
-            nrm = float(np.linalg.norm(g))
-        return TangentVector(x, (scale * rng.uniform() / nrm) * g)

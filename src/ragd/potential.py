@@ -483,9 +483,7 @@ def shrink_bounds(trace: ConvergenceTrace, problem: Problem) -> list[ShrinkRecor
     All bounds share the root sqrt(D0 * prod_{j<=t} (1 - xi_j)) built from
     the recorded momentum column; D0 is the normalized potential phi_0.
     """
-    _require_full_diagnostics(trace)
-    if problem.optimum is None:
-        raise MissingDataError("problem has no optimum; call oracle_optimum first")
+    _require_potential_inputs(trace, problem)
     d = trace.diagnostics
     m = problem.manifold
     opt = problem.optimum

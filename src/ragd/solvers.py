@@ -151,9 +151,8 @@ class SolverConfig:
     def resolved_xi0(self) -> float:
         if self.xi0 is not None:
             return self.xi0
-        if self.mu > 0.0:
-            return math.sqrt(self.mu / self.L)
-        return 0.9
+        # Only accelerated modes read this, and they require mu > 0.
+        return math.sqrt(self.mu / self.L)
 
 
 @dataclass(frozen=True)
@@ -305,7 +304,8 @@ def _finish_rows(
     opt = problem.optimum
     if opt is not None:
         xs, ys, zs = zip(*block)
-        rows[lo:hi, 6] = m._dist_many(opt, np.stack([y.coords for y in ys]))
+        opts = np.broadcast_to(opt.coords, (len(ys),) + opt.coords.shape)
+        rows[lo:hi, 6] = m._dist_many(ys, opts)
         if delta_gamma is not None:
             rows[lo:hi, 7] = normalized_potential(
                 rows[lo:hi, 1] - problem.optimum_value,

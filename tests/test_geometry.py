@@ -107,17 +107,29 @@ def test_stacked_kernels_match_per_anchor_loop(label, m, scale):
         stack = np.stack([p.coords for p in anchors])
         dists = np.array([m.distance(x, p) for p in anchors])
         logs = np.stack([m.log(x, p).coords for p in anchors])
+        pair_dists = np.array([m.distance(b, p) for b, p in zip(bases, anchors)])
+        pair_logs = np.stack([m.log(b, p).coords for b, p in zip(bases, anchors)])
+        norms = np.array([m.norm(x, TangentVector(x, v)) for v in logs])
+        pair_norms = np.array([m.norm(b, TangentVector(b, v)) for b, v in zip(bases, pair_logs)])
         pds = np.array([m.projected_distance(b, p, x) for b, p in zip(bases, anchors)])
         # The base-class loop is the reference every override must match.
         assert np.array_equal(Manifold._dist_many(m, x, stack), dists)
         assert np.array_equal(Manifold._log_many(m, x, stack), logs)
-        assert np.array_equal(Manifold._projected_distances(m, bases, anchors, x), pds)
-        # The row-paired kernel equals the loop on every manifold.
+        assert np.array_equal(Manifold._dist_many(m, bases, stack), pair_dists)
+        assert np.array_equal(Manifold._log_many(m, bases, stack), pair_logs)
+        assert np.array_equal(Manifold._norm_many(m, x, logs), norms)
+        assert np.array_equal(Manifold._norm_many(m, bases, pair_logs), pair_norms)
+        # One base per row, and every norm, equal the loop on every manifold.
+        assert np.array_equal(m._dist_many(bases, stack), pair_dists)
+        assert np.array_equal(m._log_many(bases, stack), pair_logs)
+        assert np.array_equal(m._norm_many(x, logs), norms)
+        assert np.array_equal(m._norm_many(bases, pair_logs), pair_norms)
         assert np.array_equal(m._projected_distances(bases, anchors, x), pds)
         got_d, got_l = m._dist_many(x, stack), m._log_many(x, stack)
         if isinstance(m, Hyperbolic):
-            # One matrix product forms every Minkowski inner product, which
-            # sums in another order than the per-anchor dot product.
+            # A shared base forms every Minkowski inner product in one
+            # matrix product, which sums in another order than the
+            # per-anchor dot product.
             assert np.all(np.abs(got_d - dists) <= 1e-13 * dists)
             row_scale = np.max(np.abs(logs), axis=1)
             assert np.all(np.max(np.abs(got_l - logs), axis=1) <= 1e-13 * row_scale)

@@ -163,6 +163,17 @@ def test_certify_rejects_plain_gradient_descent():
         certify_trace(trace, prob)
 
 
+def test_shrink_bounds_rejects_plain_gradient_descent():
+    # rgd traces have no momentum schedule behind the accelerated bounds.
+    prob = make_quadratic(6, 1.0, 20.0, seed=0, center=np.zeros(6))
+    config = SolverConfig(
+        mode="rgd", mu=prob.mu, L=prob.L, max_iters=20, record_diagnostics=True
+    )
+    trace = run(prob, config)
+    with pytest.raises(MissingDataError, match="plain gradient descent"):
+        shrink_bounds(trace, prob)
+
+
 def test_gradient_step_audit_passes():
     prob, trace = _flat_run()
     report = gradient_step_audit(trace, prob)
