@@ -77,9 +77,8 @@ def t_kappa(kappa: float, r: float) -> float:
 # Search interval of the free split eps in t_kappa_hat.
 _EPS_LO = 1e-3
 _EPS_HI = 10.0
-# The root search stops once its lower and upper bound on the minimum agree
-# to half an ulp; a geometric bisection after every third step that keeps
-# the same end bounds the step count well below _ROOT_ITERS.
+# The crossing search stops once its lower and upper bound on the minimum
+# agree to half an ulp; _ROOT_ITERS caps its branch evaluations.
 _ROOT_RTOL = 2.0**-53
 _ROOT_ITERS = 200
 
@@ -96,69 +95,72 @@ def _t_hat_objective(eps: float, w: float) -> float:
     return max(_t_hat_branches(eps, w, _coth_ratio(w) - 1.0))
 
 
-def _crossing(w: float, lo: float, hi: float) -> tuple[float, float]:
-    """Bracket ``(a, b)`` around the crossing of the two branches of the
-    ``t_kappa_hat`` objective on ``[lo, hi]``.
+def _t_hat_log_slope(eps: float, w: float, excess: float, first: float) -> float:
+    """Derivative in ``eps`` of ``log(first) - log(second)``, the log ratio of
+    the two branches at ``eps``; ``first`` is the first branch there.  It is
+    never positive."""
+    u = (1.0 + eps) * w
+    d_first = -2.0 * (1.0 + 1.0 / eps) * excess / (eps * eps)
+    # d/du log(sinch(u)**2) = 2 (coth(u) - 1/u) = 2 (coth_ratio(u) - 1) / u.
+    return d_first / first - 2.0 * w * (_coth_ratio(u) - 1.0) / u
 
-    The first branch decreases and the second increases in ``eps``, so
-    their difference ``h`` has one sign change.  Illinois (regula falsi)
-    steps narrow the bracket, with a geometric bisection after every third
-    step that keeps the same end.  The first step tries ``eps = 1``, where
-    the crossing tends as ``w -> 0``.  The minimum lies between
-    ``max(first(b), second(a))`` and ``min(first(a), second(b))``; the
-    search stops when these agree to ``_ROOT_RTOL``, when ``h`` vanishes,
-    when the ends are adjacent floats, or after ``_ROOT_ITERS`` steps.  A
-    crossing outside ``[lo, hi]`` gives the nearer end twice.
+
+def _crossing_min(w: float, hi: float) -> float:
+    """Minimum over ``eps`` in ``[_EPS_LO, hi]`` of the larger of the two
+    ``t_kappa_hat`` branches, through their crossing.
+
+    The first branch decreases and the second increases in ``eps``.  A split
+    ``a`` where the first is larger lies left of the crossing and one ``b``
+    where the second is larger lies right of it, so the minimum lies between
+    ``max(first(b), second(a))`` and ``min(first(a), second(b))``; the search
+    stops when these agree to ``_ROOT_RTOL``, when the branches are equal,
+    or when no new split fits between the ends.  The first split is
+    ``eps = 1`` (where the crossing tends as ``w -> 0``), or ``hi`` below it.
+    Each next one is a Newton step on the log ratio of the branches, which
+    stays nearly linear where the sinh branch grows exponentially.  A step
+    below the float spacing tries the neighbouring float instead; a step
+    that leaves the bracket tries the end of the interval it points to, if
+    that end is still untried, and otherwise bisects the bracket.  A
+    crossing outside the interval gives its nearer end.  The result is the
+    smaller of ``first(a)`` and ``second(b)``, the objective at the best
+    split tried, so it never exceeds the objective at ``eps = 1``.
     """
     excess = _coth_ratio(w) - 1.0
-
-    def branches(eps: float) -> tuple[float, float, float]:
-        first, second = _t_hat_branches(eps, w, excess)
-        return first, second, first - second
-
-    a, b = lo, hi
-    fa, sa, ha = branches(a)
-    if ha <= 0.0:
-        return a, a
-    fb, sb, hb = branches(b)
-    if hb >= 0.0:
-        return b, b
-    side = kept = 0
-    for step in range(_ROOT_ITERS):
+    lo = _EPS_LO
+    # An end that is still untried counts as unbounded in the bounds above.
+    a, fa, sa = lo, math.inf, -math.inf
+    b, fb, sb = hi, -math.inf, math.inf
+    c = min(1.0, hi)
+    for _ in range(_ROOT_ITERS):
+        first, second = _t_hat_branches(c, w, excess)
+        if first == second:
+            return first
+        if first > second:
+            a, fa, sa = c, first, second
+            if c == hi:
+                break
+        else:
+            b, fb, sb = c, first, second
+            if c == lo:
+                break
         upper = min(fa, sb)
         if upper - max(fb, sa) <= _ROOT_RTOL * upper:
             break
-        if step == 0 and a < 1.0 < b:
-            c = 1.0
-        elif kept >= 3:
-            c = math.sqrt(a * b)
-            kept = 0
-        else:
-            c = b - hb * (b - a) / (hb - ha)
-        if not a < c < b:
-            c = a + 0.5 * (b - a)
-            if not a < c < b:
-                break
-        fc, sc, hc = branches(c)
-        if hc == 0.0:
-            return c, c
-        if hc > 0.0:
-            if side > 0:
-                hb *= 0.5
-                kept += 1
+        slope = _t_hat_log_slope(c, w, excess, first)
+        nxt = c - math.log(first / second) / slope if slope < 0.0 else math.nan
+        if nxt == c:
+            nxt = math.nextafter(c, b if c == a else a)
+        if not a < nxt < b:
+            if nxt <= a and fa == math.inf:
+                nxt = a
+            elif nxt >= b and sb == math.inf:
+                nxt = b
             else:
-                kept = 1
-            a, fa, sa, ha = c, fc, sc, hc
-            side = 1
-        else:
-            if side < 0:
-                ha *= 0.5
-                kept += 1
-            else:
-                kept = 1
-            b, fb, sb, hb = c, fc, sc, hc
-            side = -1
-    return a, b
+                nxt = 0.5 * (a + b)
+                if not a < nxt < b:
+                    break
+        c = nxt
+    return min(fa, sb)
 
 
 def t_kappa_hat(kappa: float, r: float) -> float:
@@ -167,12 +169,12 @@ def t_kappa_hat(kappa: float, r: float) -> float:
     ``min_eps max(1 + (1 + 1/eps)**2 (coth term - 1), (sinh((1+eps) w) /
     ((1+eps) w))**2)`` with ``w = sqrt(kappa) r``.  The first branch
     decreases and the second increases in ``eps``, so the minimum sits at
-    their crossing.  The crossing is bracketed by a root search on
-    ``eps`` in ``[1e-3, min(10, 350/w - 1)]`` (past ``350/w - 1`` the
-    objective counts the sinh term as overflowing); a crossing outside
-    that interval gives its nearer end.  The result is the objective evaluated at both ends of the
-    final bracket and at ``eps = 1``, the smallest of the three.  Choosing
-    ``eps = 1`` recovers ``t_kappa``, so the result never exceeds it.
+    their crossing, found by safeguarded Newton steps from ``eps = 1`` on
+    ``[1e-3, min(10, 350/w - 1)]`` (past ``350/w - 1`` the objective counts
+    the sinh term as overflowing); a crossing outside that interval gives
+    its nearer end.  The result is the objective at the best split tried.
+    ``eps = 1`` is tried whenever it lies in the interval, and gives
+    ``t_kappa``, so the result never exceeds it.
     """
     _check_args(kappa, r)
     w = math.sqrt(kappa) * r
@@ -180,12 +182,11 @@ def t_kappa_hat(kappa: float, r: float) -> float:
         return 1.0
     if math.isinf(r):
         return math.inf
-    plain = _t_hat_objective(1.0, w)
     hi = min(_EPS_HI, 350.0 / w - 1.0)
     if not _EPS_LO <= hi:
-        return plain
-    a, b = _crossing(w, _EPS_LO, hi)
-    return min(_t_hat_objective(a, w), _t_hat_objective(b, w), plain)
+        # Every split overflows, eps = 1 included.
+        return math.inf
+    return _crossing_min(w, hi)
 
 
 def valid_rate_hadamard(kappa: float, d_xz: float, sharp: bool = False) -> float:

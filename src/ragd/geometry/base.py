@@ -188,16 +188,26 @@ class Manifold(abc.ABC):
     # ----- stacked kernels ----------------------------------------------
     # Row t pairs the base x_t with row t of a stack of shape
     # ``(k, *point_shape)``; ``xs`` is one point shared by every row or a
-    # sequence of k points.  The defaults loop over the single-pair methods
-    # and are the reference: overrides equal them bit for bit, except on the
-    # hyperbolic shared base (see there).
+    # sequence of k points, or what ``_prepare_bases`` built from either.
+    # The defaults loop over the single-pair methods and are the reference:
+    # overrides equal them bit for bit, except on the hyperbolic shared base
+    # (see there).
 
     @staticmethod
-    def _base_coords(xs: Bases) -> np.ndarray:
+    def _base_coords(xs: Bases | np.ndarray) -> np.ndarray:
         """Coordinates of a shared base, or one row per base (``np.array`` of
         the list, which copies the same values as ``np.stack`` in about half
-        the time)."""
+        the time); coordinates already stacked pass through."""
+        if isinstance(xs, np.ndarray):
+            return xs
         return xs.coords if isinstance(xs, ManifoldPoint) else np.array([x.coords for x in xs])
+
+    def _prepare_bases(self, xs: Bases) -> object:
+        """The bases in the form the stacked kernels derive from them, which
+        they also accept in place of ``xs``: a caller that passes the same
+        bases to several kernels builds it once.  The default keeps the
+        points; manifolds whose kernels stack the bases' data override it."""
+        return xs
 
     @staticmethod
     def _pairs(xs: Bases, rows: np.ndarray) -> Iterable[tuple[ManifoldPoint, np.ndarray]]:
@@ -221,9 +231,10 @@ class Manifold(abc.ABC):
     ) -> np.ndarray:
         """``projected_distance(x_t, z_t, p)`` for every row t, that is
         ``|| log_{x_t}(z_t) - log_{x_t}(p) ||``."""
+        bases = self._prepare_bases(xs)
         z = self._base_coords(zs)
-        diff = self._log_many(xs, z) - self._log_many(xs, np.broadcast_to(p.coords, z.shape))
-        return self._norm_many(xs, diff)
+        diff = self._log_many(bases, z) - self._log_many(bases, np.broadcast_to(p.coords, z.shape))
+        return self._norm_many(bases, diff)
 
     # ----- sampling ---------------------------------------------------
 

@@ -59,6 +59,9 @@ class Euclidean(Manifold):
     # Row norms are square roots of row dot products, as in np.linalg.norm
     # and norm(inner(v, v)), so each row equals the single-pair method.
 
+    def _prepare_bases(self, xs: Bases) -> np.ndarray:
+        return self._base_coords(xs)
+
     def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         return ys - self._base_coords(xs)
 

@@ -100,17 +100,29 @@ class Hyperbolic(Manifold):
             )
 
     def _project_point(self, coords: np.ndarray) -> ManifoldPoint:
-        if not np.all(np.isfinite(coords)):
-            raise NonFiniteError("projection target has non-finite coordinates")
-        if abs(float(coords[-1])) * math.sqrt(self.kappa) > _MAX_TIME:
+        # One pass over the coordinates: the spatial square and the timelike
+        # coordinate give the Minkowski square (bit-equal to _mdot), the
+        # renormalization scale and, through that scale, finiteness.  The
+        # far field is ruled out first, so the squares do not overflow.
+        t = float(coords[-1])
+        if not abs(t) * math.sqrt(self.kappa) <= _MAX_TIME:
+            if not np.all(np.isfinite(coords)):
+                raise NonFiniteError("projection target has non-finite coordinates")
             raise DomainError("exp left the double-precision range of the hyperboloid")
-        if self.kappa * self._scale_sq(coords, coords) > _RENORM_SCALE:
+        sp = float(np.dot(coords[:-1], coords[:-1]))
+        scale = sp + t * t
+        if not math.isfinite(scale) and not np.all(np.isfinite(coords)):
+            raise NonFiniteError("projection target has non-finite coordinates")
+        if self.kappa * scale > _RENORM_SCALE:
             return ManifoldPoint(coords)
-        return self._normalize_point(coords)
+        return self._normalize_point(coords, sp - t * t)
 
-    def _normalize_point(self, coords: np.ndarray) -> ManifoldPoint:
-        """Scale a timelike vector onto the hyperboloid, at any magnitude."""
-        s = -self.kappa * self._mdot(coords, coords)
+    def _normalize_point(self, coords: np.ndarray, mdot: float | None = None) -> ManifoldPoint:
+        """Scale a timelike vector onto the hyperboloid, at any magnitude;
+        ``mdot`` is its Minkowski square, when the caller has it."""
+        if mdot is None:
+            mdot = self._mdot(coords, coords)
+        s = -self.kappa * mdot
         if not s > 0.0:
             raise NonFiniteError("projection target left the timelike cone")
         return ManifoldPoint(coords / math.sqrt(s))
@@ -156,10 +168,14 @@ class Hyperbolic(Manifold):
 
     # ----- stacked kernels --------------------------------------------------
     # The shape of the base picks the Minkowski product.  A shared base takes
-    # one matrix-vector product, the fast path of the Karcher objective and
-    # oracle; its rows may differ from the single-pair method in the last
-    # bits, and with the stack height.  One base per row takes ``row_dots``,
-    # so every row equals the single-pair method bit for bit.
+    # one matrix-vector product, the fast path of the Karcher gradient (and
+    # so of the oracle) and of the containment distances; its rows may differ
+    # from the single-pair method in the last bits, and with the stack
+    # height.  One base per row takes ``row_dots``, so every row equals the
+    # single-pair method bit for bit.
+
+    def _prepare_bases(self, xs: Bases) -> np.ndarray:
+        return self._base_coords(xs)
 
     @staticmethod
     def _mdot_many(x: np.ndarray, y: np.ndarray) -> np.ndarray:

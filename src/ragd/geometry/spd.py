@@ -14,6 +14,7 @@ once, on the first call that needs it, and kept on the point itself.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,14 @@ __all__ = ["SPD"]
 
 _SYM_TOL = 1e-12
 _EIG_FLOOR = 1e-12
+
+
+class _Roots(NamedTuple):
+    """Square root and inverse square root of the bases of a stacked kernel:
+    one matrix each for a shared base, one stack each for one base per row."""
+
+    root: np.ndarray
+    isqrt: np.ndarray
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -153,13 +162,17 @@ class SPD(Manifold):
     # eigendecompositions and row norms round as the single-pair methods
     # do, so each row equals the corresponding method bit for bit.
 
-    def _roots(self, xs: Bases) -> tuple[np.ndarray, np.ndarray]:
+    def _roots(self, xs: Bases | _Roots) -> _Roots:
         """The square-root pair of a shared base, or the stacked pairs of one
-        base per row."""
+        base per row; a pair built before passes through."""
+        if isinstance(xs, _Roots):
+            return xs
         if isinstance(xs, ManifoldPoint):
-            return self._sqrt_pair(xs)
+            return _Roots(*self._sqrt_pair(xs))
         roots, isqrts = zip(*(self._sqrt_pair(x) for x in xs))
-        return np.array(roots), np.array(isqrts)
+        return _Roots(np.array(roots), np.array(isqrts))
+
+    _prepare_bases = _roots
 
     def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         _, isqrt = self._roots(xs)

@@ -24,9 +24,10 @@ numerical inspection.
 
 The certifier, the quadratic-form audit, the rate envelope and the
 shrink report read one replay of the run, which evaluates f(y_t) - f*,
-pd_t and phi_t once per row (pd_t of every row in one stacked call,
-``Manifold._projected_distances``).  Every check allows :data:`CERT_TOL`
-(the envelope :data:`ENVELOPE_TOL`) times the magnitudes it compares.
+pd_t and phi_t once per row (f(y_t) of every row in one ``Problem.values``
+call and pd_t in one stacked call, ``Manifold._projected_distances``).
+Every check allows :data:`CERT_TOL` (the envelope :data:`ENVELOPE_TOL`)
+times the magnitudes it compares.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def _replay(trace: ConvergenceTrace, problem: Problem) -> _Replay:
     m = problem.manifold
     opt = problem.optimum
     xis = trace.column("xi")
-    gap = np.array([problem.value(y) - problem.optimum_value for y in d.points_y])
+    gap = problem.values(d.points_y) - problem.optimum_value
     pd = m._projected_distances(d.points_x, d.points_z, opt)
     phi = normalized_potential(gap, xis, pd, float(trace.meta["delta_gamma"]))
     logs = itertools.accumulate((math.log1p(-float(xi)) for xi in xis[1:]), initial=0.0)

@@ -20,10 +20,9 @@ is recorded in the trace meta, on a Hadamard manifold; on any other
 manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.
 
 :func:`run` computes inside its step loop only what steers the iteration:
-f(y) (checked for finiteness at its step), ``d(x, z)`` for the distortion
-rate, ``Log_y(z)`` with ``d(y, z)`` from one evaluation
-(``Manifold._log_dist``), three ``Exp`` maps, ``Log_{x+}(z)`` and one
-gradient.  When the rate cannot change (``euclid_nesterov``,
+``d(x, z)`` for the distortion rate, ``Log_y(z)`` with ``d(y, z)`` from one
+evaluation (``Manifold._log_dist``), three ``Exp`` maps, ``Log_{x+}(z)``
+and one gradient.  When the rate cannot change (``euclid_nesterov``,
 ``ragd_constant_delta``, and ``ragd`` on a flat Hadamard manifold) the
 recursion's parameters are built once per run.
 
@@ -35,12 +34,14 @@ belong to the API boundary: ``Manifold.exp``/``Manifold.log``,
 :func:`ragd_step` and ``Problem.grad``, which checks every gradient once.
 Step outputs are not re-checked for finiteness: every ``_exp`` returns a
 finite point or raises :class:`~ragd.errors.NonFiniteError`.
-The rest of each trace row (``d(y_t, x*)``, the projected distance in the
-potential ``phi_t`` and, on a Hadamard manifold, the containment
+The rest of each trace row (f(y_t), ``d(y_t, x*)``, the projected distance
+in the potential ``phi_t`` and, on a Hadamard manifold, the containment
 distances) is trace-only.  It is computed after every block of
-``_ROW_BLOCK`` rows, one stacked call per quantity, so a library error
-raised there surfaces at the end of its block, not at its step.  On the
-sphere the containment check stays in the loop and raises at its step.
+``_ROW_BLOCK`` rows, one stacked call per quantity (f(y_t) through
+``Problem.values``), so a library error raised there, and the
+NonFiniteError of a non-finite f(y_t), surfaces at the end of its block,
+not at its step.  On the sphere the containment check stays in the loop
+and raises at its step.
 Without diagnostics a run holds the iterates of at most one block, so its
 memory grows with the step count only by the trace rows.
 """
@@ -294,16 +295,22 @@ def _finish_rows(
     containment: _Containment | None,
 ) -> None:
     """Fill the trace-only cells of rows ``lo, lo + 1, ...`` from their
-    (x, y, z) iterates in ``block``: ``d(y_t, x*)`` and, given Delta
-    (``delta_gamma``; None when no potential is tracked), ``phi_t``, each
-    from one stacked call; then check the containment of those rows on a
-    Hadamard manifold (row 0 is the start, which is not checked).  Column 1
-    holds f(y_t) at this point."""
+    (x, y, z) iterates in ``block``: f(y_t) (``Problem.values``), raising
+    NonFiniteError at the first step where it is not finite, ``d(y_t, x*)``
+    and, given Delta (``delta_gamma``; None when no potential is tracked),
+    ``phi_t``, each from one stacked call; then check the containment of
+    those rows on a Hadamard manifold (row 0 is the start, which is not
+    checked).  Column 1 holds f(y_t) afterwards."""
     m = problem.manifold
     hi = lo + len(block)
+    xs, ys, zs = zip(*block)
+    fy = problem.values(ys)
+    bad = np.flatnonzero(~np.isfinite(fy))
+    if bad.size:
+        raise NonFiniteError(f"objective value is not finite at step {lo + int(bad[0])}")
+    rows[lo:hi, 1] = fy
     opt = problem.optimum
     if opt is not None:
-        xs, ys, zs = zip(*block)
         opts = np.broadcast_to(opt.coords, (len(ys),) + opt.coords.shape)
         rows[lo:hi, 6] = m._dist_many(ys, opts)
         if delta_gamma is not None:
@@ -375,12 +382,9 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
     fixed = xi_params = _fixed_xi_params(m, config) if accelerated else None
     delta_rate = 1.0
     for t in range(n_steps + 1):
-        fy = problem.value(y)
-        if not math.isfinite(fy):
-            raise NonFiniteError(f"objective value is not finite at step {t}")
         d_xz = m.distance(x, z)
         log_yz, d_yz = m._log_dist(y, z)
-        rows[t, :6] = (t, fy, xi, delta_rate, d_xz, d_yz)
+        rows[t, :6] = (t, math.nan, xi, delta_rate, d_xz, d_yz)
         block.append((x, y, z))
         if diag is not None:
             diag.points_x.append(x)

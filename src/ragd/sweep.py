@@ -55,7 +55,10 @@ _XI_SETTLE_TOL = 1e-3
 @dataclass(frozen=True)
 class SweepPoint:
     """One sweep row; ``rate`` is the measured per-step error contraction
-    exp(slope / 2) and ``pred_rate`` its 1 - xi counterpart."""
+    exp(slope / 2) and ``pred_rate`` = 1 - xi the certified contraction of
+    the potential.  The potential is quadratic in the error, so
+    ``pred_rate`` bounds the gap contraction exp(slope) = ``rate**2``, not
+    ``rate``."""
 
     axis: str
     value: float

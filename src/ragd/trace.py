@@ -123,8 +123,10 @@ class RateEstimate:
     ``slope`` is the per-iteration slope of ``log f_gap``.  Because the
     gap is quadratic in the distance to the optimum, the error norm
     contracts by ``exp(slope / 2)`` per iteration; ``rate`` reports that
-    error-contraction factor, which is the quantity the theory bounds by
-    ``1 - xi``.
+    error-contraction factor.  The theory's ``1 - xi`` bounds the
+    potential, which is quadratic in the error, so it bounds the gap
+    contraction ``exp(slope) = rate**2``; ``rate`` itself compares with
+    ``1 - sqrt(mu/L)``.
     """
 
     slope: float

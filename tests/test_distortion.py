@@ -84,6 +84,73 @@ def test_t_kappa_hat_matches_dense_grid(kappa, w):
         assert got <= brute * (1 + 4 * 2**-52)
 
 
+def _t_hat_reference(w: float) -> tuple:
+    """50-digit minimum of the t_kappa_hat objective over the split interval
+    ``t_kappa_hat`` searches at ``w``, and ``(1 + eps*) w`` at the minimizer."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    wm = mp.mpf(w)
+    excess = wm * mp.coth(wm) - 1
+
+    def first(e):
+        return 1 + (1 + 1 / e) ** 2 * excess
+
+    def second(e):
+        u = (1 + e) * wm
+        return (mp.sinh(u) / u) ** 2
+
+    lo, hi = mp.mpf(1e-3), mp.mpf(min(10.0, 350.0 / w - 1.0))
+    if first(lo) <= second(lo):
+        e = lo
+    elif first(hi) >= second(hi):
+        e = hi
+    else:
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if first(mid) > second(mid):
+                lo = mid
+            else:
+                hi = mid
+        e = lo
+    return max(first(e), second(e)), float((1 + e) * wm)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kappa", (0.5, 1.0, 2.0))
+def test_t_kappa_hat_against_high_precision_minimum(kappa):
+    # The result is the objective at a float split, evaluated in floats.
+    # Near the crossing that split is within float resolution of the best
+    # one, and each branch carries a few roundings; the sinh branch also
+    # carries the rounding of its argument u = (1 + eps) w, which its log
+    # derivative 2 (u coth u - 1) <= 2 u amplifies.  So the result lies
+    # within (4 + 2 u) eps of the exact minimum m*, and never above t_kappa.
+    eps = 2.0**-52
+    for w in np.geomspace(1e-12, 349.6, 61):
+        r = float(w) / math.sqrt(kappa)
+        got = t_kappa_hat(kappa, r)
+        m_star, u = _t_hat_reference(math.sqrt(kappa) * r)
+        assert abs(got - m_star) <= (4.0 + 2.0 * u) * eps * m_star
+        assert got <= t_kappa(kappa, r)
+
+
+def test_t_kappa_hat_newton_search_is_short(monkeypatch):
+    # Branch evaluations per call over a log grid of w, the seed at eps = 1
+    # included (about 3.1 on this grid).
+    from ragd import distortion
+
+    calls = []
+    branches = distortion._t_hat_branches
+    monkeypatch.setattr(
+        distortion, "_t_hat_branches", lambda *args: calls.append(1) or branches(*args)
+    )
+    grid = np.geomspace(1e-12, 349.6, 400)
+    for w in grid:
+        t_kappa_hat(1.0, float(w))
+    assert len(calls) <= 5 * len(grid)
+
+
 def test_t_kappa_hat_at_zero():
     assert t_kappa_hat(1.0, 0.0) == 1.0
     assert t_kappa_hat(2.0, 0.0) == 1.0

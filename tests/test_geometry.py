@@ -5,6 +5,7 @@ import pytest
 
 from ragd.errors import AntipodalError, ConvergenceError, DomainError, NonFiniteError
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Manifold, ManifoldPoint, Sphere, TangentVector
+from ragd.geometry.hyperbolic import _RENORM_SCALE
 from ragd.problems import manifold_from_dict, manifold_to_dict
 
 tol = 1e-9
@@ -325,6 +326,46 @@ def test_hyperbolic_far_field_raises_typed_errors():
     assert m.exp(o, m.tangent(o, [92.0, 0.0, 0.0, 0.0])).coords[-1] < 1e40
     with pytest.raises(DomainError, match="double-precision range"):
         m.exp(o, m.tangent(o, [94.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, -1], ids=["spatial", "timelike"])
+def test_hyperbolic_projection_rejects_non_finite_targets(bad, where):
+    m = Hyperbolic(3, kappa=2.0)
+    coords = m.base_point().coords.copy()
+    coords[where] = bad
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        m._project_point(coords)
+    # Non-finiteness is reported before the far field.
+    coords[-1 - where] = 1e200
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        m._project_point(coords)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hyperbolic_projection_far_field_cone_and_rounding():
+    m = Hyperbolic(3, kappa=2.0)
+    # Finite targets past the timelike limit, also where their squares overflow.
+    for t in (1e40, 1e200, 1e300):
+        with pytest.raises(DomainError, match="double-precision range"):
+            m._project_point(np.array([t, 0.0, 0.0, t]))
+    with pytest.raises(NonFiniteError, match="timelike cone"):
+        m._project_point(np.array([2.0, 0.0, 0.0, 1.0]))
+    # Near unit scale the target is renormalized by its Minkowski square,
+    # bit for bit; far out it is kept as it is.
+    rng = np.random.default_rng(3)
+    o = m.base_point()
+    for scale in (0.5, 3.0, 9.0):
+        for _ in range(20):
+            v = m.random_tangent(rng, o, scale).coords
+            target = math.cosh(math.sqrt(2.0) * math.sqrt(m._mdot(v, v))) * o.coords + v
+            got = m._project_point(target).coords
+            if 2.0 * m._scale_sq(target, target) > _RENORM_SCALE:
+                assert np.array_equal(got, target)
+            else:
+                want = target / math.sqrt(-2.0 * m._mdot(target, target))
+                assert np.array_equal(got, want)
 
 
 def test_sphere_antipodal_guard():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -134,6 +135,51 @@ def test_spd_karcher_matches_per_anchor_formula_bitwise():
             grad = grad - wi * m.log(x, p).coords
         assert prob.value(x) == value
         assert np.array_equal(prob.grad(x).coords, grad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_quadratic(9, 1.0, 20.0, seed=4),
+        lambda: random_sphere_mean(Sphere(4), 6, 0.3, seed=17),
+        lambda: random_karcher(SPD(3), 5, 1.5, seed=13),
+        lambda: random_karcher(Hyperbolic(5, kappa=1.0), 6, 2.0, seed=11),
+    ],
+    ids=["quadratic", "sphere_mean", "spd", "hyperbolic"],
+)
+def test_values_equal_a_loop_of_value_bitwise(build):
+    prob = build()
+    m = prob.manifold
+    rng = rng_from_seed(8)
+    points = [m.random_point(rng, prob.reference, 1.0) for _ in range(9)]
+    for n in (1, 2, 9):
+        got = prob.values(points[:n])
+        want = np.array([prob.value(x) for x in points[:n]])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+def test_values_follow_a_replaced_objective():
+    prob = random_karcher(Hyperbolic(4), 5, 1.0, seed=2)
+    swapped = dataclasses.replace(prob, objective=lambda x: float(x.coords[-1]))
+    points = [prob.start, prob.reference]
+    assert swapped.values(points).tolist() == [float(x.coords[-1]) for x in points]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 41])
+def test_hyperbolic_karcher_value_is_the_per_anchor_formula_bitwise(k):
+    m = Hyperbolic(6, kappa=1.5)
+    rng = rng_from_seed(k)
+    anchors = [m.random_point(rng, m.base_point(), 2.5) for _ in range(k)]
+    weights = rng.uniform(0.1, 1.0, size=k)
+    weights = (weights / weights.sum()).tolist()
+    prob = make_karcher(m, anchors, weights)
+    # Nine points: more than one stacked call's worth at 41 anchors.
+    points = [m.random_point(rng, m.base_point(), 3.0) for _ in range(8)] + anchors[:1]
+    want = [0.5 * sum(wi * m.distance(x, p) ** 2 for wi, p in zip(weights, anchors))
+            for x in points]
+    assert [prob.value(x) for x in points] == want
+    assert prob.values(points).tolist() == want
 
 
 @pytest.mark.parametrize(

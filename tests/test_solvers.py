@@ -13,7 +13,9 @@ import ragd.cli as cli
 from ragd.errors import AntipodalError, DomainError, NonFiniteError, RuntimeContainmentError
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.problems import (
+    _OBJECTIVE_ROWS,
     Problem,
+    StackedObjective,
     make_karcher,
     make_quadratic,
     oracle_optimum,
@@ -388,15 +390,23 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
             return _method(*args)
 
         monkeypatch.setattr(Hyperbolic, name, counted)
+    values = []
+    value = Problem.value
+    monkeypatch.setattr(Problem, "value", lambda self, x: values.append(x) or value(self, x))
     config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps)
     run(problem, config)
+    # f(x*) only; f(y_t) goes through Problem.values.
+    assert values == [problem.optimum]
     rows = steps + 1
     blocks = 2
-    # Per row: f(y) (one _dist_many over the anchors), d(x, z), and log_y(z)
-    # with d(y, z).  Per step: three exp and log_{x+}(z), all through the
-    # coordinate kernels.  Per block of rows: d(y_t, x*) and the containment
-    # distances (one _dist_many each) and the projected distances.  Once:
-    # f(x*).
+    # f(y_t) of a block: one _dist_many per _OBJECTIVE_ROWS (row, anchor)
+    # pairs, here ceil(64 / 42) + ceil(11 / 42).
+    per_call = _OBJECTIVE_ROWS // 6
+    f_calls = -(-_ROW_BLOCK // per_call) + -(-(rows - _ROW_BLOCK) // per_call)
+    # Per row: d(x, z), and log_y(z) with d(y, z).  Per step: three exp and
+    # log_{x+}(z), all through the coordinate kernels.  Per block of rows:
+    # f(y_t) (above), d(y_t, x*) and the containment distances (one
+    # _dist_many each) and the projected distances.  Once: f(x*).
     assert calls == {
         "distance": rows,
         "_log_dist": rows,
@@ -404,7 +414,7 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
         "_exp": 3 * steps,
         "log": 0,
         "exp": 0,
-        "_dist_many": rows + 2 * blocks + 1,
+        "_dist_many": f_calls + 2 * blocks + 1,
         "_projected_distances": blocks,
     }
 
@@ -571,15 +581,15 @@ def test_trace_only_error_surfaces_at_the_end_of_its_block():
     # distance of row 0 is undefined; the steps themselves never need it.
     prob = random_sphere_mean(Sphere(4), 6, 0.3, seed=17)
     prob.set_optimum(prob.manifold.point(-prob.start.coords))
-    values = []
+    stacked = []
 
-    def counting(x):
-        values.append(x)
-        return prob.objective(x)
+    def counting(points):
+        stacked.append(len(points))
+        return prob.objective.many(points)
 
-    counted = dataclasses.replace(prob, objective=counting)
+    counted = dataclasses.replace(prob, objective=StackedObjective(counting))
     config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=3 * _ROW_BLOCK)
     with pytest.raises(AntipodalError):
         run(counted, config)
-    # f(x*), then f(y_t) for every row of the first block.
-    assert len(values) == 1 + _ROW_BLOCK
+    # f(x*), then f(y_t) for every row of the first block in one stacked pass.
+    assert stacked == [1, _ROW_BLOCK]
