@@ -3,7 +3,12 @@
 A Hadamard manifold; its sectional curvature lies in ``[-1/2, 0]`` after
 the usual normalization, so the distortion bounds apply with
 ``kappa = 1/2`` (overridable).  All matrix functions go through symmetric
-eigendecompositions.
+eigendecompositions, which call LAPACK's gufuncs ``eigh_lo`` and
+``eigvalsh_lo`` from ``numpy.linalg._umath_linalg`` directly, the kernels
+``np.linalg.eigh``/``eigvalsh`` call with their default ``UPLO='L'``, so the
+results are the same bits without the wrapper's per-call checks.  A
+decomposition of a non-finite matrix, or one that LAPACK reports as failed,
+raises ``ConvergenceError``.
 
 Every map at a point ``x`` starts from the square root of ``x`` and its
 inverse (Pennec, Fillard & Ayache, "A Riemannian framework for tensor
@@ -17,6 +22,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ..errors import ConvergenceError, DomainError, NonFiniteError
 from .base import Bases, Manifold, ManifoldPoint, row_dots
@@ -33,6 +39,36 @@ class _Roots(NamedTuple):
 
     root: np.ndarray
     isqrt: np.ndarray
+
+
+def _check_finite(a: np.ndarray) -> None:
+    """Raise ``ConvergenceError`` unless every entry of a matrix or of a
+    stack of matrices is finite.
+
+    LAPACK does not check: a NaN entry can come back as finite eigenvalues,
+    and a 1 x 1 infinity as an infinite one.
+    """
+    if a.ndim == 2:
+        # A NaN or infinite entry makes the sum NaN or infinite; a finite
+        # sum clears every entry at the cost of one pass in Python floats.
+        s = sum(a.ravel().tolist())
+        if s - s == 0.0:
+            return
+    if not np.isfinite(a).all():
+        raise ConvergenceError("eigendecomposition of a non-finite matrix")
+
+
+def _check_solved(w: np.ndarray) -> None:
+    """Raise ``ConvergenceError`` if LAPACK failed on a finite input.
+
+    On failure the gufunc fills its output with NaN and sets the invalid
+    flag.  ``-W error::RuntimeWarning`` or ``np.errstate(invalid="raise")``
+    turn the flag into an exception, which the callers catch; under the
+    default settings the gufunc warns and only the NaN is left to test.
+    """
+    failed = w[0] != w[0] if w.ndim == 1 else np.isnan(w[..., 0]).any()
+    if failed:
+        raise ConvergenceError("eigendecomposition failed to converge")
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -64,10 +100,27 @@ class SPD(Manifold):
 
     @staticmethod
     def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors of a symmetric matrix or
+        of each matrix in a stack, from its lower triangle."""
+        _check_finite(a)
         try:
-            return np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
+            w, q = _umath_linalg.eigh_lo(a)
+        except (RuntimeWarning, FloatingPointError) as exc:
             raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+        _check_solved(w)
+        return w, q
+
+    @staticmethod
+    def _eigvalsh(a: np.ndarray) -> np.ndarray:
+        """Eigenvalues (ascending) of a symmetric matrix or of each matrix in
+        a stack, from its lower triangle."""
+        _check_finite(a)
+        try:
+            w = _umath_linalg.eigvalsh_lo(a)
+        except (RuntimeWarning, FloatingPointError) as exc:
+            raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+        _check_solved(w)
+        return w
 
     def _sqrt_pair(self, x: ManifoldPoint) -> tuple[np.ndarray, np.ndarray]:
         """Matrix square root of ``x`` and its inverse, cached on ``x``.
@@ -99,7 +152,7 @@ class SPD(Manifold):
 
     def check_point(self, coords: np.ndarray) -> None:
         self._check_sym(coords)
-        w = np.linalg.eigvalsh(_sym(coords))
+        w = self._eigvalsh(_sym(coords))
         if w[0] <= _EIG_FLOOR * max(1.0, w[-1]):
             raise DomainError(
                 f"matrix is not positive definite beyond tolerance: "
@@ -151,10 +204,11 @@ class SPD(Manifold):
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         _, isqrt = self._sqrt_pair(x)
         s = _sym(isqrt @ y.coords @ isqrt)
-        w = np.linalg.eigvalsh(s)
+        w = self._eigvalsh(s)
         if w[0] <= 0.0:
             raise ConvergenceError("distance to a non-PD midpoint matrix")
-        return float(np.linalg.norm(np.log(w)))
+        logs = np.log(w)
+        return math.sqrt(logs.dot(logs))
 
     # ----- stacked kernels ------------------------------------------------------
     # A shared base serves every row with its one square-root pair; one base
@@ -176,7 +230,7 @@ class SPD(Manifold):
 
     def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         _, isqrt = self._roots(xs)
-        w = np.linalg.eigvalsh(_sym(isqrt @ ys @ isqrt))
+        w = self._eigvalsh(_sym(isqrt @ ys @ isqrt))
         if np.any(w[:, 0] <= 0.0):
             raise ConvergenceError("distance to a non-PD midpoint matrix")
         logs = np.log(w)

@@ -1,0 +1,219 @@
+"""SPD eigendecompositions through LAPACK's gufuncs: the reference against
+``np.linalg`` and the failure contract.
+
+``SPD._eigh`` and ``SPD._eigvalsh`` call ``numpy.linalg._umath_linalg``
+directly.  ``np.linalg.eigh``/``eigvalsh`` stay here as the reference they
+must equal bit for bit.  A non-finite input or a failed decomposition must
+end in ``ConvergenceError``, also under ``-W error::RuntimeWarning`` and
+``np.errstate(invalid="raise")``, and in exit code 3 from ``ragd run``.
+"""
+
+import contextlib
+import json
+import logging
+import math
+import warnings
+
+import numpy as np
+import pytest
+from numpy.linalg import _umath_linalg
+
+import ragd.cli as cli
+import ragd.geometry.spd as spd_module
+from ragd.errors import ConvergenceError
+from ragd.geometry import SPD
+from ragd.problems import oracle_optimum, random_karcher
+from ragd.solvers import SolverConfig, run
+
+HELPERS = ("_eigh", "_eigvalsh")
+HEIGHTS = (None, 1, 2, 17, 256)  # None: a single matrix
+CONDITIONS = (1.0, 1e3, 1e6, 1e9, 1e12)
+
+
+def _sym(a):
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _spd(rng, n, cond):
+    """A random SPD matrix with condition number ``cond`` at a random scale."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.geomspace(1.0, 1.0 / cond, n) * math.exp(rng.uniform(-3.0, 3.0))
+    return _sym((q * rng.permutation(lam)) @ q.T)
+
+
+def _indefinite(rng, n):
+    """A symmetric matrix that is not positive definite, as a kernel's
+    midpoint matrix can be."""
+    while True:
+        a = _sym(rng.standard_normal((n, n)))
+        if n == 1:
+            return -np.abs(a)
+        if np.linalg.eigvalsh(a)[0] < 0.0:
+            return a
+
+
+def _matrices(rng, n, count):
+    kinds = [lambda c=c: _spd(rng, n, c) for c in CONDITIONS] + [lambda: _indefinite(rng, n)]
+    return [kinds[i % len(kinds)]() for i in range(count)]
+
+
+@pytest.mark.parametrize("height", HEIGHTS, ids=lambda h: "single" if h is None else f"stack{h}")
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lapack_reference_helpers_equal_numpy_linalg(n, height):
+    rng = np.random.default_rng(1000 * n + (height or 0))
+    if height is None:
+        inputs = _matrices(rng, n, 12)
+    else:
+        inputs = [np.stack(_matrices(rng, n, height)) for _ in range(2)]
+    for a in inputs:
+        w, q = SPD._eigh(a)
+        want_w, want_q = np.linalg.eigh(a)
+        assert np.array_equal(w, want_w)
+        assert np.array_equal(q, want_q)
+        assert np.array_equal(SPD._eigvalsh(a), np.linalg.eigvalsh(a))
+
+
+# ----- failure modes -----------------------------------------------------------
+
+
+SETTINGS = ("default", "warning-error", "errstate-raise")
+
+
+@contextlib.contextmanager
+def _setting(name):
+    """The floating-point error settings a failure must survive: the default
+    warning filters, RuntimeWarning as an error (``-W error::RuntimeWarning``)
+    and ``np.errstate(invalid="raise")``.  Yields the warnings recorded."""
+    with warnings.catch_warnings(record=True) as seen, \
+            np.errstate(invalid="raise" if name == "errstate-raise" else "warn"):
+        warnings.simplefilter("error" if name == "warning-error" else "always", RuntimeWarning)
+        yield seen
+
+
+def _bases(rng, n):
+    # A diagonal base decouples LAPACK's blocks: a NaN entry there leaves
+    # other eigenvalues finite, and in eigvalsh can leave all of them finite.
+    return {"diagonal": np.diag(rng.uniform(1.0, 4.0, n)), "dense": _spd(rng, n, 1e3),
+            "indefinite": _indefinite(rng, n)}
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("helper", HELPERS)
+def test_lapack_failure_non_finite_input_raises(helper, bad, setting):
+    fn = getattr(SPD, helper)
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        for base in _bases(rng, n).values():
+            for i in range(n):
+                for j in range(i + 1):
+                    a = base.copy()
+                    a[i, j] = a[j, i] = bad
+                    stacks = [a]
+                    for h in (1, 2, 17):
+                        for at in {0, (h - 1) // 2, h - 1}:
+                            stacks.append(np.stack([base] * h))
+                            stacks[-1][at] = a
+                    for s in stacks:
+                        with _setting(setting) as seen, pytest.raises(ConvergenceError):
+                            fn(s)
+                        # Non-finite input never reaches LAPACK, so it warns of nothing.
+                        assert seen == []
+
+
+class _FailingLapack:
+    """Stands in for ``_umath_linalg``: the real gufuncs up to call
+    ``fail_from`` (counting both), then a failed decomposition.  LAPACK
+    fails matrix by matrix, so the output of the one matrix, or of the last
+    matrix of a stack, comes back all NaN.  With ``flag`` the NaN comes from
+    0/0, which raises the invalid flag as LAPACK's failure does."""
+
+    def __init__(self, fail_from=math.inf, flag=False):
+        self.fail_from = fail_from
+        self.flag = flag
+        self.calls = 0
+
+    def _spoil(self, a, *outs):
+        self.calls += 1
+        if self.calls >= self.fail_from:
+            for out in outs:
+                target = out if a.ndim == 2 else out[-1]
+                nan = np.divide(np.zeros(target.shape), 0.0) if self.flag else math.nan
+                target[...] = nan
+        return outs if len(outs) > 1 else outs[0]
+
+    def eigh_lo(self, a):
+        return self._spoil(a, *_umath_linalg.eigh_lo(a))
+
+    def eigvalsh_lo(self, a):
+        return self._spoil(a, _umath_linalg.eigvalsh_lo(a))
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("height", [None, 1, 17], ids=lambda h: "single" if h is None else f"stack{h}")
+@pytest.mark.parametrize("helper", HELPERS)
+def test_lapack_failure_of_the_decomposition_raises(monkeypatch, helper, height, setting):
+    rng = np.random.default_rng(6)
+    a = _spd(rng, 4, 10.0)
+    if height is not None:
+        a = np.stack([a] * height)
+    fake = _FailingLapack(fail_from=1, flag=True)
+    monkeypatch.setattr(spd_module, "_umath_linalg", fake)
+    with _setting(setting), pytest.raises(ConvergenceError) as info:
+        getattr(SPD, helper)(a)
+    assert fake.calls == 1
+    cause = {"default": type(None), "warning-error": RuntimeWarning,
+             "errstate-raise": FloatingPointError}[setting]
+    assert isinstance(info.value.__cause__, cause)
+
+
+def test_lapack_failure_anywhere_in_a_solve_raises(monkeypatch):
+    problem = random_karcher(SPD(3), 5, 1.0, seed=4)
+    oracle_optimum(problem)
+    config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=20)
+    want = run(problem, config)
+    counter = _FailingLapack()
+    monkeypatch.setattr(spd_module, "_umath_linalg", counter)
+    assert np.array_equal(run(problem, config).rows, want.rows, equal_nan=True)
+    total = counter.calls
+    assert total > 20
+    # Every decomposition of the run, the first to the last, in turn.  The
+    # problem's own points keep their factorizations from the runs above,
+    # so every run makes the same calls in the same order.
+    for k in range(1, total + 1):
+        fake = _FailingLapack(fail_from=k)
+        monkeypatch.setattr(spd_module, "_umath_linalg", fake)
+        with pytest.raises(ConvergenceError):
+            run(problem, config)
+        assert fake.calls == k
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["first", "later"])
+def test_lapack_failure_in_ragd_run_is_abort(tmp_path, monkeypatch, caplog, capsys, late):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": {"kind": "karcher", "manifold": {"kind": "spd", "n": 3},
+                    "n_anchors": 5, "radius": 1.5, "seed": 13},
+        "solvers": [{"mode": "ragd", "max_iters": 30}],
+        "seed": 3,
+    }))
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    # Count the decompositions of the parse phase, which builds the problem,
+    # so that the failure falls in the work after it.
+    counter = _FailingLapack()
+    monkeypatch.setattr(spd_module, "_umath_linalg", counter)
+    args = cli._build_parser().parse_args(argv)
+    args.func(args)
+    fake = _FailingLapack(fail_from=counter.calls + (100 if late else 1))
+    monkeypatch.setattr(spd_module, "_umath_linalg", fake)
+    capsys.readouterr()
+    with caplog.at_level(logging.ERROR):
+        rc = cli.main(argv)
+    assert rc == cli.EXIT_ABORT
+    assert fake.calls == fake.fail_from
+    errors = [r for r in caplog.records if r.name == "ragd.cli" and r.levelno == logging.ERROR]
+    assert len(errors) == 1
+    assert "ConvergenceError" in errors[0].getMessage()
+    assert errors[0].exc_info is None
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
