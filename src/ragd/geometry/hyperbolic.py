@@ -40,6 +40,8 @@ _RENORM_SCALE = 1e6
 _MAX_TIME = 1e40
 _MAX_CHORD_SCALE = 1e140
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _check_chord_scale(cm1: float, x_time: float) -> None:
     """Raise unless ``(1 + cm1) * x_time <= _MAX_CHORD_SCALE``, for the largest
@@ -210,6 +212,13 @@ class Hyperbolic(Manifold):
 
     def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self._mdot_many(vs, vs), 0.0))
+
+    def _norm_resolved(self, v: np.ndarray) -> bool:
+        # Far out, a tangent's spacelike and timelike squares nearly cancel.
+        # The dim + 1 products and sums of ``_mdot`` round by up to about
+        # (dim + 1) * eps / 2 times the sum of their magnitudes; the test
+        # allows twice that.
+        return not self._mdot(v, v) < (self.dim + 1) * _EPS * self._scale_sq(v, v)
 
     # ----- sampling -------------------------------------------------------
 

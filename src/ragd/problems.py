@@ -507,7 +507,9 @@ def oracle_optimum(
     Independent of the accelerated solver on purpose: its fixed point is
     used as the ground truth the solver traces are judged against.  Starts
     at ``problem.start``, stops when the gradient norm falls below ``tol``,
-    and stores the result on the problem and returns it.
+    and stores the result on the problem and returns it.  Raises
+    ``DomainError`` instead when the stop test passes on a norm lost to
+    rounding (a gradient far out on the hyperboloid).
     """
     m = problem.manifold
     x = problem.start
@@ -515,6 +517,11 @@ def oracle_optimum(
     for _ in range(max_iters):
         g = problem.grad(x)
         if m.norm(x, g) <= tol:
+            if not m._norm_resolved(g.coords):
+                raise DomainError(
+                    "oracle gradient too far out for its norm to be resolved: "
+                    f"<g, g> = {m.inner(x, g, g):.3e} lies under its rounding error"
+                )
             problem.set_optimum(x)
             return x
         x = m._exp(x, (-step) * g.coords)

@@ -11,6 +11,20 @@ always does), and ``worst`` the largest residual, so
 ``ok == (violations == 0) == (worst <= tol)``.  The potential checks pass
 each step's defect minus the certifier's own allowance, at ``tol`` 0.
 Reports are plain dictionaries so the CLI can emit them as JSON.
+
+These suites are the one home of the checks that several acceptance
+criteria (``tests/test_acceptance.py``) state, so each criterion below can
+be re-checked from the command line:
+
+- criteria 01-03 (momentum staircase and limit, fixed points, contraction
+  envelope) are the ``xi`` suite at seed 3, ``ragd verify --suite xi
+  --seed 3``;
+- criterion 05 (curved certificates) certifies the runs of
+  :func:`_certified_karcher`, the builder of the ``potential`` suite's
+  curved runs, at 500 steps on hyperbolic seeds 0-19 and SPD seeds
+  100-109;
+- criterion 09 (distortion inequality families) is the ``distortion``
+  suite at seed 9, ``ragd verify --suite distortion --seed 9``.
 """
 
 from __future__ import annotations
@@ -208,6 +222,8 @@ def _certified_quadratic(seed: int, steps: int) -> tuple:
 def _certified_karcher(manifold: Manifold, seed: int, steps: int) -> tuple:
     prob = random_karcher(manifold, 6, 1.2, seed=seed)
     oracle_optimum(prob)
+    # Small steps keep the certified envelope's total decay within what
+    # float distances can resolve over the whole run.
     gamma = 5e-5
     _, a = step_gain(prob.mu, prob.L, gamma)
     cfg = SolverConfig(

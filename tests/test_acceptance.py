@@ -5,7 +5,9 @@ pin the momentum recursion values, fixed points and contraction, the
 per-step potential certificates in flat and curved space, the measured
 convergence rates, the constant-rate momentum lock, the acceleration
 entry threshold, the distortion inequality families, the step-identity
-audits, and the distance-shrinking bounds.
+audits, and the distance-shrinking bounds.  Criteria 01-03, 05 and 09 run
+the suites of ``ragd verify``; the module docstring of ``ragd.verify``
+maps each of them to its suite and seed.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from ragd.distortion import s_kappa, t_kappa, trig_coeff
+from ragd.distortion import t_kappa
 from ragd.errors import MissingDataError
 from ragd.geometry import SPD, Hyperbolic, Sphere
 from ragd.potential import (
@@ -36,23 +38,27 @@ from ragd.problems import (
 )
 from ragd.solvers import SolverConfig, run
 from ragd.trace import estimate_rate
-from ragd.xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi, next_xi
+from ragd.verify import _certified_karcher, run_suite
+from ragd.xi import XiParams, fixed_point_xi
 
-STAIRCASE = (0.6625, 0.5748, 0.5360)
-STAIR_TOL = 1e-3
-LIMIT_TOL = 1e-8
-FIXED_POINT_TOL = 1e-12
-CURVED_FP_TOL = 1e-6
-ENVELOPE_SLACK = 1e-12
 VANISH_TOL = 1e-12
 CROSS_TOL = 1e-10
 RATE_REL_TOL = 0.10
 GAP_RATIO_MIN = 1e3
 LOCK_TOL = 1e-10
-DISTORTION_SLACK = 1e-8
 SHRINK_FLOOR = 1e-6
 
 logging.getLogger("ragd.solvers").setLevel(logging.ERROR)
+
+
+@pytest.fixture(scope="module")
+def xi_checks():
+    """The checks of the ``xi`` suite at seed 3, by name."""
+    return {check["name"]: check for check in run_suite("xi", seed=3)["checks"]}
+
+
+def _failed(checks, names):
+    return [checks[name] for name in names if not checks[name]["ok"]]
 
 
 @pytest.fixture(scope="module")
@@ -77,39 +83,17 @@ def long_step_run():
     return prob, config, run(dataclasses.replace(prob, start=x0), config)
 
 
-def test_criterion_01_momentum_staircase_and_limit():
-    xs = iterate_xi(0.9, XiParams(a=0.25, delta=1.0), 200)
-    for step, value in enumerate(STAIRCASE):
-        assert abs(xs[step + 1] - value) <= STAIR_TOL
-    assert abs(xs[200] - 0.5) <= LIMIT_TOL
+def test_criterion_01_momentum_staircase_and_limit(xi_checks):
+    assert not _failed(xi_checks, ("staircase", "staircase-limit"))
 
 
-def test_criterion_02_momentum_fixed_points():
-    for a in (0.01, 0.09, 0.25):
-        star = fixed_point_xi(XiParams(a=a, delta=1.0))
-        assert abs(star - math.sqrt(a)) <= FIXED_POINT_TOL
-    assert abs(fixed_point_xi(XiParams(a=0.25, delta=2.0)) - 0.366025) <= CURVED_FP_TOL
-    grid = np.linspace(1.0, 40.0, 200)
-    for a in (0.01, 0.25, 0.49):
-        stars = [fixed_point_xi(XiParams(a=a, delta=float(d))) for d in grid]
-        assert all(nxt <= cur + 1e-14 for cur, nxt in zip(stars, stars[1:]))
-        assert all(star > a for star in stars)
+def test_criterion_02_momentum_fixed_points(xi_checks):
+    assert not _failed(xi_checks, ("fixed-point-flat", "fixed-point-curved",
+                                   "fixed-point-monotone", "fixed-point-above-a"))
 
 
-def test_criterion_03_momentum_contraction_envelope():
-    rng = rng_from_seed(3)
-    for _ in range(100):
-        a = float(rng.uniform(0.0, 0.95))
-        delta = float(rng.uniform(1.0, 50.0))
-        params = XiParams(a=a, delta=delta)
-        star = fixed_point_xi(params)
-        lam = contraction_factor(params)
-        xi = float(rng.uniform(max(a, 1e-6) + 1e-9, 1.0 - 1e-9))
-        envelope = abs(xi - star)
-        for _step in range(100):
-            xi = next_xi(xi, params)
-            envelope *= lam
-            assert abs(xi - star) <= envelope + ENVELOPE_SLACK
+def test_criterion_03_momentum_contraction_envelope(xi_checks):
+    assert not _failed(xi_checks, ("contraction-envelope",))
 
 
 def test_criterion_04_flat_certificates_across_quadratics():
@@ -137,25 +121,11 @@ def test_criterion_04_flat_certificates_across_quadratics():
 
 
 def test_criterion_05_curved_certificates_across_instances():
-    gamma = 5e-5
     cases = [(Hyperbolic(8, kappa=1.0), seed) for seed in range(20)]
     cases += [(SPD(4), seed) for seed in range(100, 110)]
     for manifold, seed in cases:
-        prob = random_karcher(manifold, 6, 1.2, seed=seed)
-        oracle_optimum(prob)
-        a = 2.0 * prob.mu * gamma * (1.0 - prob.L * gamma / 2.0)
-        config = SolverConfig(
-            mode="ragd",
-            mu=prob.mu,
-            L=prob.L,
-            gamma=gamma,
-            xi0=math.sqrt(a),
-            max_iters=500,
-            record_diagnostics=True,
-        )
-        trace = run(prob, config)
-        report = certify_trace(trace, prob)
-        assert report.violations == 0
+        prob, trace = _certified_karcher(manifold, seed, 500)
+        assert certify_trace(trace, prob).violations == 0
 
 
 def test_criterion_06_flat_rates_match_theory():
@@ -216,33 +186,8 @@ def test_criterion_08_acceleration_entry_threshold(long_step_run):
 
 
 def test_criterion_09_distortion_inequality_families():
-    rng = rng_from_seed(9)
-    for _ in range(2000):
-        kappa = float(rng.choice([0.5, 1.0, 2.0]))
-        m = Hyperbolic(5, kappa=kappa)
-        x = m.random_point(rng, m.base_point(), 1.0)
-        y = m.exp(x, m.random_tangent(rng, x, scale=1.5))
-        z = m.exp(x, m.random_tangent(rng, x, scale=1.5))
-        dxy, dxz, dyz = m.distance(x, y), m.distance(x, z), m.distance(y, z)
-        pd = m.projected_distance(x, y, z)
-        assert t_kappa(kappa, dxy) * pd**2 - dyz**2 >= -DISTORTION_SLACK
-        assert s_kappa(kappa, max(dxy, dxz)) * pd**2 - dyz**2 >= -DISTORTION_SLACK
-        if dxy > 1e-12 and dxz > 1e-12:
-            cos_a = m.inner(x, m.log(x, y), m.log(x, z)) / (dxy * dxz)
-            law = trig_coeff(kappa, dxy) * dxz**2 + dxy**2 - 2.0 * dxz * dxy * cos_a
-            assert law - dyz**2 >= -DISTORTION_SLACK
-    for _ in range(2000):
-        kappa = float(rng.choice([0.5, 1.0, 2.0]))
-        r = float(rng.uniform(0.0, 0.5 / math.sqrt(kappa)))
-        assert t_kappa(kappa, r) <= 1.0 + 2.0 * kappa * r**2 + 1e-9
-    sph = Sphere(5, sigma=1.0)
-    half_cap = math.pi / 8.0
-    for _ in range(2000):
-        x = sph.random_point(rng, sph.base_point(), half_cap)
-        y = sph.random_point(rng, sph.base_point(), half_cap)
-        z = sph.random_point(rng, sph.base_point(), half_cap)
-        bound = (1.0 + 2.0 * sph.distance(x, y) ** 2) * sph.distance(y, z) ** 2
-        assert bound - sph.projected_distance(x, y, z) ** 2 >= -DISTORTION_SLACK
+    report = run_suite("distortion", seed=9)
+    assert report["ok"], [check for check in report["checks"] if not check["ok"]]
 
 
 def test_criterion_10_step_identity_audits():

@@ -299,6 +299,18 @@ def test_hyperbolic_rejects_overlong_geodesics():
         m.exp(x, v)
 
 
+@pytest.mark.parametrize("r, resolved", [(16.0, True), (17.5, False), (20.0, False)])
+def test_hyperbolic_norm_resolution_bound(r, resolved):
+    # A unit tangent along a geodesic at distance r from the base point has
+    # Minkowski square 1 and magnitude scale 2 cosh(r)**2; on H(8) the
+    # rounding bound 9 eps times that scale passes 1 near r = 17.3.
+    m = Hyperbolic(8)
+    v = np.zeros(9)
+    v[0], v[-1] = math.cosh(r), math.sinh(r)
+    assert m._norm_resolved(v) is resolved
+    assert m._norm_resolved(np.zeros(9))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hyperbolic_far_field_raises_typed_errors():
     m = Hyperbolic(3, kappa=1.0)

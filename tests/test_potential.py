@@ -95,27 +95,6 @@ def test_certify_flat_run_clean():
     assert report.records[-1].ok
 
 
-def test_certify_curved_run_clean():
-    # Small steps keep the certified envelope's total decay within what
-    # float distances can resolve over the whole run.
-    prob = random_karcher(Hyperbolic(6, kappa=1.0), 5, 1.0, seed=4)
-    oracle_optimum(prob)
-    gamma = 5e-5
-    a = 2.0 * prob.mu * gamma * (1.0 - prob.L * gamma / 2.0)
-    config = SolverConfig(
-        mode="ragd",
-        mu=prob.mu,
-        L=prob.L,
-        gamma=gamma,
-        xi0=math.sqrt(a),
-        max_iters=120,
-        record_diagnostics=True,
-    )
-    trace = run(prob, config)
-    report = certify_trace(trace, prob)
-    assert report.violations == 0
-
-
 def test_certifier_allowance_uses_the_weight_of_the_xi_column():
     prob, trace = _curved_run()
     xi = trace.column("xi")

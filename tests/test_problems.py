@@ -239,6 +239,35 @@ def test_oracle_optimum_matches_gradient_zero():
         assert prob.value(x) >= prob.optimum_value - 1e-12
 
 
+def _far_line_karcher(seed, n_anchors):
+    """Karcher problem on H(8) with anchors near +-18 along one geodesic,
+    1% jitter, and anchor 0 at exactly 18 from the base point."""
+    m = Hyperbolic(8)
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(-18.0, 18.0, n_anchors)
+    ts[0] = 18.0 * np.sign(ts[0])
+    base = m.base_point()
+    anchors = []
+    for t in ts:
+        v = np.zeros(9)
+        v[0] = t * (1.0 + 0.01 * rng.normal())
+        v[1:8] = 0.01 * abs(t) * rng.normal(size=7)
+        anchors.append(m.exp(base, m.tangent(base, v)))
+    return make_karcher(m, anchors)
+
+
+@pytest.mark.parametrize("seed, n_anchors", [(22, 4), (16, 2)])
+def test_oracle_rejects_a_gradient_norm_lost_to_rounding(seed, n_anchors):
+    # At the start the gradient's coordinates reach ~8e7, so its Minkowski
+    # square rounds to <= 0 and the norm reads 0: the stop test passes at
+    # once, though the start is not the optimum.
+    prob = _far_line_karcher(seed, n_anchors)
+    assert prob.manifold.norm(prob.start, prob.grad(prob.start)) == 0.0
+    with pytest.raises(DomainError, match="too far out"):
+        oracle_optimum(prob)
+    assert prob.optimum is None
+
+
 @pytest.mark.parametrize(
     "consumer",
     [

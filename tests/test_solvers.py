@@ -474,9 +474,11 @@ def _far_line_problem(radius=18.0):
 def test_far_field_divergence_ends_in_a_typed_error(tmp_path, caplog):
     # The run drifts out along the line until its points leave the double
     # range of the hyperboloid; that must end in a library error, not in a
-    # floating-point overflow.
+    # floating-point overflow.  The oracle cannot resolve the gradient norm
+    # this far out, so the run goes without an optimum.
     problem = _far_line_problem()
-    oracle_optimum(problem)
+    with pytest.raises(DomainError, match="too far out"):
+        oracle_optimum(problem)
     config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=300)
     with pytest.raises(DomainError, match="double-precision range"):
         run(problem, config)
@@ -490,7 +492,8 @@ def test_far_field_divergence_ends_in_a_typed_error(tmp_path, caplog):
     with caplog.at_level(logging.ERROR, logger="ragd.cli"):
         rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_ABORT
-    assert any("DomainError" in r.getMessage() for r in caplog.records)
+    assert any("DomainError" in r.getMessage() and "too far out" in r.getMessage()
+               for r in caplog.records)
 
 
 @pytest.mark.parametrize("kind", ["flat", "spd", "hyperbolic", "sphere"])
