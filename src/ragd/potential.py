@@ -23,11 +23,15 @@ first is negative.  :func:`coefficient_block` exposes them for direct
 numerical inspection.
 
 The certifier, the quadratic-form audit, the rate envelope and the
-shrink report read one replay of the run, which evaluates f(y_t) - f*,
+shrink bounds read one replay of the run, which evaluates f(y_t) - f*,
 pd_t and phi_t once per row (f(y_t) of every row in one ``Problem.values``
 call and pd_t in one stacked call, ``Manifold._projected_distances``).
 Every check allows :data:`CERT_TOL` (the envelope :data:`ENVELOPE_TOL`)
 times the magnitudes it compares.
+Every per-step check but the certifier reports as a
+:class:`StepAuditReport`, tallied by one rule: a NaN residual is a
+violation, and an infinite allowance marks a row that is not compared
+(its bound lies below a floor, or its step hypotheses fail).
 """
 
 from __future__ import annotations
@@ -61,27 +65,29 @@ __all__ = [
     "mirror_step_audit",
     "rate_envelope",
     "shrink_constant",
-    "ShrinkRecord",
     "shrink_bounds",
-    "ShrinkSummary",
-    "count_shrink_violations",
     "acceleration_threshold",
 ]
 
 CERT_TOL = 1e-9
-"""Relative allowance of the certifier, the step audits and the shrink tally."""
+"""Relative allowance of the certifier, the step audits and the shrink bounds."""
 
 ENVELOPE_TOL = 1e-7
 """Relative allowance of the cumulative rate envelope."""
 
 
-def _allowance(unit: float, *magnitudes: float, rel: float = CERT_TOL) -> float:
-    """Float slack of one checked inequality: ``rel`` times its unit term
+def _allowance(unit: float, *magnitudes: float) -> float:
+    """Float slack of one checked inequality: CERT_TOL times its unit term
     plus the magnitudes of the quantities it compares."""
-    total = unit
-    for mag in magnitudes:
-        total += mag
-    return rel * total
+    return CERT_TOL * sum(magnitudes, unit)
+
+
+def _bound_allowance(bounds: np.ndarray, floor: float, rel: float) -> np.ndarray:
+    """Allowance of an observed quantity against its bound: ``rel * (1 +
+    |bound|)`` where the bound is finite and at least ``floor``, and +inf
+    (not compared) elsewhere."""
+    compared = np.isfinite(bounds) & (bounds >= floor)
+    return np.where(compared, rel * (1.0 + np.abs(bounds)), math.inf)
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,6 @@ class PotentialRecord:
 class CertificationReport:
     records: list[PotentialRecord]
     violations: int
-    worst_margin: float
 
     @property
     def ok(self) -> bool:
@@ -201,33 +206,20 @@ def certify_trace(trace: ConvergenceTrace, problem: Problem) -> CertificationRep
     """
     _require_potential_inputs(trace, problem)
     r = _replay(trace, problem)
-    phis = r.phi
-    n_rows = phis.shape[0]
-
-    records = []
-    violations = 0
-    worst = math.inf
-    for t in range(n_rows):
-        if t + 1 < n_rows:
-            shrink = 1.0 - float(r.xi[t + 1])
-            margin = shrink * phis[t] - phis[t + 1]
-            allowed = _allowance(float(r.decay[t + 1]), shrink * abs(phis[t]))
-            ok = margin >= -allowed
-            if not ok:
-                violations += 1
-            worst = min(worst, margin + allowed)
-        else:
-            margin, allowed, ok = math.nan, math.nan, True
-        records.append(
-            PotentialRecord(
-                t=t,
-                phi=float(phis[t]),
-                margin=float(margin),
-                allowed=float(allowed),
-                ok=ok,
-            )
-        )
-    return CertificationReport(records=records, violations=violations, worst_margin=worst)
+    shrink = 1.0 - r.xi[1:]
+    margins = shrink * r.phi[:-1] - r.phi[1:]
+    allowed = CERT_TOL * (r.decay[1:] + shrink * np.abs(r.phi[:-1]))
+    oks = margins >= -allowed
+    records = [
+        PotentialRecord(t=t, phi=phi, margin=margin, allowed=allow, ok=ok)
+        for t, (phi, margin, allow, ok) in enumerate(zip(
+            r.phi.tolist(),
+            margins.tolist() + [math.nan],
+            allowed.tolist() + [math.nan],
+            oks.tolist() + [True],
+        ))
+    ]
+    return CertificationReport(records=records, violations=int(np.count_nonzero(~oks)))
 
 
 # ----- per-step identity and inequality audits --------------------------------
@@ -238,7 +230,10 @@ class StepAuditReport:
     """Outcome of one per-step audit over a recorded run.
 
     ``residuals[t]`` is the defect of the audited condition at step t
-    (positive means broken); the step passes when residual <= allowed.
+    (positive means broken); the step passes when residual <= allowed, so
+    a NaN residual is a violation.  An infinite allowance means the step
+    is not compared: its bound lies below what floats resolve, or its
+    hypotheses fail.
     """
 
     name: str
@@ -247,7 +242,11 @@ class StepAuditReport:
 
     @property
     def violations(self) -> int:
-        return int(np.count_nonzero(self.residuals > self.allowed))
+        return int(np.count_nonzero(~(self.residuals <= self.allowed)))
+
+    @property
+    def compared(self) -> int:
+        return int(np.count_nonzero(np.isfinite(self.allowed)))
 
     @property
     def ok(self) -> bool:
@@ -417,11 +416,7 @@ def rate_envelope(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
     _require_potential_inputs(trace, problem)
     r = _replay(trace, problem)
     bounds = r.phi[0] * r.decay
-    floor = NOISE_FLOOR * r.phi[0]
-    allowed = np.array([
-        _allowance(1.0, abs(b), rel=ENVELOPE_TOL) if b >= floor else math.inf
-        for b in bounds
-    ])
+    allowed = _bound_allowance(bounds, NOISE_FLOOR * r.phi[0], ENVELOPE_TOL)
     return StepAuditReport("rate_envelope", r.gap - bounds, allowed)
 
 
@@ -456,126 +451,52 @@ def shrink_constant(mu: float, L: float, gamma: float) -> float:
     return num / den + s_grad
 
 
-@dataclass(frozen=True)
-class ShrinkRecord:
-    """Observed distances at one row next to their theoretical bounds.
+def shrink_bounds(
+    trace: ConvergenceTrace, problem: Problem, floor: float = 0.0
+) -> list[StepAuditReport]:
+    """Check the distance-shrinking bounds along a recorded run.
 
-    ``d_xz_bound`` and ``d_yz_bound`` are NaN when the step hypotheses
+    Returns one report per distance, named ``proj_z_opt`` (pd(x_t; z_t, x*)),
+    ``d_y_opt``, ``proj_yz`` (pd(x_t; y_t, z_t)), ``d_yz`` and ``d_xz``; row
+    t's residual is the observed distance minus its bound.  All bounds
+    share the root sqrt(D0 * prod_{j<=t} (1 - xi_j)) built from the
+    recorded momentum column; D0 is the normalized potential phi_0.  The
+    bounds on ``d_yz`` and ``d_xz`` are +inf where the step hypotheses
     (gamma * L > 1, gamma * L <= 2 - xi, xi > 2 * mu * Delta) fail at the
-    momentum value they depend on.
-    """
-
-    t: int
-    proj_z_opt: float
-    proj_z_opt_bound: float
-    d_y_opt: float
-    d_y_opt_bound: float
-    proj_yz: float
-    proj_yz_bound: float
-    d_yz: float
-    d_yz_bound: float
-    d_xz: float
-    d_xz_bound: float
-
-
-def shrink_bounds(trace: ConvergenceTrace, problem: Problem) -> list[ShrinkRecord]:
-    """Evaluate the distance-shrinking bounds along a recorded run.
-
-    All bounds share the root sqrt(D0 * prod_{j<=t} (1 - xi_j)) built from
-    the recorded momentum column; D0 is the normalized potential phi_0.
+    momentum value they depend on.  A row is compared, with allowance
+    CERT_TOL * (1 + bound), only where its bound is finite and at least
+    ``floor``: below that the theoretical envelope has decayed beneath
+    what float distances can resolve.
     """
     _require_potential_inputs(trace, problem)
     d = trace.diagnostics
     m = problem.manifold
     opt = problem.optimum
-    mu = float(trace.meta["mu"])
-    L = float(trace.meta["L"])
-    gamma = float(trace.meta["gamma"])
+    mu, L, gamma = (float(trace.meta[k]) for k in ("mu", "L", "gamma"))
     _, a, s_opt, s_proj, s_grad, den = _shrink_scales(mu, L, gamma)
-    try:
-        c_shrink = shrink_constant(mu, L, gamma)
-    except HypothesisError:
-        c_shrink = math.nan
+    c_shrink = shrink_constant(mu, L, gamma) if gamma * L > 1.0 else math.inf
     r = _replay(trace, problem)
-    n_rows = r.phi.shape[0]
-    roots = np.sqrt(r.phi[0] * r.decay) if r.phi[0] > 0.0 else np.zeros(n_rows)
-
-    def hyp_ok(xi_next: float) -> bool:
-        return gamma * L > 1.0 and gamma * L <= 2.0 - xi_next and xi_next > a
-
-    records = []
-    for t in range(n_rows):
-        root = float(roots[t])
-        x_t, y_t, z_t = d.points_x[t], d.points_y[t], d.points_z[t]
-        if t + 1 < n_rows and hyp_ok(float(r.xi[t + 1])):
-            beta = 1.0 - a / float(r.xi[t + 1])
-            d_yz_bound = root / beta * (s_opt + s_proj + s_grad) * (1.0 - a) / den
-        else:
-            d_yz_bound = math.nan
-        if t == 0:
-            d_xz_bound = 0.0
-        elif hyp_ok(float(r.xi[t])) and not math.isnan(c_shrink):
-            # the bound for row t uses the root of row t-1
-            d_xz_bound = c_shrink * float(roots[t - 1])
-        else:
-            d_xz_bound = math.nan
-        records.append(
-            ShrinkRecord(
-                t=t,
-                proj_z_opt=float(r.pd[t]),
-                proj_z_opt_bound=root * s_proj,
-                d_y_opt=m.distance(y_t, opt),
-                d_y_opt_bound=root * s_opt,
-                proj_yz=m.projected_distance(x_t, y_t, z_t),
-                proj_yz_bound=root * (s_opt + s_proj),
-                d_yz=m.distance(y_t, z_t),
-                d_yz_bound=d_yz_bound,
-                d_xz=m.distance(x_t, z_t),
-                d_xz_bound=d_xz_bound,
-            )
-        )
-    return records
-
-
-@dataclass(frozen=True)
-class ShrinkSummary:
-    """Violation tally over a list of shrink records.
-
-    ``checked`` counts (row, bound) pairs that were actually comparable:
-    the bound is defined (hypotheses hold) and at least ``floor`` large.
-    Bounds below ``floor`` are skipped because the theoretical envelope
-    has decayed beneath what float distances can resolve.
-    """
-
-    violations: int
-    checked: int
-    skipped: int
-
-
-def count_shrink_violations(
-    records: list[ShrinkRecord], floor: float = 0.0
-) -> ShrinkSummary:
-    """Tally bound violations across all five distance comparisons."""
-    pairs = (
-        ("proj_z_opt", "proj_z_opt_bound"),
-        ("d_y_opt", "d_y_opt_bound"),
-        ("proj_yz", "proj_yz_bound"),
-        ("d_yz", "d_yz_bound"),
-        ("d_xz", "d_xz_bound"),
+    roots = np.sqrt(r.phi[0] * r.decay) if r.phi[0] > 0.0 else np.zeros_like(r.phi)
+    # hypotheses of the step leaving row t, at xi_{t+1}; the last row has none
+    xi_next = np.append(r.xi[1:], math.nan)
+    hyp = (gamma * L > 1.0) & (gamma * L <= 2.0 - xi_next) & (xi_next > a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_yz = roots / (1.0 - a / xi_next) * (s_opt + s_proj + s_grad) * (1.0 - a) / den
+        d_yz = np.where(hyp, d_yz, math.inf)
+        # row t's bound uses the root of row t-1
+        d_xz = np.append(0.0, np.where(hyp[:-1], c_shrink * roots[:-1], math.inf))
+    xs, ys, zs = d.points_x, d.points_y, d.points_z
+    observed_bounds = (
+        ("proj_z_opt", r.pd, roots * s_proj),
+        ("d_y_opt", [m.distance(y, opt) for y in ys], roots * s_opt),
+        ("proj_yz", list(map(m.projected_distance, xs, ys, zs)), roots * (s_opt + s_proj)),
+        ("d_yz", list(map(m.distance, ys, zs)), d_yz),
+        ("d_xz", list(map(m.distance, xs, zs)), d_xz),
     )
-    violations = 0
-    checked = 0
-    skipped = 0
-    for rec in records:
-        for field_obs, field_bound in pairs:
-            bound = getattr(rec, field_bound)
-            if math.isnan(bound) or bound < floor:
-                skipped += 1
-                continue
-            checked += 1
-            if getattr(rec, field_obs) > bound + _allowance(1.0, bound):
-                violations += 1
-    return ShrinkSummary(violations=violations, checked=checked, skipped=skipped)
+    return [
+        StepAuditReport(name, obs - bound, _bound_allowance(bound, floor, CERT_TOL))
+        for name, obs, bound in observed_bounds
+    ]
 
 
 def acceleration_threshold(

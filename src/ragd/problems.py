@@ -328,6 +328,64 @@ def _karcher_smoothness(manifold: Manifold, radius: float) -> float:
     return trig_coeff(manifold.curv_lower_mag, 2.0 * radius)
 
 
+def _barycenter(
+    kind: str,
+    manifold: Manifold,
+    anchors: Sequence[ManifoldPoint],
+    weights: Sequence[float] | None,
+    name: str,
+    certify: Callable[[float], tuple[float, float, float]],
+) -> Problem:
+    """The barycenter problem of ``kind`` on ``anchors``, with (mu, L,
+    certified radius) = ``certify(spread)``, where ``spread`` is the largest
+    anchor distance from the projected anchor mean."""
+    anchors = list(anchors)
+    if len(anchors) < 1:
+        raise DomainError("need at least one anchor")
+    w = _normalized_weights(len(anchors), weights)
+    ref = _mean_point(manifold, anchors)
+    mu, lips, radius = certify(max(manifold.distance(ref, p) for p in anchors))
+    objective, gradient = _barycenter_callables(manifold, anchors, w)
+    payload = {
+        "kind": kind,
+        "manifold": manifold_to_dict(manifold),
+        "anchors": [p.coords.tolist() for p in anchors],
+        "weights": w.tolist(),
+    }
+    return Problem(
+        name=name,
+        manifold=manifold,
+        objective=objective,
+        gradient=gradient,
+        mu=mu,
+        L=lips,
+        start=anchors[0],
+        reference=ref,
+        certified_radius=radius,
+        payload=payload,
+    )
+
+
+def _random_barycenter(
+    build: Callable[..., Problem],
+    manifold: Manifold,
+    n_anchors: int,
+    radius: float,
+    seed: int,
+    weights: Sequence[float] | None,
+    name: str,
+) -> Problem:
+    """``build`` on ``n_anchors`` anchors drawn in the ``radius`` ball around
+    the canonical point; the caller has checked ``n_anchors`` and ``radius``."""
+    rng = rng_from_seed(seed)
+    center = manifold.base_point()
+    anchors = [manifold.random_point(rng, center, radius) for _ in range(n_anchors)]
+    problem = build(manifold, anchors, weights, name=name)
+    problem.payload["seed"] = int(seed)
+    problem.payload["radius"] = float(radius)
+    return problem
+
+
 def make_karcher(
     manifold: Manifold,
     anchors: Sequence[ManifoldPoint],
@@ -346,31 +404,11 @@ def make_karcher(
             "make_karcher requires a Hadamard manifold; "
             "use make_sphere_mean for positive curvature"
         )
-    anchors = list(anchors)
-    if len(anchors) < 1:
-        raise DomainError("need at least one anchor")
-    w = _normalized_weights(len(anchors), weights)
-    ref = _mean_point(manifold, anchors)
-    spread = max(manifold.distance(ref, p) for p in anchors)
-    objective, gradient = _barycenter_callables(manifold, anchors, w)
-    payload = {
-        "kind": "karcher",
-        "manifold": manifold_to_dict(manifold),
-        "anchors": [p.coords.tolist() for p in anchors],
-        "weights": w.tolist(),
-    }
-    return Problem(
-        name=name,
-        manifold=manifold,
-        objective=objective,
-        gradient=gradient,
-        mu=1.0,
-        L=_karcher_smoothness(manifold, spread),
-        start=anchors[0],
-        reference=ref,
-        certified_radius=spread,
-        payload=payload,
-    )
+
+    def certify(spread: float) -> tuple[float, float, float]:
+        return 1.0, _karcher_smoothness(manifold, spread), spread
+
+    return _barycenter("karcher", manifold, anchors, weights, name, certify)
 
 
 def recertified(problem: Problem, radius: float) -> Problem | None:
@@ -398,18 +436,10 @@ def random_karcher(
         raise DomainError(f"need n_anchors >= 1, got {n_anchors}")
     if not radius > 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
-    rng = rng_from_seed(seed)
-    center = manifold.base_point()
-    anchors = [manifold.random_point(rng, center, radius) for _ in range(n_anchors)]
-    problem = make_karcher(
-        manifold,
-        anchors,
-        weights,
-        name=name or f"karcher-{manifold.name}-k{n_anchors}",
+    name = name or f"karcher-{manifold.name}-k{n_anchors}"
+    return _random_barycenter(
+        make_karcher, manifold, n_anchors, radius, seed, weights, name
     )
-    problem.payload["seed"] = int(seed)
-    problem.payload["radius"] = float(radius)
-    return problem
 
 
 def make_sphere_mean(
@@ -428,39 +458,18 @@ def make_sphere_mean(
     """
     if not isinstance(manifold, Sphere):
         raise DomainError("make_sphere_mean requires a Sphere manifold")
-    anchors = list(anchors)
-    if len(anchors) < 1:
-        raise DomainError("need at least one anchor")
-    w = _normalized_weights(len(anchors), weights)
-    ref = _mean_point(manifold, anchors)
     cap = 0.25 * math.pi / math.sqrt(manifold.sigma)
-    spread = max(manifold.distance(ref, p) for p in anchors)
-    if not spread < cap:
-        raise DomainError(
-            f"anchor spread {spread!r} must be strictly below the "
-            f"quarter-sphere cap radius {cap!r}"
-        )
-    w_max = math.sqrt(manifold.sigma) * (cap + spread)
-    mu = max(tan_ratio(w_max), _MU_FLOOR)
-    objective, gradient = _barycenter_callables(manifold, anchors, w)
-    payload = {
-        "kind": "sphere_mean",
-        "manifold": manifold_to_dict(manifold),
-        "anchors": [p.coords.tolist() for p in anchors],
-        "weights": w.tolist(),
-    }
-    return Problem(
-        name=name,
-        manifold=manifold,
-        objective=objective,
-        gradient=gradient,
-        mu=mu,
-        L=1.0,
-        start=anchors[0],
-        reference=ref,
-        certified_radius=cap,
-        payload=payload,
-    )
+
+    def certify(spread: float) -> tuple[float, float, float]:
+        if not spread < cap:
+            raise DomainError(
+                f"anchor spread {spread!r} must be strictly below the "
+                f"quarter-sphere cap radius {cap!r}"
+            )
+        w_max = math.sqrt(manifold.sigma) * (cap + spread)
+        return max(tan_ratio(w_max), _MU_FLOOR), 1.0, cap
+
+    return _barycenter("sphere_mean", manifold, anchors, weights, name, certify)
 
 
 def random_sphere_mean(
@@ -475,23 +484,17 @@ def random_sphere_mean(
     so the anchor spread provably fits inside the quarter-sphere cap."""
     if n_anchors < 1:
         raise DomainError(f"need n_anchors >= 1, got {n_anchors}")
+    if not isinstance(manifold, Sphere):
+        raise DomainError("make_sphere_mean requires a Sphere manifold")
     limit = 0.125 * math.pi / math.sqrt(manifold.sigma)
     if not 0.0 < radius < limit:
         raise DomainError(
             f"radius must lie in (0, {limit!r}) for a certified cap, got {radius}"
         )
-    rng = rng_from_seed(seed)
-    center = manifold.base_point()
-    anchors = [manifold.random_point(rng, center, radius) for _ in range(n_anchors)]
-    problem = make_sphere_mean(
-        manifold,
-        anchors,
-        weights,
-        name=name or f"sphere-mean-k{n_anchors}",
+    name = name or f"sphere-mean-k{n_anchors}"
+    return _random_barycenter(
+        make_sphere_mean, manifold, n_anchors, radius, seed, weights, name
     )
-    problem.payload["seed"] = int(seed)
-    problem.payload["radius"] = float(radius)
-    return problem
 
 
 # ----- reference optimum and audits ------------------------------------------

@@ -30,8 +30,8 @@ The loop runs on coordinate arrays: ``Log_y(z)``, the gradient's
 coordinates and ``beta * Log_{x+}(z) - eta * grad`` are plain arrays
 passed to the manifold's kernels ``_exp`` and ``_log``.  Typed points and
 tangents, and the check that a tangent is anchored at its base point,
-belong to the API boundary: ``Manifold.exp``/``Manifold.log``,
-:func:`ragd_step` and ``Problem.grad``, which checks every gradient once.
+belong to the API boundary: ``Manifold.exp``/``Manifold.log`` and
+``Problem.grad``, which checks every gradient once.
 Step outputs are not re-checked for finiteness: every ``_exp`` returns a
 finite point or raises :class:`~ragd.errors.NonFiniteError`.
 The rest of each trace row (f(y_t), ``d(y_t, x*)``, the projected distance
@@ -68,7 +68,6 @@ __all__ = [
     "SolverConfig",
     "StepParams",
     "step_params",
-    "ragd_step",
     "normalized_potential",
     "run",
 ]
@@ -181,18 +180,6 @@ def step_params(xi: float, mu: float, delta_gamma: float) -> StepParams:
     return StepParams(alpha=alpha, beta=beta, eta=eta)
 
 
-def ragd_step(
-    problem: Problem,
-    x: ManifoldPoint,
-    y: ManifoldPoint,
-    z: ManifoldPoint,
-    params: StepParams,
-    gamma: float,
-) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
-    """One accelerated step through the exponential/logarithm maps."""
-    return _step(problem, y, z, problem.manifold._log(y, z), params, gamma)
-
-
 def _step(
     problem: Problem,
     y: ManifoldPoint,
@@ -201,9 +188,10 @@ def _step(
     params: StepParams,
     gamma: float,
 ) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
-    """:func:`ragd_step` given the coordinates of ``log_y(z)``, which ``run``
-    already holds.  Every tangent is anchored where the kernels use it: the
-    logarithms by construction and the gradient by ``Problem.grad``."""
+    """One accelerated step from (y, z), given the coordinates of
+    ``log_y(z)``, which ``run`` already holds.  Every tangent is anchored
+    where the kernels use it: the logarithms by construction and the
+    gradient by ``Problem.grad``."""
     m = problem.manifold
     x1 = m._exp(y, params.alpha * log_yz)
     g = problem.grad(x1)
@@ -346,16 +334,6 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
         if not math.isfinite(problem.certified_radius):
             raise DomainError(
                 "positively curved problems need a finite certified_radius"
-            )
-    if config.mode == "ragd" and config.mu > 0.0:
-        gl = config.resolved_gamma * config.L
-        gl_cap = 2.0 - math.sqrt(config.mu / config.L)
-        if not 1.0 < gl <= gl_cap:
-            logger.warning(
-                "gamma * L = %r lies outside (1, %r]; the eventual "
-                "full-acceleration guarantee does not apply",
-                gl,
-                gl_cap,
             )
 
     gamma = config.resolved_gamma

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger("ragd.sweep")
+# The accelerated-regime warning keeps the logger of the solver settings it
+# is about.
+_solver_logger = logging.getLogger("ragd.solvers")
 
 SWEEP_AXES = ("gamma", "condition_number", "curvature", "delta_const")
 
@@ -166,8 +169,20 @@ def solver_entries(config: dict) -> list[dict]:
 
 def solver_config(entry: dict, problem: Problem) -> SolverConfig:
     """Solver settings from one config entry; ``mu`` and ``L`` default to
-    the problem's."""
-    return SolverConfig(**{"mu": problem.mu, "L": problem.L, **entry})
+    the problem's.  A ``ragd`` entry whose gamma * L lies outside the
+    accelerated regime (1, 2 - sqrt(mu / L)] logs a warning."""
+    config = SolverConfig(**{"mu": problem.mu, "L": problem.L, **entry})
+    if config.mode == "ragd":
+        gl = config.resolved_gamma * config.L
+        gl_cap = 2.0 - math.sqrt(config.mu / config.L)
+        if not 1.0 < gl <= gl_cap:
+            _solver_logger.warning(
+                "gamma * L = %r lies outside (1, %r]; the eventual "
+                "full-acceleration guarantee does not apply",
+                gl,
+                gl_cap,
+            )
+    return config
 
 
 def build_sweep(

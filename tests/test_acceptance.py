@@ -23,7 +23,6 @@ from ragd.geometry import SPD, Hyperbolic, Sphere
 from ragd.potential import (
     acceleration_threshold,
     certify_trace,
-    count_shrink_violations,
     gradient_step_audit,
     mirror_step_audit,
     shrink_bounds,
@@ -220,7 +219,6 @@ def test_criterion_10_step_identity_audits():
 
 def test_criterion_11_distance_shrinking_bounds(long_step_run):
     prob, config, trace = long_step_run
-    records = shrink_bounds(trace, prob)
-    summary = count_shrink_violations(records, floor=SHRINK_FLOOR)
-    assert summary.violations == 0
-    assert summary.checked >= 100
+    reports = shrink_bounds(trace, prob, floor=SHRINK_FLOOR)
+    assert sum(r.violations for r in reports) == 0
+    assert sum(r.compared for r in reports) >= 100

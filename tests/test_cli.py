@@ -323,6 +323,29 @@ def test_maybe_enlarge_grows_L_and_keeps_other_settings():
             assert getattr(new_config, field.name) == getattr(config, field.name)
 
 
+def test_run_warns_once_at_parse_for_gamma_outside_the_regime(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.WARNING, logger="ragd.solvers")
+    cfg = _write_config(tmp_path, solvers=[{"mode": "ragd", "gamma": 0.5 / 20.0}])
+
+    def regime_warnings():
+        return [r for r in caplog.records
+                if r.name == "ragd.solvers" and "lies outside (1, " in r.getMessage()]
+
+    logged_before_solve = []
+
+    def record(problem, config):
+        logged_before_solve.append(len(regime_warnings()))
+        return run(problem, config)
+
+    monkeypatch.setattr(ragd.sweep, "run", record)
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK
+    assert logged_before_solve == [1]
+    [warning] = regime_warnings()
+    assert warning.levelno == logging.WARNING
+    assert warning.getMessage().startswith("gamma * L = 0.5 lies outside (1, ")
+
+
 def test_verify_xi_suite_reports_ok(capsys):
     rc = cli.main(["verify", "--suite", "xi", "--seed", "0"])
     assert rc == cli.EXIT_OK

@@ -10,10 +10,10 @@ from ragd.errors import DomainError, HypothesisError, MissingDataError
 from ragd.geometry import Hyperbolic
 from ragd.potential import (
     CERT_TOL,
+    StepAuditReport,
     acceleration_threshold,
     certify_trace,
     coefficient_block,
-    count_shrink_violations,
     gradient_step_audit,
     mirror_step_audit,
     quadratic_form_audit,
@@ -159,6 +159,10 @@ def test_gradient_step_audit_passes():
     assert report.name == "gradient_step"
     assert report.ok and report.violations == 0
     assert np.max(report.residuals - report.allowed) <= 0.0
+    spoiled = StepAuditReport("gradient_step", np.append(report.residuals, math.nan),
+                              np.append(report.allowed, math.inf))
+    assert spoiled.violations == 1
+    assert spoiled.ok is False
 
 
 def test_gradient_step_audit_covers_plain_descent():
@@ -286,13 +290,18 @@ def test_shrink_constant_domain():
 
 def test_shrink_bounds_hold_along_run():
     prob, trace = _curved_run()
-    records = shrink_bounds(trace, prob)
-    assert len(records) == trace.rows.shape[0]
-    assert records[0].d_xz_bound == 0.0
-    summary = count_shrink_violations(records, floor=1e-6)
-    assert summary.violations == 0
-    assert summary.checked > 100
-    assert summary.skipped > 0
+    reports = shrink_bounds(trace, prob, floor=1e-6)
+    assert [r.name for r in reports] == ["proj_z_opt", "d_y_opt", "proj_yz", "d_yz", "d_xz"]
+    n_rows = trace.rows.shape[0]
+    assert all(r.residuals.shape == r.allowed.shape == (n_rows,) for r in reports)
+    d_xz = reports[-1]
+    assert d_xz.residuals[0] == prob.manifold.distance(
+        trace.diagnostics.points_x[0], trace.diagnostics.points_z[0]
+    )
+    assert sum(r.violations for r in reports) == 0
+    compared = sum(r.compared for r in reports)
+    assert compared > 100
+    assert compared < 5 * n_rows
 
 
 def test_shrink_bounds_rejects_diagnostics_missing_rows():
@@ -307,12 +316,12 @@ def test_shrink_bounds_rejects_diagnostics_missing_rows():
         shrink_bounds(trace, prob)
 
 
-def test_count_shrink_violations_floor_skips_everything():
+def test_shrink_bounds_floor_skips_everything():
     prob, trace = _curved_run(max_iters=20)
-    records = shrink_bounds(trace, prob)
-    summary = count_shrink_violations(records, floor=math.inf)
-    assert summary.checked == 0
-    assert summary.skipped == 5 * len(records)
+    reports = shrink_bounds(trace, prob, floor=math.inf)
+    assert len(reports) == 5
+    assert sum(r.compared for r in reports) == 0
+    assert all(np.all(np.isinf(r.allowed)) for r in reports)
 
 
 def test_acceleration_threshold_values():

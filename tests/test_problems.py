@@ -385,3 +385,7 @@ def test_declared_constants_validated():
         random_karcher(Hyperbolic(4, kappa=1.0), 0, 1.0, seed=0)
     with pytest.raises(DomainError):
         random_karcher(Hyperbolic(4, kappa=1.0), 3, -2.0, seed=0)
+    with pytest.raises(DomainError, match="requires a Hadamard manifold"):
+        random_karcher(Sphere(4), 3, 0.1, seed=0)
+    with pytest.raises(DomainError, match="requires a Sphere manifold"):
+        random_sphere_mean(Hyperbolic(4, kappa=1.0), 3, 0.1, seed=0)

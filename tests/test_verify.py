@@ -84,3 +84,11 @@ def test_nan_residual_is_a_violation():
     assert check["violations"] == 1
     assert math.isnan(check["worst"])
     assert check["ok"] is False
+
+
+def test_potential_suite_logs_no_warning(caplog):
+    # The suite's curved runs sit outside the accelerated regime on purpose
+    # (gamma = 5e-5); that is no warning about a user's settings.
+    caplog.set_level(logging.WARNING, logger="ragd.solvers")
+    assert run_suite("potential", seed=0)["ok"]
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
