@@ -1,4 +1,5 @@
-"""Stable scalar ratios shared by the distortion and geometry modules.
+"""Stable scalar ratios shared by the distortion and geometry modules, and
+the libm squares of the potential.
 
 Each ratio is continuously extended through its removable singularity; the
 series branch takes over below a cut where both branches agree to 1e-12.
@@ -8,7 +9,10 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["sinch", "coth_ratio", "tan_ratio", "sin_ratio", "acosh_ratio", "acos_ratio"]
+import numpy as np
+
+__all__ = ["sinch", "coth_ratio", "tan_ratio", "sin_ratio", "acosh_ratio", "acos_ratio",
+           "libm_squares"]
 
 _TAYLOR_CUT = 1e-4
 _SERIES_CUT = 1e-6
@@ -66,3 +70,10 @@ def acos_ratio(omc: float) -> float:
     if omc < _SERIES_CUT:
         return 1.0 + omc / 3.0 + 2.0 * omc * omc / 15.0
     return math.acos(1.0 - omc) / math.sqrt(omc * (2.0 - omc))
+
+
+def libm_squares(values: np.ndarray) -> np.ndarray:
+    """``v**2`` of every entry, squared as a Python float (libm pow), which
+    rounds differently from NumPy's square (``v * v``) in about one case in
+    a thousand; the potential's single-row formulas square this way."""
+    return np.array([v**2 for v in values.tolist()])

@@ -19,13 +19,15 @@ an exact restatement that never overflows.
 The per-step inequality itself reduces to a six-coefficient quadratic
 form in (gradient, displacement) being non-positive; with the scheme's
 parameter choices five of the coefficients vanish identically and the
-first is negative.  :func:`coefficient_block` exposes them for direct
-numerical inspection.
+first is negative.  :func:`trace_coefficient_blocks` returns them, one
+row per step, for direct numerical inspection.
 
-The certifier, the quadratic-form audit, the rate envelope and the
-shrink bounds read one replay of the run, which evaluates f(y_t) - f*,
-pd_t and phi_t once per row (f(y_t) of every row in one ``Problem.values``
-call and pd_t in one stacked call, ``Manifold._projected_distances``).
+Every check reads the run in array form: f at every row in one
+``Problem.values`` call, and logarithms, norms and distances in the stacked
+kernels with one base per row, which round as the single-pair methods do.
+The certifier, the quadratic-form audit, the rate envelope and the shrink
+bounds share one replay of the run, which evaluates f(y_t) - f*, pd_t and
+phi_t once per row.
 Every check allows :data:`CERT_TOL` (the envelope :data:`ENVELOPE_TOL`)
 times the magnitudes it compares.
 Every per-step check but the certifier reports as a
@@ -38,23 +40,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._scalars import libm_squares
 from .errors import DomainError, HypothesisError, MissingDataError
-from .geometry import Euclidean
+from .geometry import Euclidean, ManifoldPoint
+from .geometry.base import row_dots
 from .problems import Problem
-from .solvers import StepParams, normalized_potential, step_params
+from .solvers import normalized_potential, step_params
 from .trace import NOISE_FLOOR, ConvergenceTrace
 from .xi import XiParams, settle_steps, step_gain
 
 __all__ = [
     "CERT_TOL",
     "ENVELOPE_TOL",
-    "CoefficientBlock",
-    "coefficient_block",
     "trace_coefficient_blocks",
     "PotentialRecord",
     "CertificationReport",
@@ -76,12 +78,6 @@ ENVELOPE_TOL = 1e-7
 """Relative allowance of the cumulative rate envelope."""
 
 
-def _allowance(unit: float, *magnitudes: float) -> float:
-    """Float slack of one checked inequality: CERT_TOL times its unit term
-    plus the magnitudes of the quantities it compares."""
-    return CERT_TOL * sum(magnitudes, unit)
-
-
 def _bound_allowance(bounds: np.ndarray, floor: float, rel: float) -> np.ndarray:
     """Allowance of an observed quantity against its bound: ``rel * (1 +
     |bound|)`` where the bound is finite and at least ``floor``, and +inf
@@ -90,84 +86,50 @@ def _bound_allowance(bounds: np.ndarray, floor: float, rel: float) -> np.ndarray
     return np.where(compared, rel * (1.0 + np.abs(bounds)), math.inf)
 
 
-@dataclass(frozen=True)
-class CoefficientBlock:
-    """Coefficients of the per-step inequality in the order they multiply
-    (pd_next**2, d(x+, x*)**2, |grad|**2, pd_next * d_prev, pd_prev * d_prev,
-    grad-displacement cross term)."""
-
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    c5: float
-    c6: float
+def _step_params(trace: ConvergenceTrace) -> np.ndarray:
+    """``(alpha, beta, eta)`` of every step, one row each, from the momentum
+    value xi_{t+1} the step takes."""
+    mu = float(trace.meta["mu"])
+    delta_gamma = float(trace.meta["delta_gamma"])
+    xis = trace.column("xi")[1:].tolist()
+    params = [astuple(step_params(xi, mu, delta_gamma)) for xi in xis]
+    return np.array(params).reshape(-1, 3)
 
 
-def coefficient_block(
-    a_t: float,
-    b_t: float,
-    a_next: float,
-    b_next: float,
-    params: StepParams,
-    mu: float,
-    delta_gamma: float,
-    delta_rate: float = 1.0,
-) -> CoefficientBlock:
-    """Evaluate the six inequality coefficients for one step.
+def trace_coefficient_blocks(trace: ConvergenceTrace) -> np.ndarray:
+    """Coefficients of the per-step inequality for every step of a run.
 
-    With the scheme's parameter choices, c2 through c6 vanish and c1 is
-    non-positive, which is exactly what makes the potential non-increasing.
-    ``delta_rate`` is the metric-distortion rate of the step (1 in flat
-    space); it divides the incoming distance weight.
-    """
-    if not delta_rate >= 1.0:
-        raise DomainError(f"delta_rate must be >= 1, got {delta_rate}")
-    alpha, beta, eta = params.alpha, params.beta, params.eta
-    if not alpha < 1.0:
-        raise DomainError(f"alpha must be < 1, got {alpha}")
-    ratio = alpha / (1.0 - alpha)
-    b_in = b_t / delta_rate
-    c1 = beta * beta * b_next - b_in - 0.5 * mu * ratio * ratio * a_t
-    c2 = b_next - b_in - 0.5 * mu * (a_next - a_t)
-    c3 = eta * eta * b_next - delta_gamma * a_next
-    c4 = 2.0 * (beta * b_next - b_in)
-    c5 = ratio * a_t - 2.0 * beta * eta * b_next
-    c6 = (a_next - a_t) - 2.0 * eta * b_next
-    return CoefficientBlock(c1, c2, c3, c4, c5, c6)
-
-
-def trace_coefficient_blocks(trace: ConvergenceTrace) -> list[CoefficientBlock]:
-    """Coefficient blocks for every step of a recorded run.
-
-    Uses the normalized weights A_t = 1, so coefficient magnitudes stay
-    bounded regardless of run length.
+    Row t holds (c1, ..., c6) of step t, the coefficients of (pd_next**2,
+    d(x+, x*)**2, |grad|**2, pd_next * d_prev, pd_prev * d_prev, the
+    gradient-displacement cross term).  With the scheme's parameter choices
+    c2 through c6 vanish and c1 is non-positive, which is exactly what makes
+    the potential non-increasing.  Uses the normalized weights A_t = 1, so
+    coefficient magnitudes stay bounded regardless of run length; the
+    step's distortion rate (1 in flat space) divides the incoming distance
+    weight and must be at least 1.
     """
     mu = float(trace.meta["mu"])
     delta_gamma = float(trace.meta["delta_gamma"])
+    alpha, beta, eta = _step_params(trace).T
+    rates = trace.column("delta_rate")[1:]
+    if not np.all(rates >= 1.0):
+        raise DomainError(f"delta_rate must be >= 1, got {rates.min()}")
+    if not np.all(alpha < 1.0):
+        raise DomainError(f"alpha must be < 1, got {alpha.max()}")
     xis = trace.column("xi")
-    deltas = trace.column("delta_rate")
-    blocks = []
-    for t in range(trace.n_iters):
-        xi_t = float(xis[t])
-        xi_n = float(xis[t + 1])
-        a_next = 1.0 / (1.0 - xi_n)
-        b_t = xi_t * xi_t / (4.0 * delta_gamma)
-        b_next = xi_n * xi_n / (4.0 * delta_gamma) * a_next
-        params = step_params(xi_n, mu, delta_gamma)
-        blocks.append(
-            coefficient_block(
-                1.0,
-                b_t,
-                a_next,
-                b_next,
-                params,
-                mu,
-                delta_gamma,
-                delta_rate=float(deltas[t + 1]),
-            )
-        )
-    return blocks
+    xi_t, xi_n = xis[:-1], xis[1:]
+    ratio = alpha / (1.0 - alpha)
+    a_next = 1.0 / (1.0 - xi_n)
+    b_in = xi_t * xi_t / (4.0 * delta_gamma) / rates
+    b_next = xi_n * xi_n / (4.0 * delta_gamma) * a_next
+    return np.column_stack((
+        beta * beta * b_next - b_in - 0.5 * mu * ratio * ratio,
+        b_next - b_in - 0.5 * mu * (a_next - 1.0),
+        eta * eta * b_next - delta_gamma * a_next,
+        2.0 * (beta * b_next - b_in),
+        ratio - 2.0 * beta * eta * b_next,
+        (a_next - 1.0) - 2.0 * eta * b_next,
+    ))
 
 
 @dataclass(frozen=True)
@@ -300,6 +262,11 @@ def _replay(trace: ConvergenceTrace, problem: Problem) -> _Replay:
     return _Replay(xis, gap, pd, phi, decay)
 
 
+def _grads(problem: Problem, points: list[ManifoldPoint]) -> np.ndarray:
+    """Gradient coordinates at every point, stacked; one ``grad`` call each."""
+    return np.array([problem.grad(x).coords for x in points])
+
+
 def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
     """Check each step's potential difference against its quadratic form.
 
@@ -313,31 +280,24 @@ def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAudit
         raise DomainError("the quadratic-form audit applies to flat runs only")
     _require_potential_inputs(trace, problem)
     d = trace.diagnostics
-    opt = problem.optimum
     r = _replay(trace, problem)
-    phis = r.phi
-    blocks = trace_coefficient_blocks(trace)
-    n_steps = trace.n_iters
-    residuals = np.empty(n_steps)
-    allowed = np.empty(n_steps)
-    for t in range(n_steps):
-        u = d.points_x[t + 1]
-        w = d.points_z[t].coords - u.coords
-        x_vec = u.coords - opt.coords
-        g = problem.grad(u).coords
-        c = blocks[t]
-        form = (
-            c.c1 * float(w @ w)
-            + c.c2 * float(x_vec @ x_vec)
-            + c.c3 * float(g @ g)
-            + c.c4 * float(w @ x_vec)
-            + c.c5 * float(w @ g)
-            + c.c6 * float(x_vec @ g)
-        )
-        lhs = phis[t + 1] / (1.0 - float(r.xi[t + 1])) - phis[t]
-        residuals[t] = lhs - form
-        allowed[t] = _allowance(1.0, abs(phis[t]), abs(form))
-    return StepAuditReport("quadratic_form", residuals, allowed)
+    c = trace_coefficient_blocks(trace).T
+    us = d.points_x[1:]
+    u = problem.manifold._base_coords(us)
+    w = problem.manifold._base_coords(d.points_z[:-1]) - u
+    x_vec = u - problem.optimum.coords
+    g = _grads(problem, us)
+    form = (
+        c[0] * row_dots(w, w)
+        + c[1] * row_dots(x_vec, x_vec)
+        + c[2] * row_dots(g, g)
+        + c[3] * row_dots(w, x_vec)
+        + c[4] * row_dots(w, g)
+        + c[5] * row_dots(x_vec, g)
+    )
+    lhs = r.phi[1:] / (1.0 - r.xi[1:]) - r.phi[:-1]
+    allowed = CERT_TOL * ((1.0 + np.abs(r.phi[:-1])) + np.abs(form))
+    return StepAuditReport("quadratic_form", lhs - form, allowed)
 
 
 def gradient_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
@@ -349,21 +309,12 @@ def gradient_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditR
     """
     _require_full_diagnostics(trace)
     d = trace.diagnostics
-    m = problem.manifold
-    delta_gamma = float(trace.meta["delta_gamma"])
-    plain = trace.meta.get("solver") == "rgd"
-    n_steps = trace.n_iters
-    residuals = np.empty(n_steps)
-    allowed = np.empty(n_steps)
-    for t in range(n_steps):
-        base = d.points_y[t] if plain else d.points_x[t + 1]
-        new = d.points_y[t + 1]
-        g = problem.grad(base)
-        f_base = problem.value(base)
-        f_new = problem.value(new)
-        decrease = delta_gamma * m.norm(base, g) ** 2
-        residuals[t] = (f_new - f_base) + decrease
-        allowed[t] = _allowance(1.0, abs(f_base), decrease)
+    bases = d.points_y[:-1] if trace.meta.get("solver") == "rgd" else d.points_x[1:]
+    f_base = problem.values(bases)
+    grad_norms = problem.manifold._norm_many(bases, _grads(problem, bases))
+    decrease = float(trace.meta["delta_gamma"]) * libm_squares(grad_norms)
+    residuals = (problem.values(d.points_y[1:]) - f_base) + decrease
+    allowed = CERT_TOL * ((1.0 + np.abs(f_base)) + decrease)
     return StepAuditReport("gradient_step", residuals, allowed)
 
 
@@ -381,28 +332,20 @@ def mirror_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditRep
     _require_potential_inputs(trace, problem)
     d = trace.diagnostics
     m = problem.manifold
-    opt = problem.optimum
-    mu = float(trace.meta["mu"])
-    delta_gamma = float(trace.meta["delta_gamma"])
-    xis = trace.column("xi")
-    n_steps = trace.n_iters
-    residuals = np.empty(n_steps)
-    allowed = np.empty(n_steps)
-    for t in range(n_steps):
-        u = d.points_x[t + 1]
-        params = step_params(float(xis[t + 1]), mu, delta_gamma)
-        v = params.beta * m.log(u, d.points_z[t])
-        g = problem.grad(u)
-        s = params.eta
-        lo = m.log(u, opt)
-        lhs = (
-            m.projected_distance(u, d.points_z[t + 1], opt) ** 2
-            - m.norm(u, v - lo) ** 2
-        )
-        rhs = s * s * m.norm(u, g) ** 2 + 2.0 * s * m.inner(u, g, lo - v)
-        residuals[t] = abs(lhs - rhs)
-        allowed[t] = _allowance(1.0, abs(lhs), abs(rhs))
-    return StepAuditReport("mirror_step", residuals, allowed)
+    _, beta, s = _step_params(trace).T
+    us = d.points_x[1:]
+    bases = m._prepare_bases(us)
+    zs = m._base_coords(d.points_z)
+    v = beta.reshape((-1,) + (1,) * (zs.ndim - 1)) * m._log_many(bases, zs[:-1])
+    lo = m._log_many(bases, np.broadcast_to(problem.optimum.coords, zs[1:].shape))
+    g = _grads(problem, us)
+    cross = np.array([m._inner(*row) for row in zip(us, g, lo - v)])
+    # pd(u; z_{t+1}, x*) as in _projected_distances, reusing Log_u(x*)
+    pd_next = m._norm_many(bases, m._log_many(bases, zs[1:]) - lo)
+    lhs = libm_squares(pd_next) - libm_squares(m._norm_many(bases, v - lo))
+    rhs = s * s * libm_squares(m._norm_many(bases, g)) + 2.0 * s * cross
+    allowed = CERT_TOL * ((1.0 + np.abs(lhs)) + np.abs(rhs))
+    return StepAuditReport("mirror_step", np.abs(lhs - rhs), allowed)
 
 
 def rate_envelope(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
@@ -485,13 +428,15 @@ def shrink_bounds(
         d_yz = np.where(hyp, d_yz, math.inf)
         # row t's bound uses the root of row t-1
         d_xz = np.append(0.0, np.where(hyp[:-1], c_shrink * roots[:-1], math.inf))
-    xs, ys, zs = d.points_x, d.points_y, d.points_z
+    xs, ys = m._prepare_bases(d.points_x), m._prepare_bases(d.points_y)
+    y, z = m._base_coords(d.points_y), m._base_coords(d.points_z)
+    proj_yz = m._norm_many(xs, m._log_many(xs, y) - m._log_many(xs, z))
     observed_bounds = (
         ("proj_z_opt", r.pd, roots * s_proj),
-        ("d_y_opt", [m.distance(y, opt) for y in ys], roots * s_opt),
-        ("proj_yz", list(map(m.projected_distance, xs, ys, zs)), roots * (s_opt + s_proj)),
-        ("d_yz", list(map(m.distance, ys, zs)), d_yz),
-        ("d_xz", list(map(m.distance, xs, zs)), d_xz),
+        ("d_y_opt", m._dist_many(ys, np.broadcast_to(opt.coords, y.shape)), roots * s_opt),
+        ("proj_yz", proj_yz, roots * (s_opt + s_proj)),
+        ("d_yz", m._dist_many(ys, z), d_yz),
+        ("d_xz", m._dist_many(xs, z), d_xz),
     )
     return [
         StepAuditReport(name, obs - bound, _bound_allowance(bound, floor, CERT_TOL))

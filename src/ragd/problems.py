@@ -555,7 +555,7 @@ def gradient_audit(
     samples = [
         m.random_point(rng, problem.reference, radius) for _ in range(n_points)
     ]
-    max_fd_err = 0.0
+    fd_errs = []
     for x in samples:
         g = problem.grad(x)
         v = m.random_tangent(rng, x, 1.0)
@@ -565,11 +565,8 @@ def gradient_audit(
         minus = problem.value(m.exp(x, (-_FD_STEP) * v))
         fd = (plus - minus) / (2.0 * _FD_STEP)
         exact = m.inner(x, g, v)
-        max_fd_err = max(max_fd_err, abs(fd - exact) / (1.0 + abs(exact)))
-    sc_violations = 0
-    sm_violations = 0
-    worst_sc = math.inf
-    worst_sm = math.inf
+        fd_errs.append(abs(fd - exact) / (1.0 + abs(exact)))
+    pairs = []
     for _ in range(n_pairs):
         x = samples[int(rng.integers(len(samples)))]
         y = samples[int(rng.integers(len(samples)))]
@@ -578,21 +575,20 @@ def gradient_audit(
         scale = 1.0 + abs(problem.value(x)) + abs(problem.value(y)) + d * d
         sc_margin = problem.value(y) - lin - 0.5 * problem.mu * d * d
         sm_margin = lin + 0.5 * problem.L * d * d - problem.value(y)
-        worst_sc = min(worst_sc, sc_margin / scale)
-        worst_sm = min(worst_sm, sm_margin / scale)
-        if sc_margin < -_AUDIT_TOL * scale:
-            sc_violations += 1
-        if sm_margin < -_AUDIT_TOL * scale:
-            sm_violations += 1
+        pairs.append((sc_margin, sm_margin, scale))
+    sc, sm, scales = np.array(pairs).reshape(-1, 3).T
+    # A pair passes when margin >= -tol * scale, so a NaN margin is a
+    # violation; NaN also carries into the maximum and the worst margins.
+    lowest = -_AUDIT_TOL * scales
     return {
         "problem": problem.name,
         "n_points": n_points,
         "n_pairs": n_pairs,
-        "max_fd_rel_err": max_fd_err,
-        "strong_convexity_violations": sc_violations,
-        "smoothness_violations": sm_violations,
-        "worst_sc_margin": worst_sc,
-        "worst_sm_margin": worst_sm,
+        "max_fd_rel_err": float(np.max(fd_errs, initial=0.0)),
+        "strong_convexity_violations": int(np.count_nonzero(~(sc >= lowest))),
+        "smoothness_violations": int(np.count_nonzero(~(sm >= lowest))),
+        "worst_sc_margin": float(np.min(sc / scales, initial=math.inf)),
+        "worst_sm_margin": float(np.min(sm / scales, initial=math.inf)),
     }
 
 

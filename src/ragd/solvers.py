@@ -53,6 +53,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from ._scalars import libm_squares
 from .distortion import valid_rate_hadamard, valid_rate_nonhadamard
 from .errors import DomainError, NonFiniteError, RuntimeContainmentError
 from .geometry import Euclidean, Manifold, ManifoldPoint, TangentVector
@@ -227,10 +228,7 @@ def normalized_potential(
 ) -> np.ndarray:
     """``phi_t = gap_t + (xi_t**2 / (4 Delta)) * pd_t**2`` for every row:
     the potential column of :func:`run` and the certifier's replay of it."""
-    # pd**2 in Python floats (libm pow), which rounds differently from
-    # NumPy's square (pd * pd) in about one case in a thousand.
-    pd_sq = np.array([d**2 for d in pd.tolist()])
-    return gap + (xi * xi / (4.0 * delta_gamma)) * pd_sq
+    return gap + (xi * xi / (4.0 * delta_gamma)) * libm_squares(pd)
 
 
 class _Containment:

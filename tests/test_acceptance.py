@@ -112,11 +112,9 @@ def test_criterion_04_flat_certificates_across_quadratics():
         trace = run(prob, config)
         report = certify_trace(trace, prob)
         assert report.violations == 0
-        for block in trace_coefficient_blocks(trace):
-            assert block.c1 <= VANISH_TOL
-            assert block.c2 <= VANISH_TOL and block.c3 <= VANISH_TOL
-            for cross in (block.c4, block.c5, block.c6):
-                assert abs(cross) <= CROSS_TOL
+        blocks = trace_coefficient_blocks(trace)
+        assert np.all(blocks[:, :3] <= VANISH_TOL)
+        assert np.all(np.abs(blocks[:, 3:]) <= CROSS_TOL)
 
 
 def test_criterion_05_curved_certificates_across_instances():

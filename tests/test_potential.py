@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from ragd.errors import DomainError, HypothesisError, MissingDataError
-from ragd.geometry import Hyperbolic
+from ragd.geometry import SPD, Hyperbolic, Sphere
 from ragd.potential import (
     CERT_TOL,
     StepAuditReport,
     acceleration_threshold,
     certify_trace,
-    coefficient_block,
     gradient_step_audit,
     mirror_step_audit,
     quadratic_form_audit,
@@ -22,8 +21,9 @@ from ragd.potential import (
     shrink_constant,
     trace_coefficient_blocks,
 )
-from ragd.problems import make_quadratic, oracle_optimum, random_karcher
+from ragd.problems import make_quadratic, oracle_optimum, random_karcher, random_sphere_mean
 from ragd.solvers import SolverConfig, run, step_params
+from ragd.trace import TRACE_COLUMNS, ConvergenceTrace
 from ragd.xi import XiParams, next_xi
 
 VANISH_TOL = 1e-12
@@ -53,37 +53,44 @@ def _curved_run(max_iters=120):
     return prob, run(prob, config)
 
 
+def _momentum_trace(xis, rates, mu=1.0, delta_gamma=0.1):
+    """A trace holding only the momentum and distortion-rate columns."""
+    rows = np.full((len(xis), len(TRACE_COLUMNS)), math.nan)
+    rows[:, TRACE_COLUMNS.index("xi")] = xis
+    rows[:, TRACE_COLUMNS.index("delta_rate")] = rates
+    return ConvergenceTrace(rows=rows, meta={"mu": mu, "delta_gamma": delta_gamma})
+
+
 @pytest.mark.parametrize("delta", [1.0, 1.2])
 def test_coefficient_block_vanishes_on_consistent_momentum(delta):
     mu, delta_gamma = 1.0, 0.1
-    a = 2.0 * mu * delta_gamma
     xi_t = 0.5
-    xi_n = next_xi(xi_t, XiParams(a=a, delta=delta))
-    a_next = 1.0 / (1.0 - xi_n)
-    b_t = xi_t * xi_t / (4.0 * delta_gamma)
-    b_next = xi_n * xi_n / (4.0 * delta_gamma) * a_next
-    params = step_params(xi_n, mu, delta_gamma)
-    c = coefficient_block(1.0, b_t, a_next, b_next, params, mu, delta_gamma, delta)
-    assert c.c1 < 0.0
-    for small in (c.c2, c.c3, c.c4, c.c5, c.c6):
-        assert abs(small) <= VANISH_TOL
+    xi_n = next_xi(xi_t, XiParams(a=2.0 * mu * delta_gamma, delta=delta))
+    blocks = trace_coefficient_blocks(_momentum_trace([xi_t, xi_n], [1.0, delta]))
+    assert blocks.shape == (1, 6)
+    assert blocks[0, 0] < 0.0
+    assert np.all(np.abs(blocks[0, 1:]) <= VANISH_TOL)
 
 
 def test_coefficient_block_rejects_bad_rate():
-    params = step_params(0.5, 1.0, 0.1)
-    with pytest.raises(DomainError):
-        coefficient_block(1.0, 1.0, 1.0, 1.0, params, 1.0, 0.1, delta_rate=0.5)
+    # a = 2 * mu * delta_gamma = 0.2; the bad value sits in the second step,
+    # so a check that reads only the first row, or lets NaN through, fails.
+    for xis, rates in (
+        ([0.5, 0.5, 0.5], [1.0, 1.0, 0.5]),
+        ([0.5, 0.5, 0.5], [1.0, 1.0, math.nan]),
+        ([0.5, 0.5, 1.0], [1.0, 1.0, 1.0]),
+        ([0.5, 0.5, 0.1], [1.0, 1.0, 1.0]),
+    ):
+        with pytest.raises(DomainError):
+            trace_coefficient_blocks(_momentum_trace(xis, rates))
 
 
 def test_trace_coefficient_blocks_structure():
     prob, trace = _flat_run()
     blocks = trace_coefficient_blocks(trace)
-    assert len(blocks) == trace.n_iters
-    for c in blocks:
-        assert c.c1 <= VANISH_TOL
-        assert c.c2 <= VANISH_TOL and c.c3 <= VANISH_TOL
-        for small in (c.c4, c.c5, c.c6):
-            assert abs(small) <= BLOCK_TOL
+    assert blocks.shape == (trace.n_iters, 6)
+    assert np.all(blocks[:, :3] <= VANISH_TOL)
+    assert np.all(np.abs(blocks[:, 3:]) <= BLOCK_TOL)
 
 
 def test_certify_flat_run_clean():
@@ -276,6 +283,107 @@ def test_rate_envelope_floor_is_100_eps_phi0(max_iters):
     assert np.array_equal(report.allowed, allowed)
     skipped = np.count_nonzero(np.isinf(report.allowed))
     assert (skipped > 0) == (max_iters == 400)
+
+
+def _reference_gradient_step(trace, prob):
+    """The gradient-step audit row by row through the typed single-pair API."""
+    d = trace.diagnostics
+    m = prob.manifold
+    plain = trace.meta["solver"] == "rgd"
+    residuals, allowed = [], []
+    for t in range(trace.n_iters):
+        base = d.points_y[t] if plain else d.points_x[t + 1]
+        f_base = prob.value(base)
+        decrease = trace.meta["delta_gamma"] * m.norm(base, prob.grad(base)) ** 2
+        residuals.append((prob.value(d.points_y[t + 1]) - f_base) + decrease)
+        allowed.append(CERT_TOL * ((1.0 + abs(f_base)) + decrease))
+    return np.array(residuals), np.array(allowed)
+
+
+def _reference_mirror_step(trace, prob):
+    """The mirror-step audit row by row through the typed single-pair API."""
+    d = trace.diagnostics
+    m = prob.manifold
+    opt = prob.optimum
+    xis = trace.column("xi")
+    delta_gamma = trace.meta["delta_gamma"]
+    residuals, allowed = [], []
+    for t in range(trace.n_iters):
+        u = d.points_x[t + 1]
+        params = step_params(float(xis[t + 1]), trace.meta["mu"], delta_gamma)
+        v = params.beta * m.log(u, d.points_z[t])
+        g = prob.grad(u)
+        s = params.eta
+        lo = m.log(u, opt)
+        lhs = m.projected_distance(u, d.points_z[t + 1], opt) ** 2 - m.norm(u, v - lo) ** 2
+        rhs = s * s * m.norm(u, g) ** 2 + 2.0 * s * m.inner(u, g, lo - v)
+        residuals.append(abs(lhs - rhs))
+        allowed.append(CERT_TOL * ((1.0 + abs(lhs)) + abs(rhs)))
+    return np.array(residuals), np.array(allowed)
+
+
+def _reference_shrink_distances(trace, prob):
+    """The distances ``shrink_bounds`` observes, row by row through the typed
+    single-pair API."""
+    d = trace.diagnostics
+    m = prob.manifold
+    opt = prob.optimum
+    xs, ys, zs = d.points_x, d.points_y, d.points_z
+    return {
+        "proj_z_opt": [m.projected_distance(x, z, opt) for x, z in zip(xs, zs)],
+        "d_y_opt": [m.distance(y, opt) for y in ys],
+        "proj_yz": list(map(m.projected_distance, xs, ys, zs)),
+        "d_yz": list(map(m.distance, ys, zs)),
+        "d_xz": list(map(m.distance, xs, zs)),
+    }
+
+
+def _audited_run(case):
+    """A 200-step run in the long-step regime, so every step hypothesis of
+    the shrink bounds can hold."""
+    if case == "flat":
+        prob = make_quadratic(20, 1.0, 50.0, seed=10)
+    elif case == "sphere":
+        prob = random_sphere_mean(Sphere(7), 6, 0.3, seed=11)
+    else:
+        manifold, seed = (SPD(4), 104) if case == "spd" else (Hyperbolic(8), 3)
+        prob = random_karcher(manifold, 6, 1.2, seed=seed)
+    oracle_optimum(prob)
+    config = SolverConfig(
+        mode="rgd" if case == "hyperbolic-rgd" else "ragd",
+        mu=prob.mu,
+        L=prob.L,
+        max_iters=200,
+        record_diagnostics=True,
+    )
+    return prob, run(prob, config)
+
+
+@pytest.mark.parametrize("case", ["flat", "hyperbolic", "spd", "sphere", "hyperbolic-rgd"])
+def test_audits_match_row_by_row_reference(case):
+    # The array audits square norms as Python floats and take one base per
+    # row, so they equal the single-pair loops bit for bit.
+    prob, trace = _audited_run(case)
+    audits = [(gradient_step_audit, _reference_gradient_step)]
+    if case != "hyperbolic-rgd":
+        audits.append((mirror_step_audit, _reference_mirror_step))
+    for audit, reference in audits:
+        report = audit(trace, prob)
+        residuals, allowed = reference(trace, prob)
+        assert np.array_equal(report.residuals, residuals), audit.__name__
+        assert np.array_equal(report.allowed, allowed), audit.__name__
+    if case == "hyperbolic-rgd":
+        return
+    observed = _reference_shrink_distances(trace, prob)
+    # With f* at +inf, phi_0 is negative and every bound is 0 where its step
+    # hypotheses hold (+inf elsewhere), so a finite residual is the observed
+    # distance itself.
+    prob._f_opt = math.inf
+    for report in shrink_bounds(trace, prob):
+        finite = np.isfinite(report.residuals)
+        assert np.count_nonzero(finite) >= trace.n_iters, report.name
+        want = np.array(observed[report.name])
+        assert np.array_equal(report.residuals[finite], want[finite]), report.name
 
 
 def test_shrink_constant_domain():

@@ -58,6 +58,19 @@ def test_quadratic_gradient_audit():
     assert rep["smoothness_violations"] == 0
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "hyperbolic-karcher"])
+def test_gradient_audit_flags_nan_objective(kind):
+    if kind == "quadratic":
+        prob = make_quadratic(5, 1.0, 10.0, seed=0)
+    else:
+        prob = random_karcher(Hyperbolic(4, kappa=1.0), 4, 1.0, seed=0)
+    rep = gradient_audit(dataclasses.replace(prob, objective=lambda x: math.nan), seed=0)
+    assert math.isnan(rep["max_fd_rel_err"])
+    assert rep["strong_convexity_violations"] == rep["n_pairs"]
+    assert rep["smoothness_violations"] == rep["n_pairs"]
+    assert math.isnan(rep["worst_sc_margin"]) and math.isnan(rep["worst_sm_margin"])
+
+
 def test_karcher_constants():
     m = Hyperbolic(6, kappa=1.0)
     prob = random_karcher(m, 5, 1.5, seed=2)
