@@ -20,6 +20,18 @@ def require_base(x: ManifoldPoint, v: "TangentVector") -> None:
         raise DomainError("tangent vector is anchored at a different point")
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array ``a`` is finite.
+
+    A NaN or infinite entry makes the sum of squares NaN or infinite, so a
+    finite sum clears every entry in one BLAS pass; a sum that overflows on
+    finite entries falls back to the entrywise test, so the answer is exact.
+    ``np.vdot`` raises no overflow warning, where ``ndarray.dot`` does.
+    """
+    s = float(np.vdot(a, a))
+    return s - s == 0.0 or bool(np.isfinite(a).all())
+
+
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.dot(a[t], b[t])`` for every row t of two ``(k, d)`` stacks.
 
@@ -106,7 +118,7 @@ class Manifold(abc.ABC):
         """Shape and finiteness prologue shared by every membership check."""
         if coords.shape != shape:
             raise DomainError(f"expected shape {shape}, got {coords.shape}")
-        if not np.all(np.isfinite(coords)):
+        if not all_finite(coords):
             raise DomainError("coordinates must be finite")
 
     @abc.abstractmethod

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError, NonFiniteError
-from .base import Bases, Manifold, ManifoldPoint, row_dots
+from .base import Bases, Manifold, ManifoldPoint, all_finite, row_dots
 
 __all__ = ["Euclidean"]
 
@@ -36,7 +36,7 @@ class Euclidean(Manifold):
 
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
         coords = x.coords + v
-        if not np.isfinite(coords).all():
+        if not all_finite(coords):
             raise NonFiniteError("exponential map left the finite range")
         return ManifoldPoint(coords)
 

@@ -7,8 +7,8 @@ eigendecompositions, which call LAPACK's gufuncs ``eigh_lo`` and
 ``eigvalsh_lo`` from ``numpy.linalg._umath_linalg`` directly, the kernels
 ``np.linalg.eigh``/``eigvalsh`` call with their default ``UPLO='L'``, so the
 results are the same bits without the wrapper's per-call checks.  A
-decomposition of a non-finite matrix, or one that LAPACK reports as failed,
-raises ``ConvergenceError``.
+decomposition of a non-finite matrix (found by ``all_finite`` before LAPACK
+runs), or one that LAPACK reports as failed, raises ``ConvergenceError``.
 
 Every map at a point ``x`` starts from the square root of ``x`` and its
 inverse (Pennec, Fillard & Ayache, "A Riemannian framework for tensor
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from ..errors import ConvergenceError, DomainError, NonFiniteError
-from .base import Bases, Manifold, ManifoldPoint, row_dots
+from .base import Bases, Manifold, ManifoldPoint, all_finite, row_dots
 
 __all__ = ["SPD"]
 
@@ -48,13 +48,7 @@ def _check_finite(a: np.ndarray) -> None:
     LAPACK does not check: a NaN entry can come back as finite eigenvalues,
     and a 1 x 1 infinity as an infinite one.
     """
-    if a.ndim == 2:
-        # A NaN or infinite entry makes the sum NaN or infinite; a finite
-        # sum clears every entry at the cost of one pass in Python floats.
-        s = sum(a.ravel().tolist())
-        if s - s == 0.0:
-            return
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise ConvergenceError("eigendecomposition of a non-finite matrix")
 
 
@@ -183,7 +177,7 @@ class SPD(Manifold):
             )
         e = (q * np.exp(w)) @ q.T
         coords = _sym(root @ e @ root)
-        if not np.isfinite(coords).all():
+        if not all_finite(coords):
             raise NonFiniteError("exponential map left the finite range")
         return ManifoldPoint(coords)
 

@@ -28,7 +28,7 @@ from .geometry import (
     Sphere,
     TangentVector,
 )
-from .geometry.base import require_base
+from .geometry.base import all_finite, require_base, row_dots
 
 __all__ = [
     "Problem",
@@ -106,7 +106,8 @@ class Problem:
 
     def values(self, points: Sequence[ManifoldPoint]) -> np.ndarray:
         """``value`` at every point: one stacked pass when ``objective`` is a
-        :class:`StackedObjective`, otherwise a loop over ``value``."""
+        :class:`StackedObjective`, as on every built-in problem, otherwise a
+        loop over ``value``."""
         if isinstance(self.objective, StackedObjective):
             return self.objective.many(points)
         return np.array([self.value(x) for x in points])
@@ -121,7 +122,7 @@ class Problem:
             raise DomainError(
                 f"gradient shape {g.coords.shape} does not match point {x.coords.shape}"
             )
-        if not np.isfinite(g.coords).all():
+        if not all_finite(g.coords):
             raise NonFiniteError("gradient is not finite")
         require_base(x, g)
         return g
@@ -202,7 +203,10 @@ def quadratic_from_arrays(
     name: str = "quadratic",
     seed: int | None = None,
 ) -> Problem:
-    """Quadratic problem from explicit data, validating the (mu, L) claim."""
+    """Quadratic problem from explicit data, validating the (mu, L) claim.
+
+    The objective is a :class:`StackedObjective` whose rows each equal
+    ``0.5 * float((x - c) @ H @ (x - c))`` bit for bit."""
     h = np.asarray(hessian, dtype=float)
     c = np.asarray(center, dtype=float)
     x0 = np.asarray(start, dtype=float)
@@ -225,9 +229,12 @@ def quadratic_from_arrays(
     h_ro = h.copy()
     h_ro.setflags(write=False)
 
-    def objective(x: ManifoldPoint) -> float:
-        d = x.coords - c
-        return 0.5 * float(d @ h_ro @ d)
+    def many(xs: Sequence[ManifoldPoint]) -> np.ndarray:
+        # The broadcast (k, 1, n) @ (n, n) product forms each d_t @ H as the
+        # one-point vector-matrix product does; a plain ``d @ H`` is one
+        # matrix product, which sums in another order.
+        d = np.array([x.coords for x in xs]).reshape(len(xs), dim) - c
+        return 0.5 * row_dots((d[:, None, :] @ h_ro)[:, 0, :], d)
 
     def gradient(x: ManifoldPoint) -> TangentVector:
         return TangentVector(x, h_ro @ (x.coords - c))
@@ -243,7 +250,7 @@ def quadratic_from_arrays(
     return Problem(
         name=name,
         manifold=m,
-        objective=objective,
+        objective=StackedObjective(many),
         gradient=gradient,
         mu=mu if mu is not None else mu_eff,
         L=L if L is not None else l_eff,

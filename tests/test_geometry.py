@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ragd.errors import AntipodalError, ConvergenceError, DomainError, NonFiniteError
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Manifold, ManifoldPoint, Sphere, TangentVector
+from ragd.geometry.base import all_finite
 from ragd.geometry.hyperbolic import _RENORM_SCALE
-from ragd.problems import manifold_from_dict, manifold_to_dict
+from ragd.geometry.spd import _check_finite
+from ragd.problems import Problem, manifold_from_dict, manifold_to_dict
 
 tol = 1e-9
 
@@ -198,6 +201,76 @@ def test_spd_stacked_kernels_reject_non_pd_midpoint():
         m._dist_many(x, stack)
     with pytest.raises(ConvergenceError):
         m._log_many(x, stack)
+
+
+# all_finite sums the squares with np.vdot, which must not warn when they
+# overflow; every all_finite test runs with warnings as errors to hold it to that.
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("shape", [(1,), (7,), (4, 4), (10, 4, 4)])
+def test_all_finite_rejects_any_non_finite_entry(bad, shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fill in (1.0, 1e200):
+            a = np.full(shape, fill)
+            assert all_finite(a)
+            for i in {0, a.size // 2, a.size - 1}:
+                b = a.copy()
+                b.flat[i] = bad
+                assert not all_finite(b)
+
+
+def test_all_finite_accepts_squares_that_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (
+            np.full(5, 1e200),
+            np.full((3, 4), -1e200),
+            np.full((10, 4, 4), np.finfo(float).max),
+            np.array([1e-300, 1e200, 0.0, -1e155]),
+        ):
+            assert all_finite(a)
+
+
+def test_all_finite_on_empty_arrays_and_views():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(np.empty(0))
+        assert all_finite(np.empty((0, 4, 4)))
+        a = np.ones((6, 8))
+        a[2, 1] = np.nan
+        a[4, 3] = 1e200
+        # The view skips the odd columns, which hold the NaN and the 1e200.
+        view = a[:, ::2]
+        assert not view.flags.c_contiguous
+        assert all_finite(view)
+        assert all_finite(a[::2, 1::2].T) is False
+        assert all_finite(a[:, 1]) is False
+        assert all_finite(a[::2, ::2])
+
+
+def test_all_finite_call_sites_accept_finite_values_at_1e200():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = Euclidean(3)
+        x = m.point(np.full(3, 1e200))
+        y = m.exp(x, m.tangent(x, np.full(3, -5e199)))
+        assert np.array_equal(y.coords, np.full(3, 5e199))
+        prob = Problem(
+            name="large-gradient",
+            manifold=m,
+            objective=lambda x: 0.0,
+            gradient=lambda x: TangentVector(x, np.full(3, 1e200)),
+            mu=1.0,
+            L=1.0,
+            start=x,
+            reference=x,
+        )
+        assert np.array_equal(prob.grad(x).coords, np.full(3, 1e200))
+        _check_finite(np.full((10, 4, 4), 1e200))
+        with pytest.raises(ConvergenceError):
+            _check_finite(np.full((10, 4, 4), 1e200) * np.array([1.0, np.nan, 1.0, 1.0]))
 
 
 @pytest.mark.parametrize("label,m,scale", [c for c in CASES if isinstance(c[1], SPD)])

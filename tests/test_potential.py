@@ -231,26 +231,27 @@ def test_rate_envelope_holds_with_floor():
         rate_envelope(run(prob2, config), prob2)
 
 
-def _counting_value(monkeypatch, prob):
-    """Count calls of ``prob.value``; the optimum value is cached first."""
+def _counting_rows(monkeypatch, prob):
+    """Count the points passed to ``prob.objective.many``, the stacked pass
+    behind ``value`` and ``values``; the optimum value is cached first."""
     prob.optimum_value
-    calls = [0]
-    value = prob.value
+    rows = [0]
+    many = prob.objective.many
 
-    def counted(x):
-        calls[0] += 1
-        return value(x)
+    def counted(xs):
+        rows[0] += len(xs)
+        return many(xs)
 
-    monkeypatch.setattr(prob, "value", counted)
-    return calls
+    monkeypatch.setattr(prob.objective, "many", counted)
+    return rows
 
 
 @pytest.mark.parametrize("check", [certify_trace, rate_envelope])
 def test_replay_evaluates_each_row_once(monkeypatch, check):
     prob, trace = _flat_run()
-    calls = _counting_value(monkeypatch, prob)
+    rows = _counting_rows(monkeypatch, prob)
     check(trace, prob)
-    assert calls[0] == trace.rows.shape[0]
+    assert rows[0] == trace.rows.shape[0]
 
 
 def _reference_rate_envelope(trace, prob, floor):

@@ -20,6 +20,7 @@ from ragd.problems import (
     oracle_optimum,
     problem_from_dict,
     problem_to_dict,
+    quadratic_from_arrays,
     random_karcher,
     random_sphere_mean,
     recertified,
@@ -304,6 +305,22 @@ def test_non_finite_gradient_is_rejected(consumer):
     with pytest.raises(NonFiniteError):
         consumer(prob)
     assert prob.optimum is None
+
+
+@pytest.mark.parametrize("k", [1, 3, 64, 65])
+@pytest.mark.parametrize("dim", [1, 2, 16, 64, 128])
+def test_stacked_quadratic_objective_matches_the_one_point_formula(dim, k):
+    rng = np.random.default_rng(dim * 100 + k)
+    g = rng.normal(size=(dim, dim))
+    h = g @ g.T + dim * np.eye(dim)
+    h = 0.5 * (h + h.T)
+    c = rng.normal(size=dim)
+    prob = quadratic_from_arrays(h, c, c + rng.normal(size=dim))
+    m = prob.manifold
+    points = [m.point(c + 3.0 * rng.normal(size=dim)) for _ in range(k)]
+    want = np.array([0.5 * float((x.coords - c) @ h @ (x.coords - c)) for x in points])
+    assert np.array_equal(prob.values(points), want)
+    assert [prob.value(x) for x in points] == want.tolist()
 
 
 def test_optimum_required_before_use():
