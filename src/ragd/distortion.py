@@ -204,10 +204,10 @@ def valid_rate_hadamard(kappa: float, d_xz: float, sharp: bool = False) -> float
 def valid_rate_nonhadamard(kappa: float, d_xz: float, d_yz: float) -> float:
     """Distortion rate when positive curvature is present.
 
-    Combines the lower-bound factor with the projection penalty of
-    positive curvature: ``t_kappa(d(x, z)) * (1 + 2 d(y, z)**2)``.
+    Combines the lower-bound factor of :func:`valid_rate_hadamard` with the
+    projection penalty of positive curvature:
+    ``t_kappa(d(x, z)) * (1 + 2 d(y, z)**2)``.
     """
     if math.isnan(d_yz) or d_yz < 0.0:
         raise DomainError(f"distance must be >= 0, got {d_yz}")
-    base = 1.0 if (d_xz == 0.0 or kappa == 0.0) else t_kappa(kappa, d_xz)
-    return base * (1.0 + 2.0 * d_yz * d_yz)
+    return valid_rate_hadamard(kappa, d_xz) * (1.0 + 2.0 * d_yz * d_yz)

@@ -245,14 +245,15 @@ class Manifold(abc.ABC):
         return np.array([self.norm(x, TangentVector(x, v)) for x, v in self._pairs(xs, vs)])
 
     def _projected_distances(
-        self, xs: Bases, zs: Sequence[ManifoldPoint], p: ManifoldPoint
+        self, xs: Bases, zs: Sequence[ManifoldPoint] | np.ndarray, ps: Bases | np.ndarray
     ) -> np.ndarray:
-        """``projected_distance(x_t, z_t, p)`` for every row t, that is
-        ``|| log_{x_t}(z_t) - log_{x_t}(p) ||``."""
+        """``projected_distance(x_t, z_t, p_t)`` for every row t, that is
+        ``|| log_{x_t}(z_t) - log_{x_t}(p_t) ||``; ``ps`` is one target point
+        shared by every row or one per row, as points or stacked coordinates."""
         bases = self._prepare_bases(xs)
         z = self._base_coords(zs)
-        diff = self._log_many(bases, z) - self._log_many(bases, np.broadcast_to(p.coords, z.shape))
-        return self._norm_many(bases, diff)
+        p = np.broadcast_to(self._base_coords(ps), z.shape)
+        return self._norm_many(bases, self._log_many(bases, z) - self._log_many(bases, p))
 
     # ----- sampling ---------------------------------------------------
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -92,8 +92,7 @@ def _step_params(trace: ConvergenceTrace) -> np.ndarray:
     mu = float(trace.meta["mu"])
     delta_gamma = float(trace.meta["delta_gamma"])
     xis = trace.column("xi")[1:].tolist()
-    params = [astuple(step_params(xi, mu, delta_gamma)) for xi in xis]
-    return np.array(params).reshape(-1, 3)
+    return np.array([step_params(xi, mu, delta_gamma) for xi in xis]).reshape(-1, 3)
 
 
 def trace_coefficient_blocks(trace: ConvergenceTrace) -> np.ndarray:
@@ -340,8 +339,7 @@ def mirror_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditRep
     lo = m._log_many(bases, np.broadcast_to(problem.optimum.coords, zs[1:].shape))
     g = _grads(problem, us)
     cross = np.array([m._inner(*row) for row in zip(us, g, lo - v)])
-    # pd(u; z_{t+1}, x*) as in _projected_distances, reusing Log_u(x*)
-    pd_next = m._norm_many(bases, m._log_many(bases, zs[1:]) - lo)
+    pd_next = m._projected_distances(bases, zs[1:], problem.optimum)
     lhs = libm_squares(pd_next) - libm_squares(m._norm_many(bases, v - lo))
     rhs = s * s * libm_squares(m._norm_many(bases, g)) + 2.0 * s * cross
     allowed = CERT_TOL * ((1.0 + np.abs(lhs)) + np.abs(rhs))
@@ -430,11 +428,10 @@ def shrink_bounds(
         d_xz = np.append(0.0, np.where(hyp[:-1], c_shrink * roots[:-1], math.inf))
     xs, ys = m._prepare_bases(d.points_x), m._prepare_bases(d.points_y)
     y, z = m._base_coords(d.points_y), m._base_coords(d.points_z)
-    proj_yz = m._norm_many(xs, m._log_many(xs, y) - m._log_many(xs, z))
     observed_bounds = (
         ("proj_z_opt", r.pd, roots * s_proj),
         ("d_y_opt", m._dist_many(ys, np.broadcast_to(opt.coords, y.shape)), roots * s_opt),
-        ("proj_yz", proj_yz, roots * (s_opt + s_proj)),
+        ("proj_yz", m._projected_distances(xs, y, z), roots * (s_opt + s_proj)),
         ("d_yz", m._dist_many(ys, z), d_yz),
         ("d_xz", m._dist_many(xs, z), d_xz),
     )

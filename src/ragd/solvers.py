@@ -67,7 +67,6 @@ import numpy as np
 __all__ = [
     "SOLVER_MODES",
     "SolverConfig",
-    "StepParams",
     "step_params",
     "normalized_potential",
     "run",
@@ -156,17 +155,8 @@ class SolverConfig:
         return math.sqrt(self.mu / self.L)
 
 
-@dataclass(frozen=True)
-class StepParams:
-    """Per-iteration combination coefficients."""
-
-    alpha: float
-    beta: float
-    eta: float
-
-
-def step_params(xi: float, mu: float, delta_gamma: float) -> StepParams:
-    """Coefficients (alpha, beta, eta) for momentum value ``xi``.
+def step_params(xi: float, mu: float, delta_gamma: float) -> tuple[float, float, float]:
+    """Coefficients ``(alpha, beta, eta)`` for momentum value ``xi``.
 
     Requires a <= xi < 1 with xi > 0, where a = 2 * mu * delta_gamma.
     """
@@ -175,10 +165,7 @@ def step_params(xi: float, mu: float, delta_gamma: float) -> StepParams:
         raise DomainError(f"xi must lie in (0, 1), got {xi}")
     if xi < a:
         raise DomainError(f"xi={xi} is below a=2*mu*delta_gamma={a}")
-    alpha = (xi - a) / (1.0 - a)
-    beta = 1.0 - a / xi
-    eta = 2.0 * delta_gamma / xi
-    return StepParams(alpha=alpha, beta=beta, eta=eta)
+    return (xi - a) / (1.0 - a), 1.0 - a / xi, 2.0 * delta_gamma / xi
 
 
 def _step(
@@ -186,27 +173,27 @@ def _step(
     y: ManifoldPoint,
     z: ManifoldPoint,
     log_yz: np.ndarray,
-    params: StepParams,
+    params: tuple[float, float, float],
     gamma: float,
 ) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
-    """One accelerated step from (y, z), given the coordinates of
-    ``log_y(z)``, which ``run`` already holds.  Every tangent is anchored
-    where the kernels use it: the logarithms by construction and the
-    gradient by ``Problem.grad``."""
+    """One accelerated step from (y, z) with the coefficients ``params`` of
+    :func:`step_params`, given the coordinates of ``log_y(z)``, which ``run``
+    already holds.  Every tangent is anchored where the kernels use it: the
+    logarithms by construction and the gradient by ``Problem.grad``."""
     m = problem.manifold
-    x1 = m._exp(y, params.alpha * log_yz)
+    alpha, beta, eta = params
+    x1 = m._exp(y, alpha * log_yz)
     g = problem.grad(x1)
     y1 = m._exp(x1, (-gamma) * g.coords)
-    z1 = m._exp(x1, params.beta * m._log(x1, z) - params.eta * g.coords)
+    z1 = m._exp(x1, beta * m._log(x1, z) - eta * g.coords)
     return x1, y1, z1, g
 
 
 def _distortion_rate(
     m: Manifold, d_xz: float, d_yz: float, config: SolverConfig
 ) -> float:
-    """Distortion rate fed to the momentum recursion for the next step."""
-    if config.mode == "euclid_nesterov":
-        return 1.0
+    """Distortion rate fed to the momentum recursion for the next step; 1 in
+    flat space, where ``euclid_nesterov`` runs."""
     if config.mode == "ragd_constant_delta":
         return float(config.delta_const)
     if m.is_hadamard:

@@ -13,10 +13,9 @@ order the values were given.  The config helpers here are shared with
 from __future__ import annotations
 
 import csv
-import dataclasses
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 
 from .errors import DomainError, MissingDataError
 from .problems import (
@@ -37,19 +36,6 @@ logger = logging.getLogger("ragd.sweep")
 _solver_logger = logging.getLogger("ragd.solvers")
 
 SWEEP_AXES = ("gamma", "condition_number", "curvature", "delta_const")
-
-SWEEP_COLUMNS = (
-    "axis",
-    "value",
-    "solver",
-    "final_gap",
-    "slope",
-    "rate",
-    "delta_bar",
-    "xi_pred",
-    "pred_rate",
-    "xi_settle_iters",
-)
 
 # Momentum settling tolerance used for the predicted iteration count.
 _XI_SETTLE_TOL = 1e-3
@@ -74,8 +60,8 @@ class SweepPoint:
     pred_rate: float
     xi_settle_iters: int
 
-    def as_row(self) -> list:
-        return [getattr(self, c) for c in SWEEP_COLUMNS]
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepPoint))
 
 
 def run_enlarging(
@@ -99,7 +85,7 @@ def run_enlarging(
         "iterates left the certified ball; re-running with L enlarged to %r",
         enlarged.L,
     )
-    new_config = dataclasses.replace(config, L=enlarged.L)
+    new_config = replace(config, L=enlarged.L)
     trace = run(enlarged, new_config)
     trace.meta["enlarged_L"] = enlarged.L
     return trace, new_config
@@ -238,4 +224,4 @@ def write_sweep_csv(points: list[SweepPoint], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for p in points:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in p.as_row()])
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(p)])

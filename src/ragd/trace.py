@@ -140,11 +140,12 @@ def estimate_rate(gaps: Sequence[float]) -> RateEstimate:
     Rows at or below ``100 * eps * initial_gap`` (float-noise floor) and
     non-positive rows are discarded first; the fit then uses the trailing
     half of the surviving rows, so fast runs that bottom out early are
-    still fitted on their pre-floor decay.
+    still fitted on their pre-floor decay.  Fewer than two rows to fit, as
+    in a run of one step, give a NaN estimate.
     """
     g = np.asarray(gaps, dtype=float)
-    if g.ndim != 1 or g.size < 4:
-        raise DomainError("need a 1-d gap sequence with at least 4 entries")
+    if g.ndim != 1:
+        raise DomainError("need a 1-d gap sequence")
     finite = g[np.isfinite(g) & (g > 0.0)]
     if finite.size == 0:
         return RateEstimate(math.nan, math.nan, 0)

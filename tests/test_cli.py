@@ -396,6 +396,37 @@ def test_sweep_writes_axis_csv(tmp_path, capsys):
     assert float(first[1]) == 1.0 and float(second[1]) == 2.0
 
 
+def _short_config(tmp_path, max_iters):
+    return _write_config(tmp_path, solvers=[
+        {"mode": "ragd", "max_iters": max_iters}, {"mode": "rgd", "max_iters": max_iters},
+    ])
+
+
+@pytest.mark.parametrize("max_iters", [1, 2])
+def test_run_of_one_or_two_steps_prints_its_summary(tmp_path, capsys, max_iters):
+    # Too few gap rows to fit a rate give a NaN estimate, not an abort.
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(_short_config(tmp_path, max_iters)), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    trace = (out / "quadratic-d8_ragd.csv").read_text().splitlines()
+    assert len([ln for ln in trace if not ln.startswith("#")]) == max_iters + 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("# problem=quadratic-d8 seed=3 config_hash=")
+    assert [ln.split()[0] for ln in lines[2:]] == ["ragd", "rgd"]
+
+
+@pytest.mark.parametrize("max_iters", [1, 2])
+def test_sweep_of_one_or_two_steps_prints_its_summary(tmp_path, capsys, max_iters):
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(_short_config(tmp_path, max_iters)), "--axis", "gamma",
+            "--values", "1.0,1.05", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len((out / "sweep_gamma.csv").read_text().strip().splitlines()) == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == f"# axis=gamma -> {out / 'sweep_gamma.csv'}"
+    assert [float(ln.split()[0]) for ln in lines[2:]] == [1.0, 1.05]
+
+
 def test_curvature_sweep_of_a_flat_block_is_config_error(tmp_path):
     problem = {
         "kind": "karcher", "manifold": {"kind": "euclidean", "dim": 4},

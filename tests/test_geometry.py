@@ -10,16 +10,14 @@ from ragd.geometry.base import all_finite
 from ragd.geometry.hyperbolic import _RENORM_SCALE
 from ragd.geometry.spd import _check_finite
 from ragd.problems import Problem, manifold_from_dict, manifold_to_dict
+from ragd.verify import _geometry_cases
 
 tol = 1e-9
 
-CASES = [
-    ("euclidean", Euclidean(12), 5.0),
-    ("hyperbolic", Hyperbolic(8, kappa=1.0), 2.0),
-    ("hyperbolic-k2", Hyperbolic(5, kappa=2.0), 1.5),
-    ("sphere", Sphere(7, sigma=1.0), 0.35),
-    ("spd", SPD(4), 2.0),
-]
+# The manifolds and scales of the ``geometry`` property suite, which checks
+# the exp/log roundtrip, distance against tangent norm, symmetry, the
+# triangle inequality and the identity point on them.
+CASES = _geometry_cases()
 
 
 def sample(m, scale, seed=0, n=30):
@@ -29,42 +27,6 @@ def sample(m, scale, seed=0, n=30):
         x = m.random_point(rng, base, scale)
         v = m.random_tangent(rng, x, scale=scale)
         yield x, v
-
-
-@pytest.mark.parametrize("label,m,scale", CASES)
-def test_exp_log_roundtrip(label, m, scale):
-    for x, v in sample(m, scale):
-        y = m.exp(x, v)
-        back = m.log(x, y)
-        err = m.norm(x, back - v) / (1.0 + m.norm(x, v))
-        assert err < tol
-
-
-@pytest.mark.parametrize("label,m,scale", CASES)
-def test_distance_matches_tangent_norm(label, m, scale):
-    for x, v in sample(m, scale):
-        y = m.exp(x, v)
-        nv = m.norm(x, v)
-        assert abs(m.distance(x, y) - nv) < tol * (1.0 + nv)
-
-
-@pytest.mark.parametrize("label,m,scale", CASES)
-def test_distance_symmetry_and_triangle(label, m, scale):
-    rng = np.random.default_rng(1)
-    base = m.base_point()
-    for _ in range(30):
-        x = m.random_point(rng, base, scale)
-        y = m.random_point(rng, base, scale)
-        z = m.random_point(rng, base, scale)
-        assert abs(m.distance(x, y) - m.distance(y, x)) < tol
-        assert m.distance(x, z) <= m.distance(x, y) + m.distance(y, z) + tol
-
-
-@pytest.mark.parametrize("label,m,scale", CASES)
-def test_identity_point(label, m, scale):
-    for x, _ in sample(m, scale, n=5):
-        assert m.distance(x, x) < tol
-        assert m.norm(x, m.log(x, x)) < tol
 
 
 @pytest.mark.parametrize("label,m,scale", CASES)
@@ -116,6 +78,10 @@ def test_stacked_kernels_match_per_anchor_loop(label, m, scale):
         norms = np.array([m.norm(x, TangentVector(x, v)) for v in logs])
         pair_norms = np.array([m.norm(b, TangentVector(b, v)) for b, v in zip(bases, pair_logs)])
         pds = np.array([m.projected_distance(b, p, x) for b, p in zip(bases, anchors)])
+        targets = anchors[1:] + anchors[:1]
+        pair_pds = np.array([
+            m.projected_distance(b, p, q) for b, p, q in zip(bases, anchors, targets)
+        ])
         # The base-class loop is the reference every override must match.
         assert np.array_equal(Manifold._dist_many(m, x, stack), dists)
         assert np.array_equal(Manifold._log_many(m, x, stack), logs)
@@ -129,6 +95,7 @@ def test_stacked_kernels_match_per_anchor_loop(label, m, scale):
         assert np.array_equal(m._norm_many(x, logs), norms)
         assert np.array_equal(m._norm_many(bases, pair_logs), pair_norms)
         assert np.array_equal(m._projected_distances(bases, anchors, x), pds)
+        assert np.array_equal(m._projected_distances(bases, anchors, targets), pair_pds)
         got_d, got_l = m._dist_many(x, stack), m._log_many(x, stack)
         if isinstance(m, Hyperbolic):
             # A shared base forms every Minkowski inner product in one

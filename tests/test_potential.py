@@ -311,10 +311,9 @@ def _reference_mirror_step(trace, prob):
     residuals, allowed = [], []
     for t in range(trace.n_iters):
         u = d.points_x[t + 1]
-        params = step_params(float(xis[t + 1]), trace.meta["mu"], delta_gamma)
-        v = params.beta * m.log(u, d.points_z[t])
+        _, beta, s = step_params(float(xis[t + 1]), trace.meta["mu"], delta_gamma)
+        v = beta * m.log(u, d.points_z[t])
         g = prob.grad(u)
-        s = params.eta
         lo = m.log(u, opt)
         lhs = m.projected_distance(u, d.points_z[t + 1], opt) ** 2 - m.norm(u, v - lo) ** 2
         rhs = s * s * m.norm(u, g) ** 2 + 2.0 * s * m.inner(u, g, lo - v)

@@ -40,11 +40,11 @@ logging.getLogger("ragd.solvers").setLevel(logging.ERROR)
 
 
 def test_step_params_values():
-    p = step_params(xi=0.5, mu=1.0, delta_gamma=0.08)
+    alpha, beta, eta = step_params(xi=0.5, mu=1.0, delta_gamma=0.08)
     a = 0.16
-    assert math.isclose(p.alpha, (0.5 - a) / (1.0 - a), rel_tol=COEFF_TOL)
-    assert math.isclose(p.beta, 1.0 - a / 0.5, rel_tol=COEFF_TOL)
-    assert math.isclose(p.eta, 2.0 * 0.08 / 0.5, rel_tol=COEFF_TOL)
+    assert math.isclose(alpha, (0.5 - a) / (1.0 - a), rel_tol=COEFF_TOL)
+    assert math.isclose(beta, 1.0 - a / 0.5, rel_tol=COEFF_TOL)
+    assert math.isclose(eta, 2.0 * 0.08 / 0.5, rel_tol=COEFF_TOL)
 
 
 @pytest.mark.parametrize("xi", [0.0, 1.0, -0.2, 1.3])
@@ -69,31 +69,32 @@ def test_step_params_infeasible_when_a_reaches_one():
 
 
 def test_step_params_boundary_and_zero_mu():
-    low = step_params(xi=0.2, mu=1.0, delta_gamma=0.1)
-    assert low.alpha == 0.0 and low.beta == 0.0
-    assert math.isclose(low.eta, 1.0, rel_tol=COEFF_TOL)
-    free = step_params(xi=0.4, mu=0.0, delta_gamma=0.1)
-    assert free.alpha == 0.4 and free.beta == 1.0
-    assert math.isclose(free.eta, 2.0 * 0.1 / 0.4, rel_tol=COEFF_TOL)
+    alpha, beta, eta = step_params(xi=0.2, mu=1.0, delta_gamma=0.1)
+    assert alpha == 0.0 and beta == 0.0
+    assert math.isclose(eta, 1.0, rel_tol=COEFF_TOL)
+    alpha, beta, eta = step_params(xi=0.4, mu=0.0, delta_gamma=0.1)
+    assert alpha == 0.4 and beta == 1.0
+    assert math.isclose(eta, 2.0 * 0.1 / 0.4, rel_tol=COEFF_TOL)
 
 
 def test_step_params_critical_step_simplification():
     q = 0.01
     mu, big = q, 1.0
     delta_gamma = (1.0 / big) * (1.0 - 1.0 / 2.0)
-    p = step_params(math.sqrt(q), mu, delta_gamma)
-    assert math.isclose(p.alpha, math.sqrt(q) / (1.0 + math.sqrt(q)), rel_tol=1e-12)
-    assert math.isclose(p.beta, 1.0 - math.sqrt(q), rel_tol=1e-12)
-    assert math.isclose(p.eta, 1.0 / math.sqrt(mu * big), rel_tol=1e-12)
+    alpha, beta, eta = step_params(math.sqrt(q), mu, delta_gamma)
+    assert math.isclose(alpha, math.sqrt(q) / (1.0 + math.sqrt(q)), rel_tol=1e-12)
+    assert math.isclose(beta, 1.0 - math.sqrt(q), rel_tol=1e-12)
+    assert math.isclose(eta, 1.0 / math.sqrt(mu * big), rel_tol=1e-12)
 
 
 def _nesterov_step(problem, x, y, z, params, gamma):
     """Classical Nesterov step in plain vector arithmetic, the flat-space
     reference that the solver's step must reproduce bit for bit."""
-    x1 = y + params.alpha * (z - y)
+    alpha, beta, eta = params
+    x1 = y + alpha * (z - y)
     g = problem.grad(problem.manifold.point(x1)).coords
     y1 = x1 + (-gamma) * g
-    z1 = x1 + (params.beta * (z - x1) - params.eta * g)
+    z1 = x1 + (beta * (z - x1) - eta * g)
     return x1, y1, z1, g
 
 

@@ -107,7 +107,10 @@ def test_estimate_rate_uses_trailing_half():
 
 
 def test_estimate_rate_degenerate_inputs():
+    # A run of one step leaves one row to fit: no estimate, and no error.
+    est = estimate_rate([1.0, 0.5])
+    assert math.isnan(est.slope) and math.isnan(est.rate)
     with pytest.raises(DomainError):
-        estimate_rate([1.0, 0.5])
+        estimate_rate([[1.0, 0.5]])
     est = estimate_rate([0.0, 0.0, 0.0, 0.0])
     assert math.isnan(est.slope)
