@@ -164,7 +164,7 @@ class SPD(Manifold):
     def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
         _, isqrt = self._sqrt_pair(x)
         a = isqrt @ u @ isqrt
-        b = isqrt @ v @ isqrt
+        b = a if u is v else isqrt @ v @ isqrt
         return float(np.sum(a * b))
 
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:

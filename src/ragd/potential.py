@@ -22,12 +22,16 @@ parameter choices five of the coefficients vanish identically and the
 first is negative.  :func:`trace_coefficient_blocks` returns them, one
 row per step, for direct numerical inspection.
 
-Every check reads the run in array form: f at every row in one
-``Problem.values`` call, and logarithms, norms and distances in the stacked
-kernels with one base per row, which round as the single-pair methods do.
-The certifier, the quadratic-form audit, the rate envelope and the shrink
-bounds share one replay of the run, which evaluates f(y_t) - f*, pd_t and
-phi_t once per row.
+The certifier, the rate envelope and the quadratic-form audit certify the
+run as recorded, from the ``xi``, ``f_gap``, ``potential`` and
+``decrease_margin`` columns that :func:`ragd.solvers.run` fills.  A replay
+through the same float kernels reproduces those columns bit for bit, so
+none is re-evaluated; an independent replay needs higher precision
+(ROADMAP.md, item 3, step 2).  What the columns lack, the step audits and
+the shrink bounds evaluate from the stored iterates in array form: f in
+one ``Problem.values`` call, and logarithms, norms and distances in the
+stacked kernels with one base per row, which round as the single-pair
+methods do.
 Every check allows :data:`CERT_TOL` (the envelope :data:`ENVELOPE_TOL`)
 times the magnitudes it compares.
 Every per-step check but the certifier reports as a
@@ -41,7 +45,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -136,8 +139,9 @@ class PotentialRecord:
     """Potential bookkeeping for one trace row.
 
     ``margin`` is the normalized certified decrease
-    (1 - xi_{t+1}) * phi_t - phi_{t+1} for the step leaving this row
-    (NaN on the last row); the step passes when margin >= -allowed.
+    (1 - xi_{t+1}) * phi_t - phi_{t+1} for the step leaving this row (NaN
+    on the last row); the step passes when margin >= -allowed and the
+    margin is the one the recorded phi_t and phi_{t+1} give.
     """
 
     t: int
@@ -157,24 +161,26 @@ class CertificationReport:
         return self.violations == 0
 
 
-def certify_trace(trace: ConvergenceTrace, problem: Problem) -> CertificationReport:
-    """Recompute the potential from recorded iterates and certify descent.
+def certify_trace(trace: ConvergenceTrace, problem: Problem | None = None) -> CertificationReport:
+    """Certify the potential's descent at every step of the run as recorded.
 
-    Independent of the solver's own bookkeeping: objective values and
-    projected distances are re-evaluated from the stored points.  The
-    per-step condition is Phi_{t+1} <= Phi_t + CERT_TOL * (1 + |Phi_t|),
-    checked in normalized form.  Requires diagnostics and a known optimum.
+    Reads phi_t, xi_t and the margin (1 - xi_{t+1}) * phi_t - phi_{t+1}
+    from the trace's columns, so ``problem`` is not read and the run needs
+    no diagnostics, only a known optimum.  The per-step condition is
+    Phi_{t+1} <= Phi_t + CERT_TOL * (1 + |Phi_t|), checked in normalized form.
+    An independent replay in higher precision is ROADMAP.md item 3, step 2.
     """
-    _require_potential_inputs(trace, problem)
-    r = _replay(trace, problem)
-    shrink = 1.0 - r.xi[1:]
-    margins = shrink * r.phi[:-1] - r.phi[1:]
-    allowed = CERT_TOL * (r.decay[1:] + shrink * np.abs(r.phi[:-1]))
-    oks = margins >= -allowed
+    phi = _recorded_potential(trace)
+    xis = trace.column("xi")
+    shrink = 1.0 - xis[1:]
+    margins = trace.column("decrease_margin")[:-1]
+    allowed = CERT_TOL * (_weight_decay(xis)[1:] + shrink * np.abs(phi[:-1]))
+    # a margin must match its phi cells, so a spoiled cell of either column fails
+    oks = (margins >= -allowed) & (margins == shrink * phi[:-1] - phi[1:])
     records = [
-        PotentialRecord(t=t, phi=phi, margin=margin, allowed=allow, ok=ok)
-        for t, (phi, margin, allow, ok) in enumerate(zip(
-            r.phi.tolist(),
+        PotentialRecord(t=t, phi=p, margin=margin, allowed=allow, ok=ok)
+        for t, (p, margin, allow, ok) in enumerate(zip(
+            phi.tolist(),
             margins.tolist() + [math.nan],
             allowed.tolist() + [math.nan],
             oks.tolist() + [True],
@@ -224,8 +230,8 @@ def _require_full_diagnostics(trace: ConvergenceTrace) -> None:
 
 
 def _require_potential_inputs(trace: ConvergenceTrace, problem: Problem) -> None:
-    """Preamble of the potential analyses: full diagnostics, an accelerated
-    solver and a known optimum."""
+    """Preamble of the analyses that replay the stored iterates: full
+    diagnostics, an accelerated solver and a known optimum."""
     _require_full_diagnostics(trace)
     if trace.meta.get("solver") == "rgd":
         raise MissingDataError("plain gradient descent has no potential certificate")
@@ -233,32 +239,22 @@ def _require_potential_inputs(trace: ConvergenceTrace, problem: Problem) -> None
         raise MissingDataError("problem has no optimum; call oracle_optimum first")
 
 
-class _Replay(NamedTuple):
-    """Per-row quantities of a recorded run, re-evaluated from the stored
-    iterates: the momentum ``xi``, the gap f(y_t) - f*, the projected
-    distance pd(x_t; z_t, x*), the normalized potential phi_t, and the
-    weight decay prod_{1<=j<=t} (1 - xi_j) = 1 / A_t, which turns phi_0
-    into the certified envelope."""
-
-    xi: np.ndarray
-    gap: np.ndarray
-    pd: np.ndarray
-    phi: np.ndarray
-    decay: np.ndarray
+def _recorded_potential(trace: ConvergenceTrace) -> np.ndarray:
+    """The ``potential`` column, phi_t of every row; MissingDataError when
+    the run recorded none (plain gradient descent, or no known optimum)."""
+    if trace.meta.get("solver") == "rgd":
+        raise MissingDataError("plain gradient descent has no potential certificate")
+    phi = trace.column("potential")
+    if np.isnan(phi).all():
+        raise MissingDataError("the run had no optimum; call oracle_optimum before run")
+    return phi
 
 
-def _replay(trace: ConvergenceTrace, problem: Problem) -> _Replay:
-    """One pass over the diagnostics; the caller has checked its inputs."""
-    d = trace.diagnostics
-    m = problem.manifold
-    opt = problem.optimum
-    xis = trace.column("xi")
-    gap = problem.values(d.points_y) - problem.optimum_value
-    pd = m._projected_distances(d.points_x, d.points_z, opt)
-    phi = normalized_potential(gap, xis, pd, float(trace.meta["delta_gamma"]))
+def _weight_decay(xis: np.ndarray) -> np.ndarray:
+    """prod_{1<=j<=t} (1 - xi_j) = 1 / A_t for every row t, accumulated in
+    logarithms; it turns phi_0 into the certified envelope."""
     logs = itertools.accumulate((math.log1p(-float(xi)) for xi in xis[1:]), initial=0.0)
-    decay = np.array([math.exp(s) for s in logs])
-    return _Replay(xis, gap, pd, phi, decay)
+    return np.array([math.exp(s) for s in logs])
 
 
 def _grads(problem: Problem, points: list[ManifoldPoint]) -> np.ndarray:
@@ -278,8 +274,8 @@ def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAudit
     if not isinstance(problem.manifold, Euclidean):
         raise DomainError("the quadratic-form audit applies to flat runs only")
     _require_potential_inputs(trace, problem)
+    phi = _recorded_potential(trace)
     d = trace.diagnostics
-    r = _replay(trace, problem)
     c = trace_coefficient_blocks(trace).T
     us = d.points_x[1:]
     u = problem.manifold._base_coords(us)
@@ -294,8 +290,8 @@ def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAudit
         + c[4] * row_dots(w, g)
         + c[5] * row_dots(x_vec, g)
     )
-    lhs = r.phi[1:] / (1.0 - r.xi[1:]) - r.phi[:-1]
-    allowed = CERT_TOL * ((1.0 + np.abs(r.phi[:-1])) + np.abs(form))
+    lhs = phi[1:] / (1.0 - trace.column("xi")[1:]) - phi[:-1]
+    allowed = CERT_TOL * ((1.0 + np.abs(phi[:-1])) + np.abs(form))
     return StepAuditReport("quadratic_form", lhs - form, allowed)
 
 
@@ -346,19 +342,18 @@ def mirror_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditRep
     return StepAuditReport("mirror_step", np.abs(lhs - rhs), allowed)
 
 
-def rate_envelope(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
+def rate_envelope(trace: ConvergenceTrace, problem: Problem | None = None) -> StepAuditReport:
     """Check the cumulative rate f(y_t) - f(x*) <= phi_0 * prod (1 - xi_j).
 
-    Rows whose envelope falls below NOISE_FLOOR * phi_0 are skipped (their
-    allowance is infinite): once the envelope drops under the resolution
-    of the float objective, the comparison measures rounding noise, not
-    the method.
+    Reads the trace's columns, like :func:`certify_trace`.  Rows whose
+    envelope falls below NOISE_FLOOR * phi_0 are skipped (their allowance
+    is infinite): once the envelope drops under the resolution of the
+    float objective, the comparison measures rounding noise, not the method.
     """
-    _require_potential_inputs(trace, problem)
-    r = _replay(trace, problem)
-    bounds = r.phi[0] * r.decay
-    allowed = _bound_allowance(bounds, NOISE_FLOOR * r.phi[0], ENVELOPE_TOL)
-    return StepAuditReport("rate_envelope", r.gap - bounds, allowed)
+    phi0 = _recorded_potential(trace)[0]
+    bounds = phi0 * _weight_decay(trace.column("xi"))
+    allowed = _bound_allowance(bounds, NOISE_FLOOR * phi0, ENVELOPE_TOL)
+    return StepAuditReport("rate_envelope", trace.column("f_gap") - bounds, allowed)
 
 
 # ----- distance-shrinking bounds ---------------------------------------------
@@ -416,20 +411,24 @@ def shrink_bounds(
     mu, L, gamma = (float(trace.meta[k]) for k in ("mu", "L", "gamma"))
     _, a, s_opt, s_proj, s_grad, den = _shrink_scales(mu, L, gamma)
     c_shrink = shrink_constant(mu, L, gamma) if gamma * L > 1.0 else math.inf
-    r = _replay(trace, problem)
-    roots = np.sqrt(r.phi[0] * r.decay) if r.phi[0] > 0.0 else np.zeros_like(r.phi)
+    xs, ys = m._prepare_bases(d.points_x), m._prepare_bases(d.points_y)
+    y, z = m._base_coords(d.points_y), m._base_coords(d.points_z)
+    xis = trace.column("xi")
+    pd = m._projected_distances(xs, z, opt)
+    # D0 from the problem's optimum value, not the recorded potential column
+    gap0 = problem.values(d.points_y[:1]) - problem.optimum_value
+    phi0 = normalized_potential(gap0, xis[:1], pd[:1], float(trace.meta["delta_gamma"]))[0]
+    roots = np.sqrt(phi0 * _weight_decay(xis)) if phi0 > 0.0 else np.zeros_like(xis)
     # hypotheses of the step leaving row t, at xi_{t+1}; the last row has none
-    xi_next = np.append(r.xi[1:], math.nan)
+    xi_next = np.append(xis[1:], math.nan)
     hyp = (gamma * L > 1.0) & (gamma * L <= 2.0 - xi_next) & (xi_next > a)
     with np.errstate(divide="ignore", invalid="ignore"):
         d_yz = roots / (1.0 - a / xi_next) * (s_opt + s_proj + s_grad) * (1.0 - a) / den
         d_yz = np.where(hyp, d_yz, math.inf)
         # row t's bound uses the root of row t-1
         d_xz = np.append(0.0, np.where(hyp[:-1], c_shrink * roots[:-1], math.inf))
-    xs, ys = m._prepare_bases(d.points_x), m._prepare_bases(d.points_y)
-    y, z = m._base_coords(d.points_y), m._base_coords(d.points_z)
     observed_bounds = (
-        ("proj_z_opt", r.pd, roots * s_proj),
+        ("proj_z_opt", pd, roots * s_proj),
         ("d_y_opt", m._dist_many(ys, np.broadcast_to(opt.coords, y.shape)), roots * s_opt),
         ("proj_yz", m._projected_distances(xs, y, z), roots * (s_opt + s_proj)),
         ("d_yz", m._dist_many(ys, z), d_yz),

@@ -214,7 +214,7 @@ def normalized_potential(
     gap: np.ndarray, xi: np.ndarray, pd: np.ndarray, delta_gamma: float
 ) -> np.ndarray:
     """``phi_t = gap_t + (xi_t**2 / (4 Delta)) * pd_t**2`` for every row:
-    the potential column of :func:`run` and the certifier's replay of it."""
+    the potential column of :func:`run`, and phi_0 in the shrink bounds."""
     return gap + (xi * xi / (4.0 * delta_gamma)) * libm_squares(pd)
 
 

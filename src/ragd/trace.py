@@ -52,7 +52,8 @@ out of rate fits, and rate-envelope rows below it are not compared."""
 class TraceDiagnostics:
     """Full per-iteration state, kept only when requested.
 
-    Needed by the potential certifier and the distance-shrinking report.
+    Needed by the step audits and the distance-shrinking report; the
+    certifier and the rate envelope read only the rows.
     It holds three points per row; without it ``solvers.run`` keeps the
     iterates of at most one block of rows, so a long run's memory grows
     only by its (T+1, 9) rows.

@@ -1,5 +1,6 @@
 """Potential bookkeeping, per-step audits, and distance-shrinking bounds."""
 
+import itertools
 import logging
 import math
 
@@ -10,6 +11,7 @@ from ragd.errors import DomainError, HypothesisError, MissingDataError
 from ragd.geometry import SPD, Hyperbolic, Sphere
 from ragd.potential import (
     CERT_TOL,
+    ENVELOPE_TOL,
     StepAuditReport,
     acceleration_threshold,
     certify_trace,
@@ -22,8 +24,9 @@ from ragd.potential import (
     trace_coefficient_blocks,
 )
 from ragd.problems import make_quadratic, oracle_optimum, random_karcher, random_sphere_mean
-from ragd.solvers import SolverConfig, run, step_params
-from ragd.trace import TRACE_COLUMNS, ConvergenceTrace
+from ragd.solvers import SolverConfig, normalized_potential, run, step_params
+from ragd.trace import NOISE_FLOOR, TRACE_COLUMNS, ConvergenceTrace
+from ragd.verify import _certified_karcher, _certified_quadratic
 from ragd.xi import XiParams, next_xi
 
 VANISH_TOL = 1e-12
@@ -115,18 +118,33 @@ def test_certifier_allowance_uses_the_weight_of_the_xi_column():
 
 
 def test_certify_detects_corrupted_iterate():
+    # The certifier reads the recorded columns: a spoiled potential cell is
+    # its to flag, in both steps that cell enters.  A spoiled iterate leaves
+    # the columns as they are, and the bookkeeping guard catches it.
     prob, trace = _flat_run()
+    clean = certify_trace(trace, prob)
+    spoiled = ConvergenceTrace(rows=trace.rows.copy(), meta=trace.meta)
+    spoiled.rows[40, TRACE_COLUMNS.index("potential")] += 5.0
+    report = certify_trace(spoiled, prob)
+    assert [r.t for r in report.records if not r.ok] == [39, 40]
     m = prob.manifold
-    spoiled = m.point(trace.diagnostics.points_y[40].coords + 5.0)
-    trace.diagnostics.points_y[40] = spoiled
-    report = certify_trace(trace, prob)
-    assert report.violations >= 1
+    trace.diagnostics.points_y[40] = m.point(trace.diagnostics.points_y[40].coords + 5.0)
+    _assert_same_records(certify_trace(trace, prob), _record_columns(clean))
+    recomputed = _bookkeeping_columns(trace, prob)
+    for name in ("f_gap", "d_yopt", "potential"):
+        differs = np.flatnonzero(trace.column(name) != recomputed[name])
+        assert differs.tolist() == [40], name
 
 
-def test_certify_requires_diagnostics():
-    prob, trace = _flat_run(diagnostics=False)
-    with pytest.raises(MissingDataError):
-        certify_trace(trace, prob)
+def test_certify_needs_no_diagnostics():
+    prob, with_diagnostics = _flat_run()
+    _, trace = _flat_run(diagnostics=False)
+    assert trace.diagnostics is None
+    want = _record_columns(certify_trace(with_diagnostics, prob))
+    _assert_same_records(certify_trace(trace), want)
+    envelope, want = rate_envelope(trace), rate_envelope(with_diagnostics, prob)
+    assert np.array_equal(envelope.residuals, want.residuals)
+    assert np.array_equal(envelope.allowed, want.allowed)
 
 
 def test_certify_requires_optimum():
@@ -246,12 +264,18 @@ def _counting_rows(monkeypatch, prob):
     return rows
 
 
-@pytest.mark.parametrize("check", [certify_trace, rate_envelope])
-def test_replay_evaluates_each_row_once(monkeypatch, check):
+@pytest.mark.parametrize(
+    "check, n_rows",
+    [(certify_trace, 0), (rate_envelope, 0), (shrink_bounds, 1)],
+    ids=["certify_trace", "rate_envelope", "shrink_bounds"],
+)
+def test_checks_evaluate_the_objective_at_counted_rows(monkeypatch, check, n_rows):
+    # The certifier and the envelope read the recorded columns; the shrink
+    # bounds evaluate f at y_0 alone, for phi_0.
     prob, trace = _flat_run()
     rows = _counting_rows(monkeypatch, prob)
     check(trace, prob)
-    assert rows[0] == trace.rows.shape[0]
+    assert rows[0] == n_rows
 
 
 def _reference_rate_envelope(trace, prob, floor):
@@ -359,6 +383,77 @@ def _audited_run(case):
     return prob, run(prob, config)
 
 
+_RECORD_FIELDS = ("phi", "margin", "allowed", "ok")
+
+
+def _record_columns(report):
+    """The certificate records as one array per field of ``_RECORD_FIELDS``."""
+    return [np.array([getattr(r, k) for r in report.records]) for k in _RECORD_FIELDS]
+
+
+def _assert_same_records(report, columns):
+    for name, got, want in zip(_RECORD_FIELDS, _record_columns(report), columns):
+        assert np.array_equal(got, want, equal_nan=True), name
+
+
+def _replayed_potential(trace, prob):
+    """f(y_t) - f*, phi_t and prod_{j<=t} (1 - xi_j) of every row, with f and
+    pd re-evaluated from the stored iterates through the stacked kernels."""
+    d = trace.diagnostics
+    xis = trace.column("xi")
+    gap = prob.values(d.points_y) - prob.optimum_value
+    pd = prob.manifold._projected_distances(d.points_x, d.points_z, prob.optimum)
+    phi = normalized_potential(gap, xis, pd, float(trace.meta["delta_gamma"]))
+    logs = itertools.accumulate((math.log1p(-float(xi)) for xi in xis[1:]), initial=0.0)
+    return gap, phi, np.array([math.exp(s) for s in logs])
+
+
+def _reference_certify(trace, prob):
+    """The certifier as a replay of the stored iterates: the record columns
+    and the violation count."""
+    xis = trace.column("xi")
+    _, phi, decay = _replayed_potential(trace, prob)
+    shrink = 1.0 - xis[1:]
+    margins = shrink * phi[:-1] - phi[1:]
+    allowed = CERT_TOL * (decay[1:] + shrink * np.abs(phi[:-1]))
+    oks = margins >= -allowed
+    columns = [phi, np.append(margins, math.nan), np.append(allowed, math.nan),
+               np.append(oks, True)]
+    return columns, int(np.count_nonzero(~oks))
+
+
+def _reference_envelope(trace, prob):
+    """The rate envelope as a replay of the stored iterates."""
+    gap, phi, decay = _replayed_potential(trace, prob)
+    bounds = phi[0] * decay
+    compared = np.isfinite(bounds) & (bounds >= NOISE_FLOOR * phi[0])
+    return gap - bounds, np.where(compared, ENVELOPE_TOL * (1.0 + np.abs(bounds)), math.inf)
+
+
+def _bookkeeping_columns(trace, prob):
+    """``f_gap``, ``d_yopt``, ``potential`` and ``decrease_margin`` recomputed
+    from the stored iterates one pair at a time through the typed API, with
+    libm squares."""
+    d = trace.diagnostics
+    m = prob.manifold
+    opt = prob.optimum
+    xis = trace.column("xi").tolist()
+    four_delta = 4.0 * trace.meta["delta_gamma"]
+    gap = [prob.value(y) - prob.optimum_value for y in d.points_y]
+    phi = [
+        g + (xi * xi / four_delta) * m.projected_distance(x, z, opt) ** 2
+        for g, xi, x, z in zip(gap, xis, d.points_x, d.points_z)
+    ]
+    return {
+        "f_gap": np.array(gap),
+        "d_yopt": np.array([m.distance(y, opt) for y in d.points_y]),
+        "potential": np.array(phi),
+        "decrease_margin": np.array(
+            [(1.0 - xn) * p - pn for xn, p, pn in zip(xis[1:], phi, phi[1:])] + [math.nan]
+        ),
+    }
+
+
 @pytest.mark.parametrize("case", ["flat", "hyperbolic", "spd", "sphere", "hyperbolic-rgd"])
 def test_audits_match_row_by_row_reference(case):
     # The array audits square norms as Python floats and take one base per
@@ -384,6 +479,45 @@ def test_audits_match_row_by_row_reference(case):
         assert np.count_nonzero(finite) >= trace.n_iters, report.name
         want = np.array(observed[report.name])
         assert np.array_equal(report.residuals[finite], want[finite]), report.name
+
+
+def _replay_case_run(case):
+    """The runs of the ``ragd verify`` potential suite at seeds 0-2, or a
+    200-step run at gamma * L = 1.05 (``_audited_run``)."""
+    if not case.startswith("verify-"):
+        return _audited_run(case)
+    _, label, seed = case.split("-")
+    if label == "quadratic":
+        return _certified_quadratic(int(seed), 300)
+    if label == "hyperbolic":
+        return _certified_karcher(Hyperbolic(8, kappa=1.0), int(seed), 300)
+    return _certified_karcher(SPD(4), int(seed) + 100, 300)
+
+
+@pytest.mark.parametrize("case", ["flat", "hyperbolic", "spd", "sphere"] + [
+    f"verify-{label}-{seed}" for label in ("quadratic", "hyperbolic", "spd") for seed in range(3)
+])
+def test_certify_and_envelope_match_replay_reference(case):
+    # Reading the recorded columns gives the reports that a replay of the
+    # stored iterates through the same kernels gives, bit for bit.
+    prob, trace = _replay_case_run(case)
+    columns, violations = _reference_certify(trace, prob)
+    report = certify_trace(trace, prob)
+    _assert_same_records(report, columns)
+    assert report.violations == violations
+    envelope = rate_envelope(trace, prob)
+    residuals, allowed = _reference_envelope(trace, prob)
+    assert np.array_equal(envelope.residuals, residuals)
+    assert np.array_equal(envelope.allowed, allowed)
+
+
+@pytest.mark.parametrize("case", ["flat", "hyperbolic", "spd", "sphere"])
+def test_trace_bookkeeping_matches_single_pair_recompute(case):
+    # The certifier trusts these columns; they must be what the stored
+    # iterates give, one pair at a time.
+    prob, trace = _audited_run(case)
+    for name, want in _bookkeeping_columns(trace, prob).items():
+        assert np.array_equal(trace.column(name), want, equal_nan=True), name
 
 
 def test_shrink_constant_domain():
