@@ -100,15 +100,13 @@ class Manifold(abc.ABC):
 
     Concrete manifolds advertise the curvature data consumed by the
     distortion module: ``curv_lower_mag`` is ``kappa >= 0`` such that the
-    sectional curvature is ``>= -kappa``, ``curv_upper`` is an upper bound
-    (positive only on the sphere), and ``is_hadamard`` states whether
-    geodesics are globally unique.
+    sectional curvature is ``>= -kappa``, and ``is_hadamard`` states
+    whether geodesics are globally unique.
     """
 
     name: str = "manifold"
     dim: int = 0
     curv_lower_mag: float = 0.0
-    curv_upper: float = 0.0
     is_hadamard: bool = True
 
     # ----- membership ------------------------------------------------
@@ -179,10 +177,6 @@ class Manifold(abc.ABC):
     @abc.abstractmethod
     def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
         """Inner product at ``x`` of the coordinates of two tangents at ``x``."""
-
-    def _log_dist(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, float]:
-        """``(_log(x, y), distance(x, y))``, from one evaluation where they share work."""
-        return self._log(x, y), self.distance(x, y)
 
     def norm(self, x: ManifoldPoint, v: TangentVector) -> float:
         return float(np.sqrt(max(self.inner(x, v, v), 0.0)))

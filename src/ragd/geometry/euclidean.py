@@ -17,7 +17,6 @@ class Euclidean(Manifold):
 
     name = "euclidean"
     curv_lower_mag = 0.0
-    curv_upper = 0.0
     is_hadamard = True
 
     def __init__(self, dim: int) -> None:
@@ -47,10 +46,6 @@ class Euclidean(Manifold):
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         d = y.coords - x.coords
         return math.sqrt(d.dot(d))
-
-    def _log_dist(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, float]:
-        d = y.coords - x.coords
-        return d, math.sqrt(d.dot(d))
 
     def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.dot(u, v))

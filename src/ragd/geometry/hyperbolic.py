@@ -54,7 +54,6 @@ class Hyperbolic(Manifold):
     """dim-dimensional hyperbolic space embedded in R^{dim+1}."""
 
     name = "hyperbolic"
-    curv_upper = 0.0
     is_hadamard = True
 
     def __init__(self, dim: int, kappa: float = 1.0) -> None:
@@ -154,19 +153,13 @@ class Hyperbolic(Manifold):
         u = (y - x) - cm1 * x
         return u, acosh_ratio(cm1)
 
-    def _chord_dist(self, u: np.ndarray, ratio: float) -> float:
-        return ratio * math.sqrt(max(self._mdot(u, u), 0.0))
-
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         u, ratio = self._chord(x.coords, y.coords)
         return self._project_tangent(x.coords, ratio * u)
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        return self._chord_dist(*self._chord(x.coords, y.coords))
-
-    def _log_dist(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, float]:
         u, ratio = self._chord(x.coords, y.coords)
-        return self._project_tangent(x.coords, ratio * u), self._chord_dist(u, ratio)
+        return ratio * math.sqrt(max(self._mdot(u, u), 0.0))
 
     # ----- stacked kernels --------------------------------------------------
     # The shape of the base picks the Minkowski product.  A shared base takes

@@ -74,7 +74,6 @@ class SPD(Manifold):
     """n x n symmetric positive definite matrices."""
 
     name = "spd"
-    curv_upper = 0.0
     is_hadamard = True
 
     def __init__(self, n: int, kappa: float = 0.5) -> None:
@@ -182,18 +181,13 @@ class SPD(Manifold):
         return ManifoldPoint(coords)
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
-        return self._log_dist(x, y)[0]
-
-    def _log_dist(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, float]:
-        # The eigenvalues that give the logarithm give the distance too.
         root, isqrt = self._sqrt_pair(x)
         s = _sym(isqrt @ y.coords @ isqrt)
         w, q = self._eigh(s)
         if w[0] <= 0.0:
             raise ConvergenceError("logarithm of a non-PD midpoint matrix")
-        logs = np.log(w)
-        lg = (q * logs) @ q.T
-        return _sym(root @ lg @ root), math.sqrt(logs.dot(logs))
+        lg = (q * np.log(w)) @ q.T
+        return _sym(root @ lg @ root)
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         _, isqrt = self._sqrt_pair(x)

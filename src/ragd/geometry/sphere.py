@@ -36,7 +36,6 @@ class Sphere(Manifold):
             raise DomainError(f"sigma must be positive, got {sigma}")
         self.dim = int(dim)
         self.sigma = float(sigma)
-        self.curv_upper = float(sigma)
 
     def __repr__(self) -> str:
         return f"Sphere(dim={self.dim}, sigma={self.sigma})"

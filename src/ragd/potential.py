@@ -394,7 +394,9 @@ def shrink_bounds(
 
     Returns one report per distance, named ``proj_z_opt`` (pd(x_t; z_t, x*)),
     ``d_y_opt``, ``proj_yz`` (pd(x_t; y_t, z_t)), ``d_yz`` and ``d_xz``; row
-    t's residual is the observed distance minus its bound.  All bounds
+    t's residual is the observed distance minus its bound.  The observed
+    ``d_y_opt``, ``d_yz`` and ``d_xz`` are the trace's recorded columns;
+    the projected distances come from the stored iterates.  All bounds
     share the root sqrt(D0 * prod_{j<=t} (1 - xi_j)) built from the
     recorded momentum column; D0 is the normalized potential phi_0.  The
     bounds on ``d_yz`` and ``d_xz`` are +inf where the step hypotheses
@@ -411,7 +413,7 @@ def shrink_bounds(
     mu, L, gamma = (float(trace.meta[k]) for k in ("mu", "L", "gamma"))
     _, a, s_opt, s_proj, s_grad, den = _shrink_scales(mu, L, gamma)
     c_shrink = shrink_constant(mu, L, gamma) if gamma * L > 1.0 else math.inf
-    xs, ys = m._prepare_bases(d.points_x), m._prepare_bases(d.points_y)
+    xs = m._prepare_bases(d.points_x)
     y, z = m._base_coords(d.points_y), m._base_coords(d.points_z)
     xis = trace.column("xi")
     pd = m._projected_distances(xs, z, opt)
@@ -429,10 +431,10 @@ def shrink_bounds(
         d_xz = np.append(0.0, np.where(hyp[:-1], c_shrink * roots[:-1], math.inf))
     observed_bounds = (
         ("proj_z_opt", pd, roots * s_proj),
-        ("d_y_opt", m._dist_many(ys, np.broadcast_to(opt.coords, y.shape)), roots * s_opt),
+        ("d_y_opt", trace.column("d_yopt"), roots * s_opt),
         ("proj_yz", m._projected_distances(xs, y, z), roots * (s_opt + s_proj)),
-        ("d_yz", m._dist_many(ys, z), d_yz),
-        ("d_xz", m._dist_many(xs, z), d_xz),
+        ("d_yz", trace.column("d_yz"), d_yz),
+        ("d_xz", trace.column("d_xz"), d_xz),
     )
     return [
         StepAuditReport(name, obs - bound, _bound_allowance(bound, floor, CERT_TOL))

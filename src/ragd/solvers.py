@@ -20,11 +20,12 @@ is recorded in the trace meta, on a Hadamard manifold; on any other
 manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.
 
 :func:`run` computes inside its step loop only what steers the iteration:
-``d(x, z)`` for the distortion rate, ``Log_y(z)`` with ``d(y, z)`` from one
-evaluation (``Manifold._log_dist``), three ``Exp`` maps, ``Log_{x+}(z)``
-and one gradient.  When the rate cannot change (``euclid_nesterov``,
+the distances the distortion rate charges (``d(x, z)``, and ``d(y, z)`` off
+a Hadamard manifold), ``Log_y(z)``, three ``Exp`` maps, ``Log_{x+}(z)`` and
+one gradient.  When the rate cannot change (``euclid_nesterov``,
 ``ragd_constant_delta``, and ``ragd`` on a flat Hadamard manifold) the
-recursion's parameters are built once per run.
+recursion's parameters are built once per run and the loop measures no
+distance at all.
 
 The loop runs on coordinate arrays: ``Log_y(z)``, the gradient's
 coordinates and ``beta * Log_{x+}(z) - eta * grad`` are plain arrays
@@ -34,9 +35,10 @@ belong to the API boundary: ``Manifold.exp``/``Manifold.log`` and
 ``Problem.grad``, which checks every gradient once.
 Step outputs are not re-checked for finiteness: every ``_exp`` returns a
 finite point or raises :class:`~ragd.errors.NonFiniteError`.
-The rest of each trace row (f(y_t), ``d(y_t, x*)``, the projected distance
-in the potential ``phi_t`` and, on a Hadamard manifold, the containment
-distances) is trace-only.  It is computed after every block of
+The rest of each trace row (f(y_t), the iterate separations ``d(x_t, z_t)``,
+``d(y_t, z_t)`` and ``d(y_t, x*)``, the projected distance in the potential
+``phi_t`` and, on a Hadamard manifold, the containment distances) is
+trace-only.  It is computed after every block of
 ``_ROW_BLOCK`` rows, one stacked call per quantity (f(y_t) through
 ``Problem.values``), so a library error raised there, and the
 NonFiniteError of a non-finite f(y_t), surfaces at the end of its block,
@@ -172,17 +174,15 @@ def _step(
     problem: Problem,
     y: ManifoldPoint,
     z: ManifoldPoint,
-    log_yz: np.ndarray,
     params: tuple[float, float, float],
     gamma: float,
 ) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
     """One accelerated step from (y, z) with the coefficients ``params`` of
-    :func:`step_params`, given the coordinates of ``log_y(z)``, which ``run``
-    already holds.  Every tangent is anchored where the kernels use it: the
-    logarithms by construction and the gradient by ``Problem.grad``."""
+    :func:`step_params`.  Every tangent is anchored where the kernels use it:
+    the logarithms by construction and the gradient by ``Problem.grad``."""
     m = problem.manifold
     alpha, beta, eta = params
-    x1 = m._exp(y, alpha * log_yz)
+    x1 = m._exp(y, alpha * m._log(y, z))
     g = problem.grad(x1)
     y1 = m._exp(x1, (-gamma) * g.coords)
     z1 = m._exp(x1, beta * m._log(x1, z) - eta * g.coords)
@@ -190,24 +190,29 @@ def _step(
 
 
 def _distortion_rate(
-    m: Manifold, d_xz: float, d_yz: float, config: SolverConfig
+    m: Manifold, x: ManifoldPoint, y: ManifoldPoint, z: ManifoldPoint, config: SolverConfig
 ) -> float:
-    """Distortion rate fed to the momentum recursion for the next step; 1 in
-    flat space, where ``euclid_nesterov`` runs."""
+    """Distortion rate fed to the momentum recursion for the step leaving
+    (x, y, z), charged on ``d(x, z)`` and, off a Hadamard manifold, on
+    ``d(y, z)``; 1 in flat space, where ``euclid_nesterov`` runs."""
     if config.mode == "ragd_constant_delta":
         return float(config.delta_const)
+    d_xz = m.distance(x, z)
     if m.is_hadamard:
         return valid_rate_hadamard(m.curv_lower_mag, d_xz, sharp=config.sharp_distortion)
-    return valid_rate_nonhadamard(m.curv_lower_mag, d_xz, d_yz)
+    return valid_rate_nonhadamard(m.curv_lower_mag, d_xz, m.distance(y, z))
 
 
-def _fixed_xi_params(m: Manifold, config: SolverConfig) -> XiParams | None:
+def _fixed_xi_params(problem: Problem, config: SolverConfig) -> XiParams | None:
     """The momentum recursion's parameters when the distortion rate does not
     depend on the iterates (flat modes, constant rate, zero curvature on a
-    Hadamard manifold); None when each step needs its own rate."""
+    Hadamard manifold), from the rate at ``problem.start``; None when each
+    step needs its own rate."""
+    m = problem.manifold
     if config.mode == "ragd" and not (m.is_hadamard and m.curv_lower_mag == 0.0):
         return None
-    return XiParams(a=config.a, delta=_distortion_rate(m, 0.0, 0.0, config))
+    p = problem.start
+    return XiParams(a=config.a, delta=_distortion_rate(m, p, p, p, config))
 
 
 def normalized_potential(
@@ -269,11 +274,11 @@ def _finish_rows(
 ) -> None:
     """Fill the trace-only cells of rows ``lo, lo + 1, ...`` from their
     (x, y, z) iterates in ``block``: f(y_t) (``Problem.values``), raising
-    NonFiniteError at the first step where it is not finite, ``d(y_t, x*)``
-    and, given Delta (``delta_gamma``; None when no potential is tracked),
-    ``phi_t``, each from one stacked call; then check the containment of
-    those rows on a Hadamard manifold (row 0 is the start, which is not
-    checked).  Column 1 holds f(y_t) afterwards."""
+    NonFiniteError at the first step where it is not finite, ``d(x_t, z_t)``,
+    ``d(y_t, z_t)``, ``d(y_t, x*)`` and, given Delta (``delta_gamma``; None
+    when no potential is tracked), ``phi_t``, each from one stacked call;
+    then check the containment of those rows on a Hadamard manifold (row 0
+    is the start, which is not checked).  Column 1 holds f(y_t) afterwards."""
     m = problem.manifold
     hi = lo + len(block)
     xs, ys, zs = zip(*block)
@@ -282,15 +287,17 @@ def _finish_rows(
     if bad.size:
         raise NonFiniteError(f"objective value is not finite at step {lo + int(bad[0])}")
     rows[lo:hi, 1] = fy
+    xs, ys, z = m._prepare_bases(xs), m._prepare_bases(ys), m._base_coords(zs)
+    rows[lo:hi, 4] = m._dist_many(xs, z)
+    rows[lo:hi, 5] = m._dist_many(ys, z)
     opt = problem.optimum
     if opt is not None:
-        opts = np.broadcast_to(opt.coords, (len(ys),) + opt.coords.shape)
-        rows[lo:hi, 6] = m._dist_many(ys, opts)
+        rows[lo:hi, 6] = m._dist_many(ys, np.broadcast_to(opt.coords, z.shape))
         if delta_gamma is not None:
             rows[lo:hi, 7] = normalized_potential(
                 rows[lo:hi, 1] - problem.optimum_value,
                 rows[lo:hi, 2],
-                m._projected_distances(xs, zs, opt),
+                m._projected_distances(xs, z, opt),
                 delta_gamma,
             )
     if containment is not None and m.is_hadamard:
@@ -342,12 +349,10 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
     )
     block: list[tuple[ManifoldPoint, ...]] = []
 
-    fixed = xi_params = _fixed_xi_params(m, config) if accelerated else None
+    fixed = xi_params = _fixed_xi_params(problem, config) if accelerated else None
     delta_rate = 1.0
     for t in range(n_steps + 1):
-        d_xz = m.distance(x, z)
-        log_yz, d_yz = m._log_dist(y, z)
-        rows[t, :6] = (t, math.nan, xi, delta_rate, d_xz, d_yz)
+        rows[t, :4] = (t, math.nan, xi, delta_rate)
         block.append((x, y, z))
         if diag is not None:
             diag.points_x.append(x)
@@ -368,11 +373,11 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
 
         if accelerated:
             if fixed is None:
-                xi_params = XiParams(a=a, delta=_distortion_rate(m, d_xz, d_yz, config))
+                xi_params = XiParams(a=a, delta=_distortion_rate(m, x, y, z, config))
             delta_rate = xi_params.delta
             xi = next_xi(xi, xi_params)
             params = step_params(xi, config.mu, delta_gamma)
-            x, y, z, _ = _step(problem, y, z, log_yz, params, gamma)
+            x, y, z, _ = _step(problem, y, z, params, gamma)
         else:
             g = problem.grad(y)
             y = m._exp(y, (-gamma) * g.coords)

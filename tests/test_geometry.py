@@ -110,25 +110,6 @@ def test_stacked_kernels_match_per_anchor_loop(label, m, scale):
 
 
 @pytest.mark.parametrize("label,m,scale", CASES)
-def test_log_dist_matches_log_and_distance(label, m, scale):
-    rng = np.random.default_rng(11)
-    base = m.base_point()
-    for _ in range(20):
-        x = m.random_point(rng, base, scale)
-        y = m.random_point(rng, base, scale)
-        for a, b in ((x, y), (x, x)):
-            log, dist = m._log_dist(a, b)
-            assert np.array_equal(log, m.log(a, b).coords)
-            want = m.distance(a, b)
-            if isinstance(m, SPD):
-                # eigh eigenvalues here, eigvalsh ones in distance; d(x, x)
-                # is pure round-off, so it gets an absolute bound
-                assert abs(dist - want) <= 1e-14 * (want if a is not b else 1.0)
-            else:
-                assert dist == want
-
-
-@pytest.mark.parametrize("label,m,scale", CASES)
 def test_coordinate_kernels_equal_the_typed_maps(label, m, scale):
     rng = np.random.default_rng(13)
     for x, v in sample(m, scale, seed=13, n=10):
@@ -146,9 +127,7 @@ def test_euclidean_distance_equals_numpy_norm():
             with np.errstate(over="ignore", under="ignore"):
                 want = float(np.linalg.norm(d))
                 got = m.distance(m.base_point(), ManifoldPoint(d))
-                log, dist = m._log_dist(m.base_point(), ManifoldPoint(d))
             assert got == want
-            assert dist == got and np.array_equal(log, d)
 
 
 @pytest.mark.parametrize("m", [Euclidean(3), SPD(2)], ids=["euclidean", "spd"])
@@ -367,7 +346,7 @@ def test_hyperbolic_far_field_raises_typed_errors():
         m._log_many(x, stack)
     # The single-pair maps and the row-paired kernel share the same bound.
     y = at(-250.0)
-    for single_pair in (m.distance, m.log, m._log_dist):
+    for single_pair in (m.distance, m.log):
         with pytest.raises(DomainError, match="double-precision range"):
             single_pair(x, y)
     with pytest.raises(DomainError, match="double-precision range"):

@@ -431,9 +431,9 @@ def _reference_envelope(trace, prob):
 
 
 def _bookkeeping_columns(trace, prob):
-    """``f_gap``, ``d_yopt``, ``potential`` and ``decrease_margin`` recomputed
-    from the stored iterates one pair at a time through the typed API, with
-    libm squares."""
+    """``f_gap``, ``d_xz``, ``d_yz``, ``d_yopt``, ``potential`` and
+    ``decrease_margin`` recomputed from the stored iterates one pair at a
+    time through the typed API, with libm squares."""
     d = trace.diagnostics
     m = prob.manifold
     opt = prob.optimum
@@ -446,6 +446,8 @@ def _bookkeeping_columns(trace, prob):
     ]
     return {
         "f_gap": np.array(gap),
+        "d_xz": np.array([m.distance(x, z) for x, z in zip(d.points_x, d.points_z)]),
+        "d_yz": np.array([m.distance(y, z) for y, z in zip(d.points_y, d.points_z)]),
         "d_yopt": np.array([m.distance(y, opt) for y in d.points_y]),
         "potential": np.array(phi),
         "decrease_margin": np.array(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ragd.cli as cli
+from ragd.distortion import valid_rate_hadamard, valid_rate_nonhadamard
 from ragd.errors import AntipodalError, DomainError, NonFiniteError, RuntimeContainmentError
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.problems import (
@@ -104,12 +105,12 @@ def test_single_flat_step_hand_cases():
     m = prob.manifold
     one = m.point(np.array([1.0]))
     params = step_params(0.5, 1.0, 0.1)
-    x1, y1, z1, g = _step(prob, one, one, m._log(one, one), params, 1.0)
+    x1, y1, z1, g = _step(prob, one, one, params, 1.0)
     assert x1.coords[0] == 1.0
     assert g.coords[0] == 1.0
     assert y1.coords[0] == 0.0
     zero = m.point(np.zeros(1))
-    x1, y1, z1, g = _step(prob, zero, zero, m._log(zero, zero), params, 1.0)
+    x1, y1, z1, g = _step(prob, zero, zero, params, 1.0)
     assert x1.coords[0] == y1.coords[0] == z1.coords[0] == 0.0
 
 
@@ -122,7 +123,7 @@ def test_step_matches_closed_form_nesterov_bitwise():
     z = m.point(rng.standard_normal(8))
     params = step_params(0.3, 1.0, 0.01)
     flat = _nesterov_step(prob, x.coords, y.coords, z.coords, params, gamma=0.02)
-    curved = _step(prob, y, z, m._log(y, z), params, 0.02)
+    curved = _step(prob, y, z, params, 0.02)
     for want, got in zip(flat, curved):
         assert np.array_equal(want, got.coords)
 
@@ -290,6 +291,37 @@ def test_constant_delta_mode_pins_rate():
     assert trace.meta["delta_const"] == 1.5
 
 
+@pytest.mark.parametrize("case", ["hyperbolic", "hyperbolic-sharp", "spd", "sphere", "constant"])
+def test_rate_provenance_recorded_distances_set_each_rate(case):
+    # The step loop measures the distances it charges the rate on, and the
+    # block pass records d_xz and d_yz with separate stacked calls: each
+    # rate must be the bound of the recorded distances of the row it leaves,
+    # bit for bit.
+    if case == "sphere":
+        prob = random_sphere_mean(Sphere(7), 6, 0.3, seed=11)
+    else:
+        m, seed = (SPD(4), 104) if case == "spd" else (Hyperbolic(8, kappa=1.0), 3)
+        prob = random_karcher(m, 6, 1.2, seed=seed)
+    sharp = case == "hyperbolic-sharp"
+    mode, delta_const = ("ragd_constant_delta", 1.3) if case == "constant" else ("ragd", None)
+    config = SolverConfig(
+        mode=mode, mu=prob.mu, L=prob.L, max_iters=80,
+        sharp_distortion=sharp, delta_const=delta_const,
+    )
+    trace = run(prob, config)
+    kappa = prob.manifold.curv_lower_mag
+    d_xz = trace.column("d_xz")[:-1].tolist()
+    d_yz = trace.column("d_yz")[:-1].tolist()
+    if case == "constant":
+        want = [delta_const] * len(d_xz)
+    elif case == "sphere":
+        want = [valid_rate_nonhadamard(kappa, a, b) for a, b in zip(d_xz, d_yz)]
+    else:
+        want = [valid_rate_hadamard(kappa, a, sharp) for a in d_xz]
+    assert trace.column("delta_rate")[1:].tolist() == want
+    assert max(want) > 1.0
+
+
 def test_gap_without_optimum_uses_best_seen_value():
     prob = random_karcher(Hyperbolic(6, kappa=1.0), 5, 1.0, seed=4)
     assert prob.optimum is None
@@ -380,8 +412,7 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     problem = random_karcher(Hyperbolic(5, kappa=1.0), 6, 1.0, seed=3)
     oracle_optimum(problem)
     assert math.isfinite(problem.certified_radius)  # containment is checked
-    names = ("distance", "_log_dist", "_log", "_exp", "log", "exp", "_dist_many",
-             "_projected_distances")
+    names = ("distance", "_log", "_exp", "log", "exp", "_dist_many", "_projected_distances")
     calls = dict.fromkeys(names, 0)
     for name in calls:
         method = getattr(Hyperbolic, name)
@@ -404,18 +435,18 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     # pairs, here ceil(64 / 42) + ceil(11 / 42).
     per_call = _OBJECTIVE_ROWS // 6
     f_calls = -(-_ROW_BLOCK // per_call) + -(-(rows - _ROW_BLOCK) // per_call)
-    # Per row: d(x, z), and log_y(z) with d(y, z).  Per step: three exp and
+    # Per step: d(x, z) for the rate, then log_y(z), three exp and
     # log_{x+}(z), all through the coordinate kernels.  Per block of rows:
-    # f(y_t) (above), d(y_t, x*) and the containment distances (one
-    # _dist_many each) and the projected distances.  Once: f(x*).
+    # f(y_t) (above), d(x_t, z_t), d(y_t, z_t), d(y_t, x*) and the
+    # containment distances (one _dist_many each) and the projected
+    # distances.  Once: f(x*).
     assert calls == {
-        "distance": rows,
-        "_log_dist": rows,
-        "_log": steps,
+        "distance": steps,
+        "_log": 2 * steps,
         "_exp": 3 * steps,
         "log": 0,
         "exp": 0,
-        "_dist_many": f_calls + 2 * blocks + 1,
+        "_dist_many": f_calls + 4 * blocks + 1,
         "_projected_distances": blocks,
     }
 
