@@ -170,6 +170,13 @@ class Manifold(abc.ABC):
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         """Coordinates of ``log(x, y)``, a tangent at ``x``."""
 
+    def _geodesic(self, y: ManifoldPoint, z: ManifoldPoint, t: float) -> ManifoldPoint:
+        """The point at fraction ``t`` of the geodesic from ``y`` to ``z``,
+        ``exp_y(t * log_y(z))``, with ``_exp``'s contract.  The default
+        composes the two kernels; a manifold with a closed form for the
+        whole path overrides it."""
+        return self._exp(y, t * self._log(y, z))
+
     @abc.abstractmethod
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         """Geodesic distance; equals ``norm(x, log(x, y))``."""
@@ -229,6 +236,15 @@ class Manifold(abc.ABC):
     def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         """``distance(x_t, y_t)`` for every row t of the point stack ``ys``."""
         return np.array([self.distance(x, ManifoldPoint(y)) for x, y in self._pairs(xs, ys)])
+
+    def _dist_table(self, xs: Sequence[ManifoldPoint], targets: np.ndarray) -> np.ndarray:
+        """``distance(x_t, p_i)`` for every point x_t of ``xs`` and row p_i
+        of the point stack ``targets``, shape ``(len(xs), len(targets))``:
+        one ``_dist_many`` call with one base per (point, target) row, so
+        every cell rounds as the single-pair ``distance`` does."""
+        k = len(targets)
+        bases = [x for x in xs for _ in range(k)]
+        return self._dist_many(bases, np.concatenate([targets] * len(xs))).reshape(len(xs), k)
 
     def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         """Coordinates of ``log(x_t, y_t)``, stacked like ``ys``."""

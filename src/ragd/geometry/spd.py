@@ -19,7 +19,7 @@ once, on the first call that needs it, and kept on the point itself.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -166,13 +166,16 @@ class SPD(Manifold):
         b = a if u is v else isqrt @ v @ isqrt
         return float(np.sum(a * b))
 
-    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
-        root, isqrt = self._sqrt_pair(x)
-        s = _sym(isqrt @ v @ isqrt)
-        w, q = self._eigh(s)
-        if w[-1] > 700.0:
+    @staticmethod
+    def _exp_congruence(root: np.ndarray, w: np.ndarray, q: np.ndarray) -> ManifoldPoint:
+        """The point ``root @ q diag(exp(w)) q^T @ root``, where ``w`` is
+        monotone (the ends hold its extremes).  An exponent beyond 700 in
+        magnitude raises DomainError: ``exp`` would overflow, or underflow
+        to a singular matrix."""
+        end = w[-1] if abs(w[-1]) >= abs(w[0]) else w[0]
+        if abs(end) > 700.0:
             raise DomainError(
-                f"geodesic argument {w[-1]:.1f} exceeds the double-precision range"
+                f"geodesic argument {end:.1f} exceeds the double-precision range"
             )
         e = (q * np.exp(w)) @ q.T
         coords = _sym(root @ e @ root)
@@ -180,12 +183,28 @@ class SPD(Manifold):
             raise NonFiniteError("exponential map left the finite range")
         return ManifoldPoint(coords)
 
-    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
         root, isqrt = self._sqrt_pair(x)
-        s = _sym(isqrt @ y.coords @ isqrt)
-        w, q = self._eigh(s)
+        w, q = self._eigh(_sym(isqrt @ v @ isqrt))
+        return self._exp_congruence(root, w, q)
+
+    def _midpoint_spectrum(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, ...]:
+        """The square root of ``x``, then the eigenvalues (all positive) and
+        eigenvectors of ``x^{-1/2} y x^{-1/2}``."""
+        root, isqrt = self._sqrt_pair(x)
+        w, q = self._eigh(_sym(isqrt @ y.coords @ isqrt))
         if w[0] <= 0.0:
             raise ConvergenceError("logarithm of a non-PD midpoint matrix")
+        return root, w, q
+
+    def _geodesic(self, y: ManifoldPoint, z: ManifoldPoint, t: float) -> ManifoldPoint:
+        # y^{1/2} (y^{-1/2} z y^{-1/2})^t y^{1/2}, the power as exp(t log w):
+        # one eigendecomposition where exp(y, t * log(y, z)) takes two.
+        root, w, q = self._midpoint_spectrum(y, z)
+        return self._exp_congruence(root, t * np.log(w), q)
+
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
+        root, w, q = self._midpoint_spectrum(x, y)
         lg = (q * np.log(w)) @ q.T
         return _sym(root @ lg @ root)
 
@@ -223,6 +242,17 @@ class SPD(Manifold):
             raise ConvergenceError("distance to a non-PD midpoint matrix")
         logs = np.log(w)
         return np.sqrt(row_dots(logs, logs))
+
+    def _dist_table(self, xs: Sequence[ManifoldPoint], targets: np.ndarray) -> np.ndarray:
+        # Each base's inverse root once, broadcast over the targets: the
+        # (T, 1, n, n) @ (k, n, n) product forms every matrix as the per-row
+        # stack does.
+        isqrt = np.array([self._sqrt_pair(x)[1] for x in xs])[:, None]
+        w = self._eigvalsh(_sym(isqrt @ targets @ isqrt)).reshape(-1, self.n)
+        if np.any(w[:, 0] <= 0.0):
+            raise ConvergenceError("distance to a non-PD midpoint matrix")
+        logs = np.log(w)
+        return np.sqrt(row_dots(logs, logs)).reshape(len(xs), len(targets))
 
     def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         root, isqrt = self._roots(xs)

@@ -52,7 +52,7 @@ _WEIGHT_TOL = 1e-12
 _SPECTRUM_TOL = 1e-8
 _AUDIT_TOL = 1e-8
 _FD_STEP = 1e-5
-# (point, anchor) rows per stacked distance call of a barycenter objective.
+# (point, anchor) cells per distance table of a barycenter objective.
 # This bounds the call's temporaries, and so the peak memory of a block of
 # points; 256-row calls ran as fast as one call per 64-point block.
 _OBJECTIVE_ROWS = 256
@@ -295,33 +295,26 @@ def _mean_point(m: Manifold, anchors: Sequence[ManifoldPoint]) -> ManifoldPoint:
 
 
 def _barycenter_callables(
-    m: Manifold, anchors: list[ManifoldPoint], w: np.ndarray
+    m: Manifold, stack: np.ndarray, w: np.ndarray
 ) -> tuple[StackedObjective, Callable]:
-    # Stacked once here; the manifold's stacked kernels take every anchor in
-    # one call.  Both sums run in anchor order, as a loop over the anchors
-    # would, so the rounding is that of the per-anchor formula: a running
-    # sum adds the rows one after another (``np.sum`` may pair them up, as
-    # it does for one-coordinate points), and ``0 - (a + b + ...)`` equals
-    # ``((0 - a) - b) - ...`` bit for bit, signed zeros included.
-    stack = np.stack([p.coords for p in anchors])
-    stack.setflags(write=False)
+    # ``stack`` holds the anchors, one per row; the manifold's stacked
+    # kernels take every anchor in one call.  Both sums run in anchor order,
+    # as a loop over the anchors would, so the rounding is that of the
+    # per-anchor formula: a running sum adds the rows one after another
+    # (``np.sum`` may pair them up, as it does for one-coordinate points),
+    # and ``0 - (a + b + ...)`` equals ``((0 - a) - b) - ...`` bit for bit,
+    # signed zeros included.
     weights = w.tolist()
-    k = len(weights)
-    per_call = max(1, _OBJECTIVE_ROWS // k)
+    per_call = max(1, _OBJECTIVE_ROWS // len(weights))
     w_col = np.array(w).reshape((-1,) + (1,) * (stack.ndim - 1))
 
     def many(xs: Sequence[ManifoldPoint]) -> np.ndarray:
-        # One base per (point, anchor) row, so every distance rounds as the
+        # One distance table per chunk of points; its cells round as the
         # single-pair ``distance`` does, whatever the number of points.
-        dists = []
+        rows = []
         for lo in range(0, len(xs), per_call):
-            part = xs[lo:lo + per_call]
-            bases = [x for x in part for _ in range(k)]
-            dists += m._dist_many(bases, np.concatenate([stack] * len(part))).tolist()
-        return np.array([
-            0.5 * sum(wi * d**2 for wi, d in zip(weights, dists[i:i + k]))
-            for i in range(0, len(dists), k)
-        ])
+            rows += m._dist_table(xs[lo:lo + per_call], stack).tolist()
+        return np.array([0.5 * sum(wi * d**2 for wi, d in zip(weights, row)) for row in rows])
 
     def gradient(x: ManifoldPoint) -> TangentVector:
         terms = w_col * m._log_many(x, stack)
@@ -351,8 +344,10 @@ def _barycenter(
         raise DomainError("need at least one anchor")
     w = _normalized_weights(len(anchors), weights)
     ref = _mean_point(manifold, anchors)
-    mu, lips, radius = certify(max(manifold.distance(ref, p) for p in anchors))
-    objective, gradient = _barycenter_callables(manifold, anchors, w)
+    stack = np.stack([p.coords for p in anchors])
+    stack.setflags(write=False)
+    mu, lips, radius = certify(float(manifold._dist_table([ref], stack).max()))
+    objective, gradient = _barycenter_callables(manifold, stack, w)
     payload = {
         "kind": kind,
         "manifold": manifold_to_dict(manifold),

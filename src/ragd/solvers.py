@@ -21,20 +21,22 @@ manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.
 
 :func:`run` computes inside its step loop only what steers the iteration:
 the distances the distortion rate charges (``d(x, z)``, and ``d(y, z)`` off
-a Hadamard manifold), ``Log_y(z)``, three ``Exp`` maps, ``Log_{x+}(z)`` and
-one gradient.  When the rate cannot change (``euclid_nesterov``,
-``ragd_constant_delta``, and ``ragd`` on a flat Hadamard manifold) the
-recursion's parameters are built once per run and the loop measures no
-distance at all.
+a Hadamard manifold), x+ through the manifold's ``_geodesic`` kernel (one
+eigendecomposition on SPD, where ``Exp_y(alpha * Log_y(z))`` takes two),
+one gradient, two ``Exp`` maps and ``Log_{x+}(z)``.  When the rate cannot
+change (``euclid_nesterov``, ``ragd_constant_delta``, and ``ragd`` on a
+flat Hadamard manifold) the recursion's parameters are built once per run
+and the loop measures no distance at all.
 
-The loop runs on coordinate arrays: ``Log_y(z)``, the gradient's
-coordinates and ``beta * Log_{x+}(z) - eta * grad`` are plain arrays
-passed to the manifold's kernels ``_exp`` and ``_log``.  Typed points and
-tangents, and the check that a tangent is anchored at its base point,
-belong to the API boundary: ``Manifold.exp``/``Manifold.log`` and
+The loop runs on coordinate arrays: the gradient's coordinates and
+``beta * Log_{x+}(z) - eta * grad`` are plain arrays passed to the
+manifold's kernels ``_exp`` and ``_log``, next to ``_geodesic``.  Typed
+points and tangents, and the check that a tangent is anchored at its base
+point, belong to the API boundary: ``Manifold.exp``/``Manifold.log`` and
 ``Problem.grad``, which checks every gradient once.
-Step outputs are not re-checked for finiteness: every ``_exp`` returns a
-finite point or raises :class:`~ragd.errors.NonFiniteError`.
+Step outputs are not re-checked for finiteness: every ``_exp`` and
+``_geodesic`` returns a finite point or raises
+:class:`~ragd.errors.NonFiniteError`.
 The rest of each trace row (f(y_t), the iterate separations ``d(x_t, z_t)``,
 ``d(y_t, z_t)`` and ``d(y_t, x*)``, the projected distance in the potential
 ``phi_t`` and, on a Hadamard manifold, the containment distances) is
@@ -182,7 +184,7 @@ def _step(
     the logarithms by construction and the gradient by ``Problem.grad``."""
     m = problem.manifold
     alpha, beta, eta = params
-    x1 = m._exp(y, alpha * m._log(y, z))
+    x1 = m._geodesic(y, z, alpha)
     g = problem.grad(x1)
     y1 = m._exp(x1, (-gamma) * g.coords)
     z1 = m._exp(x1, beta * m._log(x1, z) - eta * g.coords)

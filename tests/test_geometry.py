@@ -96,6 +96,13 @@ def test_stacked_kernels_match_per_anchor_loop(label, m, scale):
         assert np.array_equal(m._norm_many(bases, pair_logs), pair_norms)
         assert np.array_equal(m._projected_distances(bases, anchors, x), pds)
         assert np.array_equal(m._projected_distances(bases, anchors, targets), pair_pds)
+        # The distance table, a one-point table included, equals the
+        # base-class default, which equals a loop over ``distance``.
+        points = [x] + bases
+        table = Manifold._dist_table(m, points, stack)
+        assert np.array_equal(table, [[m.distance(b, p) for p in anchors] for b in points])
+        assert np.array_equal(m._dist_table(points, stack), table)
+        assert np.array_equal(m._dist_table([x], stack), dists[None])
         got_d, got_l = m._dist_many(x, stack), m._log_many(x, stack)
         if isinstance(m, Hyperbolic):
             # A shared base forms every Minkowski inner product in one
@@ -137,6 +144,94 @@ def test_exp_raises_on_overflow(m):
     v = m.tangent(x, 699.0 * x.coords if isinstance(m, SPD) else x.coords)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
         m.exp(x, v)
+
+
+def test_spd_exp_rejects_arguments_past_700_at_either_end():
+    m = SPD(3)
+    x = m.base_point()
+    # exp(-800) underflows to 0: the "point" would be singular.
+    for diag in ((-800.0, 0.1, 0.2), (0.1, 0.2, 800.0)):
+        with pytest.raises(DomainError, match="double-precision range"):
+            m.exp(x, m.tangent(x, np.diag(diag)))
+    assert m.exp(x, m.tangent(x, np.diag([-699.0, 0.0, 699.0]))).coords[0, 0] > 0.0
+
+
+def _geodesic_pairs(n, scale, seed, count):
+    m = SPD(n)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield m, m.random_point(rng, m.base_point(), scale), m.random_point(rng, m.base_point(), scale)
+
+
+GEODESIC_TS = (0.0, 0.25, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("scale", [0.5, 1.5, 3.0])
+def test_spd_geodesic_matches_exp_of_log(n, scale):
+    for m, y, z in _geodesic_pairs(n, scale, seed=20 + n, count=10):
+        for t in GEODESIC_TS:
+            got = m._geodesic(y, z, t).coords
+            want = Manifold._geodesic(m, y, z, t).coords
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # The endpoints: y at t = 0 and z at t = 1.
+        for t, end in ((0.0, y), (1.0, z)):
+            got = m._geodesic(y, z, t).coords
+            assert np.max(np.abs(got - end.coords)) <= 1e-14 * np.max(np.abs(end.coords))
+
+
+def _mp_geodesic(mp, y, z, t):
+    """y^{1/2} (y^{-1/2} z y^{-1/2})^t y^{1/2} in the working precision of ``mp``."""
+
+    def power(a, p):
+        w, q = mp.eigsy(a)
+        return q * mp.diag([w[i] ** p for i in range(a.rows)]) * q.T
+
+    ym = mp.matrix(y.tolist())
+    root, isqrt = power(ym, mp.mpf(1) / 2), power(ym, -mp.mpf(1) / 2)
+    mid = isqrt * mp.matrix(z.tolist()) * isqrt
+    return root * power((mid + mid.T) / 2, mp.mpf(t)) * root
+
+
+def test_spd_geodesic_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for n, scale in ((2, 1.5), (3, 3.0), (4, 1.5)):
+        for m, y, z in _geodesic_pairs(n, scale, seed=40 + n, count=3):
+            for t in (0.25, 0.7):
+                ref = _mp_geodesic(mp, y.coords, z.coords, t)
+                want = np.array([[float(ref[i, j]) for j in range(n)] for i in range(n)])
+                got = m._geodesic(y, z, t).coords
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("label,m,scale", [c for c in CASES if not isinstance(c[1], SPD)])
+def test_default_geodesic_is_exp_of_log_bitwise(label, m, scale):
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        y = m.random_point(rng, m.base_point(), scale)
+        z = m.random_point(rng, m.base_point(), scale)
+        for t in GEODESIC_TS:
+            want = m._exp(y, t * m._log(y, z)).coords
+            assert np.array_equal(m._geodesic(y, z, t).coords, want)
+
+
+def test_spd_geodesic_and_dist_table_failures():
+    m = SPD(3)
+    y = m.base_point()
+    for bad in (np.diag([1.0, -1.0, 2.0]), np.diag([1.0, np.nan, 2.0])):
+        with pytest.raises(ConvergenceError):
+            m._geodesic(y, ManifoldPoint(bad), 0.5)
+        with pytest.raises(ConvergenceError):
+            m._dist_table([y, m.point(2.0 * np.eye(3))], np.stack([np.eye(3), bad]))
+    # log w = 1 at every eigenvalue, times t: past 700 at either sign of t.
+    z = ManifoldPoint(math.e * np.eye(3))
+    for t in (701.0, -701.0):
+        with pytest.raises(DomainError, match="double-precision range"):
+            m._geodesic(y, z, t)
+    want = math.exp(-699.0) * np.eye(3)
+    assert np.allclose(m._geodesic(y, z, -699.0).coords, want, rtol=1e-12, atol=0.0)
 
 
 def test_spd_stacked_kernels_reject_non_pd_midpoint():

@@ -1,12 +1,14 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ragd.distortion import trig_coeff
 from ragd.errors import DomainError, MissingDataError, NonFiniteError
-from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
+from ragd.geometry import SPD, Euclidean, Hyperbolic, ManifoldPoint, Sphere, TangentVector
 from ragd.geometry.hyperbolic import _POINT_TOL, _RENORM_SCALE
 from ragd.problems import (
     Problem,
@@ -133,6 +135,27 @@ def test_karcher_audit_spd():
     assert rep["max_fd_rel_err"] < audit_tol
     assert rep["strong_convexity_violations"] == 0
     assert rep["smoothness_violations"] == 0
+
+
+def _golden_barycenters():
+    """The barycenter problem descriptions of the pinned golden traces."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "golden.py"
+    spec = importlib.util.spec_from_file_location("ragd_bench_golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return [desc for desc, _ in golden.GOLDEN_CONFIGS.values() if desc["kind"] != "quadratic"]
+
+
+@pytest.mark.parametrize("desc", _golden_barycenters(), ids=lambda d: d["manifold"]["kind"])
+def test_barycenter_certificates_from_the_dist_table_are_bitwise(desc, monkeypatch):
+    # The anchor spread comes from one distance table; it must round as the
+    # single-pair distances do, so mu, L and the certified radius keep their bits.
+    got = problem_from_dict(desc)
+    manifold = type(got.manifold)
+    monkeypatch.setattr(manifold, "_dist_table", lambda self, xs, targets: np.array(
+        [[self.distance(x, ManifoldPoint(p)) for p in targets] for x in xs]))
+    want = problem_from_dict(desc)
+    assert (got.mu, got.L, got.certified_radius) == (want.mu, want.L, want.certified_radius)
 
 
 def test_spd_karcher_matches_per_anchor_formula_bitwise():

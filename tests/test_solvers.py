@@ -451,6 +451,38 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     }
 
 
+def test_spd_run_eigendecomposition_budget(monkeypatch):
+    problem = random_karcher(SPD(3), 5, 1.0, seed=4)
+    oracle_optimum(problem)
+    problem.optimum_value  # f(x*) is evaluated once per problem, here
+    calls = {"_eigh": 0, "_eigvalsh": 0}
+    for name in calls:
+        method = getattr(SPD, name)
+
+        def counted(a, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(a)
+
+        monkeypatch.setattr(SPD, name, staticmethod(counted))
+    per_call = _OBJECTIVE_ROWS // 5
+    for steps in (10, _ROW_BLOCK + 10):
+        calls.update(dict.fromkeys(calls, 0))
+        run(problem, SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps))
+        sizes = [min(_ROW_BLOCK, steps + 1 - lo) for lo in range(0, steps + 1, _ROW_BLOCK)]
+        f_calls = sum(-(-size // per_call) for size in sizes)
+        # eigh, per step: the square roots of y (the start's is cached by the
+        # oracle; the last y's is taken with its block) and of x+, x+ itself
+        # (one for the whole geodesic), the gradient's batched logarithm, two
+        # Exp and Log_{x+}(z).  Per block: the two logarithm batches of the
+        # projected distances.  eigvalsh: the start's membership check, d(x, z)
+        # per step, and per block f(y_t) (one per _OBJECTIVE_ROWS (row, anchor)
+        # pairs), d(x_t, z_t), d(y_t, z_t), d(y_t, x*) and the containment.
+        assert calls == {
+            "_eigh": 7 * steps + 2 * len(sizes),
+            "_eigvalsh": 1 + steps + f_calls + 4 * len(sizes),
+        }
+
+
 def test_flat_run_builds_one_tangent_vector_per_step(monkeypatch):
     steps = 50
     problem = make_quadratic(16, 1.0, 50.0, seed=2)
