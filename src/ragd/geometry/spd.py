@@ -11,9 +11,10 @@ decomposition of a non-finite matrix (found by ``all_finite`` before LAPACK
 runs), or one that LAPACK reports as failed, raises ``ConvergenceError``.
 
 Every map at a point ``x`` starts from the square root of ``x`` and its
-inverse (Pennec, Fillard & Ayache, "A Riemannian framework for tensor
-computing", IJCV 2006).  Points are immutable, so that pair is computed
-once, on the first call that needs it, and kept on the point itself.
+inverse, and is a function of the congruence ``x^{-1/2} y x^{-1/2}``
+(Pennec, Fillard & Ayache, "A Riemannian framework for tensor computing",
+IJCV 2006).  Points are immutable, so that pair is computed once, on the
+first call that needs it, and kept on the point itself.
 """
 
 from __future__ import annotations
@@ -52,17 +53,37 @@ def _check_finite(a: np.ndarray) -> None:
         raise ConvergenceError("eigendecomposition of a non-finite matrix")
 
 
-def _check_solved(w: np.ndarray) -> None:
-    """Raise ``ConvergenceError`` if LAPACK failed on a finite input.
+def _decompose(a: np.ndarray, vectors: bool):
+    """The body of ``SPD._eigh`` (``vectors``) and ``SPD._eigvalsh``.
 
     On failure the gufunc fills its output with NaN and sets the invalid
     flag.  ``-W error::RuntimeWarning`` or ``np.errstate(invalid="raise")``
-    turn the flag into an exception, which the callers catch; under the
-    default settings the gufunc warns and only the NaN is left to test.
+    turn the flag into an exception, caught here; under the default
+    settings the gufunc warns and only the NaN is left to test.
     """
-    failed = w[0] != w[0] if w.ndim == 1 else np.isnan(w[..., 0]).any()
-    if failed:
+    _check_finite(a)
+    try:
+        out = _umath_linalg.eigh_lo(a) if vectors else _umath_linalg.eigvalsh_lo(a)
+    except (RuntimeWarning, FloatingPointError) as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    w = out[0] if vectors else out
+    if w[0] != w[0] if w.ndim == 1 else np.isnan(w[..., 0]).any():
         raise ConvergenceError("eigendecomposition failed to converge")
+    return out
+
+
+def _congruence(isqrt: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``isqrt @ a @ isqrt`` for one matrix or any stack that broadcasts.
+
+    An infinite entry of ``a`` can meet a zero of ``isqrt`` (0 * inf) or an
+    infinity of the other sign and set the invalid flag; where the settings
+    raise it, the exception ends in ``ConvergenceError`` here, and otherwise
+    the non-finite product reaches a check that raises one.
+    """
+    try:
+        return isqrt @ a @ isqrt
+    except (RuntimeWarning, FloatingPointError) as exc:
+        raise ConvergenceError(f"congruence of a non-finite matrix: {exc}") from exc
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -95,25 +116,24 @@ class SPD(Manifold):
     def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors of a symmetric matrix or
         of each matrix in a stack, from its lower triangle."""
-        _check_finite(a)
-        try:
-            w, q = _umath_linalg.eigh_lo(a)
-        except (RuntimeWarning, FloatingPointError) as exc:
-            raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-        _check_solved(w)
-        return w, q
+        return _decompose(a, True)
 
     @staticmethod
     def _eigvalsh(a: np.ndarray) -> np.ndarray:
         """Eigenvalues (ascending) of a symmetric matrix or of each matrix in
         a stack, from its lower triangle."""
-        _check_finite(a)
-        try:
-            w = _umath_linalg.eigvalsh_lo(a)
-        except (RuntimeWarning, FloatingPointError) as exc:
-            raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-        _check_solved(w)
-        return w
+        return _decompose(a, False)
+
+    def _spectrum(self, isqrt: np.ndarray, ys: np.ndarray, vectors: bool):
+        """Eigenvalues, all positive, of ``x^{-1/2} y x^{-1/2}`` (with
+        ``vectors``, and its eigenvectors) for the inverse square root
+        ``isqrt`` of ``x``: one matrix, one base per row of a stack, or
+        bases that broadcast over the stack ``ys``."""
+        s = _sym(_congruence(isqrt, ys))
+        out = self._eigh(s) if vectors else self._eigvalsh(s)
+        if (out[0] if vectors else out)[..., 0].min() <= 0.0:
+            raise ConvergenceError("x^{-1/2} y x^{-1/2} is not positive definite")
+        return out
 
     def _sqrt_pair(self, x: ManifoldPoint) -> tuple[np.ndarray, np.ndarray]:
         """Matrix square root of ``x`` and its inverse, cached on ``x``.
@@ -162,8 +182,8 @@ class SPD(Manifold):
 
     def _inner(self, x: ManifoldPoint, u: np.ndarray, v: np.ndarray) -> float:
         _, isqrt = self._sqrt_pair(x)
-        a = isqrt @ u @ isqrt
-        b = a if u is v else isqrt @ v @ isqrt
+        a = _congruence(isqrt, u)
+        b = a if u is v else _congruence(isqrt, v)
         return float(np.sum(a * b))
 
     @staticmethod
@@ -185,36 +205,21 @@ class SPD(Manifold):
 
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
         root, isqrt = self._sqrt_pair(x)
-        w, q = self._eigh(_sym(isqrt @ v @ isqrt))
+        w, q = self._eigh(_sym(_congruence(isqrt, v)))
         return self._exp_congruence(root, w, q)
-
-    def _midpoint_spectrum(self, x: ManifoldPoint, y: ManifoldPoint) -> tuple[np.ndarray, ...]:
-        """The square root of ``x``, then the eigenvalues (all positive) and
-        eigenvectors of ``x^{-1/2} y x^{-1/2}``."""
-        root, isqrt = self._sqrt_pair(x)
-        w, q = self._eigh(_sym(isqrt @ y.coords @ isqrt))
-        if w[0] <= 0.0:
-            raise ConvergenceError("logarithm of a non-PD midpoint matrix")
-        return root, w, q
 
     def _geodesic(self, y: ManifoldPoint, z: ManifoldPoint, t: float) -> ManifoldPoint:
         # y^{1/2} (y^{-1/2} z y^{-1/2})^t y^{1/2}, the power as exp(t log w):
         # one eigendecomposition where exp(y, t * log(y, z)) takes two.
-        root, w, q = self._midpoint_spectrum(y, z)
+        root, isqrt = self._sqrt_pair(y)
+        w, q = self._spectrum(isqrt, z.coords, True)
         return self._exp_congruence(root, t * np.log(w), q)
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
-        root, w, q = self._midpoint_spectrum(x, y)
-        lg = (q * np.log(w)) @ q.T
-        return _sym(root @ lg @ root)
+        return self._log_many(x, y.coords)
 
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        _, isqrt = self._sqrt_pair(x)
-        s = _sym(isqrt @ y.coords @ isqrt)
-        w = self._eigvalsh(s)
-        if w[0] <= 0.0:
-            raise ConvergenceError("distance to a non-PD midpoint matrix")
-        logs = np.log(w)
+        logs = np.log(self._spectrum(self._sqrt_pair(x)[1], y.coords, False))
         return math.sqrt(logs.dot(logs))
 
     # ----- stacked kernels ------------------------------------------------------
@@ -236,11 +241,7 @@ class SPD(Manifold):
     _prepare_bases = _roots
 
     def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
-        _, isqrt = self._roots(xs)
-        w = self._eigvalsh(_sym(isqrt @ ys @ isqrt))
-        if np.any(w[:, 0] <= 0.0):
-            raise ConvergenceError("distance to a non-PD midpoint matrix")
-        logs = np.log(w)
+        logs = np.log(self._spectrum(self._roots(xs).isqrt, ys, False))
         return np.sqrt(row_dots(logs, logs))
 
     def _dist_table(self, xs: Sequence[ManifoldPoint], targets: np.ndarray) -> np.ndarray:
@@ -248,24 +249,18 @@ class SPD(Manifold):
         # (T, 1, n, n) @ (k, n, n) product forms every matrix as the per-row
         # stack does.
         isqrt = np.array([self._sqrt_pair(x)[1] for x in xs])[:, None]
-        w = self._eigvalsh(_sym(isqrt @ targets @ isqrt)).reshape(-1, self.n)
-        if np.any(w[:, 0] <= 0.0):
-            raise ConvergenceError("distance to a non-PD midpoint matrix")
-        logs = np.log(w)
+        logs = np.log(self._spectrum(isqrt, targets, False)).reshape(-1, self.n)
         return np.sqrt(row_dots(logs, logs)).reshape(len(xs), len(targets))
 
     def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         root, isqrt = self._roots(xs)
-        w, q = self._eigh(_sym(isqrt @ ys @ isqrt))
-        if np.any(w[:, 0] <= 0.0):
-            raise ConvergenceError("logarithm of a non-PD midpoint matrix")
-        lg = (q * np.log(w)[:, None, :]) @ q.swapaxes(-1, -2)
+        w, q = self._spectrum(isqrt, ys, True)
+        lg = (q * np.log(w)[..., None, :]) @ q.swapaxes(-1, -2)
         return _sym(root @ lg @ root)
 
     def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
         # inner(x, v, v): the sum of squares of x^{-1/2} v x^{-1/2}.
-        _, isqrt = self._roots(xs)
-        a = isqrt @ vs @ isqrt
+        a = _congruence(self._roots(xs).isqrt, vs)
         sq = (a * a).reshape(len(a), -1).sum(axis=1)
         return np.sqrt(np.maximum(sq, 0.0))
 

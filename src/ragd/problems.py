@@ -487,7 +487,7 @@ def random_sphere_mean(
     if n_anchors < 1:
         raise DomainError(f"need n_anchors >= 1, got {n_anchors}")
     if not isinstance(manifold, Sphere):
-        raise DomainError("make_sphere_mean requires a Sphere manifold")
+        raise DomainError("random_sphere_mean requires a Sphere manifold")
     limit = 0.125 * math.pi / math.sqrt(manifold.sigma)
     if not 0.0 < radius < limit:
         raise DomainError(

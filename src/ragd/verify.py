@@ -61,6 +61,13 @@ _GEOM_TOL = 1e-9
 _DISTORTION_SLACK = 1e-8
 _XI_SLACK = 1e-12
 
+# Sample sizes: points per geometry case, triples per distortion family,
+# xi trajectories, and the steps of each certified run.
+_GEOMETRY_SAMPLES = 50
+_DISTORTION_TRIPLES = 2000
+_XI_TRIPLES = 100
+_POTENTIAL_STEPS = 300
+
 _GEOMETRY_CHECKS = ("exp-log-roundtrip", "distance-vs-norm", "symmetry", "triangle",
                     "identity")
 
@@ -91,13 +98,13 @@ def _geometry_cases() -> list[tuple[str, Manifold, float]]:
     ]
 
 
-def _geometry_checks(seed: int, n_samples: int = 50) -> list[dict]:
+def _geometry_checks(seed: int) -> list[dict]:
     rng = rng_from_seed(seed)
     checks: list[dict] = []
     for label, m, scale in _geometry_cases():
         base = m.base_point()
         rows = []
-        for _ in range(n_samples):
+        for _ in range(_GEOMETRY_SAMPLES):
             x = m.random_point(rng, base, scale)
             v = m.random_tangent(rng, x, scale=scale)
             w = m.random_point(rng, base, scale)
@@ -118,10 +125,10 @@ def _geometry_checks(seed: int, n_samples: int = 50) -> list[dict]:
 # ----- distortion -----------------------------------------------------------
 
 
-def _distortion_checks(seed: int, n_triples: int = 2000) -> list[dict]:
+def _distortion_checks(seed: int) -> list[dict]:
     rng = rng_from_seed(seed)
     improved, rauch, trig = [], [], []
-    for _ in range(n_triples):
+    for _ in range(_DISTORTION_TRIPLES):
         kappa = float(rng.choice([0.5, 1.0, 2.0]))
         m = Hyperbolic(5, kappa=kappa)
         x = m.random_point(rng, m.base_point(), 1.0)
@@ -137,7 +144,7 @@ def _distortion_checks(seed: int, n_triples: int = 2000) -> list[dict]:
                                   - 2.0 * dxz * dxy * cos_a))
 
     small = []
-    for _ in range(n_triples):
+    for _ in range(_DISTORTION_TRIPLES):
         kappa = float(rng.choice([0.5, 1.0, 2.0]))
         r = float(rng.uniform(0.0, 0.5 / math.sqrt(kappa)))
         small.append(t_kappa(kappa, r) - (1.0 + 2.0 * kappa * r**2))
@@ -145,7 +152,7 @@ def _distortion_checks(seed: int, n_triples: int = 2000) -> list[dict]:
     sph = Sphere(5, sigma=1.0)
     cap = math.pi / 4.0
     sphere = []
-    for _ in range(n_triples):
+    for _ in range(_DISTORTION_TRIPLES):
         x, y, z = (sph.random_point(rng, sph.base_point(), cap / 2) for _ in range(3))
         sphere.append(sph.projected_distance(x, y, z) ** 2
                       - (1.0 + 2.0 * sph.distance(x, y) ** 2) * sph.distance(y, z) ** 2)
@@ -168,7 +175,7 @@ def _distortion_checks(seed: int, n_triples: int = 2000) -> list[dict]:
 # ----- xi -------------------------------------------------------------------
 
 
-def _xi_checks(seed: int, n_triples: int = 100) -> list[dict]:
+def _xi_checks(seed: int) -> list[dict]:
     rng = rng_from_seed(seed)
     xs = iterate_xi(0.9, XiParams(a=0.25, delta=1.0), 200)
     grid = np.linspace(1.0, 40.0, 200)
@@ -180,7 +187,7 @@ def _xi_checks(seed: int, n_triples: int = 100) -> list[dict]:
         below.extend(np.nextafter(a, 1.0) - vals)
 
     excess = []
-    for _ in range(n_triples):
+    for _ in range(_XI_TRIPLES):
         a = float(rng.uniform(0.0, 0.95))
         delta = float(rng.uniform(1.0, 50.0))
         params = XiParams(a=a, delta=delta)
@@ -233,12 +240,12 @@ def _certified_karcher(manifold: Manifold, seed: int, steps: int) -> tuple:
     return prob, run(prob, cfg)
 
 
-def _potential_checks(seed: int, steps: int = 300) -> list[dict]:
+def _potential_checks(seed: int) -> list[dict]:
     checks: list[dict] = []
     runs = [
-        ("quadratic", *_certified_quadratic(seed, steps)),
-        ("hyperbolic", *_certified_karcher(Hyperbolic(8, kappa=1.0), seed, steps)),
-        ("spd", *_certified_karcher(SPD(4), seed + 100, steps)),
+        ("quadratic", *_certified_quadratic(seed, _POTENTIAL_STEPS)),
+        ("hyperbolic", *_certified_karcher(Hyperbolic(8, kappa=1.0), seed, _POTENTIAL_STEPS)),
+        ("spd", *_certified_karcher(SPD(4), seed + 100, _POTENTIAL_STEPS)),
     ]
     for label, prob, tr in runs:
         cert = certify_trace(tr, prob)

@@ -1,5 +1,6 @@
 """Potential bookkeeping, per-step audits, and distance-shrinking bounds."""
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -176,6 +177,18 @@ def test_shrink_bounds_rejects_plain_gradient_descent():
     trace = run(prob, config)
     with pytest.raises(MissingDataError, match="plain gradient descent"):
         shrink_bounds(trace, prob)
+
+
+def test_audits_name_the_input_they_miss():
+    prob, trace = _flat_run()
+    _, bare = _flat_run(diagnostics=False)
+    for audit in (gradient_step_audit, mirror_step_audit, quadratic_form_audit, shrink_bounds):
+        with pytest.raises(MissingDataError, match="trace has no diagnostics"):
+            audit(bare, prob)
+    unknown = dataclasses.replace(prob, optimum=None)
+    for audit in (mirror_step_audit, quadratic_form_audit, shrink_bounds):
+        with pytest.raises(MissingDataError, match="problem has no optimum"):
+            audit(trace, unknown)
 
 
 def test_gradient_step_audit_passes():

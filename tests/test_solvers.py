@@ -158,6 +158,30 @@ def test_run_rejects_infinite_gradient_on_sphere(mode):
         run(prob, config)
 
 
+@pytest.mark.parametrize(("step", "bad"), [(5, math.nan), (_ROW_BLOCK + 3, math.inf)],
+                         ids=["first-block", "second-block"])
+def test_run_rejects_non_finite_objective_value_at_its_step(monkeypatch, step, bad):
+    # f(y_t) is evaluated once per block of rows, after the steps of the
+    # block; the error names the step, not the block.
+    prob = make_quadratic(6, 1.0, 20.0, seed=1)
+    values = Problem.values
+    done = []
+
+    def spoiled(self, points):
+        out = np.array(values(self, points))
+        lo = sum(done)
+        done.append(len(points))
+        if lo <= step < lo + len(points):
+            out[step - lo] = bad
+        return out
+
+    monkeypatch.setattr(Problem, "values", spoiled)
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=2 * _ROW_BLOCK)
+    with pytest.raises(NonFiniteError, match=f"objective value is not finite at step {step}$"):
+        run(prob, config)
+    assert done[0] == _ROW_BLOCK
+
+
 def test_run_rejects_wrong_shape_gradient():
     prob = _constant_gradient_problem(Euclidean(3), np.zeros(3), [1.0])
     config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=3)

@@ -5,7 +5,8 @@
 directly.  ``np.linalg.eigh``/``eigvalsh`` stay here as the reference they
 must equal bit for bit.  A non-finite input or a failed decomposition must
 end in ``ConvergenceError``, also under ``-W error::RuntimeWarning`` and
-``np.errstate(invalid="raise")``, and in exit code 3 from ``ragd run``.
+``np.errstate(invalid="raise")``, and in exit code 3 from ``ragd run``; so
+must a non-finite entry of a point or tangent that reaches an SPD map.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from numpy.linalg import _umath_linalg
 import ragd.cli as cli
 import ragd.geometry.spd as spd_module
 from ragd.errors import ConvergenceError
-from ragd.geometry import SPD
+from ragd.geometry import SPD, ManifoldPoint, TangentVector
 from ragd.problems import oracle_optimum, random_karcher
 from ragd.solvers import SolverConfig, run
 
@@ -119,6 +120,51 @@ def test_lapack_failure_non_finite_input_raises(helper, bad, setting):
                             fn(s)
                         # Non-finite input never reaches LAPACK, so it warns of nothing.
                         assert seen == []
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_lapack_failure_non_finite_entry_in_every_map(bad, setting):
+    # Points and tangents are trusted, so nothing checks their entries
+    # before the congruence x^{-1/2} y x^{-1/2}.  There an infinite entry
+    # can meet a zero of x^{-1/2} (a diagonal base) or an infinity of the
+    # other sign (an off-diagonal pair) and set the invalid flag, which
+    # the raising settings turn into an exception inside the product.
+    m = SPD(3)
+    rng = np.random.default_rng(8)
+    diagonal = ManifoldPoint(np.diag([1.0, 4.0, 2.0]))
+    good = _spd(rng, 3, 10.0)
+    for base in (diagonal, ManifoldPoint(_spd(rng, 3, 1e3))):
+        for i, j in ((1, 1), (0, 2)):
+            a = good.copy()
+            a[i, j] = a[j, i] = bad
+            y, stack = ManifoldPoint(a), np.stack([good, a])
+            maps = [
+                lambda: m.distance(base, y),
+                lambda: m.log(base, y),
+                lambda: m._geodesic(base, y, 0.5),
+                lambda: m.exp(base, TangentVector(base, a)),
+                lambda: m._dist_many(base, stack),
+                lambda: m._dist_table([base, base], stack),
+                lambda: m._log_many([base, base], stack),
+                # A non-finite base fails in its square root.
+                lambda: m.distance(y, base),
+                lambda: m._geodesic(y, base, 0.5),
+                lambda: m._log_many([base, y], np.stack([good, good])),
+                lambda: m.inner(y, TangentVector(y, good), TangentVector(y, good)),
+            ]
+            # inner and norm decompose nothing, so only the flag can stop
+            # them: NaN arithmetic raises none, and under the default
+            # settings the product stays non-finite.
+            if setting != "default" and math.isinf(bad) and base is diagonal:
+                v = TangentVector(base, a)
+                maps += [lambda: m.inner(base, v, v), lambda: m.norm(base, v),
+                         lambda: m._norm_many(base, stack)]
+            for fn in maps:
+                with _setting(setting) as seen, pytest.raises(ConvergenceError):
+                    fn()
+                if setting != "default":
+                    assert seen == []
 
 
 class _FailingLapack:

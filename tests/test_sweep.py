@@ -114,6 +114,20 @@ def test_condition_number_rate_scales_like_square_root():
     assert abs(exponent - 0.5) <= CONDITION_EXPONENT_TOL
 
 
+def test_sweep_point_for_plain_descent_predicts_without_momentum():
+    from ragd.problems import problem_from_dict
+
+    problem = problem_from_dict(_quadratic_config()["problem"])
+    config = SolverConfig(mode="rgd", mu=problem.mu, L=problem.L, max_iters=200)
+    point = sweep_point("gamma", 1.0, problem, config)
+    assert point.solver == "rgd"
+    assert point.delta_bar == 1.0
+    assert math.isnan(point.xi_pred)
+    assert point.pred_rate == 1.0 - config.mu * config.resolved_gamma
+    assert point.xi_settle_iters == 0
+    assert 0.0 < point.rate < 1.0
+
+
 def test_curvature_sweep_rebuilds_manifold():
     points = run_sweep(_karcher_config(max_iters=150), "curvature", [0.5, 2.0])
     assert [p.value for p in points] == [0.5, 2.0]
