@@ -210,7 +210,7 @@ class Manifold(abc.ABC):
     # sequence of k points, or what ``_prepare_bases`` built from either.
     # The defaults loop over the single-pair methods and are the reference:
     # overrides equal them bit for bit, except on the hyperbolic shared base
-    # (see there).
+    # and the hyperboloid's one-pass ``_log_sum`` (see there).
 
     @staticmethod
     def _base_coords(xs: Bases | np.ndarray) -> np.ndarray:
@@ -249,6 +249,14 @@ class Manifold(abc.ABC):
     def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         """Coordinates of ``log(x_t, y_t)``, stacked like ``ys``."""
         return np.stack([self._log(x, ManifoldPoint(y)) for x, y in self._pairs(xs, ys)])
+
+    def _log_sum(self, x: ManifoldPoint, ys: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``sum_i w_i log(x, y_i)`` over the rows of the point stack ``ys``,
+        for the 1-D weights ``w``.  The default weights the ``_log_many`` rows
+        and adds them one after another, in row order, as a loop would
+        (``np.sum`` may pair them up)."""
+        terms = w.reshape((-1,) + (1,) * (ys.ndim - 1)) * self._log_many(x, ys)
+        return np.cumsum(terms, axis=0)[-1]
 
     def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
         """``norm`` at ``x_t`` of row t of the tangent stack ``vs``."""

@@ -267,7 +267,7 @@ def quadratic_from_arrays(
 def _normalized_weights(k: int, weights: Sequence[float] | None) -> np.ndarray:
     if weights is None:
         return np.full(k, 1.0 / k)
-    w = np.asarray(weights, dtype=float)
+    w = np.array(weights, dtype=float)
     if w.shape != (k,):
         raise DomainError(f"expected {k} weights, got shape {w.shape}")
     if not np.all(w > 0.0):
@@ -298,15 +298,14 @@ def _barycenter_callables(
     m: Manifold, stack: np.ndarray, w: np.ndarray
 ) -> tuple[StackedObjective, Callable]:
     # ``stack`` holds the anchors, one per row; the manifold's stacked
-    # kernels take every anchor in one call.  Both sums run in anchor order,
-    # as a loop over the anchors would, so the rounding is that of the
-    # per-anchor formula: a running sum adds the rows one after another
-    # (``np.sum`` may pair them up, as it does for one-coordinate points),
-    # and ``0 - (a + b + ...)`` equals ``((0 - a) - b) - ...`` bit for bit,
-    # signed zeros included.
+    # kernels take every anchor in one call.  The objective sums in anchor
+    # order, as a loop over the anchors would, and so does the default
+    # ``_log_sum``, so the rounding is that of the per-anchor formula:
+    # ``0 - (a + b + ...)`` equals ``((0 - a) - b) - ...`` bit for bit,
+    # signed zeros included.  The hyperboloid's ``_log_sum`` sums in one
+    # Minkowski pass instead.
     weights = w.tolist()
     per_call = max(1, _OBJECTIVE_ROWS // len(weights))
-    w_col = np.array(w).reshape((-1,) + (1,) * (stack.ndim - 1))
 
     def many(xs: Sequence[ManifoldPoint]) -> np.ndarray:
         # One distance table per chunk of points; its cells round as the
@@ -317,8 +316,7 @@ def _barycenter_callables(
         return np.array([0.5 * sum(wi * d**2 for wi, d in zip(weights, row)) for row in rows])
 
     def gradient(x: ManifoldPoint) -> TangentVector:
-        terms = w_col * m._log_many(x, stack)
-        return TangentVector(x, 0.0 - np.cumsum(terms, axis=0)[-1])
+        return TangentVector(x, 0.0 - m._log_sum(x, stack, w))
 
     return StackedObjective(many), gradient
 

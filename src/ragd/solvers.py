@@ -22,11 +22,12 @@ manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.
 :func:`run` computes inside its step loop only what steers the iteration:
 the distances the distortion rate charges (``d(x, z)``, and ``d(y, z)`` off
 a Hadamard manifold), x+ through the manifold's ``_geodesic`` kernel (one
-eigendecomposition on SPD, where ``Exp_y(alpha * Log_y(z))`` takes two),
-one gradient, two ``Exp`` maps and ``Log_{x+}(z)``.  When the rate cannot
-change (``euclid_nesterov``, ``ragd_constant_delta``, and ``ragd`` on a
-flat Hadamard manifold) the recursion's parameters are built once per run
-and the loop measures no distance at all.
+eigendecomposition on SPD, where ``Exp_y(alpha * Log_y(z))`` takes two, and
+the two-point formula on the hyperboloid), one gradient, two ``Exp`` maps
+and ``Log_{x+}(z)``.  When the rate cannot change (``euclid_nesterov``,
+``ragd_constant_delta``, and ``ragd`` on a flat Hadamard manifold) the
+recursion's parameters are built once per run and the loop measures no
+distance at all.
 
 The loop runs on coordinate arrays: the gradient's coordinates and
 ``beta * Log_{x+}(z) - eta * grad`` are plain arrays passed to the

@@ -20,6 +20,12 @@ tol = 1e-9
 CASES = _geometry_cases()
 
 
+def _cases_where(keep):
+    """The CASES whose manifold ``keep`` accepts, each with the id it has in
+    the full list, so that filtering does not renumber them."""
+    return [pytest.param(*c, id=f"{c[0]}-m{i}-{c[2]}") for i, c in enumerate(CASES) if keep(c[1])]
+
+
 def sample(m, scale, seed=0, n=30):
     rng = np.random.default_rng(seed)
     base = m.base_point()
@@ -206,7 +212,9 @@ def test_spd_geodesic_against_mpmath():
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("label,m,scale", [c for c in CASES if not isinstance(c[1], SPD)])
+@pytest.mark.parametrize(
+    "label,m,scale", _cases_where(lambda m: type(m)._geodesic is Manifold._geodesic)
+)
 def test_default_geodesic_is_exp_of_log_bitwise(label, m, scale):
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -215,6 +223,124 @@ def test_default_geodesic_is_exp_of_log_bitwise(label, m, scale):
         for t in GEODESIC_TS:
             want = m._exp(y, t * m._log(y, z)).coords
             assert np.array_equal(m._geodesic(y, z, t).coords, want)
+
+
+# ----- the hyperboloid's closed forms against 50-digit references ---------------
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _mp_minkowski(a, b):
+    return sum(p * q for p, q in zip(a[:-1], b[:-1])) - a[-1] * b[-1]
+
+
+def _model_error(m, points):
+    """(dim + 1) eps kappa max_p sum_i p_i**2: the rounding error of the
+    Minkowski squares of the points (or vectors) ``points``, relative to
+    their own scale.  Coordinates far out leave the hyperboloid by that
+    much, so no evaluation from them is more accurate, and projecting a
+    result onto the hyperboloid rescales it by as much."""
+    return (m.dim + 1) * _EPS * m.kappa * max(m._scale_sq(p, p) for p in points)
+
+
+def _mp_hyperbolic_geodesic(mp, kappa, y, z, t):
+    """(sinh((1 - t) theta) y + sinh(t theta) z) / sinh(theta) on the stored
+    coordinates, theta = acosh(-kappa <y, z>), in the precision of ``mp``."""
+    y, z = [mp.mpf(float(a)) for a in y], [mp.mpf(float(a)) for a in z]
+    theta = mp.acosh(-mp.mpf(kappa) * _mp_minkowski(y, z))
+    a, b = mp.sinh((1 - t) * theta), mp.sinh(t * theta)
+    return np.array([float((a * p + b * q) / mp.sinh(theta)) for p, q in zip(y, z)])
+
+
+@pytest.mark.parametrize("label,m,scale", _cases_where(lambda m: isinstance(m, Hyperbolic)))
+def test_hyperbolic_geodesic_matches_exp_of_log(label, m, scale):
+    # The composition rounds through the chord and a tangent of length
+    # t d(y, z); at these scales the two forms agreed to 3e-14 of the
+    # largest coordinate.
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        y = m.random_point(rng, m.base_point(), scale)
+        z = m.random_point(rng, m.base_point(), scale)
+        for t in GEODESIC_TS:
+            got = m._geodesic(y, z, t).coords
+            want = Manifold._geodesic(m, y, z, t).coords
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for t, end in ((0.0, y), (1.0, z)):
+            got = m._geodesic(y, z, t).coords
+            assert np.max(np.abs(got - end.coords)) <= 1e-14 * np.max(np.abs(end.coords))
+        # A run's first step, where x = y = z, gives y, projected.
+        assert np.array_equal(m._geodesic(y, y, 0.3).coords, m._project_point(y.coords).coords)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 6.0, 10.0])
+def test_hyperbolic_geodesic_against_mpmath(scale):
+    # Far out the composition exp(y, t log(y, z)) loses the chord to
+    # cancellation: at scale 6 it was off by up to 5e-3 of the largest
+    # coordinate, and at scale 10 by more than the coordinates themselves,
+    # or it raised.  The closed form stays within the points' own error.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for kappa in (1.0, 2.0):
+        for dim in (4, 8, 16):
+            m = Hyperbolic(dim, kappa)
+            rng = np.random.default_rng(dim + int(10 * scale))
+            for _ in range(3):
+                y = m.random_point(rng, m.base_point(), scale)
+                z = m.random_point(rng, m.base_point(), scale)
+                for t in (-0.5, 0.05, 0.25, 0.7, 1.5):
+                    want = _mp_hyperbolic_geodesic(mp, kappa, y.coords, z.coords, mp.mpf(t))
+                    got = m._geodesic(y, z, t).coords
+                    bound = _model_error(m, (y.coords, z.coords, want))
+                    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+def _mp_log_sum(mp, kappa, x, ys, w):
+    """sum_i w_i log_x(y_i) on the stored coordinates, projected onto the
+    tangent space at ``x``, in the precision of ``mp``."""
+    k = mp.mpf(kappa)
+    x = [mp.mpf(float(a)) for a in x]
+    v = [mp.mpf(0)] * len(x)
+    for wi, y in zip(w.tolist(), ys):
+        y = [mp.mpf(float(a)) for a in y]
+        c = -k * _mp_minkowski(x, y)
+        ratio = mp.acosh(c) / mp.sqrt(c * c - 1) if c > 1 else mp.mpf(1)
+        v = [vj + mp.mpf(wi) * ratio * (yj - c * xj) for vj, yj, xj in zip(v, y, x)]
+    kv = k * _mp_minkowski(x, v)
+    return np.array([float(vj + kv * xj) for vj, xj in zip(v, x)])
+
+
+@pytest.mark.parametrize("scale", [1e-8, 0.01, 1.0, 3.0, 6.0, 10.0])
+def test_hyperbolic_log_sum_against_mpmath_and_per_anchor_loop(scale):
+    # The bound is _model_error of x and the anchors, times the size
+    # sum_i w_i |log_x(y_i)| of the terms (the sum itself may cancel to
+    # zero at the barycenter): each c_i - 1 is a Minkowski product of
+    # stored coordinates, and the chord rows, the weighted sum and the
+    # projection round on that scale.  The per-anchor loop is held to the
+    # same bound, so the two agree within twice it.  At scale 1e-8 and 0.01
+    # the anchors cluster round a center 2 out; there the bound would fail
+    # if the weighted rows were summed before differencing against x.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for kappa in (1.0, 2.0):
+        for dim in (4, 8, 16):
+            m = Hyperbolic(dim, kappa)
+            rng = np.random.default_rng(dim + int(10 * scale))
+            center = m.base_point() if scale >= 1.0 else m.random_point(rng, m.base_point(), 2.0)
+            for k in (1, 4, 11):
+                ys = np.stack([m.random_point(rng, center, scale).coords for _ in range(k)])
+                w = rng.uniform(0.1, 1.0, k)
+                w /= w.sum()
+                x = m.random_point(rng, center, scale)
+                rows = w[:, None] * m._log_many(x, ys)
+                loop = Manifold._log_sum(m, x, ys, w)
+                got = m._log_sum(x, ys, w)
+                want = _mp_log_sum(mp, kappa, x.coords, ys, w)
+                bound = _model_error(m, [x.coords, *ys]) * np.max(np.sum(np.abs(rows), axis=0))
+                assert np.max(np.abs(got - want)) <= bound
+                assert np.max(np.abs(loop - want)) <= bound
+                assert np.max(np.abs(got - loop)) <= 2.0 * bound
 
 
 def test_spd_geodesic_and_dist_table_failures():
@@ -411,6 +537,10 @@ def test_hyperbolic_rejects_overlong_geodesics():
     v = (400.0 / m.norm(x, v)) * v
     with pytest.raises(DomainError):
         m.exp(x, v)
+    # The closed-form geodesic caps the same argument, here t * d(x, z) = 400.
+    z = m.exp(x, v * 0.125)
+    with pytest.raises(DomainError, match="double-precision range"):
+        m._geodesic(x, z, 8.0)
 
 
 @pytest.mark.parametrize("r, resolved", [(16.0, True), (17.5, False), (20.0, False)])
@@ -441,7 +571,7 @@ def test_hyperbolic_far_field_raises_typed_errors():
         m._log_many(x, stack)
     # The single-pair maps and the row-paired kernel share the same bound.
     y = at(-250.0)
-    for single_pair in (m.distance, m.log):
+    for single_pair in (m.distance, m.log, lambda a, b: m._geodesic(a, b, 0.5)):
         with pytest.raises(DomainError, match="double-precision range"):
             single_pair(x, y)
     with pytest.raises(DomainError, match="double-precision range"):

@@ -222,14 +222,15 @@ def test_hyperbolic_karcher_value_is_the_per_anchor_formula_bitwise(k):
 @pytest.mark.parametrize(
     "m,make",
     [
-        (Hyperbolic(6, kappa=1.5), make_karcher),
         (Sphere(5), make_sphere_mean),
         (Euclidean(2), make_karcher),
         (Euclidean(1), make_karcher),
     ],
-    ids=["hyperbolic", "sphere_mean", "euclidean", "euclidean-1d"],
+    ids=["sphere_mean", "euclidean", "euclidean-1d"],
 )
 def test_barycenter_gradient_matches_per_anchor_loop_bitwise(m, make):
+    # The default Manifold._log_sum; the hyperboloid's one-pass sum is held
+    # to a derived bound in tests/test_geometry.py instead.
     rng = rng_from_seed(6)
     for trial in range(24):
         k = 1 + trial % 12
@@ -295,11 +296,15 @@ def _far_line_karcher(seed, n_anchors):
 
 @pytest.mark.parametrize("seed, n_anchors", [(22, 4), (16, 2)])
 def test_oracle_rejects_a_gradient_norm_lost_to_rounding(seed, n_anchors):
-    # At the start the gradient's coordinates reach ~8e7, so its Minkowski
-    # square rounds to <= 0 and the norm reads 0: the stop test passes at
-    # once, though the start is not the optimum.
+    # At the start the gradient's coordinates reach ~7e7, and its Minkowski
+    # square is within 100 times its own rounding error, so the norm is
+    # mostly rounding.  Within the oracle's first steps the square falls
+    # under that error, and the stop test passes though x is not the optimum.
     prob = _far_line_karcher(seed, n_anchors)
-    assert prob.manifold.norm(prob.start, prob.grad(prob.start)) == 0.0
+    m = prob.manifold
+    g = prob.grad(prob.start).coords
+    assert np.max(np.abs(g)) > 1e7
+    assert m._mdot(g, g) < 100.0 * (m.dim + 1) * np.finfo(float).eps * m._scale_sq(g, g)
     with pytest.raises(DomainError, match="too far out"):
         oracle_optimum(prob)
     assert prob.optimum is None

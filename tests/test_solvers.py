@@ -436,7 +436,8 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     problem = random_karcher(Hyperbolic(5, kappa=1.0), 6, 1.0, seed=3)
     oracle_optimum(problem)
     assert math.isfinite(problem.certified_radius)  # containment is checked
-    names = ("distance", "_log", "_exp", "log", "exp", "_dist_many", "_projected_distances")
+    names = ("distance", "_log", "_exp", "_geodesic", "log", "exp", "_dist_many",
+             "_projected_distances")
     calls = dict.fromkeys(names, 0)
     for name in calls:
         method = getattr(Hyperbolic, name)
@@ -459,20 +460,33 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     # pairs, here ceil(64 / 42) + ceil(11 / 42).
     per_call = _OBJECTIVE_ROWS // 6
     f_calls = -(-_ROW_BLOCK // per_call) + -(-(rows - _ROW_BLOCK) // per_call)
-    # Per step: d(x, z) for the rate, then log_y(z), three exp and
+    # Per step: d(x, z) for the rate, then x+ in closed form, two exp and
     # log_{x+}(z), all through the coordinate kernels.  Per block of rows:
     # f(y_t) (above), d(x_t, z_t), d(y_t, z_t), d(y_t, x*) and the
     # containment distances (one _dist_many each) and the projected
     # distances.  Once: f(x*).
     assert calls == {
         "distance": steps,
-        "_log": 2 * steps,
-        "_exp": 3 * steps,
+        "_log": steps,
+        "_exp": 2 * steps,
+        "_geodesic": steps,
         "log": 0,
         "exp": 0,
         "_dist_many": f_calls + 4 * blocks + 1,
         "_projected_distances": blocks,
     }
+
+
+def test_ragd_stays_on_a_sharply_curved_hyperboloid_far_out():
+    # kappa 20, radius 3: the start, anchor 0, has kappa |x|^2 ~ 3e8.  An x+
+    # composed as exp(y, alpha log(y, z)) sat off the hyperboloid by the
+    # Minkowski round-off at that size, and the z update's exp amplified the
+    # drift until its target was spacelike (NonFiniteError at step 2).
+    problem = random_karcher(Hyperbolic(4, kappa=20.0), 4, 3.0, seed=2)
+    oracle_optimum(problem)
+    trace = run(problem, SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=60))
+    gap = trace.column("f_gap")
+    assert gap[-1] <= 1e-12 * gap[0]
 
 
 def test_spd_run_eigendecomposition_budget(monkeypatch):
