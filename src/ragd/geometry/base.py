@@ -209,8 +209,8 @@ class Manifold(abc.ABC):
     # ``(k, *point_shape)``; ``xs`` is one point shared by every row or a
     # sequence of k points, or what ``_prepare_bases`` built from either.
     # The defaults loop over the single-pair methods and are the reference:
-    # overrides equal them bit for bit, except on the hyperbolic shared base
-    # and the hyperboloid's one-pass ``_log_sum`` (see there).
+    # overrides equal them bit for bit, except on the hyperbolic shared base,
+    # which only the hyperboloid's one-pass ``_log_sum`` takes (see there).
 
     @staticmethod
     def _base_coords(xs: Bases | np.ndarray) -> np.ndarray:

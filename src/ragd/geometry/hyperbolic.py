@@ -162,10 +162,7 @@ class Hyperbolic(Manifold):
         # theta = sqrt(kappa) d(y, z), with theta / sinh(theta) = acosh_ratio(c - 1):
         # one Minkowski product where exp(y, t * log(y, z)) takes four, and it
         # stays accurate far out, where the composition loses its chord to
-        # cancellation.  sinch is even, so any t works.  A run's first step
-        # passes z = y, the start, which comes back as the composition gives it.
-        if z is y:
-            return self._project_point(y.coords)
+        # cancellation.  sinch is even, so any t works.
         cm1 = max(-self.kappa * self._mdot(y.coords, z.coords) - 1.0, 0.0)
         _check_chord_scale(cm1, float(y.coords[-1]))
         ratio = acosh_ratio(cm1)
@@ -186,10 +183,10 @@ class Hyperbolic(Manifold):
     # ----- stacked kernels --------------------------------------------------
     # The shape of the base picks the Minkowski product.  A shared base takes
     # one matrix-vector product, the fast path of the Karcher gradient
-    # (``_log_sum``, and so of the oracle) and of the containment distances;
-    # its rows may differ from the single-pair method in the last bits, and
-    # with the stack height.  One base per row takes ``row_dots``, so every
-    # row equals the single-pair method bit for bit.
+    # (``_log_sum``, and so of the oracle), its one caller in a run; its rows
+    # may differ from the single-pair method in the last bits, and with the
+    # stack height.  One base per row takes ``row_dots``, so every row equals
+    # the single-pair method bit for bit.
 
     def _prepare_bases(self, xs: Bases) -> np.ndarray:
         return self._base_coords(xs)
@@ -226,17 +223,11 @@ class Hyperbolic(Manifold):
         return v + (self.kappa * self._mdot_many(x, v))[:, None] * x
 
     def _log_sum(self, x: ManifoldPoint, ys: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # Before projection, row i of _log_many is r_i u_i, with
-        # r_i = acosh_ratio(c_i - 1) and the chord u_i = (y_i - x) - (c_i - 1) x.
-        # With s_i = w_i r_i the weighted sum is s @ (Y - x) - (s . (c - 1)) x,
-        # projected once, as projection is linear.  Differencing y_i - x
-        # before summing keeps anchors near x as accurate as the per-row chord.
-        xc = x.coords
-        cm1 = np.maximum(-self.kappa * self._mdot_many(xc, ys) - 1.0, 0.0)
-        cms = cm1.tolist()
-        _check_chord_scale(max(cms), float(xc[-1]))
-        s = w * np.array([acosh_ratio(c) for c in cms])
-        return self._project_tangent(xc, s @ (ys - xc) - float(s @ cm1) * xc)
+        # Before projection, row i of _log_many is r_i u_i: the chord rows,
+        # weighted and summed in one product, then projected once, as
+        # projection is linear.
+        u, r = self._chord_many(x.coords, ys)
+        return self._project_tangent(x.coords, (w * r) @ u)
 
     def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self._mdot_many(vs, vs), 0.0))

@@ -17,14 +17,17 @@ classical Nesterov method exactly).
 A run starts at ``problem.start``.  An iterate outside the problem's
 certified ball (``certified_radius`` around ``reference``) warns once, and
 is recorded in the trace meta, on a Hadamard manifold; on any other
-manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.
+manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.  The
+check measures with ``_dist_table``, the kernel the radius was measured
+with, so an iterate on the farthest anchor reads exactly the radius.
 
 :func:`run` computes inside its step loop only what steers the iteration:
 the distances the distortion rate charges (``d(x, z)``, and ``d(y, z)`` off
 a Hadamard manifold), x+ through the manifold's ``_geodesic`` kernel (one
 eigendecomposition on SPD, where ``Exp_y(alpha * Log_y(z))`` takes two, and
-the two-point formula on the hyperboloid), one gradient, two ``Exp`` maps
-and ``Log_{x+}(z)``.  When the rate cannot change (``euclid_nesterov``,
+the two-point formula on the hyperboloid; the first step's x+ is the start
+itself, with no ``_geodesic``), one gradient, two ``Exp`` maps and
+``Log_{x+}(z)``.  When the rate cannot change (``euclid_nesterov``,
 ``ragd_constant_delta``, and ``ragd`` on a flat Hadamard manifold) the
 recursion's parameters are built once per run and the loop measures no
 distance at all.
@@ -185,7 +188,8 @@ def _step(
     the logarithms by construction and the gradient by ``Problem.grad``."""
     m = problem.manifold
     alpha, beta, eta = params
-    x1 = m._geodesic(y, z, alpha)
+    # At the start z is y, and Exp_y(alpha * Log_y(y)) is y exactly.
+    x1 = y if z is y else m._geodesic(y, z, alpha)
     g = problem.grad(x1)
     y1 = m._exp(x1, (-gamma) * g.coords)
     z1 = m._exp(x1, beta * m._log(x1, z) - eta * g.coords)
@@ -196,10 +200,8 @@ def _distortion_rate(
     m: Manifold, x: ManifoldPoint, y: ManifoldPoint, z: ManifoldPoint, config: SolverConfig
 ) -> float:
     """Distortion rate fed to the momentum recursion for the step leaving
-    (x, y, z), charged on ``d(x, z)`` and, off a Hadamard manifold, on
-    ``d(y, z)``; 1 in flat space, where ``euclid_nesterov`` runs."""
-    if config.mode == "ragd_constant_delta":
-        return float(config.delta_const)
+    (x, y, z) in ``ragd`` mode, charged on ``d(x, z)`` and, off a Hadamard
+    manifold, on ``d(y, z)``."""
     d_xz = m.distance(x, z)
     if m.is_hadamard:
         return valid_rate_hadamard(m.curv_lower_mag, d_xz, sharp=config.sharp_distortion)
@@ -208,14 +210,15 @@ def _distortion_rate(
 
 def _fixed_xi_params(problem: Problem, config: SolverConfig) -> XiParams | None:
     """The momentum recursion's parameters when the distortion rate does not
-    depend on the iterates (flat modes, constant rate, zero curvature on a
-    Hadamard manifold), from the rate at ``problem.start``; None when each
-    step needs its own rate."""
+    depend on the iterates: ``delta_const`` in ``ragd_constant_delta`` mode,
+    and 1 for ``euclid_nesterov`` and for ``ragd`` at zero curvature on a
+    Hadamard manifold; None when each step needs its own rate."""
     m = problem.manifold
+    if config.mode == "ragd_constant_delta":
+        return XiParams(a=config.a, delta=float(config.delta_const))
     if config.mode == "ragd" and not (m.is_hadamard and m.curv_lower_mag == 0.0):
         return None
-    p = problem.start
-    return XiParams(a=config.a, delta=_distortion_rate(m, p, p, p, config))
+    return XiParams(a=config.a, delta=1.0)
 
 
 def normalized_potential(
@@ -231,9 +234,10 @@ class _Containment:
     ``problem.certified_radius`` (finite).
 
     :meth:`check` measures the x, y and z of consecutive steps in one
-    stacked call.  Outside the radius it raises
-    :class:`~ragd.errors.RuntimeContainmentError` on a manifold that is not
-    Hadamard, and otherwise logs one warning for the whole run.
+    ``_dist_table`` call, the kernel ``certified_radius`` was measured with.
+    Outside the radius it raises :class:`~ragd.errors.RuntimeContainmentError`
+    on a manifold that is not Hadamard, and otherwise logs one warning for
+    the whole run.
     """
 
     def __init__(self, problem: Problem) -> None:
@@ -245,7 +249,7 @@ class _Containment:
         """Check the (x, y, z) iterates of steps ``first, first + 1, ...``."""
         p = self.problem
         stack = np.stack([pt.coords for pts in steps for pt in pts])
-        worst = p.manifold._dist_many(p.reference, stack).reshape(len(steps), -1).max(axis=1)
+        worst = p.manifold._dist_table([p.reference], stack).reshape(len(steps), -1).max(axis=1)
         radius = p.certified_radius
         outside = np.flatnonzero(worst > radius)
         if outside.size:

@@ -32,6 +32,7 @@ from ragd.solvers import (
     run,
     step_params,
 )
+from ragd.sweep import run_enlarging
 
 COEFF_TOL = 1e-15
 GAP_FLOOR = -1e-9
@@ -379,6 +380,28 @@ def test_feasible_radius_flag_in_meta():
     assert near.meta["left_feasible_radius"] is False
 
 
+@pytest.mark.parametrize("manifold,n_anchors,radius,seed", [
+    (Hyperbolic(5, kappa=1.0), 6, 2.0, 28),
+    (SPD(3), 5, 1.5, 5),
+], ids=["hyperbolic", "spd"])
+def test_a_start_on_the_farthest_anchor_stays_in_the_certified_ball(
+    manifold, n_anchors, radius, seed, caplog
+):
+    # The start, anchor 0, sets the certified radius.  Measured by another
+    # kernel than the radius was, or as a recomputed x+, it read a few ulps
+    # beyond it at step 1, and run_enlarging re-solved with a larger L.
+    problem = random_karcher(manifold, n_anchors, radius, seed=seed)
+    assert problem.manifold.distance(problem.reference, problem.start) == problem.certified_radius
+    config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=5)
+    with caplog.at_level(logging.WARNING, logger="ragd.solvers"):
+        trace = run(problem, config)
+        rerun, same = run_enlarging(problem, config)
+    assert trace.meta["left_feasible_radius"] is False
+    assert not [r for r in caplog.records if "left the certified radius" in r.getMessage()]
+    assert same is config
+    assert "enlarged_L" not in rerun.meta
+
+
 def test_leaving_the_certified_ball_warns_once_on_a_hadamard_manifold(caplog):
     prob = random_karcher(Hyperbolic(6, kappa=1.0), 5, 0.8, seed=1)
     far = prob.manifold.random_point(np.random.default_rng(0), prob.reference, 3.0)
@@ -460,8 +483,9 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
     # pairs, here ceil(64 / 42) + ceil(11 / 42).
     per_call = _OBJECTIVE_ROWS // 6
     f_calls = -(-_ROW_BLOCK // per_call) + -(-(rows - _ROW_BLOCK) // per_call)
-    # Per step: d(x, z) for the rate, then x+ in closed form, two exp and
-    # log_{x+}(z), all through the coordinate kernels.  Per block of rows:
+    # Per step: d(x, z) for the rate, then x+ in closed form (the first
+    # step's is the start), two exp and log_{x+}(z), all through the
+    # coordinate kernels.  Per block of rows:
     # f(y_t) (above), d(x_t, z_t), d(y_t, z_t), d(y_t, x*) and the
     # containment distances (one _dist_many each) and the projected
     # distances.  Once: f(x*).
@@ -469,7 +493,7 @@ def test_run_makes_one_geometry_pass_per_step(monkeypatch):
         "distance": steps,
         "_log": steps,
         "_exp": 2 * steps,
-        "_geodesic": steps,
+        "_geodesic": steps - 1,
         "log": 0,
         "exp": 0,
         "_dist_many": f_calls + 4 * blocks + 1,
@@ -487,6 +511,16 @@ def test_ragd_stays_on_a_sharply_curved_hyperboloid_far_out():
     trace = run(problem, SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=60))
     gap = trace.column("f_gap")
     assert gap[-1] <= 1e-12 * gap[0]
+
+
+def test_first_step_takes_the_start_as_x_plus():
+    # At the start z is y, so Exp_y(alpha * Log_y(z)) is the start itself.
+    problem = random_karcher(Hyperbolic(5, kappa=1.0), 6, 1.0, seed=3)
+    config = SolverConfig(
+        mode="ragd", mu=problem.mu, L=problem.L, max_iters=3, record_diagnostics=True
+    )
+    trace = run(problem, config)
+    assert trace.diagnostics.points_x[1] is problem.start
 
 
 def test_spd_run_eigendecomposition_budget(monkeypatch):
@@ -511,12 +545,13 @@ def test_spd_run_eigendecomposition_budget(monkeypatch):
         # eigh, per step: the square roots of y (the start's is cached by the
         # oracle; the last y's is taken with its block) and of x+, x+ itself
         # (one for the whole geodesic), the gradient's batched logarithm, two
-        # Exp and Log_{x+}(z).  Per block: the two logarithm batches of the
-        # projected distances.  eigvalsh: the start's membership check, d(x, z)
+        # Exp and Log_{x+}(z); the first step's x+ is the start, whose root is
+        # cached, and takes no geodesic.  Per block: the two logarithm batches
+        # of the projected distances.  eigvalsh: the start's membership check, d(x, z)
         # per step, and per block f(y_t) (one per _OBJECTIVE_ROWS (row, anchor)
         # pairs), d(x_t, z_t), d(y_t, z_t), d(y_t, x*) and the containment.
         assert calls == {
-            "_eigh": 7 * steps + 2 * len(sizes),
+            "_eigh": 7 * steps - 2 + 2 * len(sizes),
             "_eigvalsh": 1 + steps + f_calls + 4 * len(sizes),
         }
 
@@ -557,7 +592,7 @@ def test_gradient_anchored_elsewhere_raises_domain_error():
         oracle_optimum(stray)
 
 
-def _far_line_problem(radius=18.0):
+def _far_line_problem(radius=20.0):
     """Karcher problem on H(8) with 6 anchors alternating at +-radius along
     one geodesic, with 1% jitter."""
     m = Hyperbolic(8, kappa=1.0)
