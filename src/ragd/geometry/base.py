@@ -209,8 +209,9 @@ class Manifold(abc.ABC):
     # ``(k, *point_shape)``; ``xs`` is one point shared by every row or a
     # sequence of k points, or what ``_prepare_bases`` built from either.
     # The defaults loop over the single-pair methods and are the reference:
-    # overrides equal them bit for bit, except on the hyperbolic shared base,
-    # which only the hyperboloid's one-pass ``_log_sum`` takes (see there).
+    # overrides equal them bit for bit, except the two ``_log_sum``
+    # overrides, the hyperboloid's one pass over its shared base and SPD's
+    # one product over every anchor's eigenvectors (see there).
 
     @staticmethod
     def _base_coords(xs: Bases | np.ndarray) -> np.ndarray:
@@ -254,7 +255,8 @@ class Manifold(abc.ABC):
         """``sum_i w_i log(x, y_i)`` over the rows of the point stack ``ys``,
         for the 1-D weights ``w``.  The default weights the ``_log_many`` rows
         and adds them one after another, in row order, as a loop would
-        (``np.sum`` may pair them up)."""
+        (``np.sum`` may pair them up); the hyperboloid and SPD sum in one
+        product instead."""
         terms = w.reshape((-1,) + (1,) * (ys.ndim - 1)) * self._log_many(x, ys)
         return np.cumsum(terms, axis=0)[-1]
 

@@ -13,6 +13,7 @@ which keeps small distances accurate to a few ulps instead of the
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -214,6 +215,13 @@ class Hyperbolic(Manifold):
     def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         u, ratio = self._chord_many(self._base_coords(xs), ys)
         return ratio * self._norm_many(xs, u)
+
+    def _dist_table(self, xs: Sequence[ManifoldPoint], targets: np.ndarray) -> np.ndarray:
+        # The default's one base per (point, target) row, as repeated
+        # coordinate rows: the same row_dots path, so the same bits.
+        k = len(targets)
+        rows = np.repeat(self._base_coords(xs), k, axis=0)
+        return self._dist_many(rows, np.tile(targets, (len(xs), 1))).reshape(len(xs), k)
 
     def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
         x = self._base_coords(xs)

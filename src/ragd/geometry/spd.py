@@ -14,7 +14,11 @@ Every map at a point ``x`` starts from the square root of ``x`` and its
 inverse, and is a function of the congruence ``x^{-1/2} y x^{-1/2}``
 (Pennec, Fillard & Ayache, "A Riemannian framework for tensor computing",
 IJCV 2006).  Points are immutable, so that pair is computed once, on the
-first call that needs it, and kept on the point itself.
+first call that needs it, and kept on the point itself.  The congruence is
+decomposed as it was formed: LAPACK reads its lower triangle, so averaging
+in the upper one would only trade one rounding-level perturbation of the
+exact product for another.  Points and tangents a map returns are
+symmetrized.
 """
 
 from __future__ import annotations
@@ -128,8 +132,9 @@ class SPD(Manifold):
         """Eigenvalues, all positive, of ``x^{-1/2} y x^{-1/2}`` (with
         ``vectors``, and its eigenvectors) for the inverse square root
         ``isqrt`` of ``x``: one matrix, one base per row of a stack, or
-        bases that broadcast over the stack ``ys``."""
-        s = _sym(_congruence(isqrt, ys))
+        bases that broadcast over the stack ``ys``.  The product is
+        decomposed as formed, from its lower triangle."""
+        s = _congruence(isqrt, ys)
         out = self._eigh(s) if vectors else self._eigvalsh(s)
         w = out[0] if vectors else out
         # A scalar test on one matrix's spectrum costs a twentieth of ``min``.
@@ -210,7 +215,7 @@ class SPD(Manifold):
 
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> ManifoldPoint:
         root, isqrt = self._sqrt_pair(x)
-        w, q = self._eigh(_sym(_congruence(isqrt, v)))
+        w, q = self._eigh(_congruence(isqrt, v))
         return self._exp_congruence(root, w, q)
 
     def _geodesic(self, y: ManifoldPoint, z: ManifoldPoint, t: float) -> ManifoldPoint:
@@ -231,7 +236,8 @@ class SPD(Manifold):
     # A shared base serves every row with its one square-root pair; one base
     # per row stacks the cached pairs of the bases.  The batched products,
     # eigendecompositions and row norms round as the single-pair methods
-    # do, so each row equals the corresponding method bit for bit.
+    # do, so each row equals the corresponding method bit for bit.  The
+    # exception is ``_log_sum``, which sums over the anchors in one product.
 
     def _roots(self, xs: Bases | _Roots) -> _Roots:
         """The square-root pair of a shared base, or the stacked pairs of one
@@ -262,6 +268,17 @@ class SPD(Manifold):
         w, q = self._spectrum(isqrt, ys, True)
         lg = (q * np.log(w)[..., None, :]) @ q.swapaxes(-1, -2)
         return _sym(root @ lg @ root)
+
+    def _log_sum(self, x: ManifoldPoint, ys: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # sum_i w_i root q_i diag(log l_i) q_i^T root is root S root, with
+        # S = Q diag(w (x) log l) Q^T over the eigenvectors of every anchor
+        # side by side in Q (n x kn), formed in one product; it rounds
+        # otherwise than the default's per-anchor loop.
+        root, isqrt = self._sqrt_pair(x)
+        lam, q = self._spectrum(isqrt, ys, True)
+        cols = q.swapaxes(0, 1).reshape(self.n, -1)
+        s = (cols * (w[:, None] * np.log(lam)).reshape(-1)) @ cols.T
+        return _sym(root @ s @ root)
 
     def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
         # inner(x, v, v): the sum of squares of x^{-1/2} v x^{-1/2}.

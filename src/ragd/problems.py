@@ -302,8 +302,9 @@ def _barycenter_callables(
     # order, as a loop over the anchors would, and so does the default
     # ``_log_sum``, so the rounding is that of the per-anchor formula:
     # ``0 - (a + b + ...)`` equals ``((0 - a) - b) - ...`` bit for bit,
-    # signed zeros included.  The hyperboloid's ``_log_sum`` sums its chord
-    # rows in one product instead.
+    # signed zeros included.  The hyperboloid's and SPD's ``_log_sum`` sum
+    # in one product instead: over the chord rows, and over the eigenvectors
+    # of every anchor's congruence.
     weights = w.tolist()
     per_call = max(1, _OBJECTIVE_ROWS // len(weights))
 

@@ -186,17 +186,35 @@ def test_spd_geodesic_matches_exp_of_log(n, scale):
             assert np.max(np.abs(got - end.coords)) <= 1e-14 * np.max(np.abs(end.coords))
 
 
+def _mp_fn(mp, a, *fs):
+    """``f`` of the symmetric mpmath matrix ``a`` for each ``f`` in ``fs``,
+    through one eigendecomposition, and the eigenvalues of ``a``."""
+    w, q = mp.eigsy(a)
+    out = [q * mp.diag([f(w[i]) for i in range(a.rows)]) * q.T for f in fs]
+    return (*out, [w[i] for i in range(a.rows)])
+
+
+def _mp_roots(mp, y):
+    """The square root of the stored coordinates ``y`` and its inverse."""
+    root, isqrt, _ = _mp_fn(mp, mp.matrix(y.tolist()), mp.sqrt, lambda s: 1 / mp.sqrt(s))
+    return root, isqrt
+
+
+def _mp_congruence(mp, isqrt, a):
+    """The symmetric part of ``isqrt a isqrt`` for the stored coordinates ``a``."""
+    mid = isqrt * mp.matrix(a.tolist()) * isqrt
+    return (mid + mid.T) / 2
+
+
+def _mp_float(a):
+    return np.array([[float(a[i, j]) for j in range(a.cols)] for i in range(a.rows)])
+
+
 def _mp_geodesic(mp, y, z, t):
     """y^{1/2} (y^{-1/2} z y^{-1/2})^t y^{1/2} in the working precision of ``mp``."""
-
-    def power(a, p):
-        w, q = mp.eigsy(a)
-        return q * mp.diag([w[i] ** p for i in range(a.rows)]) * q.T
-
-    ym = mp.matrix(y.tolist())
-    root, isqrt = power(ym, mp.mpf(1) / 2), power(ym, -mp.mpf(1) / 2)
-    mid = isqrt * mp.matrix(z.tolist()) * isqrt
-    return root * power((mid + mid.T) / 2, mp.mpf(t)) * root
+    root, isqrt = _mp_roots(mp, y)
+    mid = _mp_congruence(mp, isqrt, z)
+    return root * _mp_fn(mp, mid, lambda s: s ** mp.mpf(t))[0] * root
 
 
 def test_spd_geodesic_against_mpmath():
@@ -210,6 +228,131 @@ def test_spd_geodesic_against_mpmath():
                 want = np.array([[float(ref[i, j]) for j in range(n)] for i in range(n)])
                 got = m._geodesic(y, z, t).coords
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# The SPD maps decompose the congruence C = x^{-1/2} a x^{-1/2} as formed,
+# with no symmetrization.  Each bound below is a first-order model of the
+# rounding: the products of the congruence and the products that map the
+# result back, each off by about n eps of the magnitudes they sum, plus
+# LAPACK's backward error, a small multiple of n eps ||C||.  The matrix
+# function then amplifies a perturbation of C by at most the norm of its
+# derivative: 1 / lambda_min(C) for log, exp(lambda_max(C)) for exp.  The
+# bounds allow 8 n eps where the stages sum to a few n eps; the largest
+# ratio of error to bound seen over these cases was 0.45.  They are stated
+# in absolute terms: near x the congruence is near I, so it carries an
+# error of about eps whatever the distance, and a bound relative to the
+# result alone (log_x(y) or d(x, y)) cannot hold at small scales.
+
+_EPS = float(np.finfo(float).eps)
+SPD_MP_SCALES = (0.01, 0.3, 1.0, 3.0)
+
+
+def _spd_log_bound(n, x, lam):
+    """8 n eps ||x||_2 lambda_max(C) / lambda_min(C) for the exact
+    eigenvalues ``lam`` of the congruence of one anchor: its log rounds by
+    about n eps ||C|| / lambda_min(C), and x^{1/2} . x^{1/2} scales that by
+    ||x||_2."""
+    return 8 * n * _EPS * np.linalg.norm(x, 2) * float(max(lam) / min(lam))
+
+
+@pytest.mark.parametrize("scale", SPD_MP_SCALES)
+def test_spd_exp_against_mpmath(scale):
+    # exp_x(v) = x^{1/2} exp(V) x^{1/2}, V = x^{-1/2} v x^{-1/2}: V rounds by
+    # about n eps ||V||, exp's derivative has norm exp(lambda_max(V)), and
+    # the products back round by n eps ||x|| exp(lambda_max(V)).
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for n in (1, 2, 3, 4, 5):
+        m = SPD(n)
+        rng = np.random.default_rng(60 + n + int(10 * scale))
+        for _ in range(4):
+            x = m.random_point(rng, m.base_point(), scale)
+            v = m.random_tangent(rng, x, scale).coords
+            root, isqrt = _mp_roots(mp, x.coords)
+            e, lam = _mp_fn(mp, _mp_congruence(mp, isqrt, v), mp.exp)
+            want = _mp_float(root * e * root)
+            top, size = float(max(lam)), float(max(abs(s) for s in lam))
+            bound = 8 * n * _EPS * np.linalg.norm(x.coords, 2) * math.exp(top) * (1.0 + size)
+            assert np.max(np.abs(m._exp(x, v).coords - want)) <= bound
+
+
+@pytest.mark.parametrize("scale", SPD_MP_SCALES)
+def test_spd_log_and_log_many_against_mpmath(scale):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for n in (1, 2, 3, 4, 5):
+        m = SPD(n)
+        rng = np.random.default_rng(70 + n + int(10 * scale))
+        x = m.random_point(rng, m.base_point(), scale)
+        ys = np.stack([m.random_point(rng, m.base_point(), scale).coords for _ in range(4)])
+        shared = m._log_many(x, ys)
+        per_row = m._log_many([x] * len(ys), ys)
+        root, isqrt = _mp_roots(mp, x.coords)
+        for y, got_shared, got_row in zip(ys, shared, per_row):
+            lg, lam = _mp_fn(mp, _mp_congruence(mp, isqrt, y), mp.log)
+            want = _mp_float(root * lg * root)
+            bound = _spd_log_bound(n, x.coords, lam)
+            for got in (m._log(x, ManifoldPoint(y)), got_shared, got_row):
+                assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("scale", SPD_MP_SCALES)
+def test_spd_distance_and_dist_table_against_mpmath(scale):
+    # Each eigenvalue of C moves by at most n eps ||C|| (Weyl), so each of
+    # its logs by n eps lambda_max / lambda_min, and the norm of the n logs
+    # by sqrt(n) times that; the log and the square root add eps d.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for n in (1, 2, 3, 4, 5):
+        m = SPD(n)
+        rng = np.random.default_rng(80 + n + int(10 * scale))
+        xs = [m.random_point(rng, m.base_point(), scale) for _ in range(2)]
+        ys = np.stack([m.random_point(rng, m.base_point(), scale).coords for _ in range(3)])
+        table = m._dist_table(xs, ys)
+        for x, row in zip(xs, table):
+            isqrt = _mp_roots(mp, x.coords)[1]
+            for y, cell in zip(ys, row):
+                lam = _mp_fn(mp, _mp_congruence(mp, isqrt, y))[0]
+                want = float(mp.sqrt(sum(mp.log(s) ** 2 for s in lam)))
+                bound = 8 * n * _EPS * (math.sqrt(n) * float(max(lam) / min(lam)) + want)
+                assert abs(m.distance(x, ManifoldPoint(y)) - want) <= bound
+                assert abs(cell - want) <= bound
+
+
+@pytest.mark.parametrize("scale", SPD_MP_SCALES)
+def test_spd_log_sum_against_mpmath_and_per_anchor_loop(scale):
+    # _log_sum forms sum_i w_i log_x(y_i) as x^{1/2} Q diag(w (x) log l) Q^T
+    # x^{1/2}, one product over the eigenvectors of every anchor, so it is
+    # not the per-anchor loop bit for bit.  Each term is held to the bound
+    # of one log, so the sum to sum_i w_i times it; the loop is held to the
+    # same bound, and the two agree within twice it.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for n in (2, 3, 4, 5):
+        m = SPD(n)
+        rng = np.random.default_rng(90 + n + int(10 * scale))
+        for k in (1, 5, 16):
+            ys = np.stack([m.random_point(rng, m.base_point(), scale).coords for _ in range(k)])
+            w = rng.uniform(0.1, 1.0, k)
+            w /= w.sum()
+            x = m.random_point(rng, m.base_point(), scale)
+            root, isqrt = _mp_roots(mp, x.coords)
+            total, bound = mp.zeros(n, n), 0.0
+            for wi, y in zip(w.tolist(), ys):
+                lg, lam = _mp_fn(mp, _mp_congruence(mp, isqrt, y), mp.log)
+                total += mp.mpf(wi) * lg
+                bound += wi * _spd_log_bound(n, x.coords, lam)
+            want = _mp_float(root * total * root)
+            got = m._log_sum(x, ys, w)
+            loop = Manifold._log_sum(m, x, ys, w)
+            assert np.array_equal(got, got.T)
+            assert np.max(np.abs(got - want)) <= bound
+            assert np.max(np.abs(loop - want)) <= bound
+            assert np.max(np.abs(got - loop)) <= 2.0 * bound
 
 
 @pytest.mark.parametrize(
@@ -226,8 +369,6 @@ def test_default_geodesic_is_exp_of_log_bitwise(label, m, scale):
 
 
 # ----- the hyperboloid's closed forms against 50-digit references ---------------
-
-_EPS = float(np.finfo(float).eps)
 
 
 def _mp_minkowski(a, b):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ragd.cli as cli
+import ragd.geometry.spd as spd_module
 from ragd.distortion import valid_rate_hadamard, valid_rate_nonhadamard
 from ragd.errors import AntipodalError, DomainError, NonFiniteError, RuntimeContainmentError
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
@@ -554,6 +555,26 @@ def test_spd_run_eigendecomposition_budget(monkeypatch):
             "_eigh": 7 * steps - 2 + 2 * len(sizes),
             "_eigvalsh": 1 + steps + f_calls + 4 * len(sizes),
         }
+
+
+def test_spd_run_symmetrization_budget(monkeypatch):
+    # A congruence goes to LAPACK as formed (it reads the lower triangle);
+    # only a point or tangent that a map returns is symmetrized.
+    problem = random_karcher(SPD(3), 5, 1.0, seed=4)
+    oracle_optimum(problem)
+    problem.optimum_value
+    calls = []
+    sym = spd_module._sym
+    monkeypatch.setattr(spd_module, "_sym", lambda a: calls.append(1) or sym(a))
+    for steps in (10, _ROW_BLOCK + 10):
+        calls.clear()
+        run(problem, SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps))
+        blocks = -(-(steps + 1) // _ROW_BLOCK)
+        # Per step: the gradient's one _log_sum, the two Exp, Log_{x+}(z) and
+        # x+ (none on the first step, whose x+ is the start; the start's
+        # membership check takes its place).  Per block: the two logarithm
+        # batches of the projected distances.
+        assert len(calls) == 5 * steps + 2 * blocks
 
 
 def test_flat_run_builds_one_tangent_vector_per_step(monkeypatch):
