@@ -30,12 +30,11 @@ from pathlib import Path
 from . import __version__
 from .errors import DomainError, RagdError
 from .problems import Problem, oracle_optimum, problem_from_dict
-from .solvers import SolverConfig
 from .sweep import (
-    SWEEP_AXES, build_sweep, problem_description, run_enlarging, solver_config,
-    solver_entries, sweep_point, write_sweep_csv,
+    SWEEP_AXES, _predicted_rate, build_sweep, problem_description, run_enlarging,
+    solver_config, solver_entries, sweep_point, write_sweep_csv,
 )
-from .trace import ConvergenceTrace, estimate_rate
+from .trace import estimate_rate
 from .verify import VERIFY_SUITES, run_suite
 from .xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi, xi_residual
 
@@ -94,12 +93,6 @@ def _output_dir(out: str | None, cfg: dict) -> Path:
     return path
 
 
-def _predicted_rate(config: SolverConfig, trace: ConvergenceTrace) -> float:
-    if config.mode == "rgd":
-        return 1.0 - config.mu * config.resolved_gamma
-    return 1.0 - float(trace.column("xi")[-1])
-
-
 def _check_trace_stem(name: str) -> None:
     """Trace files are named after the problem inside the output directory,
     so the name must be a single path component."""
@@ -150,9 +143,8 @@ def cmd_run(args: argparse.Namespace) -> Execute:
                     trace.write_json(fh)
             gaps = trace.column("f_gap")
             est = estimate_rate(gaps)
-            summary.append(
-                (config.mode, float(gaps[-1]), est.rate, _predicted_rate(config, trace))
-            )
+            pred = _predicted_rate(config, float(trace.column("xi")[-1]))
+            summary.append((config.mode, float(gaps[-1]), est.rate, pred))
             logger.info("wrote %s", stem)
 
         print(f"# problem={problem.name} seed={seed} config_hash={chash}")

@@ -17,8 +17,9 @@ IJCV 2006).  Points are immutable, so that pair is computed once, on the
 first call that needs it, and kept on the point itself.  The congruence is
 decomposed as it was formed: LAPACK reads its lower triangle, so averaging
 in the upper one would only trade one rounding-level perturbation of the
-exact product for another.  Points and tangents a map returns are
-symmetrized.
+exact product for another.  Tangents a map returns are symmetrized;
+``exp`` and the geodesic form their point as ``B B^T``, which comes out
+exactly symmetric.
 """
 
 from __future__ import annotations
@@ -199,16 +200,19 @@ class SPD(Manifold):
     @staticmethod
     def _exp_congruence(root: np.ndarray, w: np.ndarray, q: np.ndarray) -> ManifoldPoint:
         """The point ``root @ q diag(exp(w)) q^T @ root``, where ``w`` is
-        monotone (the ends hold its extremes).  An exponent beyond 700 in
-        magnitude raises DomainError: ``exp`` would overflow, or underflow
-        to a singular matrix."""
+        monotone (the ends hold its extremes), formed as ``B @ B.T`` with
+        ``B = root @ q diag(exp(w / 2))``: a product of a matrix with its
+        own transpose, which NumPy computes exactly symmetric, so it needs
+        no symmetrization.  An exponent beyond 700 in magnitude raises
+        DomainError: ``exp`` would overflow, or underflow to a singular
+        matrix."""
         end = w[-1] if abs(w[-1]) >= abs(w[0]) else w[0]
         if abs(end) > 700.0:
             raise DomainError(
                 f"geodesic argument {end:.1f} exceeds the double-precision range"
             )
-        e = (q * np.exp(w)) @ q.T
-        coords = _sym(root @ e @ root)
+        b = (root @ q) * np.exp(0.5 * w)
+        coords = b @ b.T
         if not all_finite(coords):
             raise NonFiniteError("exponential map left the finite range")
         return ManifoldPoint(coords)

@@ -40,7 +40,6 @@ __all__ = [
     "make_sphere_mean",
     "random_sphere_mean",
     "oracle_optimum",
-    "gradient_audit",
     "curvature_key",
     "manifold_to_dict",
     "manifold_from_dict",
@@ -50,8 +49,6 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 _SPECTRUM_TOL = 1e-8
-_AUDIT_TOL = 1e-8
-_FD_STEP = 1e-5
 # (point, anchor) cells per distance table of a barycenter objective.
 # This bounds the call's temporaries, and so the peak memory of a block of
 # points; 256-row calls ran as fast as one call per 64-point block.
@@ -498,7 +495,7 @@ def random_sphere_mean(
     )
 
 
-# ----- reference optimum and audits ------------------------------------------
+# ----- reference optimum -----------------------------------------------------
 
 
 def oracle_optimum(
@@ -532,65 +529,6 @@ def oracle_optimum(
     raise ConvergenceError(
         f"gradient norm did not reach {tol!r} within {max_iters} iterations"
     )
-
-
-def gradient_audit(
-    problem: Problem,
-    n_points: int = 20,
-    n_pairs: int = 40,
-    seed: int = 0,
-) -> dict:
-    """Finite-difference and convexity audit of a problem's callables.
-
-    Checks directional derivatives against central differences and the
-    two-point strong-convexity / smoothness inequalities implied by the
-    declared (mu, L), sampling inside the certified ball.  Returns a
-    report dictionary; violation counts of zero mean the problem data is
-    consistent.
-    """
-    m = problem.manifold
-    rng = rng_from_seed(seed)
-    radius = problem.certified_radius
-    if not math.isfinite(radius):
-        radius = 1.0 + 2.0 * m.distance(problem.start, problem.reference)
-    samples = [
-        m.random_point(rng, problem.reference, radius) for _ in range(n_points)
-    ]
-    fd_errs = []
-    for x in samples:
-        g = problem.grad(x)
-        v = m.random_tangent(rng, x, 1.0)
-        nrm = m.norm(x, v)
-        v = (1.0 / nrm) * v
-        plus = problem.value(m.exp(x, _FD_STEP * v))
-        minus = problem.value(m.exp(x, (-_FD_STEP) * v))
-        fd = (plus - minus) / (2.0 * _FD_STEP)
-        exact = m.inner(x, g, v)
-        fd_errs.append(abs(fd - exact) / (1.0 + abs(exact)))
-    pairs = []
-    for _ in range(n_pairs):
-        x = samples[int(rng.integers(len(samples)))]
-        y = samples[int(rng.integers(len(samples)))]
-        d = m.distance(x, y)
-        lin = problem.value(x) + m.inner(x, problem.grad(x), m.log(x, y))
-        scale = 1.0 + abs(problem.value(x)) + abs(problem.value(y)) + d * d
-        sc_margin = problem.value(y) - lin - 0.5 * problem.mu * d * d
-        sm_margin = lin + 0.5 * problem.L * d * d - problem.value(y)
-        pairs.append((sc_margin, sm_margin, scale))
-    sc, sm, scales = np.array(pairs).reshape(-1, 3).T
-    # A pair passes when margin >= -tol * scale, so a NaN margin is a
-    # violation; NaN also carries into the maximum and the worst margins.
-    lowest = -_AUDIT_TOL * scales
-    return {
-        "problem": problem.name,
-        "n_points": n_points,
-        "n_pairs": n_pairs,
-        "max_fd_rel_err": float(np.max(fd_errs, initial=0.0)),
-        "strong_convexity_violations": int(np.count_nonzero(~(sc >= lowest))),
-        "smoothness_violations": int(np.count_nonzero(~(sm >= lowest))),
-        "worst_sc_margin": float(np.min(sc / scales, initial=math.inf)),
-        "worst_sm_margin": float(np.min(sm / scales, initial=math.inf)),
-    }
 
 
 # ----- serialization ----------------------------------------------------------

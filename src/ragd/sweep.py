@@ -27,7 +27,7 @@ from .xi import XiParams, fixed_point_xi, settle_steps
 
 __all__ = [
     "SWEEP_AXES", "SweepPoint", "build_sweep", "problem_description", "run_enlarging",
-    "run_sweep", "solver_config", "solver_entries", "sweep_point", "write_sweep_csv",
+    "solver_config", "solver_entries", "sweep_point", "write_sweep_csv",
 ]
 
 logger = logging.getLogger("ragd.sweep")
@@ -44,10 +44,9 @@ _XI_SETTLE_TOL = 1e-3
 @dataclass(frozen=True)
 class SweepPoint:
     """One sweep row; ``rate`` is the measured per-step error contraction
-    exp(slope / 2) and ``pred_rate`` = 1 - xi the certified contraction of
-    the potential.  The potential is quadratic in the error, so
-    ``pred_rate`` bounds the gap contraction exp(slope) = ``rate**2``, not
-    ``rate``."""
+    exp(slope / 2) and ``pred_rate`` the certified gap contraction
+    (:func:`_predicted_rate`).  The gap is quadratic in the error, so
+    ``pred_rate`` bounds exp(slope) = ``rate**2``, not ``rate``."""
 
     axis: str
     value: float
@@ -62,6 +61,13 @@ class SweepPoint:
 
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepPoint))
+
+
+def _predicted_rate(config: SolverConfig, xi: float) -> float:
+    """The certified per-step contraction of the gap f(y_t) - f(x*): 1 - xi
+    for the accelerated modes (of the potential, which bounds the gap), and
+    1 - a for plain gradient descent, where a = 2 * mu * Delta."""
+    return 1.0 - (config.a if config.mode == "rgd" else xi)
 
 
 def run_enlarging(
@@ -104,14 +110,12 @@ def sweep_point(
     if config.mode == "rgd":
         delta_bar = 1.0
         xi_pred = math.nan
-        pred = 1.0 - config.mu * config.resolved_gamma
         settle = 0
     else:
         deltas = trace.column("delta_rate")
         delta_bar = float(deltas[1:].mean()) if len(deltas) > 1 else 1.0
         params = XiParams(a=config.a, delta=delta_bar)
         xi_pred = fixed_point_xi(params)
-        pred = 1.0 - xi_pred
         gap0 = abs(config.resolved_xi0 - xi_pred)
         settle = math.ceil(settle_steps(gap0, _XI_SETTLE_TOL, params))
     return SweepPoint(
@@ -123,7 +127,7 @@ def sweep_point(
         rate=est.rate,
         delta_bar=delta_bar,
         xi_pred=xi_pred,
-        pred_rate=pred,
+        pred_rate=_predicted_rate(config, xi_pred),
         xi_settle_iters=settle,
     )
 
@@ -209,13 +213,6 @@ def build_sweep(
             problem = shared
         cases.append((v, problem, solver_config(e, problem)))
     return cases
-
-
-def run_sweep(
-    config: dict, axis: str, values: list[float], seed: int | None = None
-) -> list[SweepPoint]:
-    """Run the first configured solver across ``values`` of ``axis``."""
-    return [sweep_point(axis, *case) for case in build_sweep(config, axis, values, seed)]
 
 
 def write_sweep_csv(points: list[SweepPoint], path) -> None:

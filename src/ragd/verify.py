@@ -12,23 +12,33 @@ always does), and ``worst`` the largest residual, so
 each step's defect minus the certifier's own allowance, at ``tol`` 0.
 Reports are plain dictionaries so the CLI can emit them as JSON.
 
-These suites are the one home of the checks that several acceptance
-criteria (``tests/test_acceptance.py``) state, so each criterion below can
-be re-checked from the command line:
+These suites are the one home of every check that the acceptance criteria
+(``tests/test_acceptance.py``) state; each criterion runs the same checks on
+its own pinned data and tolerances:
 
-- criteria 01-03 (momentum staircase and limit, fixed points, contraction
-  envelope) are the ``xi`` suite at seed 3, ``ragd verify --suite xi
-  --seed 3``;
-- criterion 05 (curved certificates) certifies the runs of
-  :func:`_certified_karcher`, the builder of the ``potential`` suite's
-  curved runs, at 500 steps on hyperbolic seeds 0-19 and SPD seeds
-  100-109;
-- criterion 09 (distortion inequality families) is the ``distortion``
-  suite at seed 9, ``ragd verify --suite distortion --seed 9``.
+- 01-03 (momentum staircase and limit, fixed points, contraction envelope):
+  the ``xi`` suite at seed 3, ``ragd verify --suite xi --seed 3``;
+- 04 (flat certificates across quadratics): :func:`_flat_family_checks`;
+- 05 (curved certificates): the runs of :func:`_certified_karcher` at 500
+  steps on hyperbolic seeds 0-19 and SPD seeds 100-109;
+- 06 (flat rates against theory): :func:`_flat_rate_checks`;
+- 07 (constant-rate momentum lock): :func:`_momentum_lock_checks`;
+- 08 (acceleration entry threshold): :func:`_entry_threshold_checks` on a
+  :func:`_long_step_run`;
+- 09 (distortion inequality families): the ``distortion`` suite at seed 9,
+  ``ragd verify --suite distortion --seed 9``;
+- 10 (step-identity audits): :func:`_step_audit_checks`;
+- 11 (distance-shrinking bounds): :func:`_shrink_checks` on the same
+  long-step run.
+
+The ``potential`` suite runs the checks of 04-08, 10 and 11 on small
+instances drawn from its seed, and :func:`_gradient_checks` on the problems
+of 10; the ``xi`` suite also checks the bound on ``theta``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,20 +47,28 @@ from .distortion import s_kappa, t_kappa, t_kappa_hat, trig_coeff
 from .errors import DomainError
 from .geometry import SPD, Euclidean, Hyperbolic, Manifold, Sphere
 from .potential import (
+    acceleration_threshold,
     certify_trace,
     gradient_step_audit,
     mirror_step_audit,
     quadratic_form_audit,
     rate_envelope,
+    shrink_bounds,
+    trace_coefficient_blocks,
 )
 from .problems import (
     make_quadratic,
     oracle_optimum,
     random_karcher,
+    random_sphere_mean,
     rng_from_seed,
 )
 from .solvers import SolverConfig, run
-from .xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi, next_xi, step_gain
+from .trace import estimate_rate
+from .xi import (
+    _C_THETA, XiParams, contraction_factor, fixed_point_xi, iterate_xi, next_xi, step_gain,
+    theta,
+)
 
 __all__ = ["VERIFY_SUITES", "run_suite"]
 
@@ -199,6 +217,7 @@ def _xi_checks(seed: int) -> list[dict]:
             xi = next_xi(xi, params)
             env *= lam
             excess.append(abs(xi - star) - env)
+    theta_a, theta_v = rng.uniform(0.0, 0.95, 1000), rng.uniform(1e-9, 1.0 - 1e-9, 1000)
     return [
         _check("staircase", [abs(xs[i + 1] - v) for i, v in enumerate(_STAIRCASE)], 1e-3),
         _check("staircase-limit", [abs(xs[-1] - 0.5)], 1e-8),
@@ -211,19 +230,30 @@ def _xi_checks(seed: int) -> list[dict]:
         _check("fixed-point-monotone", rises, 1e-14),
         _check("fixed-point-above-a", below, 0.0),
         _check("contraction-envelope", excess, _XI_SLACK),
+        _theta_check(theta_v, theta_a),
     ]
+
+
+def _theta_check(v, a) -> dict:
+    """``0 <= theta(v, a) < 1 - C v``, the bound behind
+    :func:`~ragd.xi.contraction_factor`, at each pair of entries."""
+    th = np.array([theta(float(vi), float(ai)) for vi, ai in zip(v, a)])
+    upper = np.nextafter(1.0 - _C_THETA * np.asarray(v, dtype=float), 0.0)  # a strict bound
+    return _check("theta-bound", np.maximum(-th, th - upper), 0.0)
 
 
 # ----- potential ------------------------------------------------------------
 
 
+def _diagnosed_run(prob, mode: str, steps: int, **settings) -> tuple:
+    cfg = SolverConfig(mode=mode, mu=prob.mu, L=prob.L, max_iters=steps,
+                       record_diagnostics=True, **settings)
+    return cfg, run(prob, cfg)
+
+
 def _certified_quadratic(seed: int, steps: int) -> tuple:
     prob = make_quadratic(20, 1.0, 80.0, seed=seed, center=np.zeros(20))
-    cfg = SolverConfig(
-        mode="euclid_nesterov", mu=1.0, L=80.0, max_iters=steps,
-        record_diagnostics=True,
-    )
-    return prob, run(prob, cfg)
+    return prob, _diagnosed_run(prob, "euclid_nesterov", steps)[1]
 
 
 def _certified_karcher(manifold: Manifold, seed: int, steps: int) -> tuple:
@@ -233,11 +263,186 @@ def _certified_karcher(manifold: Manifold, seed: int, steps: int) -> tuple:
     # float distances can resolve over the whole run.
     gamma = 5e-5
     _, a = step_gain(prob.mu, prob.L, gamma)
-    cfg = SolverConfig(
-        mode="ragd", mu=prob.mu, L=prob.L, gamma=gamma, xi0=math.sqrt(a),
-        max_iters=steps, record_diagnostics=True,
-    )
-    return prob, run(prob, cfg)
+    return prob, _diagnosed_run(prob, "ragd", steps, gamma=gamma, xi0=math.sqrt(a))[1]
+
+
+def _certified_decrease(cert) -> list[float]:
+    # a step whose margin does not match its potential cells fails outright
+    return [-(r.margin + r.allowed) if r.ok else math.inf for r in cert.records[:-1]]
+
+
+def _audit_check(name: str, rep) -> dict:
+    return _check(name, rep.residuals - rep.allowed, 0.0)
+
+
+def _flat_family_checks(seed: int, count: int, steps: int,
+                        vanish_tol: float = 1e-12, cross_tol: float = 1e-10) -> list[dict]:
+    """Criterion 04: Nesterov runs on ``count`` random quadratics drawn from
+    ``seed`` are certified at every step, and each step's quadratic form has
+    c1-c3 at most ``vanish_tol`` and c4-c6 within ``cross_tol`` of 0."""
+    rng = rng_from_seed(seed)
+    decrease, vanish, cross = [], [], []
+    for i in range(count):
+        dim = int(rng.integers(2, 51))
+        q = float(rng.uniform(1e-3, 1.0))
+        big = float(rng.uniform(1.0, 100.0))
+        prob = make_quadratic(dim, q * big, big, seed=1000 + i, center=np.zeros(dim))
+        _, tr = _diagnosed_run(prob, "euclid_nesterov", steps)
+        decrease += _certified_decrease(certify_trace(tr, prob))
+        blocks = trace_coefficient_blocks(tr)
+        vanish += blocks[:, :3].ravel().tolist()
+        cross += np.abs(blocks[:, 3:]).ravel().tolist()
+    return [
+        _check("flat-family/certified-decrease", decrease, 0.0),
+        _check("flat-family/vanishing-coefficients", vanish, vanish_tol),
+        _check("flat-family/cross-coefficients", cross, cross_tol),
+    ]
+
+
+def _flat_rate_checks(seed: int, rate_rel_tol: float = 0.10,
+                      gap_ratio_min: float = 1e3) -> list[dict]:
+    """Criterion 06: on a quadratic with L/mu = 100, the fitted error rates
+    of Nesterov's method and of gradient descent at gamma = 1/L are within
+    ``rate_rel_tol`` of log(1 - sqrt(mu/L)) and log(1 - mu/L), and at step
+    300 the descent's gap is ``gap_ratio_min`` times Nesterov's or more."""
+    prob = make_quadratic(30, 1.0, 100.0, seed=seed, center=np.zeros(30))
+    gaps, errors = [], []
+    for mode, target in (("euclid_nesterov", math.log(1.0 - math.sqrt(0.01))),
+                         ("rgd", math.log(1.0 - 0.01))):
+        cfg = SolverConfig(mode=mode, mu=1.0, L=100.0, gamma=0.01, max_iters=500)
+        gaps.append(run(prob, cfg).column("f_gap"))
+        errors.append(abs(estimate_rate(gaps[-1]).slope / 2.0 - target) / abs(target))
+    return [
+        _check("flat-rates/rate-vs-theory", errors, rate_rel_tol),
+        _check("flat-rates/rgd-gap-ratio", [gap_ratio_min * gaps[0][300] - gaps[1][300]], 0.0),
+    ]
+
+
+def _momentum_lock_checks(seed: int, lock_tol: float = 1e-10) -> list[dict]:
+    """Criterion 07: ``ragd_constant_delta`` on a tight hyperbolic barycenter
+    with L inflated five-fold, delta = 1 + 0.2 sqrt(mu/L) and xi0 = xi(delta):
+    xi stays within ``lock_tol`` of xi(delta) >= 0.9 sqrt(mu/L), every
+    distortion rate is at most delta, and every gradient step decreases f."""
+    base = random_karcher(Hyperbolic(6, kappa=1.0), 5, 0.02, seed=seed)
+    prob = dataclasses.replace(base, L=5.0 * base.L)
+    q = prob.mu / prob.L
+    delta = 1.0 + 0.2 * math.sqrt(q)
+    star = fixed_point_xi(XiParams(a=q, delta=delta))
+    _, tr = _diagnosed_run(prob, "ragd_constant_delta", 200, gamma=1.0 / prob.L, xi0=star,
+                           delta_const=delta)
+    rates = [t_kappa(1.0, d) for d in tr.column("d_xz").tolist()]
+    return [
+        _check("constant-delta/xi-lock", np.abs(tr.column("xi") - star), lock_tol),
+        _check("constant-delta/lock-level", [0.9 * math.sqrt(q) - star], 0.0),
+        _check("constant-delta/distortion-rate", np.array(rates) - delta, 0.0),
+        _audit_check("constant-delta/gradient-decrease", gradient_step_audit(tr, prob)),
+    ]
+
+
+def _long_step_run(karcher_seed: int, start_seed: int) -> tuple:
+    """``(problem, config, trace)`` of 400 steps at gamma * L = 1.05 on a
+    hyperbolic barycenter (H(8), 6 anchors within 2.5), from a unit step off
+    the reference.  It is not certified: the certifier has no rounding floor
+    for such a run yet (ROADMAP.md, item 2)."""
+    prob = random_karcher(Hyperbolic(8, kappa=1.0), 6, 2.5, seed=karcher_seed)
+    oracle_optimum(prob)
+    m, ref = prob.manifold, prob.reference
+    v = m.random_tangent(rng_from_seed(start_seed), ref, 1.0)
+    start = m.exp(ref, (1.0 / m.norm(ref, v)) * v)
+    return prob, *_diagnosed_run(dataclasses.replace(prob, start=start), "ragd", 400,
+                                 gamma=1.05 / prob.L)
+
+
+def _entry_threshold_checks(prob, cfg: SolverConfig, tr, eps: float = 1e-3) -> list[dict]:
+    """Criterion 08: xi comes within ``eps`` of sqrt(a) no later than
+    :func:`~ragd.potential.acceleration_threshold` says, and stays above a."""
+    xi = tr.column("xi")[1:]
+    threshold = acceleration_threshold(prob.mu, prob.L, cfg.resolved_gamma, prob.manifold.kappa,
+                                       float(tr.column("potential")[0]), eps=eps)
+    entered = np.nonzero(xi >= math.sqrt(cfg.a) - eps)[0]
+    first = int(entered[0]) + 1 if entered.size else math.inf
+    return [
+        _check("long-step/entry-threshold", [first - threshold], 0.0),
+        _check("long-step/xi-above-a", np.nextafter(cfg.a, 1.0) - xi, 0.0),
+    ]
+
+
+def _shrink_checks(prob, tr, floor: float = 1e-6, min_compared: int = 100) -> list[dict]:
+    """Criterion 11: every bound of :func:`~ragd.potential.shrink_bounds`
+    holds where it is at least ``floor``, on ``min_compared`` rows or more."""
+    reports = shrink_bounds(tr, prob, floor=floor)
+    compared = sum(r.compared for r in reports)
+    return [
+        _check("long-step/shrink-bounds",
+               np.concatenate([r.residuals - r.allowed for r in reports]), 0.0),
+        _check("long-step/shrink-compared", [min_compared - compared], 0.0),
+    ]
+
+
+def _step_audit_cases(quadratic_seed: int, hyperbolic_seed: int, spd_seed: int,
+                      sphere_seed: int) -> list[tuple]:
+    """Criterion 10's ``(label, problem, mode, steps)`` runs."""
+    hyp = random_karcher(Hyperbolic(8, kappa=1.0), 6, 1.2, seed=hyperbolic_seed)
+    quad = make_quadratic(20, 1.0, 50.0, seed=quadratic_seed, center=np.zeros(20))
+    return [
+        ("quadratic", quad, "euclid_nesterov", 100),
+        ("hyperbolic", hyp, "ragd", 60),
+        ("spd", random_karcher(SPD(4), 6, 1.2, seed=spd_seed), "ragd", 60),
+        ("sphere", random_sphere_mean(Sphere(7, sigma=1.0), 6, 0.3, seed=sphere_seed), "ragd", 60),
+        ("hyperbolic-rgd", hyp, "rgd", 60),
+    ]
+
+
+def _step_audit_checks(cases: list[tuple]) -> list[dict]:
+    """Criterion 10: at the default step size every step keeps the gradient
+    step's decrease and, in the accelerated modes, the mirror-step identity."""
+    checks = []
+    for label, prob, mode, steps in cases:
+        if prob.optimum is None:
+            oracle_optimum(prob)
+        _, tr = _diagnosed_run(prob, mode, steps)
+        if mode != "rgd":
+            checks.append(_audit_check(f"step-audit/{label}/mirror-identity",
+                                       mirror_step_audit(tr, prob)))
+        checks.append(_audit_check(f"step-audit/{label}/gradient-decrease",
+                                   gradient_step_audit(tr, prob)))
+    return checks
+
+
+def _gradient_checks(prob, seed: int, n_points: int = 20, n_pairs: int = 40,
+                     fd_tol: float = 1e-5) -> list[dict]:
+    """Audit of a problem's callables at points drawn inside its certified
+    ball: directional derivatives against central differences, and the
+    two-point strong convexity and smoothness of the declared (mu, L) over
+    random pairs, relative to 1 + |f(x)| + |f(y)| + d**2 and allowed 1e-8."""
+    m, ref, h = prob.manifold, prob.reference, 1e-5
+    rng = rng_from_seed(seed)
+    radius = prob.certified_radius
+    if not math.isfinite(radius):
+        radius = 1.0 + 2.0 * m.distance(prob.start, ref)
+    samples = [m.random_point(rng, ref, radius) for _ in range(n_points)]
+    fd = []
+    for x in samples:
+        v = m.random_tangent(rng, x, 1.0)
+        v = (1.0 / m.norm(x, v)) * v
+        exact = m.inner(x, prob.grad(x), v)
+        diff = (prob.value(m.exp(x, h * v)) - prob.value(m.exp(x, (-h) * v))) / (2.0 * h)
+        fd.append(abs(diff - exact) / (1.0 + abs(exact)))
+    defects = []
+    for _ in range(n_pairs):
+        x, y = (samples[int(rng.integers(n_points))] for _ in range(2))
+        d, fx, fy = m.distance(x, y), prob.value(x), prob.value(y)
+        lin = fx + m.inner(x, prob.grad(x), m.log(x, y))
+        scale = 1.0 + abs(fx) + abs(fy) + d * d
+        defects.append(((lin + 0.5 * prob.mu * d * d - fy) / scale,
+                        (fy - lin - 0.5 * prob.L * d * d) / scale))
+    convexity, smoothness = np.array(defects).reshape(-1, 2).T
+    name = f"gradient-audit/{prob.name}"
+    return [
+        _check(f"{name}/fd-gradient", fd, fd_tol),
+        _check(f"{name}/strong-convexity", convexity, 1e-8),
+        _check(f"{name}/smoothness", smoothness, 1e-8),
+    ]
 
 
 def _potential_checks(seed: int) -> list[dict]:
@@ -248,17 +453,24 @@ def _potential_checks(seed: int) -> list[dict]:
         ("spd", *_certified_karcher(SPD(4), seed + 100, _POTENTIAL_STEPS)),
     ]
     for label, prob, tr in runs:
-        cert = certify_trace(tr, prob)
         checks.append(_check(f"{label}/certified-decrease",
-                             [-(r.margin + r.allowed) for r in cert.records[:-1]], 0.0))
+                             _certified_decrease(certify_trace(tr, prob)), 0.0))
         for check, audit in (("mirror-identity", mirror_step_audit),
                              ("gradient-decrease", gradient_step_audit),
                              ("rate-envelope", rate_envelope)):
-            rep = audit(tr, prob)
-            checks.append(_check(f"{label}/{check}", rep.residuals - rep.allowed, 0.0))
+            checks.append(_audit_check(f"{label}/{check}", audit(tr, prob)))
     _, prob, tr = runs[0]
-    rep = quadratic_form_audit(tr, prob)
-    checks.append(_check("quadratic/coefficient-form", rep.residuals - rep.allowed, 0.0))
+    checks.append(_audit_check("quadratic/coefficient-form", quadratic_form_audit(tr, prob)))
+    prob, cfg, tr = _long_step_run(seed, seed)
+    cases = _step_audit_cases(seed, seed, seed + 100, seed)
+    checks += [
+        *_flat_family_checks(seed, 3, _POTENTIAL_STEPS), *_flat_rate_checks(seed),
+        *_momentum_lock_checks(seed), *_entry_threshold_checks(prob, cfg, tr),
+        *_shrink_checks(prob, tr), *_step_audit_checks(cases),
+    ]
+    # the four problems of the step audits
+    for _, problem, _, _ in cases[:4]:
+        checks += _gradient_checks(problem, seed)
     return checks
 
 

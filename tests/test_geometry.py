@@ -186,6 +186,17 @@ def test_spd_geodesic_matches_exp_of_log(n, scale):
             assert np.max(np.abs(got - end.coords)) <= 1e-14 * np.max(np.abs(end.coords))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_spd_exp_and_geodesic_are_bitwise_symmetric(n):
+    # Both form their point as B B^T and symmetrize nothing afterwards.
+    rng = np.random.default_rng(40 + n)
+    for m, y, z in _geodesic_pairs(n, 2.0, seed=30 + n, count=20):
+        points = [m.exp(y, m.random_tangent(rng, y, scale=2.0))]
+        points += [m._geodesic(y, z, t) for t in GEODESIC_TS]
+        for p in points:
+            assert np.array_equal(p.coords, p.coords.T)
+
+
 def _mp_fn(mp, a, *fs):
     """``f`` of the symmetric mpmath matrix ``a`` for each ``f`` in ``fs``,
     through one eigendecomposition, and the eigenvalues of ``a``."""

@@ -13,7 +13,6 @@ from ragd.geometry.hyperbolic import _POINT_TOL, _RENORM_SCALE
 from ragd.problems import (
     Problem,
     curvature_key,
-    gradient_audit,
     make_karcher,
     make_quadratic,
     make_sphere_mean,
@@ -28,6 +27,7 @@ from ragd.problems import (
     recertified,
     rng_from_seed,
 )
+from ragd.verify import _gradient_checks
 
 tol = 1e-9
 audit_tol = 1e-5
@@ -53,12 +53,14 @@ def test_quadratic_spectrum_and_optimum():
     assert prob.value(prob.optimum) <= prob.value(prob.start)
 
 
+def _audit_failures(prob, seed):
+    """The checks of the ``ragd verify`` gradient audit that fail."""
+    return [c for c in _gradient_checks(prob, seed, fd_tol=audit_tol) if not c["ok"]]
+
+
 def test_quadratic_gradient_audit():
     prob = make_quadratic(8, 1.0, 10.0, seed=1)
-    rep = gradient_audit(prob, seed=1)
-    assert rep["max_fd_rel_err"] < audit_tol
-    assert rep["strong_convexity_violations"] == 0
-    assert rep["smoothness_violations"] == 0
+    assert not _audit_failures(prob, seed=1)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "hyperbolic-karcher"])
@@ -67,11 +69,14 @@ def test_gradient_audit_flags_nan_objective(kind):
         prob = make_quadratic(5, 1.0, 10.0, seed=0)
     else:
         prob = random_karcher(Hyperbolic(4, kappa=1.0), 4, 1.0, seed=0)
-    rep = gradient_audit(dataclasses.replace(prob, objective=lambda x: math.nan), seed=0)
-    assert math.isnan(rep["max_fd_rel_err"])
-    assert rep["strong_convexity_violations"] == rep["n_pairs"]
-    assert rep["smoothness_violations"] == rep["n_pairs"]
-    assert math.isnan(rep["worst_sc_margin"]) and math.isnan(rep["worst_sm_margin"])
+    checks = _gradient_checks(dataclasses.replace(prob, objective=lambda x: math.nan), seed=0)
+    assert [c["name"].rsplit("/", 1)[1] for c in checks] == [
+        "fd-gradient", "strong-convexity", "smoothness"]
+    for check in checks:
+        # every point and every pair is a violation, and the worst is NaN
+        assert check["violations"] == check["count"] > 0
+        assert math.isnan(check["worst"])
+        assert check["ok"] is False
 
 
 def test_karcher_constants():
@@ -80,10 +85,7 @@ def test_karcher_constants():
     assert prob.mu == 1.0
     spread = prob.certified_radius
     assert abs(prob.L - trig_coeff(1.0, 2.0 * spread)) < tol
-    rep = gradient_audit(prob, seed=2)
-    assert rep["max_fd_rel_err"] < audit_tol
-    assert rep["strong_convexity_violations"] == 0
-    assert rep["smoothness_violations"] == 0
+    assert not _audit_failures(prob, seed=2)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 5.0, 20.0])
@@ -131,10 +133,7 @@ def test_recertified_is_none_without_a_larger_karcher_ball():
 
 def test_karcher_audit_spd():
     prob = random_karcher(SPD(3), 5, 1.0, seed=3)
-    rep = gradient_audit(prob, seed=3)
-    assert rep["max_fd_rel_err"] < audit_tol
-    assert rep["strong_convexity_violations"] == 0
-    assert rep["smoothness_violations"] == 0
+    assert not _audit_failures(prob, seed=3)
 
 
 def _golden_barycenters():
@@ -266,10 +265,7 @@ def test_sphere_mean_constants_and_audit():
     assert prob.L == 1.0
     assert 0.0 < prob.mu < 1.0
     assert abs(prob.certified_radius - math.pi / 4.0) < tol
-    rep = gradient_audit(prob, seed=4)
-    assert rep["max_fd_rel_err"] < audit_tol
-    assert rep["strong_convexity_violations"] == 0
-    assert rep["smoothness_violations"] == 0
+    assert not _audit_failures(prob, seed=4)
 
 
 def test_oracle_optimum_matches_gradient_zero():
@@ -322,7 +318,7 @@ def test_oracle_rejects_a_gradient_norm_lost_to_rounding(seed, n_anchors):
     "consumer",
     [
         lambda prob: oracle_optimum(prob, max_iters=10),
-        lambda prob: gradient_audit(prob, n_points=2, n_pairs=2),
+        lambda prob: _gradient_checks(prob, 0, n_points=2, n_pairs=2),
     ],
     ids=["oracle_optimum", "gradient_audit"],
 )

@@ -570,11 +570,11 @@ def test_spd_run_symmetrization_budget(monkeypatch):
         calls.clear()
         run(problem, SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps))
         blocks = -(-(steps + 1) // _ROW_BLOCK)
-        # Per step: the gradient's one _log_sum, the two Exp, Log_{x+}(z) and
-        # x+ (none on the first step, whose x+ is the start; the start's
-        # membership check takes its place).  Per block: the two logarithm
-        # batches of the projected distances.
-        assert len(calls) == 5 * steps + 2 * blocks
+        # Per step: the gradient's one _log_sum and Log_{x+}(z); the two Exp
+        # and x+ form B B^T, exactly symmetric.  Once: the start's membership
+        # check.  Per block: the two logarithm batches of the projected
+        # distances.
+        assert len(calls) == 2 * steps + 1 + 2 * blocks
 
 
 def test_flat_run_builds_one_tangent_vector_per_step(monkeypatch):

@@ -13,7 +13,7 @@ from ragd.geometry import Hyperbolic
 from ragd.problems import oracle_optimum, random_karcher
 from ragd.solvers import SolverConfig, run
 from ragd.sweep import (
-    SWEEP_COLUMNS, build_sweep, run_enlarging, run_sweep, sweep_point, write_sweep_csv,
+    SWEEP_COLUMNS, build_sweep, run_enlarging, sweep_point, write_sweep_csv,
 )
 from ragd.xi import XiParams, fixed_point_xi
 
@@ -47,6 +47,11 @@ def _karcher_config(**solver):
     }
 
 
+def _run_sweep(config, axis, values):
+    """Every case of the sweep, measured as ``ragd sweep`` measures it."""
+    return [sweep_point(axis, *case) for case in build_sweep(config, axis, values)]
+
+
 def _sphere_config(manifold=None):
     return {
         "problem": {
@@ -62,7 +67,7 @@ def _sphere_config(manifold=None):
 
 def test_delta_const_rates_follow_fixed_point_order():
     values = [1.0, 1.5, 2.0, 4.0]
-    points = run_sweep(_quadratic_config(), "delta_const", values)
+    points = _run_sweep(_quadratic_config(), "delta_const", values)
     assert [p.value for p in points] == values
     rates = [p.rate for p in points]
     preds = [p.pred_rate for p in points]
@@ -80,7 +85,7 @@ def test_gamma_sweep_momentum_matches_flat_limit():
 
     values = [1.01, 1.05, 1.2, 1.5]
     config = _karcher_config()
-    points = run_sweep(config, "gamma", values)
+    points = _run_sweep(config, "gamma", values)
     problem = problem_from_dict(dict(config["problem"]))
     assert all(p.solver == "ragd" for p in points)
     for p, gl in zip(points, values):
@@ -100,14 +105,14 @@ def test_gamma_sweep_momentum_matches_flat_limit():
 )
 def test_xi_settle_iters_table(config, axis, values, settle):
     # Literal counts: ceil(log(1e-3 / |xi0 - xi*|) / log(lam)) at delta_bar.
-    assert [p.xi_settle_iters for p in run_sweep(config, axis, values)] == settle
+    assert [p.xi_settle_iters for p in _run_sweep(config, axis, values)] == settle
 
 
 def test_condition_number_rate_scales_like_square_root():
     values = [0.1, 0.01, 0.001]
     config = _quadratic_config(mode="euclid_nesterov", max_iters=600)
     del config["solvers"][0]["delta_const"]
-    points = run_sweep(config, "condition_number", values)
+    points = _run_sweep(config, "condition_number", values)
     qs = np.array(values)
     errs = np.array([1.0 - p.rate for p in points])
     exponent = np.polyfit(np.log(qs), np.log(errs), 1)[0]
@@ -123,13 +128,28 @@ def test_sweep_point_for_plain_descent_predicts_without_momentum():
     assert point.solver == "rgd"
     assert point.delta_bar == 1.0
     assert math.isnan(point.xi_pred)
-    assert point.pred_rate == 1.0 - config.mu * config.resolved_gamma
+    assert point.pred_rate == 1.0 - config.a
     assert point.xi_settle_iters == 0
     assert 0.0 < point.rate < 1.0
 
 
+def test_plain_descent_pred_rate_is_the_gap_contraction_at_a_short_step():
+    # At gamma = 0.5/L the certified gap contraction 1 - a is 1 - 0.75 mu/L;
+    # the error contraction 1 - mu gamma would read 1 - 0.5 mu/L.
+    from ragd.problems import problem_from_dict
+
+    problem = problem_from_dict(_quadratic_config()["problem"])
+    q = problem.mu / problem.L
+    config = SolverConfig(
+        mode="rgd", mu=problem.mu, L=problem.L, gamma=0.5 / problem.L, max_iters=200
+    )
+    point = sweep_point("gamma", 0.5, problem, config)
+    assert math.isclose(point.pred_rate, 1.0 - 0.75 * q, rel_tol=1e-15)
+    assert point.rate**2 <= point.pred_rate
+
+
 def test_curvature_sweep_rebuilds_manifold():
-    points = run_sweep(_karcher_config(max_iters=150), "curvature", [0.5, 2.0])
+    points = _run_sweep(_karcher_config(max_iters=150), "curvature", [0.5, 2.0])
     assert [p.value for p in points] == [0.5, 2.0]
     assert points[0].delta_bar <= points[1].delta_bar
 
@@ -138,7 +158,7 @@ def test_curvature_sweep_on_a_sphere_rewrites_sigma():
     values = [0.25, 0.5, 1.0]
     cases = build_sweep(_sphere_config(), "curvature", values)
     assert [problem.manifold.sigma for _, problem, _ in cases] == values
-    points = run_sweep(_sphere_config(), "curvature", values)
+    points = _run_sweep(_sphere_config(), "curvature", values)
     assert len({p.rate for p in points}) == len(values)
 
 
@@ -191,19 +211,19 @@ def test_enlarged_rerun_is_certified_on_the_observed_ball(caplog):
 
 def test_sweep_rejects_bad_requests():
     with pytest.raises(DomainError):
-        run_sweep(_quadratic_config(), "step_size", [1.0])
+        _run_sweep(_quadratic_config(), "step_size", [1.0])
     with pytest.raises(DomainError):
-        run_sweep(_quadratic_config(), "gamma", [])
+        _run_sweep(_quadratic_config(), "gamma", [])
     with pytest.raises(MissingDataError):
-        run_sweep({"problem": _quadratic_config()["problem"]}, "gamma", [1.05])
+        _run_sweep({"problem": _quadratic_config()["problem"]}, "gamma", [1.05])
     with pytest.raises(DomainError):
-        run_sweep(_karcher_config(), "condition_number", [0.1])
+        _run_sweep(_karcher_config(), "condition_number", [0.1])
     with pytest.raises(DomainError):
-        run_sweep(_quadratic_config(), "curvature", [1.0])
+        _run_sweep(_quadratic_config(), "curvature", [1.0])
 
 
 def test_write_sweep_csv_round_trips(tmp_path):
-    points = run_sweep(_quadratic_config(max_iters=80), "delta_const", [1.0, 2.0])
+    points = _run_sweep(_quadratic_config(max_iters=80), "delta_const", [1.0, 2.0])
     path = tmp_path / "sweep.csv"
     write_sweep_csv(points, path)
     lines = path.read_text().strip().splitlines()

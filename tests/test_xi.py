@@ -12,9 +12,9 @@ from ragd.xi import (
     next_xi,
     settle_steps,
     step_gain,
-    theta,
     xi_residual,
 )
+from ragd.verify import _theta_check
 
 tol = 1e-12
 
@@ -89,11 +89,12 @@ def test_contraction_factor_flat_form():
 
 
 def test_theta_bounds():
-    # derivative surrogate lies in (0, 1) on the domain it certifies
-    for a in (0.1, 0.3, 0.6):
-        for v in np.linspace(a + 1e-6, 0.999, 50):
-            th = theta(float(v), a)
-            assert 0.0 < th < 1.0
+    # 0 <= theta(v) < 1 - C v, the bound behind the contraction factor, on
+    # the ``ragd verify`` xi suite's check
+    a = np.repeat([0.1, 0.3, 0.6], 50)
+    v = np.concatenate([np.linspace(ai + 1e-6, 0.999, 50) for ai in (0.1, 0.3, 0.6)])
+    check = _theta_check(v, a)
+    assert check["ok"] and check["count"] == 150, check
 
 
 # Reference closed forms, each with its own quadratic formula (next_xi's
