@@ -14,7 +14,9 @@ Reports are plain dictionaries so the CLI can emit them as JSON.
 
 These suites are the one home of every check that the acceptance criteria
 (``tests/test_acceptance.py``) state; each criterion runs the same checks on
-its own pinned data and tolerances:
+its own pinned data, with the suite's tolerances.  A check function takes a
+parameter only where the suite and its criterion pass different values;
+every tolerance and sample size is written once, in this module:
 
 - 01-03 (momentum staircase and limit, fixed points, contraction envelope):
   the ``xi`` suite at seed 3, ``ragd verify --suite xi --seed 3``;
@@ -78,13 +80,26 @@ _STAIRCASE = (0.6625, 0.5748, 0.5360)
 _GEOM_TOL = 1e-9
 _DISTORTION_SLACK = 1e-8
 _XI_SLACK = 1e-12
+# The tolerances of the claim checks; each check's docstring says what it bounds.
+_VANISH_TOL = 1e-12
+_CROSS_TOL = 1e-10
+_RATE_REL_TOL = 0.10
+_GAP_RATIO_MIN = 1e3
+_LOCK_TOL = 1e-10
+_ENTRY_EPS = 1e-3
+_SHRINK_FLOOR = 1e-6
+_SHRINK_MIN_COMPARED = 100
+_FD_TOL = 1e-5
 
 # Sample sizes: points per geometry case, triples per distortion family,
-# xi trajectories, and the steps of each certified run.
+# xi trajectories, the steps of each certified run, and the points and pairs
+# of each gradient audit.
 _GEOMETRY_SAMPLES = 50
 _DISTORTION_TRIPLES = 2000
 _XI_TRIPLES = 100
 _POTENTIAL_STEPS = 300
+_AUDIT_POINTS = 20
+_AUDIT_PAIRS = 40
 
 _GEOMETRY_CHECKS = ("exp-log-roundtrip", "distance-vs-norm", "symmetry", "triangle",
                     "identity")
@@ -275,11 +290,10 @@ def _audit_check(name: str, rep) -> dict:
     return _check(name, rep.residuals - rep.allowed, 0.0)
 
 
-def _flat_family_checks(seed: int, count: int, steps: int,
-                        vanish_tol: float = 1e-12, cross_tol: float = 1e-10) -> list[dict]:
+def _flat_family_checks(seed: int, count: int, steps: int) -> list[dict]:
     """Criterion 04: Nesterov runs on ``count`` random quadratics drawn from
     ``seed`` are certified at every step, and each step's quadratic form has
-    c1-c3 at most ``vanish_tol`` and c4-c6 within ``cross_tol`` of 0."""
+    c1-c3 at most ``_VANISH_TOL`` and c4-c6 within ``_CROSS_TOL`` of 0."""
     rng = rng_from_seed(seed)
     decrease, vanish, cross = [], [], []
     for i in range(count):
@@ -294,17 +308,16 @@ def _flat_family_checks(seed: int, count: int, steps: int,
         cross += np.abs(blocks[:, 3:]).ravel().tolist()
     return [
         _check("flat-family/certified-decrease", decrease, 0.0),
-        _check("flat-family/vanishing-coefficients", vanish, vanish_tol),
-        _check("flat-family/cross-coefficients", cross, cross_tol),
+        _check("flat-family/vanishing-coefficients", vanish, _VANISH_TOL),
+        _check("flat-family/cross-coefficients", cross, _CROSS_TOL),
     ]
 
 
-def _flat_rate_checks(seed: int, rate_rel_tol: float = 0.10,
-                      gap_ratio_min: float = 1e3) -> list[dict]:
+def _flat_rate_checks(seed: int) -> list[dict]:
     """Criterion 06: on a quadratic with L/mu = 100, the fitted error rates
     of Nesterov's method and of gradient descent at gamma = 1/L are within
-    ``rate_rel_tol`` of log(1 - sqrt(mu/L)) and log(1 - mu/L), and at step
-    300 the descent's gap is ``gap_ratio_min`` times Nesterov's or more."""
+    ``_RATE_REL_TOL`` of log(1 - sqrt(mu/L)) and log(1 - mu/L), and at step
+    300 the descent's gap is ``_GAP_RATIO_MIN`` times Nesterov's or more."""
     prob = make_quadratic(30, 1.0, 100.0, seed=seed, center=np.zeros(30))
     gaps, errors = [], []
     for mode, target in (("euclid_nesterov", math.log(1.0 - math.sqrt(0.01))),
@@ -313,15 +326,15 @@ def _flat_rate_checks(seed: int, rate_rel_tol: float = 0.10,
         gaps.append(run(prob, cfg).column("f_gap"))
         errors.append(abs(estimate_rate(gaps[-1]).slope / 2.0 - target) / abs(target))
     return [
-        _check("flat-rates/rate-vs-theory", errors, rate_rel_tol),
-        _check("flat-rates/rgd-gap-ratio", [gap_ratio_min * gaps[0][300] - gaps[1][300]], 0.0),
+        _check("flat-rates/rate-vs-theory", errors, _RATE_REL_TOL),
+        _check("flat-rates/rgd-gap-ratio", [_GAP_RATIO_MIN * gaps[0][300] - gaps[1][300]], 0.0),
     ]
 
 
-def _momentum_lock_checks(seed: int, lock_tol: float = 1e-10) -> list[dict]:
+def _momentum_lock_checks(seed: int) -> list[dict]:
     """Criterion 07: ``ragd_constant_delta`` on a tight hyperbolic barycenter
     with L inflated five-fold, delta = 1 + 0.2 sqrt(mu/L) and xi0 = xi(delta):
-    xi stays within ``lock_tol`` of xi(delta) >= 0.9 sqrt(mu/L), every
+    xi stays within ``_LOCK_TOL`` of xi(delta) >= 0.9 sqrt(mu/L), every
     distortion rate is at most delta, and every gradient step decreases f."""
     base = random_karcher(Hyperbolic(6, kappa=1.0), 5, 0.02, seed=seed)
     prob = dataclasses.replace(base, L=5.0 * base.L)
@@ -332,7 +345,7 @@ def _momentum_lock_checks(seed: int, lock_tol: float = 1e-10) -> list[dict]:
                            delta_const=delta)
     rates = [t_kappa(1.0, d) for d in tr.column("d_xz").tolist()]
     return [
-        _check("constant-delta/xi-lock", np.abs(tr.column("xi") - star), lock_tol),
+        _check("constant-delta/xi-lock", np.abs(tr.column("xi") - star), _LOCK_TOL),
         _check("constant-delta/lock-level", [0.9 * math.sqrt(q) - star], 0.0),
         _check("constant-delta/distortion-rate", np.array(rates) - delta, 0.0),
         _audit_check("constant-delta/gradient-decrease", gradient_step_audit(tr, prob)),
@@ -353,13 +366,13 @@ def _long_step_run(karcher_seed: int, start_seed: int) -> tuple:
                                  gamma=1.05 / prob.L)
 
 
-def _entry_threshold_checks(prob, cfg: SolverConfig, tr, eps: float = 1e-3) -> list[dict]:
-    """Criterion 08: xi comes within ``eps`` of sqrt(a) no later than
+def _entry_threshold_checks(prob, cfg: SolverConfig, tr) -> list[dict]:
+    """Criterion 08: xi comes within ``_ENTRY_EPS`` of sqrt(a) no later than
     :func:`~ragd.potential.acceleration_threshold` says, and stays above a."""
     xi = tr.column("xi")[1:]
     threshold = acceleration_threshold(prob.mu, prob.L, cfg.resolved_gamma, prob.manifold.kappa,
-                                       float(tr.column("potential")[0]), eps=eps)
-    entered = np.nonzero(xi >= math.sqrt(cfg.a) - eps)[0]
+                                       float(tr.column("potential")[0]), eps=_ENTRY_EPS)
+    entered = np.nonzero(xi >= math.sqrt(cfg.a) - _ENTRY_EPS)[0]
     first = int(entered[0]) + 1 if entered.size else math.inf
     return [
         _check("long-step/entry-threshold", [first - threshold], 0.0),
@@ -367,15 +380,15 @@ def _entry_threshold_checks(prob, cfg: SolverConfig, tr, eps: float = 1e-3) -> l
     ]
 
 
-def _shrink_checks(prob, tr, floor: float = 1e-6, min_compared: int = 100) -> list[dict]:
+def _shrink_checks(prob, tr) -> list[dict]:
     """Criterion 11: every bound of :func:`~ragd.potential.shrink_bounds`
-    holds where it is at least ``floor``, on ``min_compared`` rows or more."""
-    reports = shrink_bounds(tr, prob, floor=floor)
+    holds where it is at least ``_SHRINK_FLOOR``, on ``_SHRINK_MIN_COMPARED`` rows or more."""
+    reports = shrink_bounds(tr, prob, floor=_SHRINK_FLOOR)
     compared = sum(r.compared for r in reports)
     return [
         _check("long-step/shrink-bounds",
                np.concatenate([r.residuals - r.allowed for r in reports]), 0.0),
-        _check("long-step/shrink-compared", [min_compared - compared], 0.0),
+        _check("long-step/shrink-compared", [_SHRINK_MIN_COMPARED - compared], 0.0),
     ]
 
 
@@ -409,18 +422,17 @@ def _step_audit_checks(cases: list[tuple]) -> list[dict]:
     return checks
 
 
-def _gradient_checks(prob, seed: int, n_points: int = 20, n_pairs: int = 40,
-                     fd_tol: float = 1e-5) -> list[dict]:
+def _gradient_checks(prob, seed: int) -> list[dict]:
     """Audit of a problem's callables at points drawn inside its certified
-    ball: directional derivatives against central differences, and the
-    two-point strong convexity and smoothness of the declared (mu, L) over
-    random pairs, relative to 1 + |f(x)| + |f(y)| + d**2 and allowed 1e-8."""
+    ball: directional derivatives within ``_FD_TOL`` of central differences,
+    and the two-point strong convexity and smoothness of the declared (mu, L)
+    over random pairs, relative to 1 + |f(x)| + |f(y)| + d**2 and allowed 1e-8."""
     m, ref, h = prob.manifold, prob.reference, 1e-5
     rng = rng_from_seed(seed)
     radius = prob.certified_radius
     if not math.isfinite(radius):
         radius = 1.0 + 2.0 * m.distance(prob.start, ref)
-    samples = [m.random_point(rng, ref, radius) for _ in range(n_points)]
+    samples = [m.random_point(rng, ref, radius) for _ in range(_AUDIT_POINTS)]
     fd = []
     for x in samples:
         v = m.random_tangent(rng, x, 1.0)
@@ -429,8 +441,8 @@ def _gradient_checks(prob, seed: int, n_points: int = 20, n_pairs: int = 40,
         diff = (prob.value(m.exp(x, h * v)) - prob.value(m.exp(x, (-h) * v))) / (2.0 * h)
         fd.append(abs(diff - exact) / (1.0 + abs(exact)))
     defects = []
-    for _ in range(n_pairs):
-        x, y = (samples[int(rng.integers(n_points))] for _ in range(2))
+    for _ in range(_AUDIT_PAIRS):
+        x, y = (samples[int(rng.integers(_AUDIT_POINTS))] for _ in range(2))
         d, fx, fy = m.distance(x, y), prob.value(x), prob.value(y)
         lin = fx + m.inner(x, prob.grad(x), m.log(x, y))
         scale = 1.0 + abs(fx) + abs(fy) + d * d
@@ -439,13 +451,15 @@ def _gradient_checks(prob, seed: int, n_points: int = 20, n_pairs: int = 40,
     convexity, smoothness = np.array(defects).reshape(-1, 2).T
     name = f"gradient-audit/{prob.name}"
     return [
-        _check(f"{name}/fd-gradient", fd, fd_tol),
+        _check(f"{name}/fd-gradient", fd, _FD_TOL),
         _check(f"{name}/strong-convexity", convexity, 1e-8),
         _check(f"{name}/smoothness", smoothness, 1e-8),
     ]
 
 
-def _potential_checks(seed: int) -> list[dict]:
+def _certified_run_checks(seed: int) -> list[dict]:
+    """The suite's certified runs: a quadratic, and the curved runs whose
+    builder criterion 05 certifies."""
     checks: list[dict] = []
     runs = [
         ("quadratic", *_certified_quadratic(seed, _POTENTIAL_STEPS)),
@@ -461,6 +475,11 @@ def _potential_checks(seed: int) -> list[dict]:
             checks.append(_audit_check(f"{label}/{check}", audit(tr, prob)))
     _, prob, tr = runs[0]
     checks.append(_audit_check("quadratic/coefficient-form", quadratic_form_audit(tr, prob)))
+    return checks
+
+
+def _potential_checks(seed: int) -> list[dict]:
+    checks = _certified_run_checks(seed)
     prob, cfg, tr = _long_step_run(seed, seed)
     cases = _step_audit_cases(seed, seed, seed + 100, seed)
     checks += [

@@ -6,8 +6,8 @@ per-step potential certificates in flat and curved space, the measured
 convergence rates, the constant-rate momentum lock, the acceleration
 entry threshold, the distortion inequality families, the step-identity
 audits, and the distance-shrinking bounds.  Every criterion runs the checks
-of ``ragd verify`` on its own pinned data and tolerances; the module
-docstring of ``ragd.verify`` maps each criterion to its suite and checks.
+of ``ragd verify`` on its own pinned data, with the suite's tolerances; the
+module docstring of ``ragd.verify`` maps each criterion to its suite and checks.
 """
 
 import logging
@@ -28,13 +28,6 @@ from ragd.verify import (
     _step_audit_checks,
     run_suite,
 )
-
-VANISH_TOL = 1e-12
-CROSS_TOL = 1e-10
-RATE_REL_TOL = 0.10
-GAP_RATIO_MIN = 1e3
-LOCK_TOL = 1e-10
-SHRINK_FLOOR = 1e-6
 
 logging.getLogger("ragd.solvers").setLevel(logging.ERROR)
 
@@ -72,8 +65,7 @@ def test_criterion_03_momentum_contraction_envelope(xi_checks):
 
 
 def test_criterion_04_flat_certificates_across_quadratics():
-    checks = _flat_family_checks(4, 50, 500, vanish_tol=VANISH_TOL, cross_tol=CROSS_TOL)
-    assert not _failed(checks)
+    assert not _failed(_flat_family_checks(4, 50, 500))
 
 
 def test_criterion_05_curved_certificates_across_instances():
@@ -85,18 +77,17 @@ def test_criterion_05_curved_certificates_across_instances():
 
 
 def test_criterion_06_flat_rates_match_theory():
-    checks = _flat_rate_checks(1, rate_rel_tol=RATE_REL_TOL, gap_ratio_min=GAP_RATIO_MIN)
-    assert not _failed(checks)
+    assert not _failed(_flat_rate_checks(1))
 
 
 def test_criterion_07_constant_rate_momentum_lock():
-    assert not _failed(_momentum_lock_checks(7, lock_tol=LOCK_TOL))
+    assert not _failed(_momentum_lock_checks(7))
 
 
 def test_criterion_08_acceleration_entry_threshold(long_step_run):
     prob, _, _ = long_step_run
     assert 4.5 <= prob.L <= 5.5
-    assert not _failed(_entry_threshold_checks(*long_step_run, eps=1e-3))
+    assert not _failed(_entry_threshold_checks(*long_step_run))
 
 
 def test_criterion_09_distortion_inequality_families():
@@ -109,6 +100,4 @@ def test_criterion_10_step_identity_audits():
 
 
 def test_criterion_11_distance_shrinking_bounds(long_step_run):
-    prob, _, trace = long_step_run
-    checks = _shrink_checks(prob, trace, floor=SHRINK_FLOOR, min_compared=100)
-    assert not _failed(checks)
+    assert not _failed(_shrink_checks(*long_step_run[::2]))

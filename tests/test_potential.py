@@ -25,13 +25,13 @@ from ragd.potential import (
     trace_coefficient_blocks,
 )
 from ragd.problems import make_quadratic, oracle_optimum, random_karcher, random_sphere_mean
-from ragd.solvers import SolverConfig, normalized_potential, run, step_params
+from ragd.solvers import _ROW_BLOCK, SolverConfig, normalized_potential, run, step_params
 from ragd.trace import NOISE_FLOOR, TRACE_COLUMNS, ConvergenceTrace
-from ragd.verify import _certified_karcher, _certified_quadratic
+from ragd.verify import (
+    _CROSS_TOL, _SHRINK_FLOOR, _SHRINK_MIN_COMPARED, _VANISH_TOL, _certified_karcher,
+    _certified_quadratic,
+)
 from ragd.xi import XiParams, next_xi
-
-VANISH_TOL = 1e-12
-BLOCK_TOL = 1e-10
 
 logging.getLogger("ragd.solvers").setLevel(logging.ERROR)
 
@@ -73,7 +73,7 @@ def test_coefficient_block_vanishes_on_consistent_momentum(delta):
     blocks = trace_coefficient_blocks(_momentum_trace([xi_t, xi_n], [1.0, delta]))
     assert blocks.shape == (1, 6)
     assert blocks[0, 0] < 0.0
-    assert np.all(np.abs(blocks[0, 1:]) <= VANISH_TOL)
+    assert np.all(np.abs(blocks[0, 1:]) <= _VANISH_TOL)
 
 
 def test_coefficient_block_rejects_bad_rate():
@@ -93,8 +93,8 @@ def test_trace_coefficient_blocks_structure():
     prob, trace = _flat_run()
     blocks = trace_coefficient_blocks(trace)
     assert blocks.shape == (trace.n_iters, 6)
-    assert np.all(blocks[:, :3] <= VANISH_TOL)
-    assert np.all(np.abs(blocks[:, 3:]) <= BLOCK_TOL)
+    assert np.all(blocks[:, :3] <= _VANISH_TOL)
+    assert np.all(np.abs(blocks[:, 3:]) <= _CROSS_TOL)
 
 
 def test_certify_flat_run_clean():
@@ -375,10 +375,11 @@ def _reference_shrink_distances(trace, prob):
     }
 
 
-def _audited_run(case):
-    """A 200-step run in the long-step regime, so every step hypothesis of
-    the shrink bounds can hold."""
-    if case == "flat":
+def _audited_run(case, steps=200):
+    """A run at the default step size: in the long-step regime for ``ragd``, so
+    every step hypothesis of the shrink bounds can hold; ``flat-nesterov`` runs
+    the flat problem in Nesterov's mode."""
+    if case.startswith("flat"):
         prob = make_quadratic(20, 1.0, 50.0, seed=10)
     elif case == "sphere":
         prob = random_sphere_mean(Sphere(7), 6, 0.3, seed=11)
@@ -387,10 +388,10 @@ def _audited_run(case):
         prob = random_karcher(manifold, 6, 1.2, seed=seed)
     oracle_optimum(prob)
     config = SolverConfig(
-        mode="rgd" if case == "hyperbolic-rgd" else "ragd",
+        mode={"hyperbolic-rgd": "rgd", "flat-nesterov": "euclid_nesterov"}.get(case, "ragd"),
         mu=prob.mu,
         L=prob.L,
-        max_iters=200,
+        max_iters=steps,
         record_diagnostics=True,
     )
     return prob, run(prob, config)
@@ -526,11 +527,16 @@ def test_certify_and_envelope_match_replay_reference(case):
     assert np.array_equal(envelope.allowed, allowed)
 
 
-@pytest.mark.parametrize("case", ["flat", "hyperbolic", "spd", "sphere"])
-def test_trace_bookkeeping_matches_single_pair_recompute(case):
+@pytest.mark.parametrize(("case", "steps"), [
+    *[pytest.param(case, 200, id=case) for case in ("flat", "hyperbolic", "spd", "sphere")],
+    # two full row blocks and a one-row block
+    *[pytest.param(case, 2 * _ROW_BLOCK, id=f"{case}-one-row-block")
+      for case in ("flat-nesterov", "hyperbolic", "spd", "sphere")],
+])
+def test_trace_bookkeeping_matches_single_pair_recompute(case, steps):
     # The certifier trusts these columns; they must be what the stored
     # iterates give, one pair at a time.
-    prob, trace = _audited_run(case)
+    prob, trace = _audited_run(case, steps)
     for name, want in _bookkeeping_columns(trace, prob).items():
         assert np.array_equal(trace.column(name), want, equal_nan=True), name
 
@@ -547,7 +553,7 @@ def test_shrink_constant_domain():
 
 def test_shrink_bounds_hold_along_run():
     prob, trace = _curved_run()
-    reports = shrink_bounds(trace, prob, floor=1e-6)
+    reports = shrink_bounds(trace, prob, floor=_SHRINK_FLOOR)
     assert [r.name for r in reports] == ["proj_z_opt", "d_y_opt", "proj_yz", "d_yz", "d_xz"]
     n_rows = trace.rows.shape[0]
     assert all(r.residuals.shape == r.allowed.shape == (n_rows,) for r in reports)
@@ -557,7 +563,7 @@ def test_shrink_bounds_hold_along_run():
     )
     assert sum(r.violations for r in reports) == 0
     compared = sum(r.compared for r in reports)
-    assert compared > 100
+    assert compared > _SHRINK_MIN_COMPARED
     assert compared < 5 * n_rows
 
 

@@ -654,39 +654,6 @@ def test_far_field_divergence_ends_in_a_typed_error(tmp_path, caplog):
                for r in caplog.records)
 
 
-@pytest.mark.parametrize("kind", ["flat", "spd", "hyperbolic", "sphere"])
-def test_trace_only_columns_match_row_by_row_reference(kind):
-    # 2 * _ROW_BLOCK + 1 rows: two full blocks and a one-row block.
-    if kind == "flat":
-        problem, mode = make_quadratic(12, 1.0, 50.0, seed=7), "euclid_nesterov"
-    else:
-        if kind == "spd":
-            problem = random_karcher(SPD(3), 5, 1.5, seed=13)
-        elif kind == "hyperbolic":
-            problem = random_karcher(Hyperbolic(5, kappa=1.0), 6, 2.0, seed=11)
-        else:
-            problem = random_sphere_mean(Sphere(4), 6, 0.3, seed=17)
-        mode = "ragd"
-        oracle_optimum(problem)
-    config = SolverConfig(
-        mode=mode,
-        mu=problem.mu,
-        L=problem.L,
-        max_iters=2 * _ROW_BLOCK,
-        record_diagnostics=True,
-    )
-    trace = run(problem, config)
-    m, opt, d = problem.manifold, problem.optimum, trace.diagnostics
-    assert trace.rows.shape[0] == 2 * _ROW_BLOCK + 1
-    d_yopt, phi = [], []
-    for x, y, z, xi in zip(d.points_x, d.points_y, d.points_z, trace.column("xi")):
-        gap = problem.value(y) - problem.optimum_value
-        d_yopt.append(m.distance(y, opt))
-        phi.append(gap + xi * xi / (4.0 * config.delta_gamma) * m.projected_distance(x, z, opt) ** 2)
-    assert np.array_equal(trace.column("d_yopt"), d_yopt)
-    assert np.array_equal(trace.column("potential"), phi)
-
-
 def test_first_excursion_in_a_later_block_warns_at_its_step(caplog):
     # A slow gradient run from a far start drifts steadily out of a ball
     # around that start; the radius puts the first excursion in the second

@@ -73,7 +73,8 @@ def test_fixed_point_solves_recursion():
 
 def test_contraction_envelope():
     # The envelope itself is the ``xi`` suite's contraction-envelope check,
-    # run at seeds 0-2 by tests/test_verify.py and at seed 3 by criterion 03;
+    # run at seeds 0-2 by tests/test_verify.py (seed 2 in its seed-dependence
+    # test), at seeds 0-2 by CI through the CLI, and at seed 3 by criterion 03;
     # here the factor it contracts by lies in (0, 1).
     rng = np.random.default_rng(1)
     for _ in range(100):
