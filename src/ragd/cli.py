@@ -34,7 +34,7 @@ from .sweep import (
     SWEEP_AXES, _predicted_rate, build_sweep, problem_description, run_enlarging,
     solver_config, solver_entries, sweep_point, write_sweep_csv,
 )
-from .trace import estimate_rate
+from .trace import _strict_json, estimate_rate
 from .verify import VERIFY_SUITES, run_suite
 from .xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi, xi_residual
 
@@ -162,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> Execute:
 
     def execute() -> int:
         report = run_suite(args.suite, args.seed)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_strict_json(report, indent=2))
         return EXIT_OK if report["ok"] else EXIT_VIOLATION
 
     return execute

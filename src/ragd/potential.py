@@ -18,8 +18,8 @@ an exact restatement that never overflows.
 
 The per-step inequality itself reduces to a six-coefficient quadratic
 form in (gradient, displacement) being non-positive; with the scheme's
-parameter choices five of the coefficients vanish identically and the
-first is negative.  :func:`trace_coefficient_blocks` returns them, one
+parameter choices five of the coefficients vanish (the three gradient ones
+identically) and the first is negative.  :func:`trace_coefficient_blocks` returns them, one
 row per step, for direct numerical inspection.
 
 The certifier, the rate envelope and the quadratic-form audit certify the
@@ -28,7 +28,8 @@ run as recorded, from the ``xi``, ``f_gap``, ``potential`` and
 through the same float kernels reproduces those columns bit for bit, so
 none is re-evaluated; an independent replay needs higher precision
 (ROADMAP.md, item 3, step 2).  What the columns lack, the step audits and
-the shrink bounds evaluate from the stored iterates in array form: f in
+the shrink bounds evaluate in array form from the trace's one list of kept
+``(x_t, y_t, z_t)`` rows (``record_diagnostics``): f in
 one ``Problem.values`` call, and logarithms, norms and distances in the
 stacked kernels with one base per row, which round as the single-pair
 methods do.
@@ -105,7 +106,10 @@ def trace_coefficient_blocks(trace: ConvergenceTrace) -> np.ndarray:
     d(x+, x*)**2, |grad|**2, pd_next * d_prev, pd_prev * d_prev, the
     gradient-displacement cross term).  With the scheme's parameter choices
     c2 through c6 vanish and c1 is non-positive, which is exactly what makes
-    the potential non-increasing.  Uses the normalized weights A_t = 1, so
+    the potential non-increasing.  The gradient coefficients c3, c5 and c6
+    are 0 for every xi, mode and rate, by the algebra of eta = 2 Delta /
+    xi_{t+1}, b_next and a_next; c2 and c4 are 0 whenever xi follows the
+    momentum recursion.  Uses the normalized weights A_t = 1, so
     coefficient magnitudes stay bounded regardless of run length; the
     step's distortion rate (1 in flat space) divides the incoming distance
     weight and must be at least 1.
@@ -220,23 +224,20 @@ class StepAuditReport:
         return self.violations == 0
 
 
-def _require_full_diagnostics(trace: ConvergenceTrace) -> None:
+def _kept_rows(trace: ConvergenceTrace, problem: Problem | None = None) -> tuple:
+    """The kept iterates ``(xs, ys, zs)``, one entry per trace row.  Given
+    ``problem``, the analysis also needs a potential: an accelerated solver
+    and a known optimum."""
     if trace.diagnostics is None:
         raise MissingDataError("trace has no diagnostics; rerun with record_diagnostics")
-    d = trace.diagnostics
-    n_rows = trace.rows.shape[0]
-    if not (len(d.points_x) == len(d.points_y) == len(d.points_z) == n_rows):
+    if len(trace.diagnostics) != trace.rows.shape[0]:
         raise MissingDataError("diagnostics do not cover every trace row")
-
-
-def _require_potential_inputs(trace: ConvergenceTrace, problem: Problem) -> None:
-    """Preamble of the analyses that replay the stored iterates: full
-    diagnostics, an accelerated solver and a known optimum."""
-    _require_full_diagnostics(trace)
-    if trace.meta.get("solver") == "rgd":
-        raise MissingDataError("plain gradient descent has no potential certificate")
-    if problem.optimum is None:
-        raise MissingDataError("problem has no optimum; call oracle_optimum first")
+    if problem is not None:
+        if trace.meta.get("solver") == "rgd":
+            raise MissingDataError("plain gradient descent has no potential certificate")
+        if problem.optimum is None:
+            raise MissingDataError("problem has no optimum; call oracle_optimum first")
+    return tuple(zip(*trace.diagnostics))
 
 
 def _recorded_potential(trace: ConvergenceTrace) -> np.ndarray:
@@ -269,17 +270,17 @@ def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAudit
     six-coefficient quadratic form in W = z_t - x_{t+1},
     X = x_{t+1} - x_*, and the gradient at x_{t+1}.  Both sides are
     evaluated per unit of the weight A_t, so the comparison stays finite
-    on long runs.  Euclidean only.
+    on long runs.  Euclidean only.  The gradient terms' coefficients vanish
+    identically (:func:`trace_coefficient_blocks`): a wrong gradient is unseen.
     """
     if not isinstance(problem.manifold, Euclidean):
         raise DomainError("the quadratic-form audit applies to flat runs only")
-    _require_potential_inputs(trace, problem)
+    xs, _, zs = _kept_rows(trace, problem)
     phi = _recorded_potential(trace)
-    d = trace.diagnostics
     c = trace_coefficient_blocks(trace).T
-    us = d.points_x[1:]
+    us = xs[1:]
     u = problem.manifold._base_coords(us)
-    w = problem.manifold._base_coords(d.points_z[:-1]) - u
+    w = problem.manifold._base_coords(zs[:-1]) - u
     x_vec = u - problem.optimum.coords
     g = _grads(problem, us)
     form = (
@@ -302,13 +303,12 @@ def gradient_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditR
     with Delta = gamma * (1 - L * gamma / 2); base is x_{t+1} for the
     accelerated modes and y_t for plain gradient descent.
     """
-    _require_full_diagnostics(trace)
-    d = trace.diagnostics
-    bases = d.points_y[:-1] if trace.meta.get("solver") == "rgd" else d.points_x[1:]
+    xs, ys, _ = _kept_rows(trace)
+    bases = ys[:-1] if trace.meta.get("solver") == "rgd" else xs[1:]
     f_base = problem.values(bases)
     grad_norms = problem.manifold._norm_many(bases, _grads(problem, bases))
     decrease = float(trace.meta["delta_gamma"]) * libm_squares(grad_norms)
-    residuals = (problem.values(d.points_y[1:]) - f_base) + decrease
+    residuals = (problem.values(ys[1:]) - f_base) + decrease
     allowed = CERT_TOL * ((1.0 + np.abs(f_base)) + decrease)
     return StepAuditReport("gradient_step", residuals, allowed)
 
@@ -324,13 +324,12 @@ def mirror_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditRep
 
     identically; the audit recomputes both sides from the stored points.
     """
-    _require_potential_inputs(trace, problem)
-    d = trace.diagnostics
+    xs, _, zs = _kept_rows(trace, problem)
     m = problem.manifold
     _, beta, s = _step_params(trace).T
-    us = d.points_x[1:]
+    us = xs[1:]
     bases = m._prepare_bases(us)
-    zs = m._base_coords(d.points_z)
+    zs = m._base_coords(zs)
     v = beta.reshape((-1,) + (1,) * (zs.ndim - 1)) * m._log_many(bases, zs[:-1])
     lo = m._log_many(bases, np.broadcast_to(problem.optimum.coords, zs[1:].shape))
     g = _grads(problem, us)
@@ -406,19 +405,18 @@ def shrink_bounds(
     ``floor``: below that the theoretical envelope has decayed beneath
     what float distances can resolve.
     """
-    _require_potential_inputs(trace, problem)
-    d = trace.diagnostics
+    xs, ys, zs = _kept_rows(trace, problem)
     m = problem.manifold
     opt = problem.optimum
     mu, L, gamma = (float(trace.meta[k]) for k in ("mu", "L", "gamma"))
     _, a, s_opt, s_proj, s_grad, den = _shrink_scales(mu, L, gamma)
     c_shrink = shrink_constant(mu, L, gamma) if gamma * L > 1.0 else math.inf
-    xs = m._prepare_bases(d.points_x)
-    y, z = m._base_coords(d.points_y), m._base_coords(d.points_z)
+    xs = m._prepare_bases(xs)
+    y, z = m._base_coords(ys), m._base_coords(zs)
     xis = trace.column("xi")
     pd = m._projected_distances(xs, z, opt)
     # D0 from the problem's optimum value, not the recorded potential column
-    gap0 = problem.values(d.points_y[:1]) - problem.optimum_value
+    gap0 = problem.values(ys[:1]) - problem.optimum_value
     phi0 = normalized_potential(gap0, xis[:1], pd[:1], float(trace.meta["delta_gamma"]))[0]
     roots = np.sqrt(phi0 * _weight_decay(xis)) if phi0 > 0.0 else np.zeros_like(xis)
     # hypotheses of the step leaving row t, at xi_{t+1}; the last row has none

@@ -50,8 +50,9 @@ trace-only.  It is computed after every block of
 NonFiniteError of a non-finite f(y_t), surfaces at the end of its block,
 not at its step.  On the sphere the containment check stays in the loop
 and raises at its step.
-Without diagnostics a run holds the iterates of at most one block, so its
-memory grows with the step count only by the trace rows.
+With ``record_diagnostics`` each finished block extends the trace's one list
+of ``(x_t, y_t, z_t)`` rows; without it a run holds the iterates of at most
+one block, so its memory grows with the step count only by the trace rows.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from ._scalars import libm_squares
 from .distortion import valid_rate_hadamard, valid_rate_nonhadamard
 from .errors import DomainError, NonFiniteError, RuntimeContainmentError
 from .geometry import Euclidean, Manifold, ManifoldPoint, TangentVector
-from .trace import ConvergenceTrace, TraceDiagnostics
+from .trace import ConvergenceTrace
 from .xi import XiParams, next_xi, step_gain
 from . import __version__ as _VERSION
 from .problems import Problem
@@ -350,7 +351,7 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
     xi = config.resolved_xi0 if accelerated else a
 
     rows = np.full((n_steps + 1, 9), math.nan)
-    diag = TraceDiagnostics() if config.record_diagnostics else None
+    kept: list[tuple[ManifoldPoint, ...]] | None = [] if config.record_diagnostics else None
     containment = (
         _Containment(problem) if math.isfinite(problem.certified_radius) else None
     )
@@ -361,10 +362,6 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
     for t in range(n_steps + 1):
         rows[t, :4] = (t, math.nan, xi, delta_rate)
         block.append((x, y, z))
-        if diag is not None:
-            diag.points_x.append(x)
-            diag.points_y.append(y)
-            diag.points_z.append(z)
         if len(block) == _ROW_BLOCK or t == n_steps:
             _finish_rows(
                 problem,
@@ -374,6 +371,8 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
                 delta_gamma if accelerated else None,
                 containment,
             )
+            if kept is not None:
+                kept += block
             block = []
         if t == n_steps:
             break
@@ -419,4 +418,4 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
     }
     if config.mode == "ragd_constant_delta":
         meta["delta_const"] = config.delta_const
-    return ConvergenceTrace(rows=rows, meta=meta, diagnostics=diag)
+    return ConvergenceTrace(rows=rows, meta=meta, diagnostics=kept)

@@ -7,14 +7,18 @@ header row is exactly
     t,f_gap,xi,delta_rate,d_xz,d_yz,d_yopt,potential,decrease_margin
 
 Floats are written with ``repr``, which round-trips exactly, so a given
-(config, seed) pair produces byte-identical files.
+(config, seed) pair produces byte-identical files.  The JSON export is
+RFC 8259 JSON: a NaN or infinite number, such as the last row's
+``decrease_margin``, is written as ``null``.  A run made with
+``record_diagnostics`` also keeps one list of its T+1 ``(x_t, y_t, z_t)``
+rows, which the step audits and the shrink bounds read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -24,7 +28,6 @@ from .geometry import ManifoldPoint
 
 __all__ = [
     "TRACE_COLUMNS",
-    "TraceDiagnostics",
     "ConvergenceTrace",
     "RateEstimate",
     "estimate_rate",
@@ -48,29 +51,26 @@ NOISE_FLOOR = 100.0 * np.finfo(float).eps
 out of rate fits, and rate-envelope rows below it are not compared."""
 
 
-@dataclass
-class TraceDiagnostics:
-    """Full per-iteration state, kept only when requested.
-
-    Needed by the step audits and the distance-shrinking report; the
-    certifier and the rate envelope read only the rows.
-    It holds three points per row; without it ``solvers.run`` keeps the
-    iterates of at most one block of rows, so a long run's memory grows
-    only by its (T+1, 9) rows.
-    """
-
-    points_x: list[ManifoldPoint] = field(default_factory=list)
-    points_y: list[ManifoldPoint] = field(default_factory=list)
-    points_z: list[ManifoldPoint] = field(default_factory=list)
+def _strict_json(obj, indent: int) -> str:
+    """``obj`` as RFC 8259 JSON with sorted keys: every NaN or infinite
+    float, also inside dicts and lists, is written as ``null``."""
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        return [finite(x) for x in v] if isinstance(v, (list, tuple)) else v
+    return json.dumps(finite(obj), indent=indent, sort_keys=True, allow_nan=False)
 
 
 @dataclass
 class ConvergenceTrace:
-    """One solver run: a (T+1, 9) array of rows plus metadata."""
+    """One solver run: a (T+1, 9) array of rows plus metadata, and the
+    ``(x_t, y_t, z_t)`` row of every iterate when the run kept them."""
 
     rows: np.ndarray
     meta: dict
-    diagnostics: TraceDiagnostics | None = None
+    diagnostics: list[tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint]] | None = None
 
     @property
     def n_iters(self) -> int:
@@ -113,8 +113,7 @@ class ConvergenceTrace:
         }
 
     def write_json(self, fh: IO[str]) -> None:
-        json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(_strict_json(self.to_json_dict(), indent=1) + "\n")
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,8 @@ def _flat_family_checks(seed: int, count: int, steps: int) -> list[dict]:
         q = float(rng.uniform(1e-3, 1.0))
         big = float(rng.uniform(1.0, 100.0))
         prob = make_quadratic(dim, q * big, big, seed=1000 + i, center=np.zeros(dim))
-        _, tr = _diagnosed_run(prob, "euclid_nesterov", steps)
+        tr = run(prob, SolverConfig(mode="euclid_nesterov", mu=prob.mu, L=prob.L,
+                                    max_iters=steps))
         decrease += _certified_decrease(certify_trace(tr, prob))
         blocks = trace_coefficient_blocks(tr)
         vanish += blocks[:, :3].ravel().tolist()

@@ -98,7 +98,10 @@ def test_run_emit_both_writes_json(tmp_path):
     cfg = _write_config(tmp_path, emit="both", solvers=[{"mode": "rgd"}])
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
-    payload = json.loads((out / "quadratic-d8_rgd.json").read_text())
+    text = (out / "quadratic-d8_rgd.json").read_text()
+    # RFC 8259 JSON: rgd's xi0, potential and last margin are written as null
+    payload = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+    assert payload["meta"]["xi0"] is None and payload["rows"][-1][-1] is None
     assert payload["meta"]["solver"] == "rgd"
     assert payload["meta"]["config_hash"]
     assert "f_gap" in payload["columns"]

@@ -129,7 +129,8 @@ def test_certify_detects_corrupted_iterate():
     report = certify_trace(spoiled, prob)
     assert [r.t for r in report.records if not r.ok] == [39, 40]
     m = prob.manifold
-    trace.diagnostics.points_y[40] = m.point(trace.diagnostics.points_y[40].coords + 5.0)
+    x, y, z = trace.diagnostics[40]
+    trace.diagnostics[40] = (x, m.point(y.coords + 5.0), z)
     _assert_same_records(certify_trace(trace, prob), _record_columns(clean))
     recomputed = _bookkeeping_columns(trace, prob)
     for name in ("f_gap", "d_yopt", "potential"):
@@ -182,9 +183,15 @@ def test_shrink_bounds_rejects_plain_gradient_descent():
 def test_audits_name_the_input_they_miss():
     prob, trace = _flat_run()
     _, bare = _flat_run(diagnostics=False)
+    # one kept row missing, and one too many
+    short = dataclasses.replace(trace, diagnostics=trace.diagnostics[:-1])
+    extra = dataclasses.replace(trace, diagnostics=trace.diagnostics + trace.diagnostics[-1:])
     for audit in (gradient_step_audit, mirror_step_audit, quadratic_form_audit, shrink_bounds):
         with pytest.raises(MissingDataError, match="trace has no diagnostics"):
             audit(bare, prob)
+        for uneven in (short, extra):
+            with pytest.raises(MissingDataError, match="do not cover every trace row"):
+                audit(uneven, prob)
     unknown = dataclasses.replace(prob, optimum=None)
     for audit in (mirror_step_audit, quadratic_form_audit, shrink_bounds):
         with pytest.raises(MissingDataError, match="problem has no optimum"):
@@ -293,12 +300,12 @@ def test_checks_evaluate_the_objective_at_counted_rows(monkeypatch, check, n_row
 
 def _reference_rate_envelope(trace, prob, floor):
     """The envelope check row by row, with the skip floor given explicitly."""
-    d = trace.diagnostics
+    xs, ys, zs = zip(*trace.diagnostics)
     m = prob.manifold
     xis = trace.column("xi")
     delta_gamma = trace.meta["delta_gamma"]
-    pd0 = m.projected_distance(d.points_x[0], d.points_z[0], prob.optimum)
-    gap0 = prob.value(d.points_y[0]) - prob.optimum_value
+    pd0 = m.projected_distance(xs[0], zs[0], prob.optimum)
+    gap0 = prob.value(ys[0]) - prob.optimum_value
     phi0 = gap0 + (xis[0] ** 2 / (4.0 * delta_gamma)) * pd0 * pd0
     residuals, allowed = [], []
     log_prod = 0.0
@@ -306,7 +313,7 @@ def _reference_rate_envelope(trace, prob, floor):
         if t >= 1:
             log_prod += math.log1p(-float(xis[t]))
         bound = phi0 * math.exp(log_prod)
-        residuals.append(prob.value(d.points_y[t]) - prob.optimum_value - bound)
+        residuals.append(prob.value(ys[t]) - prob.optimum_value - bound)
         allowed.append(1e-7 * (1.0 + abs(bound)) if bound >= floor else math.inf)
     return np.array(residuals), np.array(allowed)
 
@@ -325,34 +332,34 @@ def test_rate_envelope_floor_is_100_eps_phi0(max_iters):
 
 def _reference_gradient_step(trace, prob):
     """The gradient-step audit row by row through the typed single-pair API."""
-    d = trace.diagnostics
+    xs, ys, _ = zip(*trace.diagnostics)
     m = prob.manifold
     plain = trace.meta["solver"] == "rgd"
     residuals, allowed = [], []
     for t in range(trace.n_iters):
-        base = d.points_y[t] if plain else d.points_x[t + 1]
+        base = ys[t] if plain else xs[t + 1]
         f_base = prob.value(base)
         decrease = trace.meta["delta_gamma"] * m.norm(base, prob.grad(base)) ** 2
-        residuals.append((prob.value(d.points_y[t + 1]) - f_base) + decrease)
+        residuals.append((prob.value(ys[t + 1]) - f_base) + decrease)
         allowed.append(CERT_TOL * ((1.0 + abs(f_base)) + decrease))
     return np.array(residuals), np.array(allowed)
 
 
 def _reference_mirror_step(trace, prob):
     """The mirror-step audit row by row through the typed single-pair API."""
-    d = trace.diagnostics
+    xs, _, zs = zip(*trace.diagnostics)
     m = prob.manifold
     opt = prob.optimum
     xis = trace.column("xi")
     delta_gamma = trace.meta["delta_gamma"]
     residuals, allowed = [], []
     for t in range(trace.n_iters):
-        u = d.points_x[t + 1]
+        u = xs[t + 1]
         _, beta, s = step_params(float(xis[t + 1]), trace.meta["mu"], delta_gamma)
-        v = beta * m.log(u, d.points_z[t])
+        v = beta * m.log(u, zs[t])
         g = prob.grad(u)
         lo = m.log(u, opt)
-        lhs = m.projected_distance(u, d.points_z[t + 1], opt) ** 2 - m.norm(u, v - lo) ** 2
+        lhs = m.projected_distance(u, zs[t + 1], opt) ** 2 - m.norm(u, v - lo) ** 2
         rhs = s * s * m.norm(u, g) ** 2 + 2.0 * s * m.inner(u, g, lo - v)
         residuals.append(abs(lhs - rhs))
         allowed.append(CERT_TOL * ((1.0 + abs(lhs)) + abs(rhs)))
@@ -362,10 +369,9 @@ def _reference_mirror_step(trace, prob):
 def _reference_shrink_distances(trace, prob):
     """The distances ``shrink_bounds`` observes, row by row through the typed
     single-pair API."""
-    d = trace.diagnostics
+    xs, ys, zs = zip(*trace.diagnostics)
     m = prob.manifold
     opt = prob.optimum
-    xs, ys, zs = d.points_x, d.points_y, d.points_z
     return {
         "proj_z_opt": [m.projected_distance(x, z, opt) for x, z in zip(xs, zs)],
         "d_y_opt": [m.distance(y, opt) for y in ys],
@@ -413,10 +419,10 @@ def _assert_same_records(report, columns):
 def _replayed_potential(trace, prob):
     """f(y_t) - f*, phi_t and prod_{j<=t} (1 - xi_j) of every row, with f and
     pd re-evaluated from the stored iterates through the stacked kernels."""
-    d = trace.diagnostics
+    xs, ys, zs = zip(*trace.diagnostics)
     xis = trace.column("xi")
-    gap = prob.values(d.points_y) - prob.optimum_value
-    pd = prob.manifold._projected_distances(d.points_x, d.points_z, prob.optimum)
+    gap = prob.values(ys) - prob.optimum_value
+    pd = prob.manifold._projected_distances(xs, zs, prob.optimum)
     phi = normalized_potential(gap, xis, pd, float(trace.meta["delta_gamma"]))
     logs = itertools.accumulate((math.log1p(-float(xi)) for xi in xis[1:]), initial=0.0)
     return gap, phi, np.array([math.exp(s) for s in logs])
@@ -448,21 +454,21 @@ def _bookkeeping_columns(trace, prob):
     """``f_gap``, ``d_xz``, ``d_yz``, ``d_yopt``, ``potential`` and
     ``decrease_margin`` recomputed from the stored iterates one pair at a
     time through the typed API, with libm squares."""
-    d = trace.diagnostics
+    xs, ys, zs = zip(*trace.diagnostics)
     m = prob.manifold
     opt = prob.optimum
     xis = trace.column("xi").tolist()
     four_delta = 4.0 * trace.meta["delta_gamma"]
-    gap = [prob.value(y) - prob.optimum_value for y in d.points_y]
+    gap = [prob.value(y) - prob.optimum_value for y in ys]
     phi = [
         g + (xi * xi / four_delta) * m.projected_distance(x, z, opt) ** 2
-        for g, xi, x, z in zip(gap, xis, d.points_x, d.points_z)
+        for g, xi, x, z in zip(gap, xis, xs, zs)
     ]
     return {
         "f_gap": np.array(gap),
-        "d_xz": np.array([m.distance(x, z) for x, z in zip(d.points_x, d.points_z)]),
-        "d_yz": np.array([m.distance(y, z) for y, z in zip(d.points_y, d.points_z)]),
-        "d_yopt": np.array([m.distance(y, opt) for y in d.points_y]),
+        "d_xz": np.array([m.distance(x, z) for x, z in zip(xs, zs)]),
+        "d_yz": np.array([m.distance(y, z) for y, z in zip(ys, zs)]),
+        "d_yopt": np.array([m.distance(y, opt) for y in ys]),
         "potential": np.array(phi),
         "decrease_margin": np.array(
             [(1.0 - xn) * p - pn for xn, p, pn in zip(xis[1:], phi, phi[1:])] + [math.nan]
@@ -558,25 +564,12 @@ def test_shrink_bounds_hold_along_run():
     n_rows = trace.rows.shape[0]
     assert all(r.residuals.shape == r.allowed.shape == (n_rows,) for r in reports)
     d_xz = reports[-1]
-    assert d_xz.residuals[0] == prob.manifold.distance(
-        trace.diagnostics.points_x[0], trace.diagnostics.points_z[0]
-    )
+    x0, _, z0 = trace.diagnostics[0]
+    assert d_xz.residuals[0] == prob.manifold.distance(x0, z0)
     assert sum(r.violations for r in reports) == 0
     compared = sum(r.compared for r in reports)
     assert compared > _SHRINK_MIN_COMPARED
     assert compared < 5 * n_rows
-
-
-def test_shrink_bounds_rejects_diagnostics_missing_rows():
-    prob, trace = _curved_run(max_iters=10)
-    for points in (
-        trace.diagnostics.points_x,
-        trace.diagnostics.points_y,
-        trace.diagnostics.points_z,
-    ):
-        points.pop()
-    with pytest.raises(MissingDataError, match="do not cover every trace row"):
-        shrink_bounds(trace, prob)
 
 
 def test_shrink_bounds_floor_skips_everything():

@@ -521,7 +521,7 @@ def test_first_step_takes_the_start_as_x_plus():
         mode="ragd", mu=problem.mu, L=problem.L, max_iters=3, record_diagnostics=True
     )
     trace = run(problem, config)
-    assert trace.diagnostics.points_x[1] is problem.start
+    assert trace.diagnostics[1][0] is problem.start
 
 
 def test_spd_run_eigendecomposition_budget(monkeypatch):
@@ -666,11 +666,10 @@ def test_first_excursion_in_a_later_block_warns_at_its_step(caplog):
         record_diagnostics=True,
     )
     free = dataclasses.replace(prob, start=far, reference=far, certified_radius=math.inf)
-    d = run(free, config).diagnostics
     # Each step's check, one stacked call on (x_t, y_t, z_t).
     worst = [
         float(m._dist_many(far, np.stack([p.coords for p in pts])).max())
-        for pts in zip(d.points_x, d.points_y, d.points_z)
+        for pts in run(free, config).diagnostics
     ]
     k = _ROW_BLOCK + 6
     radius = 0.5 * (worst[k - 1] + worst[k])

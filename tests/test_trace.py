@@ -70,12 +70,19 @@ def test_csv_rows_match_per_cell_formatting_byte_for_byte():
 
 def test_json_mirrors_columns():
     tr = make_trace()
+    tr.rows[-1, 8] = math.nan
+    tr.rows[0, 7] = -math.inf
+    tr.meta["xi0"] = math.nan
     buf = io.StringIO()
     tr.write_json(buf)
-    doc = json.loads(buf.getvalue())
+    # RFC 8259 JSON: each non-finite number is written as null
+    doc = json.loads(buf.getvalue(), parse_constant=lambda token: pytest.fail(token))
     assert doc["columns"] == list(TRACE_COLUMNS)
     assert doc["meta"]["solver"] == "euclid_nesterov"
+    assert doc["meta"]["xi0"] is None
     assert len(doc["rows"]) == tr.rows.shape[0]
+    assert doc["rows"][-1][8] is None and doc["rows"][0][7] is None
+    assert doc["rows"][1] == tr.rows[1].tolist()
 
 
 def test_estimate_rate_exact_line():

@@ -2,12 +2,14 @@
 
 import dataclasses
 import functools
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
 
+import ragd.cli
 import ragd.verify
 from ragd.errors import DomainError
 from ragd.geometry import Hyperbolic
@@ -81,12 +83,18 @@ def test_fixed_point_at_a_is_reported(monkeypatch):
     assert check["ok"] is False
 
 
-def test_nan_residual_is_a_violation():
+def test_nan_residual_is_a_violation(monkeypatch, capsys):
     check = ragd.verify._check("probe", [0.0, math.nan], 1.0)
     assert check["count"] == 2
     assert check["violations"] == 1
     assert math.isnan(check["worst"])
     assert check["ok"] is False
+    # ``ragd verify`` prints RFC 8259 JSON: a NaN or infinite worst is null
+    checks = [check, ragd.verify._check("flagged", [math.inf], 0.0)]
+    monkeypatch.setattr(ragd.cli, "run_suite", lambda suite, seed: {"checks": checks, "ok": False})
+    assert ragd.cli.main(["verify", "--suite", "potential"]) == ragd.cli.EXIT_VIOLATION
+    report = json.loads(capsys.readouterr().out, parse_constant=lambda token: pytest.fail(token))
+    assert [c["worst"] for c in report["checks"]] == [None, None]
 
 
 # ----- each claim check fails on a broken input ------------------------------
@@ -130,6 +138,16 @@ def _run_scaling(column, row, factor):
     return scaled_run
 
 
+def _run_with_y_as_z(row):
+    """``run``, with the kept iterates of ``row`` in each trace holding y_t as z_t."""
+    def spoiled_run(prob, cfg):
+        trace = run(prob, cfg)
+        x, y, _ = trace.diagnostics[row]
+        trace.diagnostics[row] = (x, y, y)
+        return trace
+    return spoiled_run
+
+
 _CERTIFIED_LABELS = ("hyperbolic", "quadratic", "spd")
 
 
@@ -147,6 +165,11 @@ _BROKEN = {
         "ragd.verify._POTENTIAL_STEPS": 40,
         "ragd.potential.trace_coefficient_blocks": lambda trace: trace_coefficient_blocks(
             trace) - [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]}, ["quadratic/coefficient-form"]),
+    # the columns still pass, and so does the coefficient form: x_6 lies between
+    # y_5 and z_5, so |z_5 - x_6| shrinks, and with c1 <= 0 its bound only loosens
+    "kept-row-z-is-y": (lambda: _certified_run_checks(0), {
+        "ragd.verify._POTENTIAL_STEPS": 40, "ragd.verify.run": _run_with_y_as_z(5)},
+        [f"{label}/mirror-identity" for label in _CERTIFIED_LABELS]),
     "hessian-beyond-L": (lambda: _flat_family_checks(0, 1, 40), {
         "ragd.verify.make_quadratic": lambda d, mu, big, **kw: dataclasses.replace(
             make_quadratic(d, mu, 4.0 * big, **kw), L=big)}, ["flat-family/certified-decrease"]),
