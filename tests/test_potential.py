@@ -572,6 +572,13 @@ def test_shrink_bounds_hold_along_run():
     assert compared < 5 * n_rows
 
 
+def test_shrink_bounds_rejects_diagnostics_missing_rows():
+    prob, trace = _curved_run(max_iters=10)
+    short = dataclasses.replace(trace, diagnostics=trace.diagnostics[:-1])
+    with pytest.raises(MissingDataError, match="do not cover every trace row"):
+        shrink_bounds(short, prob)
+
+
 def test_shrink_bounds_floor_skips_everything():
     prob, trace = _curved_run(max_iters=20)
     reports = shrink_bounds(trace, prob, floor=math.inf)
