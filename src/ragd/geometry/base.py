@@ -99,14 +99,14 @@ class Manifold(abc.ABC):
     """Riemannian manifold with closed-form exponential and logarithm maps.
 
     Concrete manifolds advertise the curvature data consumed by the
-    distortion module: ``curv_lower_mag`` is ``kappa >= 0`` such that the
-    sectional curvature is ``>= -kappa``, and ``is_hadamard`` states
-    whether geodesics are globally unique.
+    distortion module: ``kappa >= 0`` is such that the sectional curvature
+    is ``>= -kappa`` (0 unless a manifold says otherwise), and
+    ``is_hadamard`` states whether geodesics are globally unique.
     """
 
     name: str = "manifold"
     dim: int = 0
-    curv_lower_mag: float = 0.0
+    kappa: float = 0.0
     is_hadamard: bool = True
 
     # ----- membership ------------------------------------------------
@@ -280,6 +280,11 @@ class Manifold(abc.ABC):
     @abc.abstractmethod
     def base_point(self) -> ManifoldPoint:
         """A canonical point used as the default center for sampling."""
+
+    def _project_mean(self, mean: np.ndarray) -> ManifoldPoint:
+        """The point for the coordinate-wise mean ``mean`` of some points:
+        the validated :meth:`point` unless a manifold projects it."""
+        return self.point(mean)
 
     def _project_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Tangent coordinates at the point ``x`` (coordinates) nearest to the

@@ -16,7 +16,6 @@ class Euclidean(Manifold):
     """R^dim with the standard inner product."""
 
     name = "euclidean"
-    curv_lower_mag = 0.0
     is_hadamard = True
 
     def __init__(self, dim: int) -> None:

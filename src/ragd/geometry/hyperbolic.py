@@ -64,7 +64,6 @@ class Hyperbolic(Manifold):
             raise DomainError(f"kappa must be positive, got {kappa}")
         self.dim = int(dim)
         self.kappa = float(kappa)
-        self.curv_lower_mag = float(kappa)
 
     def __repr__(self) -> str:
         return f"Hyperbolic(dim={self.dim}, kappa={self.kappa})"
@@ -119,15 +118,19 @@ class Hyperbolic(Manifold):
             return ManifoldPoint(coords)
         return self._normalize_point(coords, sp - t * t)
 
-    def _normalize_point(self, coords: np.ndarray, mdot: float | None = None) -> ManifoldPoint:
-        """Scale a timelike vector onto the hyperboloid, at any magnitude;
-        ``mdot`` is its Minkowski square, when the caller has it."""
-        if mdot is None:
-            mdot = self._mdot(coords, coords)
+    def _normalize_point(self, coords: np.ndarray, mdot: float) -> ManifoldPoint:
+        """Scale a timelike vector of Minkowski square ``mdot`` onto the
+        hyperboloid, at any magnitude."""
         s = -self.kappa * mdot
         if not s > 0.0:
             raise NonFiniteError("projection target left the timelike cone")
         return ManifoldPoint(coords / math.sqrt(s))
+
+    def _project_mean(self, mean: np.ndarray) -> ManifoldPoint:
+        # The mean of upper-sheet points is strictly timelike, so it is
+        # normalized at any magnitude.  ``_project_point`` leaves large
+        # vectors as they are, which suits only exp's near-unit results.
+        return self._normalize_point(mean, self._mdot(mean, mean))
 
     def _project_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v + (self.kappa * self._mdot(x, v)) * x

@@ -2,7 +2,7 @@
 
 A Hadamard manifold; its sectional curvature lies in ``[-1/2, 0]`` after
 the usual normalization, so the distortion bounds apply with
-``kappa = 1/2`` (overridable).  All matrix functions go through symmetric
+``kappa = 1/2``.  All matrix functions go through symmetric
 eigendecompositions, which call LAPACK's gufuncs ``eigh_lo`` and
 ``eigvalsh_lo`` from ``numpy.linalg._umath_linalg`` directly, the kernels
 ``np.linalg.eigh``/``eigvalsh`` call with their default ``UPLO='L'``, so the
@@ -100,20 +100,18 @@ class SPD(Manifold):
     """n x n symmetric positive definite matrices."""
 
     name = "spd"
+    # The affine-invariant metric's sectional curvature lies in [-1/2, 0].
+    kappa = 0.5
     is_hadamard = True
 
-    def __init__(self, n: int, kappa: float = 0.5) -> None:
+    def __init__(self, n: int) -> None:
         if n < 1:
             raise DomainError(f"n must be >= 1, got {n}")
-        if not kappa >= 0.0 or not math.isfinite(kappa):
-            raise DomainError(f"kappa must be >= 0, got {kappa}")
         self.n = int(n)
         self.dim = n * (n + 1) // 2
-        self.kappa = float(kappa)
-        self.curv_lower_mag = float(kappa)
 
     def __repr__(self) -> str:
-        return f"SPD(n={self.n}, kappa={self.kappa})"
+        return f"SPD(n={self.n})"
 
     # ----- linear algebra helpers ----------------------------------------
 
@@ -182,6 +180,9 @@ class SPD(Manifold):
 
     def check_tangent(self, x: ManifoldPoint, coords: np.ndarray) -> None:
         self._check_sym(coords)
+
+    def _project_mean(self, mean: np.ndarray) -> ManifoldPoint:
+        return self.point(_sym(mean))
 
     def _project_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _sym(v)

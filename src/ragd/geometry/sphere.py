@@ -26,7 +26,6 @@ class Sphere(Manifold):
     """dim-dimensional sphere embedded in R^{dim+1}."""
 
     name = "sphere"
-    curv_lower_mag = 0.0
     is_hadamard = False
 
     def __init__(self, dim: int, sigma: float = 1.0) -> None:
@@ -64,6 +63,8 @@ class Sphere(Manifold):
         if not nrm > 0.0 or not math.isfinite(nrm):
             raise NonFiniteError("projection target degenerated")
         return ManifoldPoint(coords / (math.sqrt(self.sigma) * nrm))
+
+    _project_mean = _project_point
 
     def _project_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v - (self.sigma * float(np.dot(x, v))) * x

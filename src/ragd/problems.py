@@ -274,23 +274,6 @@ def _normalized_weights(k: int, weights: Sequence[float] | None) -> np.ndarray:
     return w
 
 
-def _mean_point(m: Manifold, anchors: Sequence[ManifoldPoint]) -> ManifoldPoint:
-    """Coordinate-wise anchor mean projected back onto the manifold."""
-    mean = np.mean([p.coords for p in anchors], axis=0)
-    if isinstance(m, Euclidean):
-        return m.point(mean)
-    if isinstance(m, Hyperbolic):
-        # The mean of upper-sheet points is strictly timelike, so it is
-        # normalized at any magnitude.  ``_project_point`` leaves large
-        # vectors as they are, which suits only exp's near-unit results.
-        return m._normalize_point(mean)
-    if isinstance(m, Sphere):
-        return m._project_point(mean)
-    if isinstance(m, SPD):
-        return m.point(0.5 * (mean + mean.T))
-    raise DomainError(f"no mean projection for manifold {m!r}")
-
-
 def _barycenter_callables(
     m: Manifold, stack: np.ndarray, w: np.ndarray
 ) -> tuple[StackedObjective, Callable]:
@@ -321,7 +304,7 @@ def _barycenter_callables(
 
 def _karcher_smoothness(manifold: Manifold, radius: float) -> float:
     """L of a Hadamard barycenter on a ball of ``radius`` that holds its anchors."""
-    return trig_coeff(manifold.curv_lower_mag, 2.0 * radius)
+    return trig_coeff(manifold.kappa, 2.0 * radius)
 
 
 def _barycenter(
@@ -339,9 +322,9 @@ def _barycenter(
     if len(anchors) < 1:
         raise DomainError("need at least one anchor")
     w = _normalized_weights(len(anchors), weights)
-    ref = _mean_point(manifold, anchors)
     stack = np.stack([p.coords for p in anchors])
     stack.setflags(write=False)
+    ref = manifold._project_mean(np.mean(stack, axis=0))
     mu, lips, radius = certify(float(manifold._dist_table([ref], stack).max()))
     objective, gradient = _barycenter_callables(manifold, stack, w)
     payload = {
@@ -534,13 +517,14 @@ def oracle_optimum(
 # ----- serialization ----------------------------------------------------------
 
 
-# Manifold kinds: class, size key, curvature key and its default (None in
-# flat space).  A description takes exactly these keys.
+# Manifold kinds: class, size key, curvature key and its default (None where
+# the class fixes its curvature: flat space, and SPD's kappa = 1/2).  A
+# description takes exactly these keys.
 _MANIFOLD_KINDS = {
     "euclidean": (Euclidean, "dim", None, None),
     "hyperbolic": (Hyperbolic, "dim", "kappa", 1.0),
     "sphere": (Sphere, "dim", "sigma", 1.0),
-    "spd": (SPD, "n", "kappa", 0.5),
+    "spd": (SPD, "n", None, None),
 }
 
 
@@ -559,14 +543,14 @@ def _manifold_kind(d: dict) -> str:
         kind = d["kind"]
     except KeyError as exc:
         raise MissingDataError("manifold description needs a 'kind'") from exc
-    if kind not in _MANIFOLD_KINDS:
+    if not isinstance(kind, str) or kind not in _MANIFOLD_KINDS:
         raise DomainError(f"unknown manifold kind {kind!r}")
     return kind
 
 
 def curvature_key(d: dict) -> str:
     """The key of a manifold description's curvature parameter: ``sigma``
-    on a sphere, ``kappa`` on hyperbolic and SPD spaces."""
+    on a sphere, ``kappa`` on a hyperbolic space."""
     kind = _manifold_kind(d)
     curv_key = _MANIFOLD_KINDS[kind][2]
     if curv_key is None:
@@ -609,14 +593,39 @@ def _require(d: dict, key: str) -> object:
         raise MissingDataError(f"problem description needs {key!r}") from exc
 
 
+# Problem kinds and the keys a description of each takes: the builders'
+# arguments, plus the provenance keys ``problem_to_dict`` writes (``mu``,
+# ``L``, ``seed`` and ``radius`` beside a barycenter's explicit anchors).
+_BARYCENTER_KEYS = frozenset(
+    {"kind", "name", "optimum", "manifold", "anchors", "weights", "n_anchors", "radius",
+     "seed", "mu", "L"}
+)
+_PROBLEM_KEYS = {
+    "quadratic": frozenset(
+        {"kind", "name", "optimum", "hessian", "center", "start", "dim", "mu", "L", "seed"}
+    ),
+    "karcher": _BARYCENTER_KEYS,
+    "sphere_mean": _BARYCENTER_KEYS,
+}
+
+
 def problem_from_dict(d: dict) -> Problem:
     """Rebuild a problem from its dictionary form.
 
     Quadratics accept either explicit ``hessian``/``center``/``start``
     arrays or a ``(dim, mu, L, seed)`` generator block; barycenters accept
-    explicit ``anchors`` or an ``(n_anchors, radius, seed)`` block.
+    explicit ``anchors`` or an ``(n_anchors, radius, seed)`` block.  A key
+    its kind does not take (``weight`` for ``weights``) is a DomainError.
     """
     kind = _require(d, "kind")
+    if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
+        raise DomainError(f"unknown problem kind {kind!r}")
+    unknown = d.keys() - _PROBLEM_KEYS[kind]
+    if unknown:
+        raise DomainError(
+            f"a {kind!r} problem takes no {sorted(unknown)}; "
+            f"its keys are {sorted(_PROBLEM_KEYS[kind])}"
+        )
     name = d.get("name")
     if kind == "quadratic":
         if "hessian" in d:
@@ -638,7 +647,7 @@ def problem_from_dict(d: dict) -> Problem:
                 center=None if d.get("center") is None else np.asarray(d["center"]),
                 name=name,
             )
-    elif kind in ("karcher", "sphere_mean"):
+    else:
         m = manifold_from_dict(_require(d, "manifold"))
         builder_explicit = make_karcher if kind == "karcher" else make_sphere_mean
         builder_random = random_karcher if kind == "karcher" else random_sphere_mean
@@ -656,8 +665,6 @@ def problem_from_dict(d: dict) -> Problem:
                 weights=d.get("weights"),
                 name=name,
             )
-    else:
-        raise DomainError(f"unknown problem kind {kind!r}")
     if d.get("optimum") is not None:
         problem.set_optimum(
             problem.manifold.point(np.asarray(d["optimum"], dtype=float))

@@ -205,8 +205,8 @@ def _distortion_rate(
     manifold, on ``d(y, z)``."""
     d_xz = m.distance(x, z)
     if m.is_hadamard:
-        return valid_rate_hadamard(m.curv_lower_mag, d_xz, sharp=config.sharp_distortion)
-    return valid_rate_nonhadamard(m.curv_lower_mag, d_xz, m.distance(y, z))
+        return valid_rate_hadamard(m.kappa, d_xz, sharp=config.sharp_distortion)
+    return valid_rate_nonhadamard(m.kappa, d_xz, m.distance(y, z))
 
 
 def _fixed_xi_params(problem: Problem, config: SolverConfig) -> XiParams | None:
@@ -217,7 +217,7 @@ def _fixed_xi_params(problem: Problem, config: SolverConfig) -> XiParams | None:
     m = problem.manifold
     if config.mode == "ragd_constant_delta":
         return XiParams(a=config.a, delta=float(config.delta_const))
-    if config.mode == "ragd" and not (m.is_hadamard and m.curv_lower_mag == 0.0):
+    if config.mode == "ragd" and not (m.is_hadamard and m.kappa == 0.0):
         return None
     return XiParams(a=config.a, delta=1.0)
 

@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import golden  # noqa: E402
 import workloads  # noqa: E402
+from ragd.problems import problem_from_dict  # noqa: E402
 from ragd.trace import TRACE_COLUMNS  # noqa: E402
 
 CSV_BYTES = 10_000
@@ -123,3 +124,11 @@ def test_golden_compare_fails_a_moved_nan():
     same, why = golden.compare(moved, text)
     assert not same
     assert why == "NaN cells differ from golden"
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_job_of_a_cycle_builds(workload):
+    # A problem description may hold only its kind's keys; every job the
+    # benchmark draws must build as it stands.
+    for job in workloads.make_cycles(workload, seed=1, n_cycles=1)[0]:
+        problem_from_dict(job.problem)

@@ -179,6 +179,12 @@ _BAD_CONFIG_CONTENTS = [
     {"solvers": [{"mode": "rgd", "max_iters": True}]},
     {"solvers": [{"mode": "ragd", "sharp_distortion": "no"}]},
     {"solvers": [{"mode": "rgd", "record_diagnostics": 1}]},
+    {"problem": {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": 20.0, "seed": 3,
+                 "centre": [0.0] * 8}},
+    {"problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 4},
+                 "n_anchors": 4, "radius": 1.0, "seed": 3, "weight": [0.7, 0.1, 0.1, 0.1]}},
+    {"problem": {"kind": "karcher", "manifold": {"kind": "spd", "n": 3, "kappa": 0.5},
+                 "n_anchors": 4, "radius": 1.0, "seed": 3}},
 ]
 
 
@@ -431,15 +437,36 @@ def test_sweep_of_one_or_two_steps_prints_its_summary(tmp_path, capsys, max_iter
 
 
 def test_curvature_sweep_of_a_flat_block_is_config_error(tmp_path):
-    problem = {
-        "kind": "karcher", "manifold": {"kind": "euclidean", "dim": 4},
-        "n_anchors": 4, "radius": 0.3, "seed": 1,
-    }
-    cfg = _write_config(tmp_path, problem=problem)
-    argv = ["sweep", "--config", str(cfg), "--axis", "curvature", "--values", "0.5,1",
-            "--out", str(tmp_path / "out")]
+    # An SPD block has no curvature key either: the metric fixes kappa = 1/2.
+    for manifold in ({"kind": "euclidean", "dim": 4}, {"kind": "spd", "n": 3}):
+        problem = {
+            "kind": "karcher", "manifold": manifold, "n_anchors": 4, "radius": 0.3, "seed": 1,
+        }
+        cfg = _write_config(tmp_path, problem=problem)
+        argv = ["sweep", "--config", str(cfg), "--axis", "curvature", "--values", "0.5,1",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1, 2], "DomainError: config root must be a JSON object"),
+        ({"problem": {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": 20.0, "seed": 3},
+          "solvers": [{"mode": "rgd"}, "rgd"]},
+         "DomainError: each solver entry must be a JSON object"),
+        ({"solvers": [{"mode": "rgd"}]}, "MissingDataError: config has no 'problem' object"),
+    ],
+    ids=["root-not-object", "solver-entry-not-object", "no-problem-object"],
+)
+def test_run_config_shape_errors_name_their_cause(tmp_path, caplog, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    errors = _cli_errors(caplog)
+    assert len(errors) == 1 and message in errors[0].getMessage()
 
 
 def test_sweep_rejects_unparseable_values(tmp_path):

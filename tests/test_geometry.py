@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ragd.errors import AntipodalError, ConvergenceError, DomainError, NonFiniteError
+from ragd.errors import (
+    AntipodalError,
+    ConvergenceError,
+    DomainError,
+    InjectivityError,
+    NonFiniteError,
+)
 from ragd.geometry import SPD, Euclidean, Hyperbolic, Manifold, ManifoldPoint, Sphere, TangentVector
 from ragd.geometry.base import all_finite
 from ragd.geometry.hyperbolic import _RENORM_SCALE
@@ -780,6 +786,35 @@ def test_sphere_antipodal_guard():
     y = m.point(-x.coords)
     with pytest.raises(DomainError):
         m.log(x, y)
+    assert m.distance(x, y) == math.pi
+
+
+_H, _S, _P = Hyperbolic(3, kappa=1.0), Sphere(3, sigma=1.0), SPD(2)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: _H.point([0.0, 0.0, 0.5, 1.0]), DomainError, "off the hyperboloid"),
+        (lambda: _H.point([0.0, 0.0, 0.0, -1.0]), DomainError, "lower sheet"),
+        (lambda: _H.tangent(_H.base_point(), [0.0, 0.0, 0.0, 1.0]), DomainError, "not tangent"),
+        (lambda: _S.point([0.0, 0.0, 0.0, 2.0]), DomainError, "off the sphere"),
+        (lambda: _S.tangent(_S.base_point(), [0.0, 0.0, 0.0, 1.0]), DomainError, "not tangent"),
+        (lambda: _S._project_point(np.zeros(4)), NonFiniteError, "degenerated"),
+        (lambda: _S._exp(_S.base_point(), np.array([4.0, 0.0, 0.0, 0.0])), InjectivityError,
+         "injectivity radius"),
+        (lambda: _P.point([[1.0, 0.5], [0.0, 1.0]]), DomainError, "not symmetric"),
+        (lambda: _P.point([[1.0, 1.0], [1.0, 1.0]]), DomainError, "not positive definite"),
+    ],
+    ids=[
+        "hyperbolic-off", "hyperbolic-lower-sheet", "hyperbolic-tangent", "sphere-off",
+        "sphere-tangent", "sphere-project-zero", "sphere-exp-injectivity", "spd-asymmetric",
+        "spd-not-pd",
+    ],
+)
+def test_membership_checks_raise_typed_errors(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 def test_spd_outputs_symmetric():

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 from ragd.distortion import trig_coeff
-from ragd.errors import DomainError, MissingDataError, NonFiniteError
-from ragd.geometry import SPD, Euclidean, Hyperbolic, ManifoldPoint, Sphere, TangentVector
+from ragd.errors import ConvergenceError, DomainError, MissingDataError, NonFiniteError
+from ragd.geometry import (
+    SPD,
+    Euclidean,
+    Hyperbolic,
+    Manifold,
+    ManifoldPoint,
+    Sphere,
+    TangentVector,
+)
 from ragd.geometry.hyperbolic import _POINT_TOL, _RENORM_SCALE
 from ragd.problems import (
     Problem,
@@ -369,8 +377,17 @@ def test_problem_dict_roundtrip_quadratic():
     assert np.allclose(prob.optimum.coords, again.optimum.coords)
 
 
-def test_problem_dict_roundtrip_karcher():
-    prob = random_karcher(Hyperbolic(5, kappa=1.0), 4, 1.2, seed=8)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_karcher(Hyperbolic(5, kappa=1.0), 4, 1.2, seed=8),
+        lambda: random_karcher(SPD(3), 5, 1.5, seed=13),
+        lambda: random_sphere_mean(Sphere(4), 6, 0.3, seed=17),
+    ],
+    ids=["hyperbolic", "spd", "sphere_mean"],
+)
+def test_problem_dict_roundtrip_karcher(build):
+    prob = build()
     doc = problem_to_dict(prob)
     again = problem_from_dict(doc)
     assert again.mu == prob.mu
@@ -396,7 +413,7 @@ def test_problem_from_generator_block():
 
 @pytest.mark.parametrize(
     "manifold",
-    [Euclidean(3), Hyperbolic(4, kappa=2.0), Sphere(5, sigma=0.5), SPD(3, kappa=0.7)],
+    [Euclidean(3), Hyperbolic(4, kappa=2.0), Sphere(5, sigma=0.5), SPD(3)],
 )
 def test_manifold_dict_roundtrip(manifold):
     again = manifold_from_dict(manifold_to_dict(manifold))
@@ -408,7 +425,6 @@ def test_manifold_dict_roundtrip(manifold):
     [
         ({"kind": "hyperbolic", "dim": 4}, "kappa"),
         ({"kind": "sphere", "dim": 4}, "sigma"),
-        ({"kind": "spd", "n": 3}, "kappa"),
     ],
 )
 def test_curvature_key_names_each_kinds_own_parameter(doc, key):
@@ -423,6 +439,8 @@ def test_curvature_key_names_each_kinds_own_parameter(doc, key):
         {"kind": "hyperbolic", "dim": 4, "kapa": 2.0},
         {"kind": "euclidean", "dim": 4, "sigma": 1.0},
         {"kind": "torus", "dim": 4},
+        {"kind": "spd", "n": 3, "kappa": 0.5},
+        {"kind": ["spd"], "n": 3},
     ],
 )
 def test_manifold_from_dict_rejects_keys_its_kind_does_not_take(doc):
@@ -434,9 +452,11 @@ def test_manifold_description_needs_kind_and_size():
     with pytest.raises(MissingDataError):
         manifold_from_dict({"dim": 4})
     with pytest.raises(MissingDataError):
-        manifold_from_dict({"kind": "spd", "kappa": 1.0})
+        manifold_from_dict({"kind": "spd"})
     with pytest.raises(DomainError):
         curvature_key({"kind": "euclidean", "dim": 4})
+    with pytest.raises(DomainError):
+        curvature_key({"kind": "spd", "n": 3})
 
 
 def test_declared_constants_validated():
@@ -450,3 +470,97 @@ def test_declared_constants_validated():
         random_karcher(Sphere(4), 3, 0.1, seed=0)
     with pytest.raises(DomainError, match="requires a Sphere manifold"):
         random_sphere_mean(Hyperbolic(4, kappa=1.0), 3, 0.1, seed=0)
+
+
+class _Unlisted(Manifold):
+    """A manifold outside the serialization table."""
+
+    check_point = check_tangent = _exp = _log = distance = _inner = base_point = None
+
+
+def _two_anchors(angle):
+    """Two points of Sphere(2) at ``angle`` either side of the north pole."""
+    m = Sphere(2)
+    s, c = math.sin(angle), math.cos(angle)
+    return m, [m.point([s, 0.0, c]), m.point([-s, 0.0, c])]
+
+
+_H3 = Hyperbolic(3, kappa=1.0)
+_H3_ANCHORS = [_H3.base_point(), _H3.random_point(rng_from_seed(0), _H3.base_point(), 1.0)]
+_DIAG = np.diag([1.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: Problem("p", Euclidean(1), abs, None, 2.0, 1.0, None, None), DomainError,
+         "need 0 < mu <= L"),
+        (lambda: make_quadratic(0, 1.0, 1.0, seed=0), DomainError, "dim must be >= 1"),
+        (lambda: make_quadratic(1, 1.0, 2.0, seed=0), DomainError, "cannot span"),
+        (lambda: make_quadratic(3, 1.0, 2.0, seed=0, center=np.zeros(2)), DomainError,
+         "center must have shape"),
+        (lambda: quadratic_from_arrays(np.eye(3), np.zeros(2), np.zeros(2)), DomainError,
+         "inconsistent"),
+        (lambda: quadratic_from_arrays([[1.0, 1.0], [0.0, 1.0]], np.zeros(2), np.ones(2)),
+         DomainError, "must be symmetric"),
+        (lambda: quadratic_from_arrays(np.diag([1.0, -1.0]), np.zeros(2), np.ones(2)),
+         DomainError, "not positive definite"),
+        (lambda: quadratic_from_arrays(_DIAG, np.zeros(2), np.ones(2), mu=2.0), DomainError,
+         "declared mu"),
+        (lambda: quadratic_from_arrays(_DIAG, np.zeros(2), np.ones(2), L=3.0), DomainError,
+         "declared L"),
+        (lambda: make_karcher(_H3, _H3_ANCHORS, [1.0]), DomainError, "expected 2 weights"),
+        (lambda: make_karcher(_H3, _H3_ANCHORS, [1.5, -0.5]), DomainError, "must be positive"),
+        (lambda: make_karcher(_H3, _H3_ANCHORS, [0.3, 0.3]), DomainError, "sum to 1"),
+        (lambda: make_karcher(_H3, []), DomainError, "at least one anchor"),
+        (lambda: make_sphere_mean(_H3, _H3_ANCHORS), DomainError, "requires a Sphere manifold"),
+        (lambda: make_sphere_mean(*_two_anchors(0.8)), DomainError, "quarter-sphere cap"),
+        (lambda: random_sphere_mean(Sphere(4), 0, 0.3, seed=0), DomainError,
+         "n_anchors >= 1"),
+        (lambda: random_sphere_mean(Sphere(4), 3, 0.5, seed=0), DomainError,
+         "radius must lie in"),
+        (lambda: oracle_optimum(make_quadratic(4, 1.0, 10.0, seed=0), max_iters=1),
+         ConvergenceError, "did not reach"),
+        (lambda: manifold_to_dict(_Unlisted()), DomainError, "cannot serialize"),
+        (lambda: problem_from_dict({"kind": ["quadratic"]}), DomainError,
+         "unknown problem kind"),
+    ],
+    ids=[
+        "problem-mu-above-L", "quadratic-dim-0", "quadratic-1d-span", "quadratic-center-shape",
+        "arrays-shapes", "arrays-asymmetric", "arrays-not-pd", "arrays-declared-mu",
+        "arrays-declared-L", "weights-length", "weights-sign", "weights-sum", "no-anchors",
+        "sphere-mean-manifold", "sphere-mean-cap", "random-sphere-mean-anchors",
+        "random-sphere-mean-radius", "oracle-max-iters", "manifold-to-dict-unlisted",
+        "problem-kind-unhashable",
+    ],
+)
+def test_builders_reject_bad_input(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_one_dimensional_quadratic_builds_at_mu_equal_L():
+    prob = make_quadratic(1, 2.0, 2.0, seed=0)
+    assert (prob.mu, prob.L) == (2.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"kind": "quadratic", "dim": 4, "mu": 1.0, "L": 5.0, "seed": 0,
+          "centre": [0.0] * 4}, "centre"),
+        ({"kind": "quadratic", "dim": 4, "mu": 1.0, "L": 5.0, "seed": 0,
+          "manifold": {"kind": "euclidean", "dim": 4}}, "manifold"),
+        ({"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 3}, "n_anchors": 4,
+          "radius": 1.0, "seed": 0, "weight": [0.7, 0.1, 0.1, 0.1]}, "weight"),
+        ({"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 3}, "n_anchors": 4,
+          "radius": 1.0, "seed": 0, "hessian": [[1.0]]}, "hessian"),
+        ({"kind": "sphere_mean", "manifold": {"kind": "sphere", "dim": 3}, "n_anchor": 4,
+          "radius": 0.3, "seed": 0}, "n_anchor"),
+    ],
+    ids=["quadratic-centre", "quadratic-manifold", "karcher-weight", "karcher-hessian",
+         "sphere-mean-n-anchor"],
+)
+def test_problem_from_dict_rejects_keys_its_kind_does_not_take(doc, key):
+    with pytest.raises(DomainError, match=rf"takes no \['{key}'\]; its keys are \['L', "):
+        problem_from_dict(doc)

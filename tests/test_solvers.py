@@ -335,7 +335,7 @@ def test_rate_provenance_recorded_distances_set_each_rate(case):
         sharp_distortion=sharp, delta_const=delta_const,
     )
     trace = run(prob, config)
-    kappa = prob.manifold.curv_lower_mag
+    kappa = prob.manifold.kappa
     d_xz = trace.column("d_xz")[:-1].tolist()
     d_yz = trace.column("d_yz")[:-1].tolist()
     if case == "constant":

@@ -10,7 +10,7 @@ import pytest
 from ragd.distortion import trig_coeff
 from ragd.errors import DomainError, MissingDataError
 from ragd.geometry import Hyperbolic
-from ragd.problems import oracle_optimum, random_karcher
+from ragd.problems import make_quadratic, oracle_optimum, random_karcher
 from ragd.solvers import SolverConfig, run
 from ragd.sweep import (
     SWEEP_COLUMNS, build_sweep, run_enlarging, sweep_point, write_sweep_csv,
@@ -167,6 +167,7 @@ def test_curvature_sweep_on_a_sphere_rewrites_sigma():
     [
         ("karcher", {"kind": "euclidean", "dim": 4}),
         ("sphere_mean", {"kind": "sphere", "dim": 4, "kappa": 1.0}),
+        ("karcher", {"kind": "spd", "n": 3}),
     ],
 )
 def test_curvature_sweep_rejects_blocks_without_the_swept_key(kind, manifold):
@@ -207,6 +208,17 @@ def test_enlarged_rerun_is_certified_on_the_observed_ball(caplog):
     assert len(left) == 1
     assert trace.meta["left_feasible_radius"] is False
     assert trace.meta["enlarged_L"] == enlarged.L > config.L
+
+
+def test_run_enlarging_keeps_the_first_trace_when_the_problem_cannot_be_recertified():
+    # Only a Karcher problem is rebuilt for a larger ball; a quadratic whose
+    # iterates leave its (here artificially small) ball keeps the first run.
+    prob = dataclasses.replace(make_quadratic(4, 1.0, 10.0, seed=0), certified_radius=1e-3)
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=5)
+    trace, used = run_enlarging(prob, config)
+    assert trace.meta["left_feasible_radius"] is True
+    assert "enlarged_L" not in trace.meta
+    assert used is config
 
 
 def test_sweep_rejects_bad_requests():
