@@ -45,6 +45,7 @@ __all__ = [
     "manifold_from_dict",
     "problem_to_dict",
     "problem_from_dict",
+    "is_explicit",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -79,7 +80,8 @@ class StackedObjective:
 @dataclass
 class Problem:
     """A geodesically strongly convex objective whose certified (mu, L)
-    hold on the ball of ``certified_radius`` around ``reference``."""
+    hold on the ball of ``certified_radius`` around ``reference``.
+    ``payload`` is its explicit description (see :func:`problem_to_dict`)."""
 
     name: str
     manifold: Manifold
@@ -187,7 +189,6 @@ def make_quadratic(
         mu=mu,
         L=L,
         name=name or f"quadratic-d{dim}",
-        seed=seed,
     )
 
 
@@ -198,9 +199,9 @@ def quadratic_from_arrays(
     mu: float | None = None,
     L: float | None = None,
     name: str = "quadratic",
-    seed: int | None = None,
 ) -> Problem:
-    """Quadratic problem from explicit data, validating the (mu, L) claim.
+    """Quadratic problem from explicit data, validating the (mu, L) claim;
+    without a claim, (mu, L) are the extreme eigenvalues of ``hessian``.
 
     The objective is a :class:`StackedObjective` whose rows each equal
     ``0.5 * float((x - c) @ H @ (x - c))`` bit for bit."""
@@ -222,6 +223,8 @@ def quadratic_from_arrays(
         raise DomainError(f"declared mu={mu} but spectrum gives {mu_eff!r}")
     if L is not None and abs(L - l_eff) > _SPECTRUM_TOL * (1.0 + abs(L)):
         raise DomainError(f"declared L={L} but spectrum gives {l_eff!r}")
+    mu = mu_eff if mu is None else mu
+    L = l_eff if L is None else L
     m = Euclidean(dim)
     h_ro = h.copy()
     h_ro.setflags(write=False)
@@ -236,21 +239,21 @@ def quadratic_from_arrays(
     def gradient(x: ManifoldPoint) -> TangentVector:
         return TangentVector(x, h_ro @ (x.coords - c))
 
-    payload: dict = {
+    payload = {
         "kind": "quadratic",
         "hessian": h.tolist(),
         "center": c.tolist(),
         "start": x0.tolist(),
+        "mu": mu,
+        "L": L,
     }
-    if seed is not None:
-        payload["seed"] = int(seed)
     return Problem(
         name=name,
         manifold=m,
         objective=StackedObjective(many),
         gradient=gradient,
-        mu=mu if mu is not None else mu_eff,
-        L=L if L is not None else l_eff,
+        mu=mu,
+        L=L,
         start=m.point(x0),
         reference=m.point(c),
         optimum=m.point(c),
@@ -347,24 +350,14 @@ def _barycenter(
     )
 
 
-def _random_barycenter(
-    build: Callable[..., Problem],
-    manifold: Manifold,
-    n_anchors: int,
-    radius: float,
-    seed: int,
-    weights: Sequence[float] | None,
-    name: str,
-) -> Problem:
-    """``build`` on ``n_anchors`` anchors drawn in the ``radius`` ball around
-    the canonical point; the caller has checked ``n_anchors`` and ``radius``."""
+def _random_anchors(
+    manifold: Manifold, n_anchors: int, radius: float, seed: int
+) -> list[ManifoldPoint]:
+    """``n_anchors`` anchors drawn in the ``radius`` ball around the
+    canonical point; the caller has checked ``n_anchors`` and ``radius``."""
     rng = rng_from_seed(seed)
     center = manifold.base_point()
-    anchors = [manifold.random_point(rng, center, radius) for _ in range(n_anchors)]
-    problem = build(manifold, anchors, weights, name=name)
-    problem.payload["seed"] = int(seed)
-    problem.payload["radius"] = float(radius)
-    return problem
+    return [manifold.random_point(rng, center, radius) for _ in range(n_anchors)]
 
 
 def make_karcher(
@@ -418,9 +411,8 @@ def random_karcher(
     if not radius > 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
     name = name or f"karcher-{manifold.name}-k{n_anchors}"
-    return _random_barycenter(
-        make_karcher, manifold, n_anchors, radius, seed, weights, name
-    )
+    return make_karcher(manifold, _random_anchors(manifold, n_anchors, radius, seed),
+                        weights, name=name)
 
 
 def make_sphere_mean(
@@ -473,9 +465,8 @@ def random_sphere_mean(
             f"radius must lie in (0, {limit!r}) for a certified cap, got {radius}"
         )
     name = name or f"sphere-mean-k{n_anchors}"
-    return _random_barycenter(
-        make_sphere_mean, manifold, n_anchors, radius, seed, weights, name
-    )
+    return make_sphere_mean(manifold, _random_anchors(manifold, n_anchors, radius, seed),
+                            weights, name=name)
 
 
 # ----- reference optimum -----------------------------------------------------
@@ -577,10 +568,7 @@ def manifold_from_dict(d: dict) -> Manifold:
 
 
 def problem_to_dict(problem: Problem) -> dict:
-    out = dict(problem.payload)
-    out["name"] = problem.name
-    out["mu"] = problem.mu
-    out["L"] = problem.L
+    out = {**problem.payload, "name": problem.name}
     if problem.optimum is not None:
         out["optimum"] = problem.optimum.coords.tolist()
     return out
@@ -593,50 +581,57 @@ def _require(d: dict, key: str) -> object:
         raise MissingDataError(f"problem description needs {key!r}") from exc
 
 
-# Problem kinds and the keys a description of each takes: the builders'
-# arguments, plus the provenance keys ``problem_to_dict`` writes (``mu``,
-# ``L``, ``seed`` and ``radius`` beside a barycenter's explicit anchors).
-_BARYCENTER_KEYS = frozenset(
-    {"kind", "name", "optimum", "manifold", "anchors", "weights", "n_anchors", "radius",
-     "seed", "mu", "L"}
-)
-_PROBLEM_KEYS = {
-    "quadratic": frozenset(
-        {"kind", "name", "optimum", "hessian", "center", "start", "dim", "mu", "L", "seed"}
-    ),
-    "karcher": _BARYCENTER_KEYS,
-    "sphere_mean": _BARYCENTER_KEYS,
+# Problem kinds: the key that marks the explicit form, then the keys of that
+# form (those ``problem_to_dict`` writes) and of the generator form (the
+# random draw's arguments).  Every form also takes ``kind``, ``name`` and
+# ``optimum``.
+_BARYCENTER_FORMS = ("anchors", frozenset({"manifold", "anchors", "weights"}),
+                     frozenset({"manifold", "n_anchors", "radius", "seed", "weights"}))
+_PROBLEM_FORMS = {
+    "quadratic": ("hessian", frozenset({"hessian", "center", "start", "mu", "L"}),
+                  frozenset({"dim", "mu", "L", "seed", "center"})),
+    "karcher": _BARYCENTER_FORMS,
+    "sphere_mean": _BARYCENTER_FORMS,
 }
+
+
+def is_explicit(d: dict) -> bool:
+    """Whether a problem description is in explicit form: it holds its
+    kind's data (a quadratic's ``hessian``, a barycenter's ``anchors``)."""
+    kind = d.get("kind")
+    return isinstance(kind, str) and kind in _PROBLEM_FORMS and _PROBLEM_FORMS[kind][0] in d
 
 
 def problem_from_dict(d: dict) -> Problem:
     """Rebuild a problem from its dictionary form.
 
-    Quadratics accept either explicit ``hessian``/``center``/``start``
-    arrays or a ``(dim, mu, L, seed)`` generator block; barycenters accept
-    explicit ``anchors`` or an ``(n_anchors, radius, seed)`` block.  A key
-    its kind does not take (``weight`` for ``weights``) is a DomainError.
+    The explicit form takes the keys ``problem_to_dict`` writes: a
+    quadratic's ``hessian``, ``center``, ``start`` and optional ``mu``/``L``
+    claims, or a barycenter's ``manifold``, ``anchors`` and ``weights``.  The
+    generator form takes ``(dim, mu, L, seed, center)`` or ``(manifold,
+    n_anchors, radius, seed, weights)``.  Any other key is a DomainError.
     """
     kind = _require(d, "kind")
-    if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
+    if not isinstance(kind, str) or kind not in _PROBLEM_FORMS:
         raise DomainError(f"unknown problem kind {kind!r}")
-    unknown = d.keys() - _PROBLEM_KEYS[kind]
+    explicit = is_explicit(d)
+    keys = {"kind", "name", "optimum"} | _PROBLEM_FORMS[kind][1 if explicit else 2]
+    unknown = d.keys() - keys
     if unknown:
         raise DomainError(
-            f"a {kind!r} problem takes no {sorted(unknown)}; "
-            f"its keys are {sorted(_PROBLEM_KEYS[kind])}"
+            f"a {kind!r} problem in {'explicit' if explicit else 'generator'} form "
+            f"takes no {sorted(unknown)}; its keys are {sorted(keys)}"
         )
     name = d.get("name")
     if kind == "quadratic":
-        if "hessian" in d:
+        if explicit:
             problem = quadratic_from_arrays(
-                np.asarray(_require(d, "hessian"), dtype=float),
+                np.asarray(d["hessian"], dtype=float),
                 np.asarray(_require(d, "center"), dtype=float),
                 np.asarray(_require(d, "start"), dtype=float),
                 mu=d.get("mu"),
                 L=d.get("L"),
                 name=name or "quadratic",
-                seed=d.get("seed"),
             )
         else:
             problem = make_quadratic(
@@ -649,22 +644,14 @@ def problem_from_dict(d: dict) -> Problem:
             )
     else:
         m = manifold_from_dict(_require(d, "manifold"))
-        builder_explicit = make_karcher if kind == "karcher" else make_sphere_mean
-        builder_random = random_karcher if kind == "karcher" else random_sphere_mean
-        if "anchors" in d:
+        if explicit:
             anchors = [m.point(np.asarray(a, dtype=float)) for a in d["anchors"]]
-            problem = builder_explicit(
-                m, anchors, d.get("weights"), name=name or kind
-            )
+            build = make_karcher if kind == "karcher" else make_sphere_mean
+            problem = build(m, anchors, d.get("weights"), name=name or kind)
         else:
-            problem = builder_random(
-                m,
-                int(_require(d, "n_anchors")),
-                float(_require(d, "radius")),
-                int(_require(d, "seed")),
-                weights=d.get("weights"),
-                name=name,
-            )
+            build = random_karcher if kind == "karcher" else random_sphere_mean
+            problem = build(m, int(_require(d, "n_anchors")), float(_require(d, "radius")),
+                            int(_require(d, "seed")), weights=d.get("weights"), name=name)
     if d.get("optimum") is not None:
         problem.set_optimum(
             problem.manifold.point(np.asarray(d["optimum"], dtype=float))

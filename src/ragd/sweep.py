@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 from .errors import DomainError, MissingDataError
 from .problems import (
-    Problem, curvature_key, oracle_optimum, problem_from_dict, recertified,
+    Problem, curvature_key, is_explicit, oracle_optimum, problem_from_dict, recertified,
 )
 from .solvers import SolverConfig, run
 from .trace import ConvergenceTrace, estimate_rate
@@ -134,15 +134,15 @@ def sweep_point(
 
 def problem_description(config: dict, seed: int | None) -> tuple[dict, int | None]:
     """The config's problem description and the seed in force: ``seed``,
-    else the config's.  That seed fills in the generator seed of a random
-    problem (no ``seed``, ``hessian`` or ``anchors`` given)."""
+    else the config's.  That seed fills in the seed of a generator block
+    that gives none."""
     if seed is None:
         seed = config.get("seed")
     desc = config.get("problem")
     if not isinstance(desc, dict):
         raise MissingDataError("config has no 'problem' object")
     desc = dict(desc)
-    if seed is not None and not desc.keys() & {"seed", "hessian", "anchors"}:
+    if seed is not None and "seed" not in desc and not is_explicit(desc):
         desc["seed"] = int(seed)
     return desc, seed
 
@@ -188,9 +188,13 @@ def build_sweep(
     desc, _ = problem_description(config, seed)
     if axis == "condition_number" and desc.get("kind") != "quadratic":
         raise DomainError("condition_number sweeps need a quadratic problem")
+    if axis == "curvature" and desc.get("manifold") is None:
+        raise DomainError("curvature sweeps need a problem with a manifold block")
+    if axis in ("condition_number", "curvature") and is_explicit(desc):
+        raise DomainError(f"{axis} sweeps need a generator problem block, not explicit data")
+    if axis == "condition_number" and "L" not in desc:
+        raise MissingDataError("condition_number sweeps need the problem's 'L'")
     if axis == "curvature":
-        if desc.get("manifold") is None:
-            raise DomainError("curvature sweeps need a problem with a manifold block")
         curv_key = curvature_key(desc["manifold"])
     shared = problem_from_dict(desc) if axis in ("gamma", "delta_const") else None
 
@@ -202,7 +206,7 @@ def build_sweep(
         elif axis == "delta_const":
             e.update(mode="ragd_constant_delta", delta_const=float(v))
         elif axis == "condition_number":
-            big = float(d.get("L", 1.0))
+            big = float(d["L"])
             d.update(mu=float(v) * big, L=big)
         else:
             d["manifold"] = {**d["manifold"], curv_key: float(v)}

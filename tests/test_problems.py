@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
+import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -368,13 +370,42 @@ def test_optimum_required_before_use():
         _ = prob.optimum_value
 
 
-def test_problem_dict_roundtrip_quadratic():
-    prob = make_quadratic(6, 1.0, 9.0, seed=7)
+# The keys ``problem_to_dict`` writes besides ``name`` and a set ``optimum``:
+# exactly those of the explicit form.
+_QUADRATIC_DOC_KEYS = {"kind", "hessian", "center", "start", "mu", "L"}
+_BARYCENTER_DOC_KEYS = {"kind", "manifold", "anchors", "weights"}
+
+
+def _assert_round_trips(prob, keys):
+    """``problem_to_dict(prob)`` holds exactly ``keys`` plus ``name`` (and
+    ``optimum`` once set), and loads back, through JSON, as the same problem."""
     doc = problem_to_dict(prob)
-    again = problem_from_dict(doc)
-    x = prob.manifold.point(np.linspace(-1.0, 1.0, 6))
-    assert abs(prob.value(x) - again.value(x)) < tol
-    assert np.allclose(prob.optimum.coords, again.optimum.coords)
+    assert doc.keys() == keys | {"name"} | ({"optimum"} if prob.optimum is not None else set())
+    again = problem_from_dict(json.loads(json.dumps(doc)))
+    assert (again.name, again.mu, again.L) == (prob.name, prob.mu, prob.L)
+    assert again.certified_radius == prob.certified_radius
+    assert np.array_equal(again.start.coords, prob.start.coords)
+    assert np.array_equal(again.reference.coords, prob.reference.coords)
+    assert again.payload == prob.payload
+    if prob.optimum is not None:
+        assert np.array_equal(again.optimum.coords, prob.optimum.coords)
+    return again
+
+
+def test_problem_dict_roundtrip_quadratic():
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(6, 6))
+    explicit = quadratic_from_arrays(g @ g.T + np.eye(6), np.ones(6), np.zeros(6))
+    for prob in (make_quadratic(6, 1.0, 9.0, seed=7), explicit):
+        again = _assert_round_trips(prob, _QUADRATIC_DOC_KEYS)
+        x = prob.manifold.point(np.linspace(-1.0, 1.0, 6))
+        assert abs(prob.value(x) - again.value(x)) < tol
+
+
+def _explicit_barycenter(build, m, radius):
+    rng = rng_from_seed(3)
+    anchors = [m.random_point(rng, m.base_point(), radius) for _ in range(3)]
+    return build(m, anchors, [0.5, 0.3, 0.2])
 
 
 @pytest.mark.parametrize(
@@ -383,17 +414,20 @@ def test_problem_dict_roundtrip_quadratic():
         lambda: random_karcher(Hyperbolic(5, kappa=1.0), 4, 1.2, seed=8),
         lambda: random_karcher(SPD(3), 5, 1.5, seed=13),
         lambda: random_sphere_mean(Sphere(4), 6, 0.3, seed=17),
+        lambda: _explicit_barycenter(make_karcher, Hyperbolic(5, kappa=2.0), 1.2),
+        lambda: _explicit_barycenter(make_karcher, SPD(3), 1.5),
+        lambda: _explicit_barycenter(make_sphere_mean, Sphere(4, sigma=0.5), 0.3),
     ],
-    ids=["hyperbolic", "spd", "sphere_mean"],
+    ids=["hyperbolic", "spd", "sphere_mean", "hyperbolic-explicit", "spd-explicit",
+         "sphere_mean-explicit"],
 )
 def test_problem_dict_roundtrip_karcher(build):
     prob = build()
-    doc = problem_to_dict(prob)
-    again = problem_from_dict(doc)
-    assert again.mu == prob.mu
-    assert abs(again.L - prob.L) < tol
+    again = _assert_round_trips(prob, _BARYCENTER_DOC_KEYS)
     x = prob.start
     assert abs(prob.value(x) - again.value(x)) < tol
+    oracle_optimum(prob, tol=1e-8)
+    _assert_round_trips(prob, _BARYCENTER_DOC_KEYS)
 
 
 def test_problem_from_generator_block():
@@ -544,6 +578,24 @@ def test_one_dimensional_quadratic_builds_at_mu_equal_L():
     assert (prob.mu, prob.L) == (2.0, 2.0)
 
 
+# The message's list of a form's keys, per (kind family, form).
+_FORM_KEYS = {
+    ("quadratic", "explicit"):
+        "['L', 'center', 'hessian', 'kind', 'mu', 'name', 'optimum', 'start']",
+    ("quadratic", "generator"): "['L', 'center', 'dim', 'kind', 'mu', 'name', 'optimum', 'seed']",
+    ("barycenter", "explicit"): "['anchors', 'kind', 'manifold', 'name', 'optimum', 'weights']",
+    ("barycenter", "generator"):
+        "['kind', 'manifold', 'n_anchors', 'name', 'optimum', 'radius', 'seed', 'weights']",
+}
+_QUADRATIC_GENERATOR = {"kind": "quadratic", "dim": 3, "mu": 1.0, "L": 2.0, "seed": 0}
+_QUADRATIC_EXPLICIT = {"kind": "quadratic", "hessian": [[1.0, 0.0], [0.0, 2.0]],
+                       "center": [0.0, 0.0], "start": [1.0, 1.0]}
+_KARCHER_GENERATOR = {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 3},
+                      "n_anchors": 4, "radius": 1.0, "seed": 0}
+_KARCHER_EXPLICIT = {"kind": "karcher", "manifold": {"kind": "euclidean", "dim": 2},
+                     "anchors": [[0.0, 0.0], [1.0, 0.0]]}
+
+
 @pytest.mark.parametrize(
     "doc, key",
     [
@@ -557,10 +609,29 @@ def test_one_dimensional_quadratic_builds_at_mu_equal_L():
           "radius": 1.0, "seed": 0, "hessian": [[1.0]]}, "hessian"),
         ({"kind": "sphere_mean", "manifold": {"kind": "sphere", "dim": 3}, "n_anchor": 4,
           "radius": 0.3, "seed": 0}, "n_anchor"),
+        ({**_QUADRATIC_GENERATOR, "start": [5.0, 5.0, 5.0]}, "start"),
+        ({**_QUADRATIC_EXPLICIT, "dim": 2}, "dim"),
+        ({**_KARCHER_EXPLICIT, "n_anchors": 2}, "n_anchors"),
+        ({**_QUADRATIC_EXPLICIT, "seed": 0}, "seed"),
+        ({**_KARCHER_EXPLICIT, "mu": 1.0}, "mu"),
+        ({**_KARCHER_EXPLICIT, "L": 1.0}, "L"),
+        ({**_KARCHER_EXPLICIT, "seed": 0}, "seed"),
+        ({**_KARCHER_EXPLICIT, "radius": 1.0}, "radius"),
+        ({**_KARCHER_GENERATOR, "mu": 1.0}, "mu"),
+        ({**_KARCHER_GENERATOR, "L": 123.0}, "L"),
+        ({"kind": "sphere_mean", "manifold": {"kind": "sphere", "dim": 3}, "n_anchors": 4,
+          "radius": 0.3, "seed": 0, "L": 1.0}, "L"),
     ],
     ids=["quadratic-centre", "quadratic-manifold", "karcher-weight", "karcher-hessian",
-         "sphere-mean-n-anchor"],
+         "sphere-mean-n-anchor", "quadratic-generator-start", "quadratic-explicit-dim",
+         "karcher-explicit-n-anchors", "quadratic-explicit-seed", "karcher-explicit-mu",
+         "karcher-explicit-L", "karcher-explicit-seed", "karcher-explicit-radius",
+         "karcher-generator-mu", "karcher-generator-L", "sphere-mean-generator-L"],
 )
 def test_problem_from_dict_rejects_keys_its_kind_does_not_take(doc, key):
-    with pytest.raises(DomainError, match=rf"takes no \['{key}'\]; its keys are \['L', "):
+    family = "quadratic" if doc["kind"] == "quadratic" else "barycenter"
+    form = "explicit" if ("hessian" if family == "quadratic" else "anchors") in doc else "generator"
+    message = (f"a '{doc['kind']}' problem in {form} form takes no ['{key}']; "
+               f"its keys are {_FORM_KEYS[family, form]}")
+    with pytest.raises(DomainError, match=re.escape(message)):
         problem_from_dict(doc)

@@ -10,7 +10,7 @@ import pytest
 from ragd.distortion import trig_coeff
 from ragd.errors import DomainError, MissingDataError
 from ragd.geometry import Hyperbolic
-from ragd.problems import make_quadratic, oracle_optimum, random_karcher
+from ragd.problems import make_quadratic, oracle_optimum, problem_to_dict, random_karcher
 from ragd.solvers import SolverConfig, run
 from ragd.sweep import (
     SWEEP_COLUMNS, build_sweep, run_enlarging, sweep_point, write_sweep_csv,
@@ -232,6 +232,16 @@ def test_sweep_rejects_bad_requests():
         _run_sweep(_karcher_config(), "condition_number", [0.1])
     with pytest.raises(DomainError):
         _run_sweep(_quadratic_config(), "curvature", [1.0])
+    no_L = {**_quadratic_config(), "problem": {"kind": "quadratic", "dim": 3, "mu": 0.5, "seed": 0}}
+    with pytest.raises(MissingDataError, match="'L'"):
+        _run_sweep(no_L, "condition_number", [0.5])
+    explicit = [
+        ("condition_number", problem_to_dict(make_quadratic(3, 1.0, 2.0, seed=0))),
+        ("curvature", problem_to_dict(random_karcher(Hyperbolic(3, kappa=1.0), 4, 1.0, seed=0))),
+    ]
+    for axis, problem in explicit:
+        with pytest.raises(DomainError, match=f"{axis} sweeps need a generator problem block"):
+            _run_sweep({**_quadratic_config(), "problem": problem}, axis, [0.5])
 
 
 def test_write_sweep_csv_round_trips(tmp_path):
