@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -144,13 +145,13 @@ def cmd_run(args: argparse.Namespace) -> Execute:
             gaps = trace.column("f_gap")
             est = estimate_rate(gaps)
             pred = _predicted_rate(config, float(trace.column("xi")[-1]))
-            summary.append((config.mode, float(gaps[-1]), est.rate, pred))
+            summary.append((config.mode, float(gaps[-1]), math.exp(est.slope), pred))
             logger.info("wrote %s", stem)
 
         print(f"# problem={problem.name} seed={seed} config_hash={chash}")
-        print(f"{'solver':24s} {'final_gap':>14s} {'rate':>10s} {'pred_rate':>10s}")
-        for mode, gap, rate, pred in summary:
-            print(f"{mode:24s} {gap:14.6e} {rate:10.6f} {pred:10.6f}")
+        print(f"{'solver':24s} {'final_gap':>14s} {'gap_rate':>10s} {'pred_rate':>10s}")
+        for mode, gap, gap_rate, pred in summary:
+            print(f"{mode:24s} {gap:14.6e} {gap_rate:10.6f} {pred:10.6f}")
         return EXIT_OK
 
     return execute
@@ -178,11 +179,11 @@ def cmd_sweep(args: argparse.Namespace) -> Execute:
         points = [sweep_point(args.axis, *case) for case in cases]
         write_sweep_csv(points, path)
         print(f"# axis={args.axis} -> {path}")
-        print(f"{'value':>10s} {'solver':20s} {'final_gap':>14s} {'rate':>10s} "
+        print(f"{'value':>10s} {'solver':20s} {'final_gap':>14s} {'gap_rate':>10s} "
               f"{'xi_pred':>10s} {'pred_rate':>10s} {'settle':>7s}")
         for p in points:
             print(f"{p.value:10.5f} {p.solver:20s} {p.final_gap:14.6e} "
-                  f"{p.rate:10.6f} {p.xi_pred:10.6f} {p.pred_rate:10.6f} "
+                  f"{math.exp(p.slope):10.6f} {p.xi_pred:10.6f} {p.pred_rate:10.6f} "
                   f"{p.xi_settle_iters:7d}")
         return EXIT_OK
 

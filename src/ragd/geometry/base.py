@@ -188,10 +188,10 @@ class Manifold(abc.ABC):
     def norm(self, x: ManifoldPoint, v: TangentVector) -> float:
         return float(np.sqrt(max(self.inner(x, v, v), 0.0)))
 
-    def _norm_resolved(self, v: np.ndarray) -> bool:
-        """Whether the square of the norm of the tangent coordinates ``v``
-        exceeds the rounding error of its own evaluation; always, unless the
-        inner product cancels."""
+    def _norm_resolved(self, v: np.ndarray, tol: float) -> bool:
+        """Whether the norm of the tangent coordinates ``v`` is known to be
+        at most ``tol``, or its square exceeds the rounding error of its own
+        evaluation; always, unless the inner product cancels."""
         return True
 
     def projected_distance(

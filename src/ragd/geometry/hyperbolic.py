@@ -243,12 +243,16 @@ class Hyperbolic(Manifold):
     def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self._mdot_many(vs, vs), 0.0))
 
-    def _norm_resolved(self, v: np.ndarray) -> bool:
+    def _norm_resolved(self, v: np.ndarray, tol: float) -> bool:
         # Far out, a tangent's spacelike and timelike squares nearly cancel.
         # The dim + 1 products and sums of ``_mdot`` round by up to about
         # (dim + 1) * eps / 2 times the sum of their magnitudes; the test
-        # allows twice that.
-        return not self._mdot(v, v) < (self.dim + 1) * _EPS * self._scale_sq(v, v)
+        # allows twice that.  A tangent's Minkowski square
+        # |v_s|^2 - v_t^2 is at most its Euclidean one |v|^2, so a tangent
+        # with |v| <= tol has a norm of at most tol however <v, v> rounds
+        # (a gradient of 1e-32 at the optimum rounds to a negative <v, v>).
+        scale_sq = self._scale_sq(v, v)
+        return scale_sq <= tol * tol or not self._mdot(v, v) < (self.dim + 1) * _EPS * scale_sq
 
     # ----- sampling -------------------------------------------------------
 

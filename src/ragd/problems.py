@@ -11,7 +11,7 @@ through plain dictionaries (see :func:`problem_to_dict`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "StackedObjective",
     "make_quadratic",
     "make_karcher",
-    "recertified",
     "random_karcher",
     "make_sphere_mean",
     "random_sphere_mean",
@@ -81,7 +80,13 @@ class StackedObjective:
 class Problem:
     """A geodesically strongly convex objective whose certified (mu, L)
     hold on the ball of ``certified_radius`` around ``reference``.
-    ``payload`` is its explicit description (see :func:`problem_to_dict`)."""
+    ``payload`` is its explicit description (see :func:`problem_to_dict`).
+
+    ``certify(radius)`` is the family's certificate: given a ball of
+    ``radius`` around ``reference`` that holds the data, the ``(mu, L,
+    certified_radius)`` that hold on the ball of ``certified_radius``, or a
+    DomainError where it certifies none.  It is None where (mu, L) hold
+    everywhere, as on a quadratic."""
 
     name: str
     manifold: Manifold
@@ -94,6 +99,9 @@ class Problem:
     certified_radius: float = math.inf
     optimum: ManifoldPoint | None = None
     payload: dict = field(default_factory=dict)
+    certify: Callable[[float], tuple[float, float, float]] | None = field(
+        default=None, repr=False
+    )
     _f_opt: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -305,11 +313,6 @@ def _barycenter_callables(
     return StackedObjective(many), gradient
 
 
-def _karcher_smoothness(manifold: Manifold, radius: float) -> float:
-    """L of a Hadamard barycenter on a ball of ``radius`` that holds its anchors."""
-    return trig_coeff(manifold.kappa, 2.0 * radius)
-
-
 def _barycenter(
     kind: str,
     manifold: Manifold,
@@ -347,6 +350,7 @@ def _barycenter(
         reference=ref,
         certified_radius=radius,
         payload=payload,
+        certify=certify,
     )
 
 
@@ -354,7 +358,9 @@ def _random_anchors(
     manifold: Manifold, n_anchors: int, radius: float, seed: int
 ) -> list[ManifoldPoint]:
     """``n_anchors`` anchors drawn in the ``radius`` ball around the
-    canonical point; the caller has checked ``n_anchors`` and ``radius``."""
+    canonical point; the caller has checked ``radius``."""
+    if n_anchors < 1:
+        raise DomainError(f"need n_anchors >= 1, got {n_anchors}")
     rng = rng_from_seed(seed)
     center = manifold.base_point()
     return [manifold.random_point(rng, center, radius) for _ in range(n_anchors)]
@@ -379,22 +385,10 @@ def make_karcher(
             "use make_sphere_mean for positive curvature"
         )
 
-    def certify(spread: float) -> tuple[float, float, float]:
-        return 1.0, _karcher_smoothness(manifold, spread), spread
+    def certify(radius: float) -> tuple[float, float, float]:
+        return 1.0, trig_coeff(manifold.kappa, 2.0 * radius), radius
 
     return _barycenter("karcher", manifold, anchors, weights, name, certify)
-
-
-def recertified(problem: Problem, radius: float) -> Problem | None:
-    """``problem`` certified on the larger ball of ``radius``: a Karcher
-    problem with L rebuilt for that ball.  None for any other kind, or when
-    L would not grow."""
-    if problem.payload.get("kind") != "karcher":
-        return None
-    lips = _karcher_smoothness(problem.manifold, radius)
-    if not lips > problem.L:
-        return None
-    return replace(problem, L=lips, certified_radius=radius)
 
 
 def random_karcher(
@@ -406,8 +400,6 @@ def random_karcher(
     name: str | None = None,
 ) -> Problem:
     """Anchors drawn in the ``radius`` ball around the canonical point."""
-    if n_anchors < 1:
-        raise DomainError(f"need n_anchors >= 1, got {n_anchors}")
     if not radius > 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
     name = name or f"karcher-{manifold.name}-k{n_anchors}"
@@ -455,8 +447,6 @@ def random_sphere_mean(
 ) -> Problem:
     """Random spherical mean; ``radius`` must stay below pi/(8 sqrt(sigma))
     so the anchor spread provably fits inside the quarter-sphere cap."""
-    if n_anchors < 1:
-        raise DomainError(f"need n_anchors >= 1, got {n_anchors}")
     if not isinstance(manifold, Sphere):
         raise DomainError("random_sphere_mean requires a Sphere manifold")
     limit = 0.125 * math.pi / math.sqrt(manifold.sigma)
@@ -492,7 +482,7 @@ def oracle_optimum(
     for _ in range(max_iters):
         g = problem.grad(x)
         if m.norm(x, g) <= tol:
-            if not m._norm_resolved(g.coords):
+            if not m._norm_resolved(g.coords, tol):
                 raise DomainError(
                     "oracle gradient too far out for its norm to be resolved: "
                     f"<g, g> = {m.inner(x, g, g):.3e} lies under its rounding error"

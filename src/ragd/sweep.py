@@ -18,9 +18,7 @@ import math
 from dataclasses import astuple, dataclass, fields, replace
 
 from .errors import DomainError, MissingDataError
-from .problems import (
-    Problem, curvature_key, is_explicit, oracle_optimum, problem_from_dict, recertified,
-)
+from .problems import Problem, curvature_key, is_explicit, oracle_optimum, problem_from_dict
 from .solvers import SolverConfig, run
 from .trace import ConvergenceTrace, estimate_rate
 from .xi import XiParams, fixed_point_xi, settle_steps
@@ -73,27 +71,27 @@ def _predicted_rate(config: SolverConfig, xi: float) -> float:
 def run_enlarging(
     problem: Problem, config: SolverConfig
 ) -> tuple[ConvergenceTrace, SolverConfig]:
-    """Run ``config`` on ``problem``, and once more on the problem certified
-    on the observed ball (:func:`~ragd.problems.recertified`) when the
-    iterates leave its certified ball.
+    """Run ``config`` on ``problem``, and once more when the iterates leave
+    its certified ball and ``problem.certify`` gives a larger L for the
+    ball of the largest observed excursion.
 
-    The re-run's (L, gamma) are rebuilt from the largest observed excursion,
-    and its trace records the new L as ``meta["enlarged_L"]``.  Returns the
-    trace and the settings that made it.
+    The re-run takes that ball's (L, certified radius) and a gamma rebuilt
+    from the new L, and its trace records the new L as
+    ``meta["enlarged_L"]``.  A problem certified everywhere keeps the first
+    run; on a manifold that is not Hadamard, :func:`~ragd.solvers.run`
+    raises at the first step out of the ball instead.  Returns the trace
+    and the settings that made it.
     """
     trace = run(problem, config)
-    if not trace.meta["left_feasible_radius"]:
+    if not trace.meta["left_feasible_radius"] or problem.certify is None:
         return trace, config
-    enlarged = recertified(problem, trace.meta["max_reference_distance"])
-    if enlarged is None:
+    _, lips, radius = problem.certify(trace.meta["max_reference_distance"])
+    if not lips > problem.L:
         return trace, config
-    logger.info(
-        "iterates left the certified ball; re-running with L enlarged to %r",
-        enlarged.L,
-    )
-    new_config = replace(config, L=enlarged.L)
-    trace = run(enlarged, new_config)
-    trace.meta["enlarged_L"] = enlarged.L
+    logger.info("iterates left the certified ball; re-running with L enlarged to %r", lips)
+    new_config = replace(config, L=lips)
+    trace = run(replace(problem, L=lips, certified_radius=radius), new_config)
+    trace.meta["enlarged_L"] = lips
     return trace, new_config
 
 

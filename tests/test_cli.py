@@ -17,9 +17,10 @@ import ragd.cli as cli
 import ragd.sweep
 from ragd.errors import InjectivityError, NonFiniteError
 from ragd.geometry import Hyperbolic
-from ragd.problems import oracle_optimum, problem_from_dict, random_karcher
+from ragd.problems import oracle_optimum, problem_from_dict, problem_to_dict, random_karcher
 from ragd.solvers import SolverConfig, run
 from ragd.sweep import SWEEP_COLUMNS
+from ragd.trace import estimate_rate
 from ragd.xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi
 
 
@@ -434,6 +435,44 @@ def test_sweep_of_one_or_two_steps_prints_its_summary(tmp_path, capsys, max_iter
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == f"# axis=gamma -> {out / 'sweep_gamma.csv'}"
     assert [float(ln.split()[0]) for ln in lines[2:]] == [1.0, 1.05]
+
+
+def test_run_and_sweep_print_the_fitted_gap_contraction(tmp_path, capsys):
+    # `gap_rate` is exp(slope), the contraction of the gap, which is the unit
+    # of `pred_rate`; the sweep CSV keeps its `slope` and `rate` columns.
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, solvers=[{"mode": "ragd", "max_iters": 60}])
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1].split() == ["solver", "final_gap", "gap_rate", "pred_rate"]
+    rows = [ln for ln in (out / "quadratic-d8_ragd.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    column = rows[0].split(",").index("f_gap")
+    gaps = [float(row.split(",")[column]) for row in rows[1:]]
+    assert lines[2].split()[2] == f"{math.exp(estimate_rate(gaps).slope):.6f}"
+
+    argv = ["sweep", "--config", str(cfg), "--axis", "gamma", "--values", "1.0,1.05",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1].split() == [
+        "value", "solver", "final_gap", "gap_rate", "xi_pred", "pred_rate", "settle"]
+    csv_rows = (out / "sweep_gamma.csv").read_text().strip().splitlines()
+    slope = SWEEP_COLUMNS.index("slope")
+    assert [ln.split()[3] for ln in lines[2:]] == [
+        f"{math.exp(float(row.split(',')[slope])):.6f}" for row in csv_rows[1:]]
+
+
+def test_run_of_a_karcher_problem_whose_start_is_its_optimum(tmp_path):
+    # One anchor: the start is the optimum, where the hyperbolic gradient's
+    # Minkowski square rounds below zero.
+    problem = {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 5},
+               "n_anchors": 1, "radius": 1.2, "seed": 2}
+    cfg = _write_config(tmp_path, problem=problem, solvers=[{"mode": "ragd", "max_iters": 5}])
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    prob = problem_from_dict(problem)
+    anchor = problem_to_dict(prob)["anchors"][0]
+    assert np.array_equal(oracle_optimum(prob).coords, np.array(anchor))
 
 
 def test_curvature_sweep_of_a_flat_block_is_config_error(tmp_path):

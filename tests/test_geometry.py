@@ -707,8 +707,8 @@ def test_hyperbolic_norm_resolution_bound(r, resolved):
     m = Hyperbolic(8)
     v = np.zeros(9)
     v[0], v[-1] = math.cosh(r), math.sinh(r)
-    assert m._norm_resolved(v) is resolved
-    assert m._norm_resolved(np.zeros(9))
+    assert m._norm_resolved(v, 0.0) is resolved
+    assert m._norm_resolved(np.zeros(9), 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

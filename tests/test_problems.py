@@ -34,7 +34,6 @@ from ragd.problems import (
     quadratic_from_arrays,
     random_karcher,
     random_sphere_mean,
-    recertified,
     rng_from_seed,
 )
 from ragd.verify import _gradient_checks
@@ -116,28 +115,65 @@ def test_hyperbolic_karcher_reference_is_on_the_hyperboloid(kappa):
         assert np.array_equal(ref, m._project_point(mean).coords)
 
 
-def test_recertified_moves_L_and_radius_together():
+def test_karcher_certify_moves_L_and_radius_together():
     kappa = 2.0
     prob = random_karcher(Hyperbolic(5, kappa=kappa), 4, 1.0, seed=6)
     r = 1.5 * prob.certified_radius
-    wider = recertified(prob, r)
-    assert wider.L == trig_coeff(kappa, 2.0 * r) > prob.L
-    assert wider.certified_radius == r
-    assert wider.mu == prob.mu
-    assert wider.start is prob.start and wider.reference is prob.reference
-    assert wider.payload == prob.payload
-    x = prob.manifold.random_point(rng_from_seed(1), prob.reference, r)
-    assert wider.value(x) == prob.value(x)
+    mu, lips, radius = prob.certify(r)
+    assert lips == trig_coeff(kappa, 2.0 * r) > prob.L
+    assert radius == r
+    assert mu == prob.mu
 
 
-def test_recertified_is_none_without_a_larger_karcher_ball():
+def test_certify_gives_no_larger_L_without_a_larger_karcher_ball():
     prob = random_karcher(Hyperbolic(5, kappa=1.0), 4, 1.0, seed=6)
-    assert recertified(prob, prob.certified_radius) is None
-    assert recertified(prob, 0.5 * prob.certified_radius) is None
-    sphere = random_sphere_mean(Sphere(4, sigma=1.0), 4, 0.3, seed=6)
-    assert recertified(sphere, 2.0 * sphere.certified_radius) is None
-    quadratic = make_quadratic(4, 1.0, 10.0, seed=6)
-    assert recertified(quadratic, 10.0) is None
+    assert prob.certify(prob.certified_radius)[1] == prob.L
+    assert prob.certify(0.5 * prob.certified_radius)[1] < prob.L
+    # A quadratic's (mu, L) hold everywhere: it has no certificate to ask.
+    assert make_quadratic(4, 1.0, 10.0, seed=6).certify is None
+
+
+def test_sphere_mean_certify_raises_at_or_past_its_cap():
+    prob = random_sphere_mean(Sphere(4, sigma=2.0), 4, 0.2, seed=6)
+    cap = prob.certified_radius
+    assert prob.certify(0.5 * cap)[1:] == (1.0, cap)
+    for radius in (cap, 2.0 * cap):
+        with pytest.raises(DomainError, match="quarter-sphere cap"):
+            prob.certify(radius)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_karcher(Hyperbolic(5, kappa=2.0), 4, 1.0, seed=6),
+        lambda: random_karcher(SPD(3), 5, 1.5, seed=13),
+        lambda: random_karcher(Euclidean(3), 4, 1.0, seed=2),
+        lambda: random_sphere_mean(Sphere(4), 6, 0.3, seed=17),
+    ],
+    ids=["hyperbolic", "spd", "euclidean", "sphere_mean"],
+)
+def test_build_time_certificate_is_certify_of_the_anchor_spread(build):
+    # The constants a barycenter is built with are its certificate at the
+    # largest anchor distance from the reference, bit for bit, and a
+    # problem loaded from its dictionary carries the same certificate.
+    prob = build()
+    anchors = np.array(prob.payload["anchors"])
+    spread = float(prob.manifold._dist_table([prob.reference], anchors).max())
+    assert (prob.mu, prob.L, prob.certified_radius) == prob.certify(spread)
+    assert problem_from_dict(problem_to_dict(prob)).certify(spread) == prob.certify(spread)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_karcher(Hyperbolic(4), 0, 1.0, seed=0),
+        lambda: random_sphere_mean(Sphere(4), 0, 0.3, seed=0),
+    ],
+    ids=["karcher", "sphere_mean"],
+)
+def test_random_barycenters_need_an_anchor(build):
+    with pytest.raises(DomainError, match=re.escape("need n_anchors >= 1, got 0")):
+        build()
 
 
 def test_karcher_audit_spd():
@@ -305,6 +341,19 @@ def _far_line_karcher(seed, n_anchors):
         v[1:8] = 0.01 * abs(t) * rng.normal(size=7)
         anchors.append(m.exp(base, m.tangent(base, v)))
     return make_karcher(m, anchors)
+
+
+@pytest.mark.parametrize("seed", [2, 4, 5])
+def test_oracle_accepts_a_start_that_is_the_optimum(seed):
+    # One anchor: the gradient at the start is about 1e-32, and its
+    # Minkowski square rounds to a negative number under its own rounding
+    # error; its coordinates are within tol, so the start is the optimum.
+    prob = random_karcher(Hyperbolic(5), 1, 1.2, seed=seed)
+    g = prob.grad(prob.start).coords
+    m = prob.manifold
+    assert m._mdot(g, g) < (m.dim + 1) * np.finfo(float).eps * m._scale_sq(g, g)
+    assert oracle_optimum(prob) is prob.start
+    assert prob.optimum is prob.start
 
 
 @pytest.mark.parametrize("seed, n_anchors", [(22, 4), (16, 2)])

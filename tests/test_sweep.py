@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from ragd.distortion import trig_coeff
-from ragd.errors import DomainError, MissingDataError
-from ragd.geometry import Hyperbolic
-from ragd.problems import make_quadratic, oracle_optimum, problem_to_dict, random_karcher
+from ragd.errors import DomainError, MissingDataError, RuntimeContainmentError
+from ragd.geometry import Hyperbolic, Sphere
+from ragd.problems import (
+    make_quadratic, oracle_optimum, problem_to_dict, random_karcher, random_sphere_mean,
+)
 from ragd.solvers import SolverConfig, run
 from ragd.sweep import (
     SWEEP_COLUMNS, build_sweep, run_enlarging, sweep_point, write_sweep_csv,
@@ -210,9 +212,85 @@ def test_enlarged_rerun_is_certified_on_the_observed_ball(caplog):
     assert trace.meta["enlarged_L"] == enlarged.L > config.L
 
 
+def _recorded_runs(monkeypatch):
+    """The (problem, config) of every run ``run_enlarging`` starts, and its
+    trace once the run returns."""
+    runs = []
+
+    def record(problem, config):
+        runs.append((problem, config))
+        trace = run(problem, config)
+        runs[-1] += (trace,)
+        return trace
+
+    monkeypatch.setattr("ragd.sweep.run", record)
+    return runs
+
+
+def _far_start_karcher():
+    prob = random_karcher(Hyperbolic(6, kappa=1.0), 5, 0.8, seed=1)
+    oracle_optimum(prob)
+    far = prob.manifold.random_point(np.random.default_rng(0), prob.reference, 3.0)
+    return dataclasses.replace(prob, start=far)
+
+
+def test_run_enlarging_reruns_on_the_problem_certified_for_the_observed_ball(monkeypatch):
+    prob = _far_start_karcher()
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, xi0=0.3, max_iters=30)
+    runs = _recorded_runs(monkeypatch)
+    trace, used = run_enlarging(prob, config)
+    (first, _, first_trace), (wider, wider_config, wider_trace) = runs
+    assert first is prob
+    reach = first_trace.meta["max_reference_distance"]
+    assert (wider.mu, wider.L, wider.certified_radius) == prob.certify(reach)
+    assert wider.L == trig_coeff(1.0, 2.0 * reach) > prob.L
+    assert wider.certified_radius == reach
+    assert wider_config is used and used == dataclasses.replace(config, L=wider.L)
+    assert trace is wider_trace and trace.meta["enlarged_L"] == wider.L
+    assert wider.mu == prob.mu
+    assert wider.start is prob.start and wider.reference is prob.reference
+    assert wider.payload == prob.payload and wider.certify is prob.certify
+    x = prob.manifold.random_point(np.random.default_rng(1), prob.reference, reach)
+    assert wider.value(x) == prob.value(x)
+
+
+def test_run_enlarging_keeps_the_first_trace_when_the_observed_ball_needs_no_larger_L(
+    monkeypatch,
+):
+    # L is already certified for a ball of four times the anchor spread, but
+    # the problem claims a smaller radius, which the iterates leave; the
+    # certificate of the ball they visit gives no larger L.
+    prob = random_karcher(Hyperbolic(5, kappa=1.0), 4, 1.0, seed=6)
+    _, lips, _ = prob.certify(4.0 * prob.certified_radius)
+    prob = dataclasses.replace(prob, L=lips, certified_radius=1e-3)
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=30)
+    runs = _recorded_runs(monkeypatch)
+    trace, used = run_enlarging(prob, config)
+    assert len(runs) == 1
+    assert trace.meta["left_feasible_radius"] is True
+    assert prob.certify(trace.meta["max_reference_distance"])[1] <= prob.L
+    assert "enlarged_L" not in trace.meta
+    assert used is config
+
+
+def test_run_enlarging_does_not_rerun_a_sphere_mean_that_leaves_its_cap(monkeypatch):
+    # The run ends at its first step out of the cap, before any certificate
+    # of a larger ball is asked for: past the cap there is none.
+    prob = random_sphere_mean(Sphere(4, sigma=1.0), 4, 0.3, seed=6)
+    m = prob.manifold
+    v = m.random_tangent(np.random.default_rng(0), prob.reference, scale=1.0)
+    far = m.exp(prob.reference, (1.0 / m.norm(prob.reference, v)) * v)
+    prob = dataclasses.replace(prob, start=far)
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=30)
+    runs = _recorded_runs(monkeypatch)
+    with pytest.raises(RuntimeContainmentError, match="left the certified ball"):
+        run_enlarging(prob, config)
+    assert len(runs) == 1
+
+
 def test_run_enlarging_keeps_the_first_trace_when_the_problem_cannot_be_recertified():
-    # Only a Karcher problem is rebuilt for a larger ball; a quadratic whose
-    # iterates leave its (here artificially small) ball keeps the first run.
+    # A quadratic's (mu, L) hold everywhere, so it carries no certificate; one
+    # whose iterates leave its (here artificially small) ball keeps the first run.
     prob = dataclasses.replace(make_quadratic(4, 1.0, 10.0, seed=0), certified_radius=1e-3)
     config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=5)
     trace, used = run_enlarging(prob, config)
