@@ -75,10 +75,14 @@ def _config_hash(effective: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _reject_constant(token: str) -> None:
+    raise DomainError(f"config holds the non-standard JSON constant {token}")
+
+
 def _load_config(path: str) -> dict:
-    """Read a config file shared by ``run`` and ``sweep``."""
+    """Read a config file shared by ``run`` and ``sweep``, as RFC 8259 JSON."""
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_constant=_reject_constant)
     if not isinstance(cfg, dict):
         raise DomainError("config root must be a JSON object")
     emit = cfg.get("emit", "csv")

@@ -1,6 +1,6 @@
 """Benchmark problems: strongly convex quadratics and weighted barycenters.
 
-Every problem bundles its manifold, objective/gradient callables, the
+Every problem bundles its manifold, objective/gradient array functions, the
 certified strong-convexity and smoothness constants (mu, L), the start
 point of every run, and the ball around a reference point on which the
 certificates hold.  Builders are deterministic: all randomness flows through a
@@ -11,6 +11,7 @@ through plain dictionaries (see :func:`problem_to_dict`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,11 +29,10 @@ from .geometry import (
     Sphere,
     TangentVector,
 )
-from .geometry.base import all_finite, require_base, row_dots
+from .geometry.base import all_finite, row_dots
 
 __all__ = [
     "Problem",
-    "StackedObjective",
     "make_quadratic",
     "make_karcher",
     "random_karcher",
@@ -64,23 +64,14 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-class StackedObjective:
-    """An objective defined once, in stacked form: ``many(points)`` evaluates
-    a sequence of points in one pass, and calling the objective at one point
-    is its one-point case, so both round alike."""
-
-    def __init__(self, many: Callable[[Sequence[ManifoldPoint]], np.ndarray]) -> None:
-        self.many = many
-
-    def __call__(self, x: ManifoldPoint) -> float:
-        return float(self.many([x])[0])
-
-
 @dataclass
 class Problem:
     """A geodesically strongly convex objective whose certified (mu, L)
     hold on the ball of ``certified_radius`` around ``reference``.
     ``payload`` is its explicit description (see :func:`problem_to_dict`).
+
+    ``values(points)`` is the objective at a sequence of points, a float
+    array; ``gradient(x)`` is the gradient's coordinates at ``x``.
 
     ``certify(radius)`` is the family's certificate: given a ball of
     ``radius`` around ``reference`` that holds the data, the ``(mu, L,
@@ -90,8 +81,8 @@ class Problem:
 
     name: str
     manifold: Manifold
-    objective: Callable[[ManifoldPoint], float]
-    gradient: Callable[[ManifoldPoint], TangentVector]
+    values: Callable[[Sequence[ManifoldPoint]], np.ndarray]
+    gradient: Callable[[ManifoldPoint], np.ndarray]
     mu: float
     L: float
     start: ManifoldPoint
@@ -109,30 +100,23 @@ class Problem:
             raise DomainError(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
 
     def value(self, x: ManifoldPoint) -> float:
-        return float(self.objective(x))
-
-    def values(self, points: Sequence[ManifoldPoint]) -> np.ndarray:
-        """``value`` at every point: one stacked pass when ``objective`` is a
-        :class:`StackedObjective`, as on every built-in problem, otherwise a
-        loop over ``value``."""
-        if isinstance(self.objective, StackedObjective):
-            return self.objective.many(points)
-        return np.array([self.value(x) for x in points])
+        return float(self.values([x])[0])
 
     def grad(self, x: ManifoldPoint) -> TangentVector:
         """Gradient at ``x``.  The user callable's output is checked here,
-        once: DomainError on a shape mismatch or a gradient anchored at
-        another point, NonFiniteError on a non-finite coordinate.  The
-        solvers then step with its coordinates unchecked."""
+        once: DomainError unless it is a float64 array of the point's shape,
+        NonFiniteError on a non-finite coordinate.  The solvers then step
+        with its coordinates unchecked."""
         g = self.gradient(x)
-        if g.coords.shape != x.coords.shape:
+        if not (isinstance(g, np.ndarray) and g.dtype == np.float64
+                and g.shape == x.coords.shape):
+            got = (f"a {g.dtype} array of shape {g.shape}" if isinstance(g, np.ndarray)
+                   else f"a {type(g).__name__}")
             raise DomainError(
-                f"gradient shape {g.coords.shape} does not match point {x.coords.shape}"
-            )
-        if not all_finite(g.coords):
+                f"gradient must be a float64 array of shape {x.coords.shape}, got {got}")
+        if not all_finite(g):
             raise NonFiniteError("gradient is not finite")
-        require_base(x, g)
-        return g
+        return TangentVector(x, g)
 
     def set_optimum(self, x: ManifoldPoint) -> None:
         self.manifold.check_point(x.coords)
@@ -170,8 +154,8 @@ def make_quadratic(
     """
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
-    if not (0.0 < mu <= L):
-        raise DomainError(f"need 0 < mu <= L, got mu={mu}, L={L}")
+    if not (0.0 < mu <= L < math.inf):
+        raise DomainError(f"need 0 < mu <= L < inf, got mu={mu}, L={L}")
     if dim == 1 and mu != L:
         raise DomainError("a 1-d quadratic cannot span mu < L")
     rng = rng_from_seed(seed)
@@ -211,8 +195,8 @@ def quadratic_from_arrays(
     """Quadratic problem from explicit data, validating the (mu, L) claim;
     without a claim, (mu, L) are the extreme eigenvalues of ``hessian``.
 
-    The objective is a :class:`StackedObjective` whose rows each equal
-    ``0.5 * float((x - c) @ H @ (x - c))`` bit for bit."""
+    Each row of its ``values`` equals ``0.5 * float((x - c) @ H @ (x - c))``
+    bit for bit."""
     h = np.asarray(hessian, dtype=float)
     c = np.asarray(center, dtype=float)
     x0 = np.asarray(start, dtype=float)
@@ -244,8 +228,8 @@ def quadratic_from_arrays(
         d = np.array([x.coords for x in xs]).reshape(len(xs), dim) - c
         return 0.5 * row_dots((d[:, None, :] @ h_ro)[:, 0, :], d)
 
-    def gradient(x: ManifoldPoint) -> TangentVector:
-        return TangentVector(x, h_ro @ (x.coords - c))
+    def gradient(x: ManifoldPoint) -> np.ndarray:
+        return h_ro @ (x.coords - c)
 
     payload = {
         "kind": "quadratic",
@@ -258,7 +242,7 @@ def quadratic_from_arrays(
     return Problem(
         name=name,
         manifold=m,
-        objective=StackedObjective(many),
+        values=many,
         gradient=gradient,
         mu=mu,
         L=L,
@@ -287,7 +271,7 @@ def _normalized_weights(k: int, weights: Sequence[float] | None) -> np.ndarray:
 
 def _barycenter_callables(
     m: Manifold, stack: np.ndarray, w: np.ndarray
-) -> tuple[StackedObjective, Callable]:
+) -> tuple[Callable, Callable]:
     # ``stack`` holds the anchors, one per row; the manifold's stacked
     # kernels take every anchor in one call.  The objective sums in anchor
     # order, as a loop over the anchors would, and so does the default
@@ -307,10 +291,10 @@ def _barycenter_callables(
             rows += m._dist_table(xs[lo:lo + per_call], stack).tolist()
         return np.array([0.5 * sum(wi * d**2 for wi, d in zip(weights, row)) for row in rows])
 
-    def gradient(x: ManifoldPoint) -> TangentVector:
-        return TangentVector(x, 0.0 - m._log_sum(x, stack, w))
+    def gradient(x: ManifoldPoint) -> np.ndarray:
+        return 0.0 - m._log_sum(x, stack, w)
 
-    return StackedObjective(many), gradient
+    return many, gradient
 
 
 def _barycenter(
@@ -332,7 +316,7 @@ def _barycenter(
     stack.setflags(write=False)
     ref = manifold._project_mean(np.mean(stack, axis=0))
     mu, lips, radius = certify(float(manifold._dist_table([ref], stack).max()))
-    objective, gradient = _barycenter_callables(manifold, stack, w)
+    values, gradient = _barycenter_callables(manifold, stack, w)
     payload = {
         "kind": kind,
         "manifold": manifold_to_dict(manifold),
@@ -342,7 +326,7 @@ def _barycenter(
     return Problem(
         name=name,
         manifold=manifold,
-        objective=objective,
+        values=values,
         gradient=gradient,
         mu=mu,
         L=lips,
@@ -400,8 +384,8 @@ def random_karcher(
     name: str | None = None,
 ) -> Problem:
     """Anchors drawn in the ``radius`` ball around the canonical point."""
-    if not radius > 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {radius}")
     name = name or f"karcher-{manifold.name}-k{n_anchors}"
     return make_karcher(manifold, _random_anchors(manifold, n_anchors, radius, seed),
                         weights, name=name)
@@ -553,8 +537,8 @@ def manifold_from_dict(d: dict) -> Manifold:
     if size_key not in d:
         raise MissingDataError(f"a {kind!r} manifold description needs {size_key!r}")
     if curv_key is None:
-        return cls(int(d[size_key]))
-    return cls(int(d[size_key]), float(d.get(curv_key, default)))
+        return cls(_integer(d, size_key))
+    return cls(_integer(d, size_key), float(d.get(curv_key, default)))
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -569,6 +553,14 @@ def _require(d: dict, key: str) -> object:
         return d[key]
     except KeyError as exc:
         raise MissingDataError(f"problem description needs {key!r}") from exc
+
+
+def _integer(d: dict, key: str) -> int:
+    """The integer under ``key``: not a bool, a float or a string."""
+    v = _require(d, key)
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise DomainError(f"{key!r} must be an integer, got {v!r}")
+    return int(v)
 
 
 # Problem kinds: the key that marks the explicit form, then the keys of that
@@ -625,10 +617,10 @@ def problem_from_dict(d: dict) -> Problem:
             )
         else:
             problem = make_quadratic(
-                int(_require(d, "dim")),
+                _integer(d, "dim"),
                 float(_require(d, "mu")),
                 float(_require(d, "L")),
-                int(_require(d, "seed")),
+                _integer(d, "seed"),
                 center=None if d.get("center") is None else np.asarray(d["center"]),
                 name=name,
             )
@@ -640,8 +632,8 @@ def problem_from_dict(d: dict) -> Problem:
             problem = build(m, anchors, d.get("weights"), name=name or kind)
         else:
             build = random_karcher if kind == "karcher" else random_sphere_mean
-            problem = build(m, int(_require(d, "n_anchors")), float(_require(d, "radius")),
-                            int(_require(d, "seed")), weights=d.get("weights"), name=name)
+            problem = build(m, _integer(d, "n_anchors"), float(_require(d, "radius")),
+                            _integer(d, "seed"), weights=d.get("weights"), name=name)
     if d.get("optimum") is not None:
         problem.set_optimum(
             problem.manifold.point(np.asarray(d["optimum"], dtype=float))

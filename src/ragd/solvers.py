@@ -35,9 +35,9 @@ distance at all.
 The loop runs on coordinate arrays: the gradient's coordinates and
 ``beta * Log_{x+}(z) - eta * grad`` are plain arrays passed to the
 manifold's kernels ``_exp`` and ``_log``, next to ``_geodesic``.  Typed
-points and tangents, and the check that a tangent is anchored at its base
-point, belong to the API boundary: ``Manifold.exp``/``Manifold.log`` and
-``Problem.grad``, which checks every gradient once.
+points and tangents belong to the API boundary: ``Manifold.exp`` and
+``Manifold.log``, which check a tangent's base point, and ``Problem.grad``,
+which checks every gradient once and builds its tangent.
 Step outputs are not re-checked for finiteness: every ``_exp`` and
 ``_geodesic`` returns a finite point or raises
 :class:`~ragd.errors.NonFiniteError`.

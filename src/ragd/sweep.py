@@ -131,17 +131,19 @@ def sweep_point(
 
 
 def problem_description(config: dict, seed: int | None) -> tuple[dict, int | None]:
-    """The config's problem description and the seed in force: ``seed``,
-    else the config's.  That seed fills in the seed of a generator block
-    that gives none."""
+    """The config's problem description and the seed in force: the block's
+    own, else ``seed``, else the config's, which then fills in the seed of
+    a generator block."""
     if seed is None:
         seed = config.get("seed")
     desc = config.get("problem")
     if not isinstance(desc, dict):
         raise MissingDataError("config has no 'problem' object")
     desc = dict(desc)
-    if seed is not None and "seed" not in desc and not is_explicit(desc):
-        desc["seed"] = int(seed)
+    if "seed" in desc:
+        seed = desc["seed"]
+    elif seed is not None and not is_explicit(desc):
+        desc["seed"] = seed
     return desc, seed
 
 

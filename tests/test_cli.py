@@ -138,6 +138,26 @@ def test_run_seed_flag_fills_generator_seed(tmp_path):
     assert a != b
 
 
+def test_run_reports_the_seed_of_the_generator_block(tmp_path, capsys):
+    # The block's seed builds the problem, with or without --seed, so both
+    # runs print, record and hash it and write the same bytes.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 5},
+                    "n_anchors": 3, "radius": 1.2, "seed": 2},
+        "solvers": [{"mode": "ragd", "max_iters": 5}],
+    }))
+    outs, heads = [tmp_path / "plain", tmp_path / "flag"], []
+    for out, extra in zip(outs, ([], ["--seed", "9"])):
+        assert cli.main(["run", "--config", str(path), "--out", str(out), *extra]) == cli.EXIT_OK
+        heads.append(capsys.readouterr().out.splitlines()[0])
+    assert heads[0] == heads[1]
+    assert heads[0].startswith("# problem=karcher-hyperbolic-k3 seed=2 config_hash=")
+    plain, flag = ((out / "karcher-hyperbolic-k3_ragd.csv").read_bytes() for out in outs)
+    assert plain == flag
+    assert b"\n# seed=2\n" in plain
+
+
 def test_run_hyperbolic_karcher_at_high_curvature(tmp_path):
     # kappa 20 puts the anchors' coordinate mean above the hyperbolic
     # renormalization guard; the reference point must still be normalized
@@ -186,6 +206,20 @@ _BAD_CONFIG_CONTENTS = [
                  "n_anchors": 4, "radius": 1.0, "seed": 3, "weight": [0.7, 0.1, 0.1, 0.1]}},
     {"problem": {"kind": "karcher", "manifold": {"kind": "spd", "n": 3, "kappa": 0.5},
                  "n_anchors": 4, "radius": 1.0, "seed": 3}},
+    # json.dumps writes these as the constants Infinity and NaN.
+    {"problem": {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": math.inf, "seed": 3}},
+    {"problem": {"kind": "quadratic", "dim": 8, "mu": math.nan, "L": 20.0, "seed": 3}},
+    {"problem": {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": 20.0, "seed": 3},
+     "solvers": [{"mode": "rgd", "gamma": -math.inf}]},
+    # Integer keys are integers, not bools, floats or strings.
+    {"problem": {"kind": "quadratic", "dim": 3.9, "mu": 1.0, "L": 20.0, "seed": 3}},
+    {"problem": {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": 20.0, "seed": 1.7}},
+    {"problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 4},
+                 "n_anchors": True, "radius": 1.0, "seed": 3}},
+    {"problem": {"kind": "karcher", "manifold": {"kind": "spd", "n": "3"},
+                 "n_anchors": 4, "radius": 1.0, "seed": 3}},
+    {"problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 4.0},
+                 "n_anchors": 4, "radius": 1.0, "seed": 3}},
 ]
 
 
@@ -216,6 +250,27 @@ def test_run_bad_config_contents_are_config_errors(tmp_path, caplog, command, ov
     assert cli.main(_argv(command, cfg, out)) == cli.EXIT_CONFIG
     assert len(_cli_errors(caplog)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        ('{"kind": "quadratic", "dim": 4, "mu": 1.0, "L": Infinity, "seed": 0}',
+         "non-standard JSON constant Infinity"),
+        ('{"kind": "quadratic", "dim": 4, "mu": 1.0, "L": 1e999, "seed": 0}',
+         "need 0 < mu <= L < inf"),
+        ('{"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 4}, "n_anchors": 3, '
+         '"radius": 1e999, "seed": 0}', "radius must be positive and finite"),
+    ],
+    ids=["infinity-constant", "overflowing-literal", "overflowing-radius"],
+)
+def test_run_non_finite_config_number_is_config_error(tmp_path, caplog, problem, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"problem": {problem}, "solvers": [{{"mode": "ragd"}}]}}')
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    errors = _cli_errors(caplog)
+    assert len(errors) == 1 and message in errors[0].getMessage()
 
 
 @pytest.mark.parametrize("where", ["nested", "absolute", "parent"])

@@ -583,8 +583,8 @@ def test_all_finite_call_sites_accept_finite_values_at_1e200():
         prob = Problem(
             name="large-gradient",
             manifold=m,
-            objective=lambda x: 0.0,
-            gradient=lambda x: TangentVector(x, np.full(3, 1e200)),
+            values=lambda xs: np.zeros(len(xs)),
+            gradient=lambda x: np.full(3, 1e200),
             mu=1.0,
             L=1.0,
             start=x,

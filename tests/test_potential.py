@@ -270,17 +270,17 @@ def test_rate_envelope_holds_with_floor():
 
 
 def _counting_rows(monkeypatch, prob):
-    """Count the points passed to ``prob.objective.many``, the stacked pass
-    behind ``value`` and ``values``; the optimum value is cached first."""
+    """Count the points passed to ``prob.values``, the stacked pass behind
+    ``value`` too; the optimum value is cached first."""
     prob.optimum_value
     rows = [0]
-    many = prob.objective.many
+    many = prob.values
 
     def counted(xs):
         rows[0] += len(xs)
         return many(xs)
 
-    monkeypatch.setattr(prob.objective, "many", counted)
+    monkeypatch.setattr(prob, "values", counted)
     return rows
 
 

@@ -17,7 +17,6 @@ from ragd.geometry import (
     Manifold,
     ManifoldPoint,
     Sphere,
-    TangentVector,
 )
 from ragd.geometry.hyperbolic import _POINT_TOL, _RENORM_SCALE
 from ragd.problems import (
@@ -77,7 +76,8 @@ def test_gradient_audit_flags_nan_objective(kind):
         prob = make_quadratic(5, 1.0, 10.0, seed=0)
     else:
         prob = random_karcher(Hyperbolic(4, kappa=1.0), 4, 1.0, seed=0)
-    checks = _gradient_checks(dataclasses.replace(prob, objective=lambda x: math.nan), seed=0)
+    nan_values = dataclasses.replace(prob, values=lambda xs: np.full(len(xs), math.nan))
+    checks = _gradient_checks(nan_values, seed=0)
     assert [c["name"].rsplit("/", 1)[1] for c in checks] == [
         "fd-gradient", "strong-convexity", "smoothness"]
     for check in checks:
@@ -248,13 +248,6 @@ def test_values_equal_a_loop_of_value_bitwise(build):
         assert got.tobytes() == want.tobytes()
 
 
-def test_values_follow_a_replaced_objective():
-    prob = random_karcher(Hyperbolic(4), 5, 1.0, seed=2)
-    swapped = dataclasses.replace(prob, objective=lambda x: float(x.coords[-1]))
-    points = [prob.start, prob.reference]
-    assert swapped.values(points).tolist() == [float(x.coords[-1]) for x in points]
-
-
 @pytest.mark.parametrize("k", [1, 2, 5, 16, 41])
 def test_hyperbolic_karcher_value_is_the_per_anchor_formula_bitwise(k):
     m = Hyperbolic(6, kappa=1.5)
@@ -385,8 +378,8 @@ def test_non_finite_gradient_is_rejected(consumer):
     prob = Problem(
         name="nan-gradient",
         manifold=m,
-        objective=lambda x: 0.0,
-        gradient=lambda x: TangentVector(x, np.full(3, np.nan)),
+        values=lambda xs: np.zeros(len(xs)),
+        gradient=lambda x: np.full(3, np.nan),
         mu=1.0,
         L=1.0,
         start=m.point(np.ones(3)),
@@ -524,6 +517,11 @@ def test_curvature_key_names_each_kinds_own_parameter(doc, key):
         {"kind": "torus", "dim": 4},
         {"kind": "spd", "n": 3, "kappa": 0.5},
         {"kind": ["spd"], "n": 3},
+        # The size is an integer, not a float, a bool or a string.
+        {"kind": "hyperbolic", "dim": 3.9},
+        {"kind": "euclidean", "dim": 3.0},
+        {"kind": "sphere", "dim": True},
+        {"kind": "spd", "n": "3"},
     ],
 )
 def test_manifold_from_dict_rejects_keys_its_kind_does_not_take(doc):
@@ -607,6 +605,25 @@ _DIAG = np.diag([1.0, 4.0])
         (lambda: manifold_to_dict(_Unlisted()), DomainError, "cannot serialize"),
         (lambda: problem_from_dict({"kind": ["quadratic"]}), DomainError,
          "unknown problem kind"),
+        (lambda: make_quadratic(4, 1.0, math.inf, seed=0), DomainError, "L < inf"),
+        (lambda: make_quadratic(4, math.nan, 2.0, seed=0), DomainError, "L < inf"),
+        (lambda: random_karcher(_H3, 3, math.inf, seed=0), DomainError,
+         "positive and finite"),
+        (lambda: random_karcher(_H3, 3, math.nan, seed=0), DomainError,
+         "positive and finite"),
+        # int() would truncate 3.9 to 3 and take True as 1: a problem not asked for.
+        (lambda: problem_from_dict({**_QUADRATIC_GENERATOR, "dim": 3.9}), DomainError,
+         "'dim' must be an integer, got 3.9"),
+        (lambda: problem_from_dict({**_QUADRATIC_GENERATOR, "dim": "3"}), DomainError,
+         "'dim' must be an integer, got '3'"),
+        (lambda: problem_from_dict({**_QUADRATIC_GENERATOR, "seed": 1.7}), DomainError,
+         "'seed' must be an integer, got 1.7"),
+        (lambda: problem_from_dict({**_QUADRATIC_GENERATOR, "seed": False}), DomainError,
+         "'seed' must be an integer, got False"),
+        (lambda: problem_from_dict({**_KARCHER_GENERATOR, "n_anchors": True}), DomainError,
+         "'n_anchors' must be an integer, got True"),
+        (lambda: problem_from_dict({**_KARCHER_GENERATOR, "n_anchors": 4.0}), DomainError,
+         "'n_anchors' must be an integer, got 4.0"),
     ],
     ids=[
         "problem-mu-above-L", "quadratic-dim-0", "quadratic-1d-span", "quadratic-center-shape",
@@ -614,7 +631,9 @@ _DIAG = np.diag([1.0, 4.0])
         "arrays-declared-L", "weights-length", "weights-sign", "weights-sum", "no-anchors",
         "sphere-mean-manifold", "sphere-mean-cap", "random-sphere-mean-anchors",
         "random-sphere-mean-radius", "oracle-max-iters", "manifold-to-dict-unlisted",
-        "problem-kind-unhashable",
+        "problem-kind-unhashable", "quadratic-L-infinite", "quadratic-mu-nan",
+        "karcher-radius-infinite", "karcher-radius-nan", "dim-float", "dim-string",
+        "seed-float", "seed-bool", "n-anchors-bool", "n-anchors-float",
     ],
 )
 def test_builders_reject_bad_input(call, error, fragment):

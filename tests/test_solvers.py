@@ -17,7 +17,6 @@ from ragd.geometry import SPD, Euclidean, Hyperbolic, Sphere, TangentVector
 from ragd.problems import (
     _OBJECTIVE_ROWS,
     Problem,
-    StackedObjective,
     make_karcher,
     make_quadratic,
     oracle_optimum,
@@ -134,8 +133,8 @@ def _constant_gradient_problem(m, start, coords):
     return Problem(
         name="constant-gradient",
         manifold=m,
-        objective=lambda x: 0.0,
-        gradient=lambda x: TangentVector(x, np.array(coords, dtype=float)),
+        values=lambda xs: np.zeros(len(xs)),
+        gradient=lambda x: np.array(coords, dtype=float),
         mu=0.01,
         L=1.0,
         start=m.point(start),
@@ -166,18 +165,19 @@ def test_run_rejects_non_finite_objective_value_at_its_step(monkeypatch, step, b
     # f(y_t) is evaluated once per block of rows, after the steps of the
     # block; the error names the step, not the block.
     prob = make_quadratic(6, 1.0, 20.0, seed=1)
-    values = Problem.values
+    prob.optimum_value  # cached, so that every call below is a block of rows
+    values = prob.values
     done = []
 
-    def spoiled(self, points):
-        out = np.array(values(self, points))
+    def spoiled(points):
+        out = np.array(values(points))
         lo = sum(done)
         done.append(len(points))
         if lo <= step < lo + len(points):
             out[step - lo] = bad
         return out
 
-    monkeypatch.setattr(Problem, "values", spoiled)
+    monkeypatch.setattr(prob, "values", spoiled)
     config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=2 * _ROW_BLOCK)
     with pytest.raises(NonFiniteError, match=f"objective value is not finite at step {step}$"):
         run(prob, config)
@@ -597,19 +597,26 @@ def test_flat_run_builds_one_tangent_vector_per_step(monkeypatch):
         assert len(built) == steps
 
 
-def test_gradient_anchored_elsewhere_raises_domain_error():
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda x, g: TangentVector(x, g),
+        lambda x, g: g.tolist(),
+        lambda x, g: g.astype(np.float32),
+        lambda x, g: g[:, None],
+    ],
+    ids=["tangent-vector", "list", "float32", "column"],
+)
+def test_gradient_that_is_not_a_coordinate_array_raises_domain_error(wrap):
+    # A gradient returns the float64 coordinates of the point's shape;
+    # Problem.grad builds the tangent itself.
     problem = make_quadratic(4, 1.0, 10.0, seed=3)
-    m = problem.manifold
-    elsewhere = m.point(np.zeros(4))
-    h = np.asarray(problem.payload["hessian"])
-    c = np.asarray(problem.payload["center"])
-    stray = dataclasses.replace(
-        problem, gradient=lambda x: TangentVector(elsewhere, h @ (x.coords - c))
-    )
+    gradient = problem.gradient
+    stray = dataclasses.replace(problem, gradient=lambda x: wrap(x, gradient(x)))
     config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=5)
-    with pytest.raises(DomainError, match="anchored"):
+    with pytest.raises(DomainError, match="gradient must be a float64 array"):
         run(stray, config)
-    with pytest.raises(DomainError, match="anchored"):
+    with pytest.raises(DomainError, match="gradient must be a float64 array"):
         oracle_optimum(stray)
 
 
@@ -712,9 +719,9 @@ def test_trace_only_error_surfaces_at_the_end_of_its_block():
 
     def counting(points):
         stacked.append(len(points))
-        return prob.objective.many(points)
+        return prob.values(points)
 
-    counted = dataclasses.replace(prob, objective=StackedObjective(counting))
+    counted = dataclasses.replace(prob, values=counting)
     config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, max_iters=3 * _ROW_BLOCK)
     with pytest.raises(AntipodalError):
         run(counted, config)
