@@ -186,7 +186,7 @@ class Manifold(abc.ABC):
         """Inner product at ``x`` of the coordinates of two tangents at ``x``."""
 
     def norm(self, x: ManifoldPoint, v: TangentVector) -> float:
-        return float(np.sqrt(max(self.inner(x, v, v), 0.0)))
+        return math.sqrt(max(self.inner(x, v, v), 0.0))
 
     def _norm_resolved(self, v: np.ndarray, tol: float) -> bool:
         """Whether the norm of the tangent coordinates ``v`` is known to be

@@ -41,6 +41,13 @@ class Euclidean(Manifold):
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         return y.coords - x.coords
 
+    def _geodesic(self, y: ManifoldPoint, z: ManifoldPoint, t: float) -> ManifoldPoint:
+        # The default's arithmetic in its order, y + t * (z - y), in one kernel.
+        coords = y.coords + t * (z.coords - y.coords)
+        if not all_finite(coords):
+            raise NonFiniteError("exponential map left the finite range")
+        return ManifoldPoint(coords)
+
     # sqrt(d.dot(d)) is what np.linalg.norm computes for a real vector.
     def distance(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         d = y.coords - x.coords

@@ -259,8 +259,9 @@ def _weight_decay(xis: np.ndarray) -> np.ndarray:
 
 
 def _grads(problem: Problem, points: list[ManifoldPoint]) -> np.ndarray:
-    """Gradient coordinates at every point, stacked; one ``grad`` call each."""
-    return np.array([problem.grad(x).coords for x in points])
+    """Checked gradient coordinates at every point, stacked; one
+    ``_grad_coords`` call each."""
+    return np.array([problem._grad_coords(x) for x in points])
 
 
 def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:

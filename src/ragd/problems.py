@@ -103,10 +103,15 @@ class Problem:
         return float(self.values([x])[0])
 
     def grad(self, x: ManifoldPoint) -> TangentVector:
-        """Gradient at ``x``.  The user callable's output is checked here,
-        once: DomainError unless it is a float64 array of the point's shape,
-        NonFiniteError on a non-finite coordinate.  The solvers then step
-        with its coordinates unchecked."""
+        """Gradient at ``x`` as a tangent: the typed wrapper around
+        :meth:`_grad_coords`, which checks the user callable's output."""
+        return TangentVector(x, self._grad_coords(x))
+
+    def _grad_coords(self, x: ManifoldPoint) -> np.ndarray:
+        """The gradient's coordinates at ``x``, checked once: DomainError
+        unless the user callable returns a float64 array of the point's
+        shape, NonFiniteError on a non-finite coordinate.  The solvers step
+        with these coordinates and check them no further."""
         g = self.gradient(x)
         if not (isinstance(g, np.ndarray) and g.dtype == np.float64
                 and g.shape == x.coords.shape):
@@ -116,7 +121,7 @@ class Problem:
                 f"gradient must be a float64 array of shape {x.coords.shape}, got {got}")
         if not all_finite(g):
             raise NonFiniteError("gradient is not finite")
-        return TangentVector(x, g)
+        return g
 
     def set_optimum(self, x: ManifoldPoint) -> None:
         self.manifold.check_point(x.coords)

@@ -24,20 +24,21 @@ with, so an iterate on the farthest anchor reads exactly the radius.
 :func:`run` computes inside its step loop only what steers the iteration:
 the distances the distortion rate charges (``d(x, z)``, and ``d(y, z)`` off
 a Hadamard manifold), x+ through the manifold's ``_geodesic`` kernel (one
-eigendecomposition on SPD, where ``Exp_y(alpha * Log_y(z))`` takes two, and
-the two-point formula on the hyperboloid; the first step's x+ is the start
-itself, with no ``_geodesic``), one gradient, two ``Exp`` maps and
-``Log_{x+}(z)``.  When the rate cannot change (``euclid_nesterov``,
-``ragd_constant_delta``, and ``ragd`` on a flat Hadamard manifold) the
-recursion's parameters are built once per run and the loop measures no
-distance at all.
+eigendecomposition on SPD, where ``Exp_y(alpha * Log_y(z))`` takes two, the
+two-point formula on the hyperboloid, and ``y + alpha * (z - y)`` in one
+kernel on flat space; the first step's x+ is the start itself, with no
+``_geodesic``), one gradient, two ``Exp`` maps and ``Log_{x+}(z)``.  When
+the rate cannot change (``euclid_nesterov``, ``ragd_constant_delta``, and
+``ragd`` on a flat Hadamard manifold) the recursion's parameters are built
+once per run and the loop measures no distance at all.
 
-The loop runs on coordinate arrays: the gradient's coordinates and
+The loop runs on coordinate arrays and builds no tangent: the gradient's
+coordinates, checked once by ``Problem._grad_coords``, and
 ``beta * Log_{x+}(z) - eta * grad`` are plain arrays passed to the
 manifold's kernels ``_exp`` and ``_log``, next to ``_geodesic``.  Typed
 points and tangents belong to the API boundary: ``Manifold.exp`` and
 ``Manifold.log``, which check a tangent's base point, and ``Problem.grad``,
-which checks every gradient once and builds its tangent.
+which wraps the same checked coordinates in a tangent.
 Step outputs are not re-checked for finiteness: every ``_exp`` and
 ``_geodesic`` returns a finite point or raises
 :class:`~ragd.errors.NonFiniteError`.
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 from ._scalars import libm_squares
 from .distortion import valid_rate_hadamard, valid_rate_nonhadamard
 from .errors import DomainError, NonFiniteError, RuntimeContainmentError
-from .geometry import Euclidean, Manifold, ManifoldPoint, TangentVector
+from .geometry import Euclidean, Manifold, ManifoldPoint
 from .trace import ConvergenceTrace
 from .xi import XiParams, next_xi, step_gain
 from . import __version__ as _VERSION
@@ -183,18 +184,19 @@ def _step(
     z: ManifoldPoint,
     params: tuple[float, float, float],
     gamma: float,
-) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint, TangentVector]:
+) -> tuple[ManifoldPoint, ManifoldPoint, ManifoldPoint]:
     """One accelerated step from (y, z) with the coefficients ``params`` of
-    :func:`step_params`.  Every tangent is anchored where the kernels use it:
-    the logarithms by construction and the gradient by ``Problem.grad``."""
+    :func:`step_params`.  Every tangent is a coordinate array at x+: the
+    logarithm by construction and the gradient, checked by
+    ``Problem._grad_coords``."""
     m = problem.manifold
     alpha, beta, eta = params
     # At the start z is y, and Exp_y(alpha * Log_y(y)) is y exactly.
     x1 = y if z is y else m._geodesic(y, z, alpha)
-    g = problem.grad(x1)
-    y1 = m._exp(x1, (-gamma) * g.coords)
-    z1 = m._exp(x1, beta * m._log(x1, z) - eta * g.coords)
-    return x1, y1, z1, g
+    g = problem._grad_coords(x1)
+    y1 = m._exp(x1, (-gamma) * g)
+    z1 = m._exp(x1, beta * m._log(x1, z) - eta * g)
+    return x1, y1, z1
 
 
 def _distortion_rate(
@@ -351,6 +353,7 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
     xi = config.resolved_xi0 if accelerated else a
 
     rows = np.full((n_steps + 1, 9), math.nan)
+    rows[:, 0] = np.arange(n_steps + 1)
     kept: list[tuple[ManifoldPoint, ...]] | None = [] if config.record_diagnostics else None
     containment = (
         _Containment(problem) if math.isfinite(problem.certified_radius) else None
@@ -360,7 +363,8 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
     fixed = xi_params = _fixed_xi_params(problem, config) if accelerated else None
     delta_rate = 1.0
     for t in range(n_steps + 1):
-        rows[t, :4] = (t, math.nan, xi, delta_rate)
+        rows[t, 2] = xi
+        rows[t, 3] = delta_rate
         block.append((x, y, z))
         if len(block) == _ROW_BLOCK or t == n_steps:
             _finish_rows(
@@ -383,10 +387,9 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
             delta_rate = xi_params.delta
             xi = next_xi(xi, xi_params)
             params = step_params(xi, config.mu, delta_gamma)
-            x, y, z, _ = _step(problem, y, z, params, gamma)
+            x, y, z = _step(problem, y, z, params, gamma)
         else:
-            g = problem.grad(y)
-            y = m._exp(y, (-gamma) * g.coords)
+            y = m._exp(y, (-gamma) * problem._grad_coords(y))
             x = z = y
         if containment is not None and not m.is_hadamard:
             containment.check([(x, y, z)], t + 1)

@@ -131,18 +131,20 @@ def sweep_point(
 
 
 def problem_description(config: dict, seed: int | None) -> tuple[dict, int | None]:
-    """The config's problem description and the seed in force: the block's
-    own, else ``seed``, else the config's, which then fills in the seed of
-    a generator block."""
-    if seed is None:
-        seed = config.get("seed")
+    """The config's problem description and the seed in force: None for
+    an explicit block, which no seed builds; for a generator block its own,
+    else ``seed``, else the config's, which then fills in the block's."""
     desc = config.get("problem")
     if not isinstance(desc, dict):
         raise MissingDataError("config has no 'problem' object")
     desc = dict(desc)
+    if is_explicit(desc):
+        return desc, None
     if "seed" in desc:
-        seed = desc["seed"]
-    elif seed is not None and not is_explicit(desc):
+        return desc, desc["seed"]
+    if seed is None:
+        seed = config.get("seed")
+    if seed is not None:
         desc["seed"] = seed
     return desc, seed
 

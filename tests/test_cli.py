@@ -158,6 +158,27 @@ def test_run_reports_the_seed_of_the_generator_block(tmp_path, capsys):
     assert b"\n# seed=2\n" in plain
 
 
+def test_run_reports_no_seed_for_an_explicit_block(tmp_path, capsys):
+    # No seed builds an explicit block: neither --seed nor the config's top
+    # level seed is printed, recorded or hashed.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "problem": {"kind": "quadratic", "hessian": [[1.0, 0.0], [0.0, 4.0]],
+                    "center": [0.0, 0.0], "start": [1.0, 1.0]},
+        "solvers": [{"mode": "rgd", "max_iters": 5}],
+        "seed": 4,
+    }))
+    outs, heads = [tmp_path / "s9", tmp_path / "s10"], []
+    for out, seed in zip(outs, ("9", "10")):
+        argv = ["run", "--config", str(path), "--out", str(out), "--seed", seed]
+        assert cli.main(argv) == cli.EXIT_OK
+        heads.append(capsys.readouterr().out.splitlines()[0])
+    assert heads[0] == heads[1]
+    assert heads[0].startswith("# problem=quadratic seed=None config_hash=")
+    nine, ten = ((out / "quadratic_rgd.csv").read_bytes() for out in outs)
+    assert nine == ten
+
+
 def test_run_hyperbolic_karcher_at_high_curvature(tmp_path):
     # kappa 20 puts the anchors' coordinate mean above the hyperbolic
     # renormalization guard; the reference point must still be normalized

@@ -372,8 +372,11 @@ def test_spd_log_sum_against_mpmath_and_per_anchor_loop(scale):
             assert np.max(np.abs(got - loop)) <= 2.0 * bound
 
 
+# The default geodesic, and Euclidean's closed form, which does the default's
+# arithmetic in one kernel.
 @pytest.mark.parametrize(
-    "label,m,scale", _cases_where(lambda m: type(m)._geodesic is Manifold._geodesic)
+    "label,m,scale",
+    _cases_where(lambda m: type(m)._geodesic is Manifold._geodesic or isinstance(m, Euclidean)),
 )
 def test_default_geodesic_is_exp_of_log_bitwise(label, m, scale):
     rng = np.random.default_rng(21)
@@ -383,6 +386,28 @@ def test_default_geodesic_is_exp_of_log_bitwise(label, m, scale):
         for t in GEODESIC_TS:
             want = m._exp(y, t * m._log(y, z)).coords
             assert np.array_equal(m._geodesic(y, z, t).coords, want)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 64])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e150])
+def test_euclidean_geodesic_is_exp_of_log_bitwise(dim, scale):
+    m = Euclidean(dim)
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        y, z = (m.point(scale * rng.standard_normal(dim)) for _ in range(2))
+        for t in (0.0, 0.3, 0.95, 1.0):
+            want = m._exp(y, t * m._log(y, z))
+            got = m._geodesic(y, z, t)
+            assert got.coords.tobytes() == want.coords.tobytes()
+
+
+def test_euclidean_geodesic_raises_on_overflow():
+    # z - y overflows to an infinity, and so does the point it steps to.
+    m = Euclidean(3)
+    far = np.array([1e308, -1.5e308, 1.7e308])
+    for y, z, t in ((-far, far, 0.75), (far, -far, 0.5), (far, -far, 1.0)):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            m._geodesic(m.point(y), m.point(z), t)
 
 
 # ----- the hyperboloid's closed forms against 50-digit references ---------------

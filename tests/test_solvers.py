@@ -29,10 +29,12 @@ from ragd.solvers import (
     SOLVER_MODES,
     SolverConfig,
     _step,
+    normalized_potential,
     run,
     step_params,
 )
 from ragd.sweep import run_enlarging
+from ragd.xi import XiParams, next_xi
 
 COEFF_TOL = 1e-15
 GAP_FLOOR = -1e-9
@@ -106,12 +108,12 @@ def test_single_flat_step_hand_cases():
     m = prob.manifold
     one = m.point(np.array([1.0]))
     params = step_params(0.5, 1.0, 0.1)
-    x1, y1, z1, g = _step(prob, one, one, params, 1.0)
+    x1, y1, z1 = _step(prob, one, one, params, 1.0)
     assert x1.coords[0] == 1.0
-    assert g.coords[0] == 1.0
+    assert prob._grad_coords(x1)[0] == 1.0
     assert y1.coords[0] == 0.0
     zero = m.point(np.zeros(1))
-    x1, y1, z1, g = _step(prob, zero, zero, params, 1.0)
+    x1, y1, z1 = _step(prob, zero, zero, params, 1.0)
     assert x1.coords[0] == y1.coords[0] == z1.coords[0] == 0.0
 
 
@@ -124,9 +126,10 @@ def test_step_matches_closed_form_nesterov_bitwise():
     z = m.point(rng.standard_normal(8))
     params = step_params(0.3, 1.0, 0.01)
     flat = _nesterov_step(prob, x.coords, y.coords, z.coords, params, gamma=0.02)
-    curved = _step(prob, y, z, params, 0.02)
+    x1, y1, z1 = _step(prob, y, z, params, 0.02)
+    curved = (x1.coords, y1.coords, z1.coords, prob._grad_coords(x1))
     for want, got in zip(flat, curved):
-        assert np.array_equal(want, got.coords)
+        assert np.array_equal(want, got)
 
 
 def _constant_gradient_problem(m, start, coords):
@@ -577,7 +580,11 @@ def test_spd_run_symmetrization_budget(monkeypatch):
         assert len(calls) == 2 * steps + 1 + 2 * blocks
 
 
-def test_flat_run_builds_one_tangent_vector_per_step(monkeypatch):
+_FLAT_MODES = (("euclid_nesterov", {}), ("ragd", {}),
+               ("ragd_constant_delta", {"delta_const": 1.05}))
+
+
+def test_run_builds_no_tangent_vector(monkeypatch):
     steps = 50
     problem = make_quadratic(16, 1.0, 50.0, seed=2)
     built = []
@@ -588,16 +595,61 @@ def test_flat_run_builds_one_tangent_vector_per_step(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(TangentVector, "__post_init__", counted)
-    for mode, extra in (("euclid_nesterov", {}), ("ragd", {}),
-                        ("ragd_constant_delta", {"delta_const": 1.05})):
-        built.clear()
+    for mode, extra in _FLAT_MODES + (("rgd", {}),):
         config = SolverConfig(mode=mode, mu=problem.mu, L=problem.L, max_iters=steps, **extra)
         run(problem, config)
-        # The gradient's, one per step; the step itself runs on coordinates.
-        assert len(built) == steps
+        # The loop steps with the gradient's checked coordinates.
+        assert built == []
 
 
-@pytest.mark.parametrize(
+def _public_reference_rows(problem, config):
+    """The trace rows of a flat accelerated run, from a loop written with
+    the typed calls ``Problem.grad``, ``Manifold.exp`` and ``Manifold.log``
+    and the single-pair distances."""
+    m, opt = problem.manifold, problem.optimum
+    gamma, dg = config.resolved_gamma, config.delta_gamma
+    delta = config.delta_const if config.mode == "ragd_constant_delta" else 1.0
+    xi, xis, rates = config.resolved_xi0, [config.resolved_xi0], [1.0]
+    x = y = z = problem.start
+    points = [(x, y, z)]
+    for _ in range(config.max_iters):
+        xi = next_xi(xi, XiParams(a=config.a, delta=delta))
+        alpha, beta, eta = step_params(xi, config.mu, dg)
+        x = m.exp(y, alpha * m.log(y, z))
+        g = problem.grad(x)
+        y, z = m.exp(x, (-gamma) * g), m.exp(x, beta * m.log(x, z) - eta * g)
+        points.append((x, y, z))
+        xis.append(xi)
+        rates.append(delta)
+    gap = np.array([problem.value(y) - problem.optimum_value for _, y, _ in points])
+    pd = np.array([m.projected_distance(x, z, opt) for x, _, z in points])
+    phi = normalized_potential(gap, np.array(xis), pd, dg)
+    rows = np.column_stack([
+        np.arange(len(points), dtype=float), gap, xis, rates,
+        [m.distance(x, z) for x, _, z in points],
+        [m.distance(y, z) for _, y, z in points],
+        [m.distance(y, opt) for _, y, _ in points],
+        phi,
+        np.append((1.0 - np.array(xis[1:])) * phi[:-1] - phi[1:], math.nan),
+    ])
+    return rows, points
+
+
+@pytest.mark.parametrize("mode,extra", _FLAT_MODES, ids=[m for m, _ in _FLAT_MODES])
+def test_flat_run_equals_the_public_reference_loop_bitwise(mode, extra):
+    # Long enough for three row blocks and a partial one.
+    problem = make_quadratic(12, 1.0, 40.0, seed=4)
+    config = SolverConfig(mode=mode, mu=problem.mu, L=problem.L,
+                          max_iters=3 * _ROW_BLOCK + 10, record_diagnostics=True, **extra)
+    trace = run(problem, config)
+    rows, points = _public_reference_rows(problem, config)
+    assert trace.rows.tobytes() == rows.tobytes()
+    for got, want in zip(trace.diagnostics, points, strict=True):
+        for a, b in zip(got, want):
+            assert a.coords.tobytes() == b.coords.tobytes()
+
+
+_BAD_GRADIENTS = pytest.mark.parametrize(
     "wrap",
     [
         lambda x, g: TangentVector(x, g),
@@ -607,6 +659,9 @@ def test_flat_run_builds_one_tangent_vector_per_step(monkeypatch):
     ],
     ids=["tangent-vector", "list", "float32", "column"],
 )
+
+
+@_BAD_GRADIENTS
 def test_gradient_that_is_not_a_coordinate_array_raises_domain_error(wrap):
     # A gradient returns the float64 coordinates of the point's shape;
     # Problem.grad builds the tangent itself.
@@ -618,6 +673,35 @@ def test_gradient_that_is_not_a_coordinate_array_raises_domain_error(wrap):
         run(stray, config)
     with pytest.raises(DomainError, match="gradient must be a float64 array"):
         oracle_optimum(stray)
+
+
+def test_grad_wraps_the_checked_coordinates_bitwise():
+    problem = make_quadratic(6, 1.0, 30.0, seed=8)
+    m = problem.manifold
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        x = m.point(rng.standard_normal(6))
+        g = problem.grad(x)
+        assert g.base is x
+        assert g.coords.tobytes() == problem._grad_coords(x).tobytes()
+    spoiled = dataclasses.replace(problem, gradient=lambda x: np.full(6, math.nan))
+    for method in (spoiled.grad, spoiled._grad_coords):
+        with pytest.raises(NonFiniteError, match="gradient is not finite"):
+            method(x)
+
+
+@_BAD_GRADIENTS
+def test_grad_and_checked_coordinates_raise_the_same_errors(wrap):
+    problem = make_quadratic(4, 1.0, 10.0, seed=3)
+    gradient = problem.gradient
+    stray = dataclasses.replace(problem, gradient=lambda x: wrap(x, gradient(x)))
+    x = problem.start
+    with pytest.raises(DomainError) as typed:
+        stray.grad(x)
+    with pytest.raises(DomainError) as checked:
+        stray._grad_coords(x)
+    assert str(typed.value) == str(checked.value)
+    assert str(typed.value).startswith("gradient must be a float64 array of shape (4,), got a ")
 
 
 def _far_line_problem(radius=20.0):
