@@ -195,9 +195,9 @@ def cmd_sweep(args: argparse.Namespace) -> Execute:
 
 
 def cmd_xi_trace(args: argparse.Namespace) -> Execute:
-    params = XiParams(a=args.a, delta=args.delta)
-    if not 0.0 < args.a:
+    if not 0.0 < args.a < 1.0:
         raise DomainError(f"a must lie in (0, 1), got {args.a}")
+    params = XiParams(a=args.a, delta=args.delta)
     if not 0.0 < args.xi0 < 1.0:
         raise DomainError(f"xi0 must lie in (0, 1), got {args.xi0}")
     if args.steps < 0:

@@ -19,20 +19,20 @@ an exact restatement that never overflows.
 The per-step inequality itself reduces to a six-coefficient quadratic
 form in (gradient, displacement) being non-positive; with the scheme's
 parameter choices five of the coefficients vanish (the three gradient ones
-identically) and the first is negative.  :func:`trace_coefficient_blocks` returns them, one
-row per step, for direct numerical inspection.
+identically) and the first is non-positive, an identity that
+``tests/test_step_algebra.py`` proves on the library's own formulas.
+:func:`trace_coefficient_blocks` returns them, one row per step.
 
-The certifier, the rate envelope and the quadratic-form audit certify the
-run as recorded, from the ``xi``, ``f_gap``, ``potential`` and
-``decrease_margin`` columns that :func:`ragd.solvers.run` fills.  A replay
-through the same float kernels reproduces those columns bit for bit, so
-none is re-evaluated; an independent replay needs higher precision
-(ROADMAP.md, item 3, step 2).  What the columns lack, the step audits and
-the shrink bounds evaluate in array form from the trace's one list of kept
-``(x_t, y_t, z_t)`` rows (``record_diagnostics``): f in
-one ``Problem.values`` call, and logarithms, norms and distances in the
-stacked kernels with one base per row, which round as the single-pair
-methods do.
+The certifier and the rate envelope certify the run as recorded, from the
+``xi``, ``f_gap``, ``potential`` and ``decrease_margin`` columns that
+:func:`ragd.solvers.run` fills.  A replay through the same float kernels
+reproduces those columns bit for bit, so none is re-evaluated; an
+independent replay needs higher precision (ROADMAP.md, item 3, step 2).
+What the columns lack, the step audits and the shrink bounds evaluate in
+array form from the trace's one list of kept ``(x_t, y_t, z_t)`` rows
+(``record_diagnostics``): f in one ``Problem.values`` call, and
+logarithms, norms and distances in the stacked kernels with one base per
+row, which round as the single-pair methods do.
 Every check allows :data:`CERT_TOL` (the envelope :data:`ENVELOPE_TOL`)
 times the magnitudes it compares.
 Every per-step check but the certifier reports as a
@@ -51,12 +51,11 @@ import numpy as np
 
 from ._scalars import libm_squares
 from .errors import DomainError, HypothesisError, MissingDataError
-from .geometry import Euclidean, ManifoldPoint
-from .geometry.base import row_dots
+from .geometry import ManifoldPoint
 from .problems import Problem
 from .solvers import normalized_potential, step_params
 from .trace import NOISE_FLOOR, ConvergenceTrace
-from .xi import XiParams, settle_steps, step_gain
+from .xi import XiParams, _form_coefficients, _step_coefficients, settle_steps, step_gain
 
 __all__ = [
     "CERT_TOL",
@@ -66,7 +65,6 @@ __all__ = [
     "CertificationReport",
     "certify_trace",
     "StepAuditReport",
-    "quadratic_form_audit",
     "gradient_step_audit",
     "mirror_step_audit",
     "rate_envelope",
@@ -90,13 +88,17 @@ def _bound_allowance(bounds: np.ndarray, floor: float, rel: float) -> np.ndarray
     return np.where(compared, rel * (1.0 + np.abs(bounds)), math.inf)
 
 
-def _step_params(trace: ConvergenceTrace) -> np.ndarray:
-    """``(alpha, beta, eta)`` of every step, one row each, from the momentum
-    value xi_{t+1} the step takes."""
+def _step_params(trace: ConvergenceTrace) -> tuple[np.ndarray, ...]:
+    """``(alpha, beta, eta)`` of every step, one array each, from the momentum
+    value xi_{t+1} the step takes; :func:`step_params` raises on the first
+    step it rejects."""
     mu = float(trace.meta["mu"])
     delta_gamma = float(trace.meta["delta_gamma"])
-    xis = trace.column("xi")[1:].tolist()
-    return np.array([step_params(xi, mu, delta_gamma) for xi in xis]).reshape(-1, 3)
+    xis = trace.column("xi")[1:]
+    bad = ~((0.0 < xis) & (xis < 1.0)) | (xis < 2.0 * mu * delta_gamma)
+    if bad.any():
+        step_params(float(xis[bad][0]), mu, delta_gamma)
+    return _step_coefficients(xis, mu, delta_gamma)
 
 
 def trace_coefficient_blocks(trace: ConvergenceTrace) -> np.ndarray:
@@ -107,35 +109,23 @@ def trace_coefficient_blocks(trace: ConvergenceTrace) -> np.ndarray:
     gradient-displacement cross term).  With the scheme's parameter choices
     c2 through c6 vanish and c1 is non-positive, which is exactly what makes
     the potential non-increasing.  The gradient coefficients c3, c5 and c6
-    are 0 for every xi, mode and rate, by the algebra of eta = 2 Delta /
-    xi_{t+1}, b_next and a_next; c2 and c4 are 0 whenever xi follows the
-    momentum recursion.  Uses the normalized weights A_t = 1, so
-    coefficient magnitudes stay bounded regardless of run length; the
-    step's distortion rate (1 in flat space) divides the incoming distance
-    weight and must be at least 1.
+    are 0 for every xi, mode and rate; once the momentum recursion
+    eliminates xi_t**2, c2 and c4 are 0 as well and
+    c1 = -mu (1 - a) (xi_{t+1} - a) / (2 (1 - xi_{t+1})**2).  Uses the
+    normalized weights A_t = 1, so coefficient magnitudes stay bounded
+    regardless of run length; the step's distortion rate (1 in flat space)
+    divides the incoming distance weight and must be at least 1.
     """
-    mu = float(trace.meta["mu"])
-    delta_gamma = float(trace.meta["delta_gamma"])
-    alpha, beta, eta = _step_params(trace).T
+    alpha = _step_params(trace)[0]
     rates = trace.column("delta_rate")[1:]
     if not np.all(rates >= 1.0):
         raise DomainError(f"delta_rate must be >= 1, got {rates.min()}")
     if not np.all(alpha < 1.0):
         raise DomainError(f"alpha must be < 1, got {alpha.max()}")
     xis = trace.column("xi")
-    xi_t, xi_n = xis[:-1], xis[1:]
-    ratio = alpha / (1.0 - alpha)
-    a_next = 1.0 / (1.0 - xi_n)
-    b_in = xi_t * xi_t / (4.0 * delta_gamma) / rates
-    b_next = xi_n * xi_n / (4.0 * delta_gamma) * a_next
-    return np.column_stack((
-        beta * beta * b_next - b_in - 0.5 * mu * ratio * ratio,
-        b_next - b_in - 0.5 * mu * (a_next - 1.0),
-        eta * eta * b_next - delta_gamma * a_next,
-        2.0 * (beta * b_next - b_in),
-        ratio - 2.0 * beta * eta * b_next,
-        (a_next - 1.0) - 2.0 * eta * b_next,
-    ))
+    mu = float(trace.meta["mu"])
+    delta_gamma = float(trace.meta["delta_gamma"])
+    return np.column_stack(_form_coefficients(xis[:-1], xis[1:], rates, mu, delta_gamma))
 
 
 @dataclass(frozen=True)
@@ -264,39 +254,6 @@ def _grads(problem: Problem, points: list[ManifoldPoint]) -> np.ndarray:
     return np.array([problem._grad_coords(x) for x in points])
 
 
-def quadratic_form_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
-    """Check each step's potential difference against its quadratic form.
-
-    For the flat solver the per-step potential change is bounded by the
-    six-coefficient quadratic form in W = z_t - x_{t+1},
-    X = x_{t+1} - x_*, and the gradient at x_{t+1}.  Both sides are
-    evaluated per unit of the weight A_t, so the comparison stays finite
-    on long runs.  Euclidean only.  The gradient terms' coefficients vanish
-    identically (:func:`trace_coefficient_blocks`): a wrong gradient is unseen.
-    """
-    if not isinstance(problem.manifold, Euclidean):
-        raise DomainError("the quadratic-form audit applies to flat runs only")
-    xs, _, zs = _kept_rows(trace, problem)
-    phi = _recorded_potential(trace)
-    c = trace_coefficient_blocks(trace).T
-    us = xs[1:]
-    u = problem.manifold._base_coords(us)
-    w = problem.manifold._base_coords(zs[:-1]) - u
-    x_vec = u - problem.optimum.coords
-    g = _grads(problem, us)
-    form = (
-        c[0] * row_dots(w, w)
-        + c[1] * row_dots(x_vec, x_vec)
-        + c[2] * row_dots(g, g)
-        + c[3] * row_dots(w, x_vec)
-        + c[4] * row_dots(w, g)
-        + c[5] * row_dots(x_vec, g)
-    )
-    lhs = phi[1:] / (1.0 - trace.column("xi")[1:]) - phi[:-1]
-    allowed = CERT_TOL * ((1.0 + np.abs(phi[:-1])) + np.abs(form))
-    return StepAuditReport("quadratic_form", lhs - form, allowed)
-
-
 def gradient_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditReport:
     """Check the per-step cost decrease of the gradient update.
 
@@ -327,7 +284,7 @@ def mirror_step_audit(trace: ConvergenceTrace, problem: Problem) -> StepAuditRep
     """
     xs, _, zs = _kept_rows(trace, problem)
     m = problem.manifold
-    _, beta, s = _step_params(trace).T
+    _, beta, s = _step_params(trace)
     us = xs[1:]
     bases = m._prepare_bases(us)
     zs = m._base_coords(zs)

@@ -68,7 +68,7 @@ from .distortion import valid_rate_hadamard, valid_rate_nonhadamard
 from .errors import DomainError, NonFiniteError, RuntimeContainmentError
 from .geometry import Euclidean, Manifold, ManifoldPoint
 from .trace import ConvergenceTrace
-from .xi import XiParams, next_xi, step_gain
+from .xi import XiParams, _step_coefficients, next_xi, step_gain
 from . import __version__ as _VERSION
 from .problems import Problem
 
@@ -97,7 +97,9 @@ class SolverConfig:
 
     ``gamma`` defaults to 1/L except in ``ragd`` mode, which defaults to
     1.05/L so that the full-acceleration regime (gamma * L > 1) is
-    reachable.  ``xi0`` defaults to sqrt(mu / L).
+    reachable.  ``xi0`` defaults to sqrt(mu / L).  Setting a key the mode
+    does not read (``delta_const`` outside ``ragd_constant_delta``,
+    ``sharp_distortion`` outside ``ragd``, ``xi0`` on ``rgd``) is a DomainError.
     """
 
     mode: str
@@ -135,6 +137,13 @@ class SolverConfig:
         for flag in ("sharp_distortion", "record_diagnostics"):
             if not isinstance(getattr(self, flag), bool):
                 raise DomainError(f"{flag} must be a bool, got {getattr(self, flag)!r}")
+        for key, unread in (
+            ("delta_const", self.delta_const is not None and self.mode != "ragd_constant_delta"),
+            ("sharp_distortion", self.sharp_distortion and self.mode != "ragd"),
+            ("xi0", self.xi0 is not None and self.mode == "rgd"),
+        ):
+            if unread:
+                raise DomainError(f"mode {self.mode!r} does not read {key}")
         if self.mode == "ragd_constant_delta":
             if self.delta_const is None:
                 raise DomainError("mode 'ragd_constant_delta' requires delta_const")
@@ -175,7 +184,7 @@ def step_params(xi: float, mu: float, delta_gamma: float) -> tuple[float, float,
         raise DomainError(f"xi must lie in (0, 1), got {xi}")
     if xi < a:
         raise DomainError(f"xi={xi} is below a=2*mu*delta_gamma={a}")
-    return (xi - a) / (1.0 - a), 1.0 - a / xi, 2.0 * delta_gamma / xi
+    return _step_coefficients(xi, mu, delta_gamma)
 
 
 def _step(

@@ -206,6 +206,8 @@ def build_sweep(
         if axis == "gamma":
             e["gamma"] = float(v) / e.get("L", shared.L)
         elif axis == "delta_const":
+            # the pinned rate replaces the adaptive one and its sharp bound
+            e.pop("sharp_distortion", None)
             e.update(mode="ragd_constant_delta", delta_const=float(v))
         elif axis == "condition_number":
             big = float(d["L"])

@@ -13,7 +13,9 @@ of the resulting ``(1 - xi_t)`` factors is the convergence rate of the method.
 
 This module is the one home of these formulas: the step gain, the root map
 and its fixed points (one quadratic-root helper), the contraction estimate
-and the settle-step count of its envelope.
+and the settle-step count of its envelope; and the step arithmetic it feeds
+(the ``_step_coefficients``, ``_recursion_defect`` and ``_form_coefficients``
+below), which checks no range, so floats, arrays and sympy symbols pass.
 """
 
 from __future__ import annotations
@@ -50,6 +52,37 @@ def step_gain(mu: float, L: float, gamma: float) -> tuple[float, float]:
     ``Delta = gamma * (1 - L * gamma / 2)`` and the gain ``a = 2 * mu * Delta``."""
     delta_gamma = gamma * (1.0 - L * gamma / 2.0)
     return delta_gamma, 2.0 * mu * delta_gamma
+
+
+def _step_coefficients(xi, mu, delta_gamma) -> tuple:
+    """``(alpha, beta, eta) = ((xi - a) / (1 - a), 1 - a / xi, 2 Delta / xi)``
+    of a step taken at momentum ``xi``, with ``a = 2 mu Delta``."""
+    a = 2.0 * mu * delta_gamma
+    return (xi - a) / (1.0 - a), 1.0 - a / xi, 2.0 * delta_gamma / xi
+
+
+def _recursion_defect(xi_next, xi_t, a, delta):
+    """``xi_next (xi_next - a) / (1 - xi_next) - xi_t**2 / delta``, zero when
+    ``xi_next`` solves the recursion."""
+    return xi_next * (xi_next - a) / (1.0 - xi_next) - xi_t * xi_t / delta
+
+
+def _form_coefficients(xi_t, xi_next, rate, mu, delta_gamma) -> tuple:
+    """``(c1, ..., c6)`` of the step from ``xi_t`` to ``xi_next`` at distortion
+    ``rate``; see :func:`ragd.potential.trace_coefficient_blocks`."""
+    alpha, beta, eta = _step_coefficients(xi_next, mu, delta_gamma)
+    ratio = alpha / (1.0 - alpha)
+    a_next = 1.0 / (1.0 - xi_next)
+    b_in = xi_t * xi_t / (4.0 * delta_gamma) / rate
+    b_next = xi_next * xi_next / (4.0 * delta_gamma) * a_next
+    return (
+        beta * beta * b_next - b_in - 0.5 * mu * ratio * ratio,
+        b_next - b_in - 0.5 * mu * (a_next - 1.0),
+        eta * eta * b_next - delta_gamma * a_next,
+        2.0 * (beta * b_next - b_in),
+        ratio - 2.0 * beta * eta * b_next,
+        (a_next - 1.0) - 2.0 * eta * b_next,
+    )
 
 
 def _positive_root(b: float, c: float) -> float:
@@ -107,8 +140,7 @@ def next_xi(xi_t: float, params: XiParams) -> float:
 
 def xi_residual(xi_next: float, xi_t: float, params: XiParams) -> float:
     """Defect of ``xi_next`` as a root of the recursion equation."""
-    rhs = 0.0 if math.isinf(params.delta) else xi_t * xi_t / params.delta
-    return xi_next * (xi_next - params.a) / (1.0 - xi_next) - rhs
+    return _recursion_defect(xi_next, xi_t, params.a, params.delta)
 
 
 def iterate_xi(xi0: float, params: XiParams, steps: int) -> list[float]:

@@ -71,6 +71,14 @@ def test_xi_trace_rejects_bad_parameters(argv, capsys):
     assert cli.main(argv) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("a", ["0.0", "1.0", "1.5", "-0.2", "nan"])
+def test_xi_trace_states_one_range_for_a(caplog, a):
+    argv = ["xi-trace", "--a", a, "--delta", "1.0", "--xi0", "0.9", "--steps", "3"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    (error,) = _cli_errors(caplog)
+    assert f"a must lie in (0, 1), got {float(a)}" in error.getMessage()
+
+
 def test_run_writes_traces_and_summary(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"
@@ -241,6 +249,12 @@ _BAD_CONFIG_CONTENTS = [
                  "n_anchors": 4, "radius": 1.0, "seed": 3}},
     {"problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 4.0},
                  "n_anchors": 4, "radius": 1.0, "seed": 3}},
+    # A solver entry takes only the keys its mode reads.
+    {"solvers": [{"mode": "ragd", "delta_const": 3.0}]},
+    {"solvers": [{"mode": "euclid_nesterov", "delta_const": 1.0}]},
+    {"solvers": [{"mode": "rgd", "sharp_distortion": True}]},
+    {"solvers": [{"mode": "ragd_constant_delta", "delta_const": 1.5, "sharp_distortion": True}]},
+    {"solvers": [{"mode": "rgd", "xi0": 0.5}]},
 ]
 
 
@@ -600,18 +614,27 @@ def test_unknown_log_level_falls_back(monkeypatch):
     assert rc == cli.EXIT_OK
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test dependency only; importing it at start-up would cost
-    # every command about half a second and some 40 MB.
+def _python(*args):
+    """Run a fresh interpreter with this checkout's ``src`` on its path."""
     env = dict(os.environ)
     src = str(Path(ragd.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it at start-up would cost
+    # every command about half a second and some 40 MB.
     code = (
         "import sys, ragd, ragd.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    out = _python("-c", code)
+    assert (out.returncode, out.stdout.strip()) == (0, "[]")
+
+
+def test_python_dash_m_runs_the_command_line():
+    out = _python("-m", "ragd", "--version")
+    assert (out.returncode, out.stdout.strip()) == (0, f"ragd {ragd.__version__}")

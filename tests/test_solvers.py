@@ -210,6 +210,10 @@ def test_run_rejects_wrong_shape_gradient():
         {"mode": "ragd", "mu": 1.0, "L": 2.0, "max_iters": 0},
         {"mode": "ragd_constant_delta", "mu": 1.0, "L": 2.0},
         {"mode": "ragd_constant_delta", "mu": 1.0, "L": 2.0, "delta_const": 0.5},
+        {"mode": "ragd", "mu": 1.0, "L": 2.0, "delta_const": 3.0},
+        {"mode": "rgd", "mu": 1.0, "L": 2.0, "sharp_distortion": True},
+        {"mode": "euclid_nesterov", "mu": 1.0, "L": 2.0, "sharp_distortion": True},
+        {"mode": "rgd", "mu": 1.0, "L": 2.0, "xi0": 0.5},
     ],
 )
 def test_solver_config_rejects_bad_settings(kwargs):

@@ -1,0 +1,59 @@
+"""Symbolic proof of the step algebra behind the potential's decrease.
+
+Each step's potential change is bounded by a six-coefficient quadratic form
+(``ragd.potential.trace_coefficient_blocks``).  These tests pass sympy
+symbols through the library's own arithmetic, the functions the solver and
+the coefficient blocks evaluate on floats, and prove that with the scheme's
+``(alpha, beta, eta)`` and the momentum recursion, c2..c6 vanish
+identically and c1 <= 0, for every mu, Delta and distortion rate.
+"""
+
+import sympy as sp
+
+from ragd.xi import _form_coefficients, _recursion_defect, step_gain
+
+MU, DELTA_GAMMA, RATE, XI_T, XI_N = sp.symbols("mu Delta delta xi_t xi_n", positive=True)
+# the gain a = 2 mu Delta of ragd.xi.step_gain, checked below
+A = 2 * MU * DELTA_GAMMA
+
+
+def _exact(expr):
+    """``expr`` with its float literals (2.0, 0.5, ...) as the exact rationals
+    they hold."""
+    return sp.nsimplify(expr, rational=True)
+
+
+def _form():
+    """c1..c6 as the library writes them, with xi_t free."""
+    return [_exact(c) for c in _form_coefficients(XI_T, XI_N, RATE, MU, DELTA_GAMMA)]
+
+
+def _on_the_recursion():
+    """c1..c6 with xi_t**2 eliminated through the recursion equation."""
+    square = sp.Symbol("s")
+    defect = _exact(_recursion_defect(XI_N, XI_T, A, RATE)).subs(XI_T**2, square)
+    (xi_t_squared,) = sp.solve(defect, square)
+    return [sp.simplify(c.subs(XI_T**2, xi_t_squared)) for c in _form()]
+
+
+def test_the_gain_is_twice_mu_times_the_decrease():
+    mu, big, gamma = sp.symbols("mu L gamma", positive=True)
+    delta_gamma, a = step_gain(mu, big, gamma)
+    assert sp.simplify(_exact(a - 2 * mu * delta_gamma)) == 0
+
+
+def test_gradient_coefficients_vanish_for_every_momentum():
+    c = _form()
+    assert [sp.simplify(c[k]) for k in (2, 4, 5)] == [0, 0, 0]
+
+
+def test_on_the_recursion_only_a_nonpositive_c1_remains():
+    c1, *rest = _on_the_recursion()
+    assert rest == [0, 0, 0, 0, 0]
+    closed = -MU * (1 - A) * (XI_N - A) / (2 * (1 - XI_N) ** 2)
+    assert sp.simplify(c1 - closed) == 0
+    # on a <= xi_n < 1: xi_n = 1 - v and a = 1 - v - u with u >= 0, v > 0
+    u = sp.Symbol("u", nonnegative=True)
+    v = sp.Symbol("v", positive=True)
+    on_domain = sp.factor(closed.subs({XI_N: 1 - v, DELTA_GAMMA: (1 - u - v) / (2 * MU)}))
+    assert on_domain.is_nonpositive is True

@@ -82,6 +82,14 @@ def test_delta_const_rates_follow_fixed_point_order():
         )
 
 
+def test_delta_const_sweep_drops_the_sharp_bound_of_its_entry():
+    # the pinned rate reads no sharp_distortion, which ragd_constant_delta rejects
+    (case,) = build_sweep(_karcher_config(sharp_distortion=True), "delta_const", [1.5])
+    config = case[2]
+    assert (config.mode, config.delta_const, config.sharp_distortion) == (
+        "ragd_constant_delta", 1.5, False)
+
+
 def test_gamma_sweep_momentum_matches_flat_limit():
     from ragd.problems import problem_from_dict
 
