@@ -2,7 +2,9 @@
 
 Uniquely geodesic only up to the antipode; the logarithm raises
 InjectivityError / AntipodalError at the boundary of its domain.  Small
-distances go through the chordal direction, as on the hyperboloid.
+distances go through the chordal direction, as on the hyperboloid.  The
+stacked kernels are ``Manifold``'s defaults, which loop over the
+single-pair methods here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .._scalars import acos_ratio, sin_ratio
 from ..errors import AntipodalError, DomainError, InjectivityError, NonFiniteError
-from .base import Bases, Manifold, ManifoldPoint, row_dots
+from .base import Manifold, ManifoldPoint
 
 __all__ = ["Sphere"]
 
@@ -103,46 +105,6 @@ class Sphere(Manifold):
             return math.pi / math.sqrt(self.sigma)
         u = (y.coords - x.coords) + (1.0 - c) * x.coords
         return acos_ratio(1.0 - c) * float(np.linalg.norm(u))
-
-    # ----- stacked kernels ------------------------------------------------
-    # A shared base is broadcast to one row per point, so every inner
-    # product goes through ``row_dots`` and each row equals the single-pair
-    # method bit for bit; the ratios are scalar calls, as there.
-
-    def _prepare_bases(self, xs: Bases) -> np.ndarray:
-        return self._base_coords(xs)
-
-    def _chord_many(
-        self, xs: Bases, ys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-        """The base rows, the chordal rows ``u_t`` of :meth:`distance`, the
-        mask of antipodal rows and ``acos_ratio(1 - c_t)`` (0.0 on an
-        antipodal row)."""
-        x = np.broadcast_to(self._base_coords(xs), ys.shape)
-        c = np.minimum(1.0, np.maximum(-1.0, self.sigma * row_dots(x, ys)))
-        omc = 1.0 - c
-        antipodal = 1.0 + c <= _ANTIPODAL_TOL
-        ratios = [
-            0.0 if far else acos_ratio(e) for e, far in zip(omc.tolist(), antipodal.tolist())
-        ]
-        return x, (ys - x) + omc[:, None] * x, antipodal, ratios
-
-    def _dist_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
-        _, u, antipodal, ratios = self._chord_many(xs, ys)
-        dist = np.array(ratios) * np.sqrt(row_dots(u, u))
-        dist[antipodal] = math.pi / math.sqrt(self.sigma)
-        return dist
-
-    def _log_many(self, xs: Bases, ys: np.ndarray) -> np.ndarray:
-        x, u, antipodal, ratios = self._chord_many(xs, ys)
-        if antipodal.any():
-            raise AntipodalError("logarithm is undefined between antipodal points")
-        v = np.array(ratios)[:, None] * u
-        # _project_tangent applied to every row.
-        return v - (self.sigma * row_dots(x, v))[:, None] * x
-
-    def _norm_many(self, xs: Bases, vs: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(row_dots(vs, vs), 0.0))
 
     # ----- sampling -------------------------------------------------------
 

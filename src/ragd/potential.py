@@ -20,8 +20,8 @@ The per-step inequality itself reduces to a six-coefficient quadratic
 form in (gradient, displacement) being non-positive; with the scheme's
 parameter choices five of the coefficients vanish (the three gradient ones
 identically) and the first is non-positive, an identity that
-``tests/test_step_algebra.py`` proves on the library's own formulas.
-:func:`trace_coefficient_blocks` returns them, one row per step.
+``tests/test_step_algebra.py`` proves on the library's own formulas
+(``ragd.xi._form_coefficients``).
 
 The certifier and the rate envelope certify the run as recorded, from the
 ``xi``, ``f_gap``, ``potential`` and ``decrease_margin`` columns that
@@ -55,12 +55,11 @@ from .geometry import ManifoldPoint
 from .problems import Problem
 from .solvers import normalized_potential, step_params
 from .trace import NOISE_FLOOR, ConvergenceTrace
-from .xi import XiParams, _form_coefficients, _step_coefficients, settle_steps, step_gain
+from .xi import XiParams, settle_steps, step_gain
 
 __all__ = [
     "CERT_TOL",
     "ENVELOPE_TOL",
-    "trace_coefficient_blocks",
     "PotentialRecord",
     "CertificationReport",
     "certify_trace",
@@ -88,44 +87,15 @@ def _bound_allowance(bounds: np.ndarray, floor: float, rel: float) -> np.ndarray
     return np.where(compared, rel * (1.0 + np.abs(bounds)), math.inf)
 
 
-def _step_params(trace: ConvergenceTrace) -> tuple[np.ndarray, ...]:
-    """``(alpha, beta, eta)`` of every step, one array each, from the momentum
-    value xi_{t+1} the step takes; :func:`step_params` raises on the first
-    step it rejects."""
+def _step_params(trace: ConvergenceTrace) -> np.ndarray:
+    """``(alpha, beta, eta)`` of every step, one row of the returned
+    ``(3, T)`` array each, from the momentum value xi_{t+1} the step takes:
+    one :func:`step_params` call per step, which raises on the first step
+    it rejects."""
     mu = float(trace.meta["mu"])
     delta_gamma = float(trace.meta["delta_gamma"])
-    xis = trace.column("xi")[1:]
-    bad = ~((0.0 < xis) & (xis < 1.0)) | (xis < 2.0 * mu * delta_gamma)
-    if bad.any():
-        step_params(float(xis[bad][0]), mu, delta_gamma)
-    return _step_coefficients(xis, mu, delta_gamma)
-
-
-def trace_coefficient_blocks(trace: ConvergenceTrace) -> np.ndarray:
-    """Coefficients of the per-step inequality for every step of a run.
-
-    Row t holds (c1, ..., c6) of step t, the coefficients of (pd_next**2,
-    d(x+, x*)**2, |grad|**2, pd_next * d_prev, pd_prev * d_prev, the
-    gradient-displacement cross term).  With the scheme's parameter choices
-    c2 through c6 vanish and c1 is non-positive, which is exactly what makes
-    the potential non-increasing.  The gradient coefficients c3, c5 and c6
-    are 0 for every xi, mode and rate; once the momentum recursion
-    eliminates xi_t**2, c2 and c4 are 0 as well and
-    c1 = -mu (1 - a) (xi_{t+1} - a) / (2 (1 - xi_{t+1})**2).  Uses the
-    normalized weights A_t = 1, so coefficient magnitudes stay bounded
-    regardless of run length; the step's distortion rate (1 in flat space)
-    divides the incoming distance weight and must be at least 1.
-    """
-    alpha = _step_params(trace)[0]
-    rates = trace.column("delta_rate")[1:]
-    if not np.all(rates >= 1.0):
-        raise DomainError(f"delta_rate must be >= 1, got {rates.min()}")
-    if not np.all(alpha < 1.0):
-        raise DomainError(f"alpha must be < 1, got {alpha.max()}")
-    xis = trace.column("xi")
-    mu = float(trace.meta["mu"])
-    delta_gamma = float(trace.meta["delta_gamma"])
-    return np.column_stack(_form_coefficients(xis[:-1], xis[1:], rates, mu, delta_gamma))
+    steps = [step_params(xi, mu, delta_gamma) for xi in trace.column("xi")[1:].tolist()]
+    return np.array(steps).reshape(-1, 3).T
 
 
 @dataclass(frozen=True)

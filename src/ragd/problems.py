@@ -543,7 +543,7 @@ def manifold_from_dict(d: dict) -> Manifold:
         raise MissingDataError(f"a {kind!r} manifold description needs {size_key!r}")
     if curv_key is None:
         return cls(_integer(d, size_key))
-    return cls(_integer(d, size_key), float(d.get(curv_key, default)))
+    return cls(_integer(d, size_key), _real(d, curv_key) if curv_key in d else default)
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -566,6 +566,37 @@ def _integer(d: dict, key: str) -> int:
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise DomainError(f"{key!r} must be an integer, got {v!r}")
     return int(v)
+
+
+def _is_real(v: object) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _real(d: dict, key: str) -> float:
+    """The real number under ``key``: not a bool or a string."""
+    v = _require(d, key)
+    if not _is_real(v):
+        raise DomainError(f"{key!r} must be a real number, got {v!r}")
+    return float(v)
+
+
+def _optional_real(d: dict, key: str) -> float | None:
+    return None if d.get(key) is None else _real(d, key)
+
+
+def _reals(d: dict, key: str) -> np.ndarray:
+    """The float array under ``key``, whose every entry is a real number:
+    ``np.asarray`` alone would also read a bool or a numeric string."""
+    v = _require(d, key)
+    arr = np.asarray(v, dtype=float)
+    bad = [e for e in np.asarray(v, dtype=object).flat if not _is_real(e)]
+    if bad:
+        raise DomainError(f"{key!r} must hold real numbers only, got {bad[0]!r}")
+    return arr
+
+
+def _optional_reals(d: dict, key: str) -> np.ndarray | None:
+    return None if d.get(key) is None else _reals(d, key)
 
 
 # Problem kinds: the key that marks the explicit form, then the keys of that
@@ -613,34 +644,32 @@ def problem_from_dict(d: dict) -> Problem:
     if kind == "quadratic":
         if explicit:
             problem = quadratic_from_arrays(
-                np.asarray(d["hessian"], dtype=float),
-                np.asarray(_require(d, "center"), dtype=float),
-                np.asarray(_require(d, "start"), dtype=float),
-                mu=d.get("mu"),
-                L=d.get("L"),
+                _reals(d, "hessian"),
+                _reals(d, "center"),
+                _reals(d, "start"),
+                mu=_optional_real(d, "mu"),
+                L=_optional_real(d, "L"),
                 name=name or "quadratic",
             )
         else:
             problem = make_quadratic(
                 _integer(d, "dim"),
-                float(_require(d, "mu")),
-                float(_require(d, "L")),
+                _real(d, "mu"),
+                _real(d, "L"),
                 _integer(d, "seed"),
-                center=None if d.get("center") is None else np.asarray(d["center"]),
+                center=_optional_reals(d, "center"),
                 name=name,
             )
     else:
         m = manifold_from_dict(_require(d, "manifold"))
         if explicit:
-            anchors = [m.point(np.asarray(a, dtype=float)) for a in d["anchors"]]
+            anchors = [m.point(a) for a in _reals(d, "anchors")]
             build = make_karcher if kind == "karcher" else make_sphere_mean
-            problem = build(m, anchors, d.get("weights"), name=name or kind)
+            problem = build(m, anchors, _optional_reals(d, "weights"), name=name or kind)
         else:
             build = random_karcher if kind == "karcher" else random_sphere_mean
-            problem = build(m, _integer(d, "n_anchors"), float(_require(d, "radius")),
-                            _integer(d, "seed"), weights=d.get("weights"), name=name)
+            problem = build(m, _integer(d, "n_anchors"), _real(d, "radius"),
+                            _integer(d, "seed"), weights=_optional_reals(d, "weights"), name=name)
     if d.get("optimum") is not None:
-        problem.set_optimum(
-            problem.manifold.point(np.asarray(d["optimum"], dtype=float))
-        )
+        problem.set_optimum(problem.manifold.point(_reals(d, "optimum")))
     return problem

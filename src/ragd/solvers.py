@@ -90,6 +90,18 @@ SOLVER_MODES = ("euclid_nesterov", "ragd", "ragd_constant_delta", "rgd")
 # diagnostics off, ``run`` holds the iterates of at most this many rows.
 _ROW_BLOCK = 64
 
+# The settings that take a real number, or None where they are optional.
+_REAL_SETTINGS = ("mu", "L", "gamma", "xi0", "delta_const")
+
+
+def _check_real_settings(settings: dict) -> None:
+    """Raise DomainError unless each real setting in ``settings`` is None or
+    a real number; a bool or a numeric string is neither."""
+    for key in _REAL_SETTINGS:
+        v = settings.get(key)
+        if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+            raise DomainError(f"{key} must be a real number, got {v!r}")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -97,9 +109,11 @@ class SolverConfig:
 
     ``gamma`` defaults to 1/L except in ``ragd`` mode, which defaults to
     1.05/L so that the full-acceleration regime (gamma * L > 1) is
-    reachable.  ``xi0`` defaults to sqrt(mu / L).  Setting a key the mode
-    does not read (``delta_const`` outside ``ragd_constant_delta``,
-    ``sharp_distortion`` outside ``ragd``, ``xi0`` on ``rgd``) is a DomainError.
+    reachable.  ``xi0`` defaults to sqrt(mu / L).  ``mu``, ``L``, ``gamma``,
+    ``xi0`` and ``delta_const`` are real numbers, not bools or strings.
+    Setting a key the mode does not read (``delta_const`` outside
+    ``ragd_constant_delta``, ``sharp_distortion`` outside ``ragd``, ``xi0`` on
+    ``rgd``) is a DomainError.
     """
 
     mode: str
@@ -117,6 +131,7 @@ class SolverConfig:
             raise DomainError(
                 f"unknown solver mode {self.mode!r}; expected one of {SOLVER_MODES}"
             )
+        _check_real_settings(vars(self))
         if not (math.isfinite(self.L) and self.L > 0.0):
             raise DomainError(f"L must be finite and positive, got {self.L}")
         if not (0.0 <= self.mu <= self.L):

@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 from .errors import DomainError, MissingDataError
 from .problems import Problem, curvature_key, is_explicit, oracle_optimum, problem_from_dict
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig, _check_real_settings, run
 from .trace import ConvergenceTrace, estimate_rate
 from .xi import XiParams, fixed_point_xi, settle_steps
 
@@ -187,6 +187,8 @@ def build_sweep(
     if not values:
         raise DomainError("sweep needs at least one axis value")
     entry = solver_entries(config)[0]
+    # a value the swept axis replaces must still be a real number
+    _check_real_settings(entry)
     desc, _ = problem_description(config, seed)
     if axis == "condition_number" and desc.get("kind") != "quadratic":
         raise DomainError("condition_number sweeps need a quadratic problem")

@@ -69,7 +69,12 @@ def _recursion_defect(xi_next, xi_t, a, delta):
 
 def _form_coefficients(xi_t, xi_next, rate, mu, delta_gamma) -> tuple:
     """``(c1, ..., c6)`` of the step from ``xi_t`` to ``xi_next`` at distortion
-    ``rate``; see :func:`ragd.potential.trace_coefficient_blocks`."""
+    ``rate``: the coefficients of (pd_next**2, d(x+, x*)**2, |grad|**2,
+    pd_next * d_prev, pd_prev * d_prev, the gradient-displacement cross
+    term) in the per-step inequality, at the normalized weight A_t = 1.
+    Once the recursion eliminates ``xi_t**2``, c2..c6 vanish and
+    c1 = -mu (1 - a) (xi_next - a) / (2 (1 - xi_next)**2) <= 0, which makes
+    the potential non-increasing; ``tests/test_step_algebra.py`` proves it."""
     alpha, beta, eta = _step_coefficients(xi_next, mu, delta_gamma)
     ratio = alpha / (1.0 - alpha)
     a_next = 1.0 / (1.0 - xi_next)

@@ -255,6 +255,37 @@ _BAD_CONFIG_CONTENTS = [
     {"solvers": [{"mode": "rgd", "sharp_distortion": True}]},
     {"solvers": [{"mode": "ragd_constant_delta", "delta_const": 1.5, "sharp_distortion": True}]},
     {"solvers": [{"mode": "rgd", "xi0": 0.5}]},
+    # Real-valued keys take real numbers, not bools or numeric strings; at
+    # L = 1.5 a gamma of true (1) would lie in (0, 2/L).
+    {"problem": {"kind": "quadratic", "dim": 8, "mu": 1.0, "L": 1.5, "seed": 3},
+     "solvers": [{"mode": "ragd", "gamma": True}]},
+    {"solvers": [{"mode": "ragd_constant_delta", "delta_const": True}]},
+    {"solvers": [{"mode": "ragd", "xi0": "0.5"}]},
+    {"solvers": [{"mode": "ragd", "mu": "1.0"}]},
+    {"problem": {"kind": "quadratic", "dim": 8, "mu": "1.0", "L": 20.0, "seed": 3}},
+    {"problem": {"kind": "quadratic", "dim": 2, "mu": 1.0, "L": 2.0, "seed": 3,
+                 "center": [0.0, "1.0"]}},
+    {"problem": {"kind": "quadratic", "hessian": [[2.0, 0.0], [0.0, True]],
+                 "center": [0.0, 0.0], "start": [1.0, 1.0]}},
+    {"problem": {"kind": "quadratic", "hessian": [[1.0, 0.0], [0.0, 2.0]],
+                 "center": [0.0, 0.0], "start": [1.0, "1.0"]}},
+    {"problem": {"kind": "quadratic", "dim": 2, "mu": 1.0, "L": 2.0, "seed": 3,
+                 "optimum": [True, 0.0]}},
+    {"problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 4},
+                 "n_anchors": 4, "radius": True, "seed": 3},
+     "solvers": [{"mode": "ragd"}]},
+    {"problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 4, "kappa": True},
+                 "n_anchors": 4, "radius": 1.0, "seed": 3},
+     "solvers": [{"mode": "ragd"}]},
+    {"problem": {"kind": "sphere_mean", "manifold": {"kind": "sphere", "dim": 3, "sigma": "1"},
+                 "n_anchors": 4, "radius": 0.3, "seed": 3},
+     "solvers": [{"mode": "ragd"}]},
+    {"problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 4},
+                 "n_anchors": 4, "radius": 1.0, "seed": 3, "weights": [0.25, 0.25, 0.25, "0.25"]},
+     "solvers": [{"mode": "ragd"}]},
+    {"problem": {"kind": "karcher", "manifold": {"kind": "euclidean", "dim": 2},
+                 "anchors": [[0.0, 0.0], [1.0, True]]},
+     "solvers": [{"mode": "ragd"}]},
 ]
 
 

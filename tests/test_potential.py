@@ -21,7 +21,6 @@ from ragd.potential import (
     rate_envelope,
     shrink_bounds,
     shrink_constant,
-    trace_coefficient_blocks,
 )
 from ragd.problems import make_quadratic, oracle_optimum, random_karcher, random_sphere_mean
 from ragd.solvers import _ROW_BLOCK, SolverConfig, normalized_potential, run, step_params
@@ -29,15 +28,8 @@ from ragd.trace import NOISE_FLOOR, TRACE_COLUMNS, ConvergenceTrace
 from ragd.verify import (
     _SHRINK_FLOOR, _SHRINK_MIN_COMPARED, _certified_karcher, _certified_quadratic,
 )
-from ragd.xi import XiParams, next_xi
 
 logging.getLogger("ragd.solvers").setLevel(logging.ERROR)
-
-# Float rounding of the coefficients whose exact values vanish
-# (tests/test_step_algebra.py proves they do): c1-c3 at most _VANISH_TOL,
-# c4-c6 within _CROSS_TOL of 0.
-_VANISH_TOL = 1e-12
-_CROSS_TOL = 1e-10
 
 
 def _flat_run(max_iters=80, diagnostics=True):
@@ -59,46 +51,6 @@ def _curved_run(max_iters=120):
         mode="ragd", mu=prob.mu, L=prob.L, max_iters=max_iters, record_diagnostics=True
     )
     return prob, run(prob, config)
-
-
-def _momentum_trace(xis, rates, mu=1.0, delta_gamma=0.1):
-    """A trace holding only the momentum and distortion-rate columns."""
-    rows = np.full((len(xis), len(TRACE_COLUMNS)), math.nan)
-    rows[:, TRACE_COLUMNS.index("xi")] = xis
-    rows[:, TRACE_COLUMNS.index("delta_rate")] = rates
-    return ConvergenceTrace(rows=rows, meta={"mu": mu, "delta_gamma": delta_gamma})
-
-
-@pytest.mark.parametrize("delta", [1.0, 1.2])
-def test_coefficient_block_vanishes_on_consistent_momentum(delta):
-    mu, delta_gamma = 1.0, 0.1
-    xi_t = 0.5
-    xi_n = next_xi(xi_t, XiParams(a=2.0 * mu * delta_gamma, delta=delta))
-    blocks = trace_coefficient_blocks(_momentum_trace([xi_t, xi_n], [1.0, delta]))
-    assert blocks.shape == (1, 6)
-    assert blocks[0, 0] < 0.0
-    assert np.all(np.abs(blocks[0, 1:]) <= _VANISH_TOL)
-
-
-def test_coefficient_block_rejects_bad_rate():
-    # a = 2 * mu * delta_gamma = 0.2; the bad value sits in the second step,
-    # so a check that reads only the first row, or lets NaN through, fails.
-    for xis, rates in (
-        ([0.5, 0.5, 0.5], [1.0, 1.0, 0.5]),
-        ([0.5, 0.5, 0.5], [1.0, 1.0, math.nan]),
-        ([0.5, 0.5, 1.0], [1.0, 1.0, 1.0]),
-        ([0.5, 0.5, 0.1], [1.0, 1.0, 1.0]),
-    ):
-        with pytest.raises(DomainError):
-            trace_coefficient_blocks(_momentum_trace(xis, rates))
-
-
-def test_trace_coefficient_blocks_structure():
-    prob, trace = _flat_run()
-    blocks = trace_coefficient_blocks(trace)
-    assert blocks.shape == (trace.n_iters, 6)
-    assert np.all(blocks[:, :3] <= _VANISH_TOL)
-    assert np.all(np.abs(blocks[:, 3:]) <= _CROSS_TOL)
 
 
 def test_certify_flat_run_clean():
@@ -238,6 +190,18 @@ def test_mirror_step_audit_rejects_plain_descent():
     trace = run(prob, config)
     with pytest.raises(MissingDataError):
         mirror_step_audit(trace, prob)
+
+
+@pytest.mark.parametrize("xi", [1.0, 0.01])
+def test_mirror_step_audit_rejects_out_of_domain_momentum(xi):
+    # a = 2 * mu * Delta; the bad value sits in the second step, so a check
+    # that reads only the first step fails.
+    prob, trace = _flat_run()
+    assert xi == 1.0 or xi < 2.0 * trace.meta["mu"] * trace.meta["delta_gamma"]
+    spoiled = dataclasses.replace(trace, rows=trace.rows.copy())
+    spoiled.rows[2, TRACE_COLUMNS.index("xi")] = xi
+    with pytest.raises(DomainError, match="xi must lie in" if xi == 1.0 else "is below a"):
+        mirror_step_audit(spoiled, prob)
 
 
 def test_rate_envelope_holds_with_floor():

@@ -214,6 +214,14 @@ def test_run_rejects_wrong_shape_gradient():
         {"mode": "rgd", "mu": 1.0, "L": 2.0, "sharp_distortion": True},
         {"mode": "euclid_nesterov", "mu": 1.0, "L": 2.0, "sharp_distortion": True},
         {"mode": "rgd", "mu": 1.0, "L": 2.0, "xi0": 0.5},
+        # bools and numeric strings are not real numbers; at L = 1.5 a
+        # gamma of True (1) would lie in (0, 2/L)
+        {"mode": "ragd", "mu": 1.0, "L": 1.5, "gamma": True},
+        {"mode": "ragd", "mu": True, "L": 2.0},
+        {"mode": "ragd", "mu": "1.0", "L": 2.0},
+        {"mode": "ragd", "mu": 1.0, "L": "2.0"},
+        {"mode": "ragd", "mu": 1.0, "L": 2.0, "xi0": "0.5"},
+        {"mode": "ragd_constant_delta", "mu": 1.0, "L": 2.0, "delta_const": True},
     ],
 )
 def test_solver_config_rejects_bad_settings(kwargs):

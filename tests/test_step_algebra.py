@@ -1,11 +1,11 @@
 """Symbolic proof of the step algebra behind the potential's decrease.
 
 Each step's potential change is bounded by a six-coefficient quadratic form
-(``ragd.potential.trace_coefficient_blocks``).  These tests pass sympy
-symbols through the library's own arithmetic, the functions the solver and
-the coefficient blocks evaluate on floats, and prove that with the scheme's
-``(alpha, beta, eta)`` and the momentum recursion, c2..c6 vanish
-identically and c1 <= 0, for every mu, Delta and distortion rate.
+(``ragd.xi._form_coefficients``).  These tests pass sympy symbols through
+the library's own arithmetic, the functions the solver evaluates on floats,
+and prove that with the scheme's ``(alpha, beta, eta)`` and the momentum
+recursion, c2..c6 vanish identically and c1 <= 0, for every mu, Delta and
+distortion rate.
 """
 
 import sympy as sp
