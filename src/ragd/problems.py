@@ -451,6 +451,25 @@ def random_sphere_mean(
 # ----- reference optimum -----------------------------------------------------
 
 
+# The largest gradient norm of a described ``optimum``: an optimum the
+# oracle located at any ``tol`` up to this one loads again.
+_OPTIMUM_TOL = 1e-8
+
+
+def _stationary(m: Manifold, x: ManifoldPoint, g: TangentVector, tol: float) -> bool:
+    """The optimum's stop test: whether the gradient ``g`` at ``x`` has a
+    norm of at most ``tol``.  Raises DomainError when the test passes on a
+    norm lost to rounding (a gradient far out on the hyperboloid)."""
+    if not m.norm(x, g) <= tol:
+        return False
+    if not m._norm_resolved(g.coords, tol):
+        raise DomainError(
+            "gradient too far out for its norm to be resolved: "
+            f"<g, g> = {m.inner(x, g, g):.3e} lies under its rounding error"
+        )
+    return True
+
+
 def oracle_optimum(
     problem: Problem,
     tol: float = 1e-10,
@@ -460,22 +479,16 @@ def oracle_optimum(
 
     Independent of the accelerated solver on purpose: its fixed point is
     used as the ground truth the solver traces are judged against.  Starts
-    at ``problem.start``, stops when the gradient norm falls below ``tol``,
-    and stores the result on the problem and returns it.  Raises
-    ``DomainError`` instead when the stop test passes on a norm lost to
-    rounding (a gradient far out on the hyperboloid).
+    at ``problem.start``, stops when the gradient norm falls below ``tol``
+    (:func:`_stationary`, which raises ``DomainError`` when that norm is
+    lost to rounding), and stores the result on the problem and returns it.
     """
     m = problem.manifold
     x = problem.start
     step = 1.0 / problem.L
     for _ in range(max_iters):
         g = problem.grad(x)
-        if m.norm(x, g) <= tol:
-            if not m._norm_resolved(g.coords, tol):
-                raise DomainError(
-                    "oracle gradient too far out for its norm to be resolved: "
-                    f"<g, g> = {m.inner(x, g, g):.3e} lies under its rounding error"
-                )
+        if _stationary(m, x, g, tol):
             problem.set_optimum(x)
             return x
         x = m._exp(x, (-step) * g.coords)
@@ -560,10 +573,14 @@ def _require(d: dict, key: str) -> object:
         raise MissingDataError(f"problem description needs {key!r}") from exc
 
 
+def _is_integer(v: object) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _integer(d: dict, key: str) -> int:
     """The integer under ``key``: not a bool, a float or a string."""
     v = _require(d, key)
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+    if not _is_integer(v):
         raise DomainError(f"{key!r} must be an integer, got {v!r}")
     return int(v)
 
@@ -627,7 +644,8 @@ def problem_from_dict(d: dict) -> Problem:
     quadratic's ``hessian``, ``center``, ``start`` and optional ``mu``/``L``
     claims, or a barycenter's ``manifold``, ``anchors`` and ``weights``.  The
     generator form takes ``(dim, mu, L, seed, center)`` or ``(manifold,
-    n_anchors, radius, seed, weights)``.  Any other key is a DomainError.
+    n_anchors, radius, seed, weights)``.  Any other key is a DomainError, and
+    so is an ``optimum`` whose gradient norm exceeds 1e-8 (:func:`_stationary`).
     """
     kind = _require(d, "kind")
     if not isinstance(kind, str) or kind not in _PROBLEM_FORMS:
@@ -671,5 +689,11 @@ def problem_from_dict(d: dict) -> Problem:
             problem = build(m, _integer(d, "n_anchors"), _real(d, "radius"),
                             _integer(d, "seed"), weights=_optional_reals(d, "weights"), name=name)
     if d.get("optimum") is not None:
-        problem.set_optimum(problem.manifold.point(_reals(d, "optimum")))
+        m = problem.manifold
+        opt = m.point(_reals(d, "optimum"))
+        g = problem.grad(opt)
+        if not _stationary(m, opt, g, _OPTIMUM_TOL):
+            raise DomainError(f"'optimum' is not stationary: its gradient norm "
+                              f"{m.norm(opt, g)!r} exceeds {_OPTIMUM_TOL!r}")
+        problem.set_optimum(opt)
     return problem

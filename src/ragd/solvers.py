@@ -17,9 +17,10 @@ classical Nesterov method exactly).
 A run starts at ``problem.start``.  An iterate outside the problem's
 certified ball (``certified_radius`` around ``reference``) warns once, and
 is recorded in the trace meta, on a Hadamard manifold; on any other
-manifold it raises :class:`~ragd.errors.RuntimeContainmentError`.  The
-check measures with ``_dist_table``, the kernel the radius was measured
-with, so an iterate on the farthest anchor reads exactly the radius.
+manifold it raises :class:`~ragd.errors.RuntimeContainmentError` at the
+end of its block of rows, naming its step.  The check measures with
+``_dist_table``, the kernel the radius was measured with, so an iterate on
+the farthest anchor reads exactly the radius.
 
 :func:`run` computes inside its step loop only what steers the iteration:
 the distances the distortion rate charges (``d(x, z)``, and ``d(y, z)`` off
@@ -44,13 +45,12 @@ Step outputs are not re-checked for finiteness: every ``_exp`` and
 :class:`~ragd.errors.NonFiniteError`.
 The rest of each trace row (f(y_t), the iterate separations ``d(x_t, z_t)``,
 ``d(y_t, z_t)`` and ``d(y_t, x*)``, the projected distance in the potential
-``phi_t`` and, on a Hadamard manifold, the containment distances) is
-trace-only.  It is computed after every block of
-``_ROW_BLOCK`` rows, one stacked call per quantity (f(y_t) through
-``Problem.values``), so a library error raised there, and the
-NonFiniteError of a non-finite f(y_t), surfaces at the end of its block,
-not at its step.  On the sphere the containment check stays in the loop
-and raises at its step.
+``phi_t``) and each row's distance from ``reference``, which the
+containment check reads, are trace-only.  They are computed after every
+block of ``_ROW_BLOCK`` rows, one stacked call per quantity (f(y_t) through
+``Problem.values``), so a library error raised there, the NonFiniteError
+of a non-finite f(y_t) and the containment error surface at the end of
+their block, not at their step; the containment check runs first.
 With ``record_diagnostics`` each finished block extends the trace's one list
 of ``(x_t, y_t, z_t)`` rows; without it a run holds the iterates of at most
 one block, so its memory grows with the step count only by the trace rows.
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 from ._scalars import libm_squares
@@ -70,7 +69,7 @@ from .geometry import Euclidean, Manifold, ManifoldPoint
 from .trace import ConvergenceTrace
 from .xi import XiParams, _step_coefficients, next_xi, step_gain
 from . import __version__ as _VERSION
-from .problems import Problem
+from .problems import Problem, _is_integer, _is_real
 
 import numpy as np
 
@@ -99,7 +98,7 @@ def _check_real_settings(settings: dict) -> None:
     a real number; a bool or a numeric string is neither."""
     for key in _REAL_SETTINGS:
         v = settings.get(key)
-        if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        if v is not None and not _is_real(v):
             raise DomainError(f"{key} must be a real number, got {v!r}")
 
 
@@ -144,9 +143,8 @@ class SolverConfig:
             )
         if self.xi0 is not None and not (0.0 < self.xi0 < 1.0):
             raise DomainError(f"xi0 must lie in (0, 1), got {self.xi0}")
-        iters = self.max_iters
-        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral):
-            raise DomainError(f"max_iters must be an integer, got {iters!r}")
+        if not _is_integer(self.max_iters):
+            raise DomainError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
         for flag in ("sharp_distortion", "record_diagnostics"):
@@ -256,65 +254,39 @@ def normalized_potential(
     return gap + (xi * xi / (4.0 * delta_gamma)) * libm_squares(pd)
 
 
-class _Containment:
-    """Distances of the iterates from ``problem.reference``, checked against
-    ``problem.certified_radius`` (finite).
-
-    :meth:`check` measures the x, y and z of consecutive steps in one
-    ``_dist_table`` call, the kernel ``certified_radius`` was measured with.
-    Outside the radius it raises :class:`~ragd.errors.RuntimeContainmentError`
-    on a manifold that is not Hadamard, and otherwise logs one warning for
-    the whole run.
-    """
-
-    def __init__(self, problem: Problem) -> None:
-        self.problem = problem
-        self.left = False
-        self.worst = -math.inf
-
-    def check(self, steps: list[tuple[ManifoldPoint, ...]], first: int) -> None:
-        """Check the (x, y, z) iterates of steps ``first, first + 1, ...``."""
-        p = self.problem
-        stack = np.stack([pt.coords for pts in steps for pt in pts])
-        worst = p.manifold._dist_table([p.reference], stack).reshape(len(steps), -1).max(axis=1)
-        radius = p.certified_radius
-        outside = np.flatnonzero(worst > radius)
-        if outside.size:
-            t, dist = first + int(outside[0]), float(worst[outside[0]])
-            if not p.manifold.is_hadamard:
-                raise RuntimeContainmentError(
-                    f"iterate left the certified ball at step {t}: "
-                    f"distance {dist!r} exceeds radius {radius!r}"
-                )
-            if not self.left:
-                self.left = True
-                logger.warning(
-                    "iterates left the certified radius %r at step %d (distance %r); "
-                    "the (mu, L) certificates no longer apply",
-                    radius,
-                    t,
-                    dist,
-                )
-        self.worst = max(self.worst, float(worst.max()))
-
-
 def _finish_rows(
     problem: Problem,
     rows: np.ndarray,
+    reach: np.ndarray | None,
     lo: int,
     block: list[tuple[ManifoldPoint, ...]],
     delta_gamma: float | None,
-    containment: _Containment | None,
-) -> None:
+) -> int | None:
     """Fill the trace-only cells of rows ``lo, lo + 1, ...`` from their
-    (x, y, z) iterates in ``block``: f(y_t) (``Problem.values``), raising
-    NonFiniteError at the first step where it is not finite, ``d(x_t, z_t)``,
+    (x, y, z) iterates in ``block``, each quantity from one stacked call.
+    First, given ``reach``, each row's largest ``_dist_table`` distance of
+    x_t, y_t and z_t from ``problem.reference``: off a Hadamard manifold a
+    row outside ``certified_radius`` raises RuntimeContainmentError, before
+    any trace-only error.  Then f(y_t) (``Problem.values``; NonFiniteError at
+    the first step where it is not finite) into column 1, ``d(x_t, z_t)``,
     ``d(y_t, z_t)``, ``d(y_t, x*)`` and, given Delta (``delta_gamma``; None
-    when no potential is tracked), ``phi_t``, each from one stacked call;
-    then check the containment of those rows on a Hadamard manifold (row 0
-    is the start, which is not checked).  Column 1 holds f(y_t) afterwards."""
+    when no potential is tracked), ``phi_t``.  Returns the first row outside
+    the radius, or None; row 0, the start, is not checked."""
     m = problem.manifold
     hi = lo + len(block)
+    outside = None
+    if reach is not None:
+        stack = np.stack([pt.coords for pts in block for pt in pts])
+        reach[lo:hi] = m._dist_table([problem.reference], stack).reshape(len(block), -1).max(axis=1)
+        first = max(lo, 1)
+        beyond = np.flatnonzero(reach[first:hi] > problem.certified_radius)
+        if beyond.size:
+            outside = first + int(beyond[0])
+            if not m.is_hadamard:
+                raise RuntimeContainmentError(
+                    f"iterate left the certified ball at step {outside}: distance "
+                    f"{float(reach[outside])!r} exceeds radius {problem.certified_radius!r}"
+                )
     xs, ys, zs = zip(*block)
     fy = problem.values(ys)
     bad = np.flatnonzero(~np.isfinite(fy))
@@ -334,9 +306,7 @@ def _finish_rows(
                 m._projected_distances(xs, z, opt),
                 delta_gamma,
             )
-    if containment is not None and m.is_hadamard:
-        first = max(lo, 1)
-        containment.check(block[first - lo:], first)
+    return outside
 
 
 def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
@@ -379,9 +349,9 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
     rows = np.full((n_steps + 1, 9), math.nan)
     rows[:, 0] = np.arange(n_steps + 1)
     kept: list[tuple[ManifoldPoint, ...]] | None = [] if config.record_diagnostics else None
-    containment = (
-        _Containment(problem) if math.isfinite(problem.certified_radius) else None
-    )
+    radius = problem.certified_radius
+    reach = np.full(n_steps + 1, math.nan) if math.isfinite(radius) else None
+    left = False
     block: list[tuple[ManifoldPoint, ...]] = []
 
     fixed = xi_params = _fixed_xi_params(problem, config) if accelerated else None
@@ -391,14 +361,21 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
         rows[t, 3] = delta_rate
         block.append((x, y, z))
         if len(block) == _ROW_BLOCK or t == n_steps:
-            _finish_rows(
+            outside = _finish_rows(
                 problem,
                 rows,
+                reach,
                 t + 1 - len(block),
                 block,
                 delta_gamma if accelerated else None,
-                containment,
             )
+            if outside is not None and not left:
+                left = True
+                logger.warning(
+                    "iterates left the certified radius %r at step %d (distance %r); "
+                    "the (mu, L) certificates no longer apply",
+                    radius, outside, float(reach[outside]),
+                )
             if kept is not None:
                 kept += block
             block = []
@@ -415,8 +392,6 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
         else:
             y = m._exp(y, (-gamma) * problem._grad_coords(y))
             x = z = y
-        if containment is not None and not m.is_hadamard:
-            containment.check([(x, y, z)], t + 1)
 
     rows[:, 1] -= f_opt if opt is not None else rows[:, 1].min()
     rows[:-1, 8] = (1.0 - rows[1:, 2]) * rows[:-1, 7] - rows[1:, 7]
@@ -434,12 +409,8 @@ def run(problem: Problem, config: SolverConfig) -> ConvergenceTrace:
         "xi0": config.resolved_xi0 if accelerated else math.nan,
         "max_iters": n_steps,
         "sharp_distortion": config.sharp_distortion,
-        "left_feasible_radius": containment is not None and containment.left,
-        "max_reference_distance": (
-            containment.worst
-            if containment is not None and math.isfinite(containment.worst)
-            else None
-        ),
+        "left_feasible_radius": left,
+        "max_reference_distance": None if reach is None else float(reach[1:].max()),
         "config_hash": None,
         "seed": None,
     }

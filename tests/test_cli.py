@@ -271,6 +271,9 @@ _BAD_CONFIG_CONTENTS = [
                  "center": [0.0, 0.0], "start": [1.0, "1.0"]}},
     {"problem": {"kind": "quadratic", "dim": 2, "mu": 1.0, "L": 2.0, "seed": 3,
                  "optimum": [True, 0.0]}},
+    # A described optimum must be stationary.
+    {"problem": {"kind": "quadratic", "dim": 2, "mu": 1.0, "L": 2.0, "seed": 3,
+                 "optimum": [1.0, 0.0]}},
     {"problem": {"kind": "karcher", "manifold": {"kind": "hyperbolic", "dim": 4},
                  "n_anchors": 4, "radius": True, "seed": 3},
      "solvers": [{"mode": "ragd"}]},
@@ -405,10 +408,12 @@ def test_run_solver_abort_exit_code(tmp_path, monkeypatch):
     assert rc == cli.EXIT_ABORT
 
 
-def test_run_trace_only_error_is_abort(tmp_path, caplog):
+def test_run_trace_only_error_is_abort(tmp_path, caplog, monkeypatch):
     # An optimum antipodal to the start leaves Log_x(x*), which only the
     # potential column needs, undefined at row 0.  The error surfaces at the
-    # end of the first block of rows, with its class and exit code 3.
+    # end of the first block of rows, with its class and exit code 3.  A
+    # config cannot name that optimum, which is not stationary, so it is set
+    # after the problem is built.
     problem = {
         "kind": "sphere_mean",
         "manifold": {"kind": "sphere", "dim": 4},
@@ -416,8 +421,13 @@ def test_run_trace_only_error_is_abort(tmp_path, caplog):
         "radius": 0.3,
         "seed": 17,
     }
-    start = problem_from_dict(problem).start.coords
-    problem["optimum"] = (-start).tolist()
+
+    def antipodal_optimum(desc):
+        built = problem_from_dict(desc)
+        built.set_optimum(built.manifold.point(-built.start.coords))
+        return built
+
+    monkeypatch.setattr(cli, "problem_from_dict", antipodal_optimum)
     cfg = _write_config(
         tmp_path, problem=problem, solvers=[{"mode": "ragd", "max_iters": 100}]
     )

@@ -472,6 +472,39 @@ def test_problem_dict_roundtrip_karcher(build):
     _assert_round_trips(prob, _BARYCENTER_DOC_KEYS)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_karcher(Hyperbolic(5, kappa=1.0), 4, 1.2, seed=8),
+        lambda: _explicit_barycenter(make_karcher, SPD(3), 1.5),
+    ],
+    ids=["hyperbolic", "spd-explicit"],
+)
+def test_karcher_optimum_of_the_default_oracle_round_trips(build):
+    prob = build()
+    oracle_optimum(prob)
+    _assert_round_trips(prob, _BARYCENTER_DOC_KEYS)
+
+
+def test_problem_from_dict_rejects_an_optimum_that_is_not_stationary():
+    doc = {"kind": "quadratic", "dim": 2, "mu": 1.0, "L": 2.0, "seed": 3}
+    prob = problem_from_dict(doc)
+    x = prob.manifold.point([1.0, 0.0])
+    norm = prob.manifold.norm(x, prob.grad(x))
+    with pytest.raises(DomainError) as err:
+        problem_from_dict({**doc, "optimum": [1.0, 0.0]})
+    assert str(err.value) == (
+        f"'optimum' is not stationary: its gradient norm {norm!r} exceeds 1e-08"
+    )
+    # With the center at the origin the gradient norm at (t, 0) is at most 2t.
+    at_origin = {**doc, "center": [0.0, 0.0]}
+    with pytest.raises(DomainError, match="is not stationary"):
+        problem_from_dict({**at_origin, "optimum": [1e-7, 0.0]})
+    for t in (0.0, 1e-9):
+        loaded = problem_from_dict({**at_origin, "optimum": [t, 0.0]})
+        assert np.array_equal(loaded.optimum.coords, [t, 0.0])
+
+
 def test_problem_from_generator_block():
     doc = {
         "kind": "karcher",

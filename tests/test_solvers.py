@@ -787,6 +787,72 @@ def test_first_excursion_in_a_later_block_warns_at_its_step(caplog):
     assert trace.meta["max_reference_distance"] == max(worst[1:])
 
 
+def _reach(m, reference, diagnostics):
+    """Each row's largest distance of x_t, y_t and z_t from ``reference``."""
+    return [
+        float(m._dist_table([reference], np.stack([p.coords for p in pts])).max())
+        for pts in diagnostics
+    ]
+
+
+def test_first_excursion_in_a_later_block_on_the_sphere_raises_at_its_block(caplog):
+    # The sphere twin of the Hadamard test above: the same slow drift out of
+    # a ball around a far start, with the first excursion in the second
+    # block of rows.  Off a Hadamard manifold it ends the run at the end of
+    # that block, after the block's last step and before its f(y_t), and
+    # logs no warning.
+    prob = random_sphere_mean(Sphere(4), 6, 0.3, seed=17)
+    m = prob.manifold
+    far = m.random_point(np.random.default_rng(0), prob.reference, 1.0)
+    config = SolverConfig(
+        mode="rgd", mu=prob.mu, L=50.0 * prob.L, max_iters=2 * _ROW_BLOCK,
+        record_diagnostics=True,
+    )
+    free = dataclasses.replace(prob, start=far, reference=far, certified_radius=math.inf)
+    worst = _reach(m, far, run(free, config).diagnostics)
+    k = _ROW_BLOCK + 6
+    radius = 0.5 * (worst[k - 1] + worst[k])
+    step = next(t for t in range(1, len(worst)) if worst[t] > radius)
+    assert step >= _ROW_BLOCK
+    stacked, grads = [], []
+
+    def counting(points):
+        stacked.append(len(points))
+        return prob.values(points)
+
+    def counting_grad(x):
+        grads.append(x)
+        return prob.gradient(x)
+
+    tight = dataclasses.replace(
+        free, certified_radius=radius, values=counting, gradient=counting_grad
+    )
+    with caplog.at_level(logging.WARNING, logger="ragd.solvers"):
+        with pytest.raises(RuntimeContainmentError) as err:
+            run(tight, config)
+    assert str(err.value) == (
+        f"iterate left the certified ball at step {step}: "
+        f"distance {worst[step]!r} exceeds radius {radius!r}"
+    )
+    assert stacked == [_ROW_BLOCK]
+    assert len(grads) == 2 * _ROW_BLOCK - 1
+    assert not [r for r in caplog.records if r.name == "ragd.solvers"]
+
+
+def test_sphere_run_in_its_cap_reports_its_largest_reach():
+    prob = random_sphere_mean(Sphere(5), 5, 0.3, seed=0)
+    oracle_optimum(prob)
+    config = SolverConfig(
+        mode="ragd", mu=prob.mu, L=prob.L, max_iters=2 * _ROW_BLOCK + 10,
+        record_diagnostics=True,
+    )
+    trace = run(prob, config)
+    worst = _reach(prob.manifold, prob.reference, trace.diagnostics)
+    assert trace.meta["left_feasible_radius"] is False
+    assert trace.meta["max_reference_distance"] == max(worst[1:])
+    assert max(worst[1:]) <= prob.certified_radius
+
+
 def test_run_keeps_at_most_one_block_of_iterates():
     problem = make_quadratic(64, 1.0, 50.0, seed=1)
 
