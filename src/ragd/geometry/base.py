@@ -52,7 +52,7 @@ class ManifoldPoint:
     values computed inside the library are checked where non-finite values
     can arise, not on every construction.  Because ``coords`` never changes,
     a manifold may cache data derived from it on the instance (SPD keeps the
-    matrix square root there).
+    Cholesky factor there).
     """
 
     coords: np.ndarray
@@ -186,7 +186,12 @@ class Manifold(abc.ABC):
         """Inner product at ``x`` of the coordinates of two tangents at ``x``."""
 
     def norm(self, x: ManifoldPoint, v: TangentVector) -> float:
-        return math.sqrt(max(self.inner(x, v, v), 0.0))
+        require_base(x, v)
+        return self._norm(x, v.coords)
+
+    def _norm(self, x: ManifoldPoint, v: np.ndarray) -> float:
+        """Norm at ``x`` of the coordinates of a tangent at ``x``."""
+        return math.sqrt(max(self._inner(x, v, v), 0.0))
 
     def _norm_resolved(self, v: np.ndarray, tol: float) -> bool:
         """Whether the norm of the tangent coordinates ``v`` is known to be

@@ -247,7 +247,7 @@ def test_spd_geodesic_against_mpmath():
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-# The SPD maps decompose the congruence C = x^{-1/2} a x^{-1/2} as formed,
+# The SPD maps decompose the congruence C = L^{-1} a L^{-T} (x = L L^T) as formed,
 # with no symmetrization.  Each bound below is a first-order model of the
 # rounding: the products of the congruence and the products that map the
 # result back, each off by about n eps of the magnitudes they sum, plus
@@ -255,7 +255,7 @@ def test_spd_geodesic_against_mpmath():
 # function then amplifies a perturbation of C by at most the norm of its
 # derivative: 1 / lambda_min(C) for log, exp(lambda_max(C)) for exp.  The
 # bounds allow 8 n eps where the stages sum to a few n eps; the largest
-# ratio of error to bound seen over these cases was 0.45.  They are stated
+# ratio of error to bound seen over these cases was 0.19.  They are stated
 # in absolute terms: near x the congruence is near I, so it carries an
 # error of about eps whatever the distance, and a bound relative to the
 # result alone (log_x(y) or d(x, y)) cannot hold at small scales.
@@ -622,7 +622,7 @@ def test_all_finite_call_sites_accept_finite_values_at_1e200():
 
 
 @pytest.mark.parametrize("label,m,scale", [c for c in CASES if isinstance(c[1], SPD)])
-def test_spd_cached_square_root_is_exact_and_read_only(label, m, scale):
+def test_spd_cached_cholesky_factor_is_exact_and_read_only(label, m, scale):
     rng = np.random.default_rng(12)
     base = m.base_point()
     for _ in range(5):
@@ -647,11 +647,11 @@ def test_spd_cached_square_root_is_exact_and_read_only(label, m, scale):
         assert np.array_equal(m._dist_many(x, stack), m._dist_many(cold(), stack))
         assert np.array_equal(m._log_many(x, stack), m._log_many(cold(), stack))
 
-        root, isqrt = m._sqrt_pair(x)
-        assert m._sqrt_pair(x)[0] is root and m._sqrt_pair(x)[1] is isqrt
-        assert not root.flags.writeable and not isqrt.flags.writeable
+        factors = m._factor(x)
+        assert all(a is b for a, b in zip(m._factor(x), factors))
+        assert not any(a.flags.writeable for a in factors)
         with pytest.raises(ValueError):
-            root[0, 0] = 0.0
+            factors[0][0, 0] = 0.0
 
 
 def test_spd_non_pd_trusted_point_raises_on_every_call():

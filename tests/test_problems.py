@@ -220,7 +220,7 @@ def test_spd_karcher_matches_per_anchor_formula_bitwise():
         # bound both keep against 50-digit mpmath (tests/test_geometry.py):
         # 8 n eps ||x||_2 sum_i w_i lambda_max / lambda_min of the congruence
         # x^{-1/2} p_i x^{-1/2}.
-        lam = m._spectrum(m._sqrt_pair(x)[1], np.stack([p.coords for p in anchors]), False)
+        lam = m._spectrum(*m._factor(x)[1:], np.stack([p.coords for p in anchors]), False)
         ratio = np.dot(weights, lam[:, -1] / lam[:, 0])
         bound = 8 * m.n * np.finfo(float).eps * np.linalg.norm(x.coords, 2) * ratio
         assert np.max(np.abs(prob.grad(x).coords - grad)) <= 2.0 * bound
@@ -317,6 +317,41 @@ def test_oracle_optimum_matches_gradient_zero():
     for _ in range(10):
         x = prob.manifold.random_point(rng, opt, 0.5)
         assert prob.value(x) >= prob.optimum_value - 1e-12
+
+
+def _counting_gradient(prob):
+    """``prob`` with a gradient callable that records each point it is
+    called at."""
+    calls = []
+    gradient = prob.gradient
+    return dataclasses.replace(prob, gradient=lambda x: calls.append(x) or gradient(x)), calls
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_quadratic(9, 1.0, 20.0, seed=4),
+        lambda: random_karcher(Hyperbolic(5, kappa=1.0), 6, 2.0, seed=11),
+        lambda: random_karcher(SPD(3), 5, 1.5, seed=13),
+        lambda: random_sphere_mean(Sphere(4), 6, 0.3, seed=17),
+    ],
+    ids=["quadratic", "hyperbolic", "spd", "sphere"],
+)
+def test_oracle_equals_a_loop_of_the_typed_methods_bitwise(build):
+    # The oracle steps on the gradient coordinates Problem._grad_coords
+    # checked; this loop states it through the typed grad, norm and exp.
+    prob, calls = _counting_gradient(build())
+    got = oracle_optimum(prob)
+    ref, ref_calls = _counting_gradient(build())
+    m = ref.manifold
+    x = ref.start
+    while True:
+        g = ref.grad(x)
+        if m.norm(x, g) <= 1e-10:
+            break
+        x = m.exp(x, (-1.0 / ref.L) * g)
+    assert np.array_equal(got.coords, x.coords)
+    assert len(calls) == len(ref_calls) > 1
 
 
 def _far_line_karcher(seed, n_anchors):

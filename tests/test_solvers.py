@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import ragd.cli as cli
 import ragd.geometry.spd as spd_module
@@ -449,25 +450,36 @@ def test_x0_override_changes_start():
     assert moved.column("f_gap")[0] == prob.value(shifted) - prob.optimum_value
 
 
+class _CholeskyCounter:
+    """Stands in for ``_umath_linalg`` in ``ragd.geometry.spd``: the real
+    gufuncs, and a record of every matrix ``cholesky_lo`` factors."""
+
+    def __init__(self):
+        self.factored = []
+        self.eigh_lo = _umath_linalg.eigh_lo
+        self.eigvalsh_lo = _umath_linalg.eigvalsh_lo
+        self.inv = _umath_linalg.inv
+
+    def cholesky_lo(self, a):
+        self.factored.append(a)
+        return _umath_linalg.cholesky_lo(a)
+
+
 def test_spd_run_factors_each_base_point_once(monkeypatch):
-    steps = 10
     problem = random_karcher(SPD(3), 5, 1.0, seed=4)
     oracle_optimum(problem)
-    eigh = SPD._eigh
-    misses = []
-
-    def counting_eigh(a):
-        # A point's own coordinates are the only read-only matrices that
-        # reach eigh; every intermediate matrix is a fresh writable array.
-        if not a.flags.writeable:
-            misses.append(a)
-        return eigh(a)
-
-    monkeypatch.setattr(SPD, "_eigh", staticmethod(counting_eigh))
-    config = SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps)
-    run(problem, config)
-    # The start, reference and optimum, then x+ and y+ of each step.
-    assert 0 < len(misses) <= 2 * steps + 4
+    counter = _CholeskyCounter()
+    monkeypatch.setattr(spd_module, "_umath_linalg", counter)
+    for steps in (10, _ROW_BLOCK + 10):
+        counter.factored.clear()
+        run(problem, SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps))
+        # Only a point's own coordinates, read-only, reach the factorization,
+        # each point's once: the start, reference and optimum keep theirs
+        # from the oracle, so x+ and y+ of each step but the first step's x+,
+        # which is the start.
+        assert all(not a.flags.writeable for a in counter.factored)
+        assert len({id(a) for a in counter.factored}) == len(counter.factored)
+        assert len(counter.factored) == 2 * steps - 1
 
 
 def test_run_makes_one_geometry_pass_per_step(monkeypatch):
@@ -558,18 +570,39 @@ def test_spd_run_eigendecomposition_budget(monkeypatch):
         run(problem, SolverConfig(mode="ragd", mu=problem.mu, L=problem.L, max_iters=steps))
         sizes = [min(_ROW_BLOCK, steps + 1 - lo) for lo in range(0, steps + 1, _ROW_BLOCK)]
         f_calls = sum(-(-size // per_call) for size in sizes)
-        # eigh, per step: the square roots of y (the start's is cached by the
-        # oracle; the last y's is taken with its block) and of x+, x+ itself
-        # (one for the whole geodesic), the gradient's batched logarithm, two
-        # Exp and Log_{x+}(z); the first step's x+ is the start, whose root is
-        # cached, and takes no geodesic.  Per block: the two logarithm batches
-        # of the projected distances.  eigvalsh: the start's membership check, d(x, z)
+        # eigh, per step: x+ (one for the whole geodesic), the gradient's
+        # batched logarithm, two Exp and Log_{x+}(z); the first step's x+ is
+        # the start and takes no geodesic.  The bases are factored by
+        # Cholesky, not by eigh.  Per block: the two logarithm batches of the
+        # projected distances.  eigvalsh: the start's membership check, d(x, z)
         # per step, and per block f(y_t) (one per _OBJECTIVE_ROWS (row, anchor)
         # pairs), d(x_t, z_t), d(y_t, z_t), d(y_t, x*) and the containment.
         assert calls == {
-            "_eigh": 7 * steps - 2 + 2 * len(sizes),
+            "_eigh": 5 * steps - 1 + 2 * len(sizes),
             "_eigvalsh": 1 + steps + f_calls + 4 * len(sizes),
         }
+
+
+def test_spd_oracle_eigendecomposition_budget(monkeypatch):
+    problem = random_karcher(SPD(3), 5, 1.0, seed=4)
+    grads = []
+    gradient = problem.gradient
+    problem.gradient = lambda x: grads.append(x) or gradient(x)
+    calls = {"_eigh": 0, "_eigvalsh": 0}
+    for name in calls:
+        method = getattr(SPD, name)
+
+        def counted(a, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(a)
+
+        monkeypatch.setattr(SPD, name, staticmethod(counted))
+    oracle_optimum(problem)
+    # eigh, per iteration: the gradient's batched logarithm and, but at the
+    # last iterate, the Exp step; each iterate is factored by Cholesky.
+    # eigvalsh: the optimum's membership check.
+    assert len(grads) > 10
+    assert calls == {"_eigh": 2 * len(grads) - 1, "_eigvalsh": 1}
 
 
 def test_spd_run_symmetrization_budget(monkeypatch):

@@ -1,12 +1,14 @@
-"""SPD eigendecompositions through LAPACK's gufuncs: the reference against
+"""SPD factorizations through LAPACK's gufuncs: the reference against
 ``np.linalg`` and the failure contract.
 
-``SPD._eigh`` and ``SPD._eigvalsh`` call ``numpy.linalg._umath_linalg``
-directly.  ``np.linalg.eigh``/``eigvalsh`` stay here as the reference they
-must equal bit for bit.  A non-finite input or a failed decomposition must
-end in ``ConvergenceError``, also under ``-W error::RuntimeWarning`` and
-``np.errstate(invalid="raise")``, and in exit code 3 from ``ragd run``; so
-must a non-finite entry of a point or tangent that reaches an SPD map.
+``SPD._eigh``, ``SPD._eigvalsh`` and ``SPD._factor`` (a point's Cholesky
+factor and its inverse) call ``numpy.linalg._umath_linalg`` directly.
+``np.linalg.eigh``/``eigvalsh``/``cholesky``/``inv`` stay here as the
+reference they must equal bit for bit.  A non-finite input or a failed
+factorization must end in ``ConvergenceError``, also under
+``-W error::RuntimeWarning`` and ``np.errstate(invalid="raise")``, and in
+exit code 3 from ``ragd run``; so must a non-finite entry of a point or
+tangent that reaches an SPD map.
 """
 
 import contextlib
@@ -74,10 +76,28 @@ def test_lapack_reference_helpers_equal_numpy_linalg(n, height):
         assert np.array_equal(SPD._eigvalsh(a), np.linalg.eigvalsh(a))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lapack_reference_cholesky_factor_equals_numpy_linalg(n):
+    m = SPD(n)
+    rng = np.random.default_rng(2000 + n)
+    for cond in CONDITIONS:
+        for _ in range(4):
+            x = ManifoldPoint(_spd(rng, n, cond))
+            low, inv, inv_t = m._factor(x)
+            want = np.linalg.cholesky(x.coords)
+            assert np.array_equal(low, want)
+            assert np.array_equal(inv, np.linalg.inv(want))
+            assert np.array_equal(inv_t, inv.T) and inv_t.flags.c_contiguous
+            assert not np.triu(low, 1).any()
+
+
 # ----- failure modes -----------------------------------------------------------
 
 
 SETTINGS = ("default", "warning-error", "errstate-raise")
+# The cause a LAPACK failure's ConvergenceError carries under each setting.
+CAUSES = {"default": type(None), "warning-error": RuntimeWarning,
+          "errstate-raise": FloatingPointError}
 
 
 @contextlib.contextmanager
@@ -148,12 +168,12 @@ def test_lapack_failure_non_finite_entry_in_every_map(bad, setting):
                 lambda: m._dist_many(base, stack),
                 lambda: m._dist_table([base, base], stack),
                 lambda: m._log_many([base, base], stack),
-                # A non-finite base fails in its square root.
+                # A non-finite base fails in its Cholesky factorization.
                 lambda: m.distance(y, base),
                 lambda: m._geodesic(y, base, 0.5),
                 lambda: m._log_many([base, y], np.stack([good, good])),
                 lambda: m.inner(y, TangentVector(y, good), TangentVector(y, good)),
-                # inner and the norms decompose nothing: a finiteness test
+                # inner and the norms decompose no congruence: a finiteness test
                 # on their result stops them, NaN included.
                 lambda: m.inner(base, v, v),
                 lambda: m.norm(base, v),
@@ -168,19 +188,21 @@ def test_lapack_failure_non_finite_entry_in_every_map(bad, setting):
 
 class _FailingLapack:
     """Stands in for ``_umath_linalg``: the real gufuncs up to call
-    ``fail_from`` (counting both), then a failed decomposition.  LAPACK
-    fails matrix by matrix, so the output of the one matrix, or of the last
-    matrix of a stack, comes back all NaN.  With ``flag`` the NaN comes from
-    0/0, which raises the invalid flag as LAPACK's failure does."""
+    ``fail_from`` (counting every call), then a failed factorization, of
+    every gufunc or of the one named ``only``.  LAPACK fails matrix by
+    matrix, so the output of the one matrix, or of the last matrix of a
+    stack, comes back all NaN.  With ``flag`` the NaN comes from 0/0, which
+    raises the invalid flag as LAPACK's failure does."""
 
-    def __init__(self, fail_from=math.inf, flag=False):
+    def __init__(self, fail_from=math.inf, flag=False, only=None):
         self.fail_from = fail_from
         self.flag = flag
+        self.only = only
         self.calls = 0
 
-    def _spoil(self, a, *outs):
+    def _spoil(self, name, a, *outs):
         self.calls += 1
-        if self.calls >= self.fail_from:
+        if self.calls >= self.fail_from and self.only in (None, name):
             for out in outs:
                 target = out if a.ndim == 2 else out[-1]
                 nan = np.divide(np.zeros(target.shape), 0.0) if self.flag else math.nan
@@ -188,10 +210,16 @@ class _FailingLapack:
         return outs if len(outs) > 1 else outs[0]
 
     def eigh_lo(self, a):
-        return self._spoil(a, *_umath_linalg.eigh_lo(a))
+        return self._spoil("eigh_lo", a, *_umath_linalg.eigh_lo(a))
 
     def eigvalsh_lo(self, a):
-        return self._spoil(a, _umath_linalg.eigvalsh_lo(a))
+        return self._spoil("eigvalsh_lo", a, _umath_linalg.eigvalsh_lo(a))
+
+    def cholesky_lo(self, a):
+        return self._spoil("cholesky_lo", a, _umath_linalg.cholesky_lo(a))
+
+    def inv(self, a):
+        return self._spoil("inv", a, _umath_linalg.inv(a))
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
@@ -207,9 +235,7 @@ def test_lapack_failure_of_the_decomposition_raises(monkeypatch, helper, height,
     with _setting(setting), pytest.raises(ConvergenceError) as info:
         getattr(SPD, helper)(a)
     assert fake.calls == 1
-    cause = {"default": type(None), "warning-error": RuntimeWarning,
-             "errstate-raise": FloatingPointError}[setting]
-    assert isinstance(info.value.__cause__, cause)
+    assert isinstance(info.value.__cause__, CAUSES[setting])
 
 
 def test_lapack_failure_anywhere_in_a_solve_raises(monkeypatch):
@@ -233,8 +259,7 @@ def test_lapack_failure_anywhere_in_a_solve_raises(monkeypatch):
         assert fake.calls == k
 
 
-@pytest.mark.parametrize("late", [False, True], ids=["first", "later"])
-def test_lapack_failure_in_ragd_run_is_abort(tmp_path, monkeypatch, caplog, capsys, late):
+def _abort_argv(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "problem": {"kind": "karcher", "manifold": {"kind": "spd", "n": 3},
@@ -242,23 +267,92 @@ def test_lapack_failure_in_ragd_run_is_abort(tmp_path, monkeypatch, caplog, caps
         "solvers": [{"mode": "ragd", "max_iters": 30}],
         "seed": 3,
     }))
-    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    # Count the decompositions of the parse phase, which builds the problem,
-    # so that the failure falls in the work after it.
+    return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+
+
+def _parse_phase_calls(monkeypatch, argv):
+    """The LAPACK calls of the parse phase, which builds the problem, so
+    that a failure can be put in the work after it."""
     counter = _FailingLapack()
     monkeypatch.setattr(spd_module, "_umath_linalg", counter)
     args = cli._build_parser().parse_args(argv)
     args.func(args)
-    fake = _FailingLapack(fail_from=counter.calls + (100 if late else 1))
-    monkeypatch.setattr(spd_module, "_umath_linalg", fake)
-    capsys.readouterr()
-    with caplog.at_level(logging.ERROR):
-        rc = cli.main(argv)
+    return counter.calls
+
+
+def _assert_abort(rc, tmp_path, caplog, capsys):
     assert rc == cli.EXIT_ABORT
-    assert fake.calls == fake.fail_from
     errors = [r for r in caplog.records if r.name == "ragd.cli" and r.levelno == logging.ERROR]
     assert len(errors) == 1
     assert "ConvergenceError" in errors[0].getMessage()
     assert errors[0].exc_info is None
     assert "Traceback" not in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["first", "later"])
+def test_lapack_failure_in_ragd_run_is_abort(tmp_path, monkeypatch, caplog, capsys, late):
+    argv = _abort_argv(tmp_path)
+    fake = _FailingLapack(fail_from=_parse_phase_calls(monkeypatch, argv) + (100 if late else 1))
+    monkeypatch.setattr(spd_module, "_umath_linalg", fake)
+    capsys.readouterr()
+    with caplog.at_level(logging.ERROR):
+        rc = cli.main(argv)
+    assert fake.calls == fake.fail_from
+    _assert_abort(rc, tmp_path, caplog, capsys)
+
+
+# ----- the Cholesky factor of a point --------------------------------------------
+
+FACTOR_GUFUNCS = ("cholesky_lo", "inv")
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("gufunc", FACTOR_GUFUNCS)
+def test_lapack_failure_of_the_cholesky_factor_raises(monkeypatch, gufunc, setting):
+    m = SPD(4)
+    rng = np.random.default_rng(7)
+    x, y = ManifoldPoint(_spd(rng, 4, 10.0)), ManifoldPoint(_spd(rng, 4, 10.0))
+    fake = _FailingLapack(fail_from=1, flag=True, only=gufunc)
+    monkeypatch.setattr(spd_module, "_umath_linalg", fake)
+    for _ in range(2):
+        with _setting(setting), pytest.raises(ConvergenceError) as info:
+            m.distance(x, y)
+        assert isinstance(info.value.__cause__, CAUSES[setting])
+        # A failed factorization caches nothing: the next call factors again.
+        assert "_spd_cholesky" not in x.__dict__
+    assert fake.calls == 2 * (1 + FACTOR_GUFUNCS.index(gufunc))
+    monkeypatch.setattr(spd_module, "_umath_linalg", _umath_linalg)
+    assert m.distance(x, y) == m.distance(ManifoldPoint(x.coords.copy()), y)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_lapack_failure_non_pd_point_raises_on_every_call(setting):
+    # A trusted point that is not positive definite (indefinite, or
+    # semidefinite with an exact zero pivot) fails in its Cholesky factor.
+    rng = np.random.default_rng(9)
+    for n in range(1, 7):
+        m = SPD(n)
+        singular = np.diag(np.arange(n, dtype=float))
+        for coords in (_indefinite(rng, n), singular):
+            bad = ManifoldPoint(coords)
+            for _ in range(2):
+                with _setting(setting) as seen, pytest.raises(ConvergenceError):
+                    m.distance(bad, m.base_point())
+                assert "_spd_cholesky" not in bad.__dict__
+                if setting != "default":
+                    assert seen == []
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("gufunc", FACTOR_GUFUNCS)
+def test_lapack_failure_of_the_cholesky_factor_in_ragd_run_is_abort(
+        tmp_path, monkeypatch, caplog, capsys, gufunc, setting):
+    argv = _abort_argv(tmp_path)
+    fake = _FailingLapack(fail_from=_parse_phase_calls(monkeypatch, argv) + 1, flag=True,
+                          only=gufunc)
+    monkeypatch.setattr(spd_module, "_umath_linalg", fake)
+    capsys.readouterr()
+    with _setting(setting), caplog.at_level(logging.ERROR):
+        rc = cli.main(argv)
+    _assert_abort(rc, tmp_path, caplog, capsys)

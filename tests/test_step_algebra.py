@@ -5,12 +5,16 @@ Each step's potential change is bounded by a six-coefficient quadratic form
 the library's own arithmetic, the functions the solver evaluates on floats,
 and prove that with the scheme's ``(alpha, beta, eta)`` and the momentum
 recursion, c2..c6 vanish identically and c1 <= 0, for every mu, Delta and
-distortion rate.
+distortion rate; and that the recursion's fixed point is the root that
+``ragd.xi.fixed_point_xi`` takes, with its limits at delta = 1 and
+delta -> inf.
 """
+
+import math
 
 import sympy as sp
 
-from ragd.xi import _form_coefficients, _recursion_defect, step_gain
+from ragd.xi import XiParams, _form_coefficients, _recursion_defect, fixed_point_xi, step_gain
 
 MU, DELTA_GAMMA, RATE, XI_T, XI_N = sp.symbols("mu Delta delta xi_t xi_n", positive=True)
 # the gain a = 2 mu Delta of ragd.xi.step_gain, checked below
@@ -57,3 +61,26 @@ def test_on_the_recursion_only_a_nonpositive_c1_remains():
     v = sp.Symbol("v", positive=True)
     on_domain = sp.factor(closed.subs({XI_N: 1 - v, DELTA_GAMMA: (1 - u - v) / (2 * MU)}))
     assert on_domain.is_nonpositive is True
+
+
+def test_the_recursion_fixed_point_and_its_limits():
+    # At xi_t = xi_next = xi the defect times delta (1 - xi) is
+    # xi (xi**2 + (delta - 1) xi - delta a): a positive fixed point solves
+    # the quadratic of ragd.xi.fixed_point_xi.
+    xi, a, delta = sp.symbols("xi a delta", positive=True)
+    quadratic = xi**2 + (delta - 1) * xi - delta * a
+    defect = _exact(_recursion_defect(xi, xi, a, delta))
+    assert sp.simplify(defect * delta * (1 - xi) - xi * quadratic) == 0
+    root = ((1 - delta) + sp.sqrt((delta - 1) ** 2 + 4 * delta * a)) / 2
+    assert sp.simplify(quadratic.subs(xi, root)) == 0
+    assert sp.simplify(defect.subs(xi, root)) == 0
+    assert sp.simplify(root.subs(delta, 1) - sp.sqrt(a)) == 0
+    assert sp.limit(root, delta, sp.oo) == a
+
+
+def test_fixed_point_at_delta_one_is_the_square_root_exactly():
+    # 0.5 * sqrt(4 a): 4 a and the halving are exact, and sqrt is
+    # correctly rounded, so the result is sqrt(a) to the bit.
+    grid = [k / 1000 for k in range(1000)] + [1 / 3, 1.0 - 2.0**-53]
+    for a in grid + [5e-324, 1e-300, 1e-17, 1e-3]:
+        assert fixed_point_xi(XiParams(a, 1.0)) == math.sqrt(a)
