@@ -45,6 +45,8 @@ logger = logging.getLogger("ragd.cli")
 
 _EMIT_CHOICES = ("csv", "json", "both")
 
+_CONFIG_KEYS = {"problem", "solvers", "seed", "out", "emit"}
+
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
@@ -80,11 +82,17 @@ def _reject_constant(token: str) -> None:
 
 
 def _load_config(path: str) -> dict:
-    """Read a config file shared by ``run`` and ``sweep``, as RFC 8259 JSON."""
+    """Read a config file shared by ``run`` and ``sweep``, as RFC 8259 JSON;
+    a top-level key other than ``_CONFIG_KEYS`` is a DomainError."""
     with open(path) as fh:
         cfg = json.load(fh, parse_constant=_reject_constant)
     if not isinstance(cfg, dict):
         raise DomainError("config root must be a JSON object")
+    unknown = cfg.keys() - _CONFIG_KEYS
+    if unknown:
+        raise DomainError(
+            f"a config takes no {sorted(unknown)}; its keys are {sorted(_CONFIG_KEYS)}"
+        )
     emit = cfg.get("emit", "csv")
     if emit not in _EMIT_CHOICES:
         raise DomainError(f"emit must be one of {_EMIT_CHOICES}, got {emit!r}")

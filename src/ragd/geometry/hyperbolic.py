@@ -149,13 +149,18 @@ class Hyperbolic(Manifold):
         y = math.cosh(w) * x.coords + sinch(w) * v
         return self._project_point(y)
 
+    def _chord_scalars(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+        """``c - 1`` for the pair (x, y), clamped at 0 and checked against the
+        double-precision range, and its ``acosh_ratio(c - 1)``."""
+        cm1 = max(-self.kappa * self._mdot(x, y) - 1.0, 0.0)
+        _check_chord_scale(cm1, float(x[-1]))
+        return cm1, acosh_ratio(cm1)
+
     def _chord(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         """Chordal direction u for the pair (x, y) and the
         ``acosh_ratio(c - 1)`` that scales it to the logarithm."""
-        cm1 = max(-self.kappa * self._mdot(x, y) - 1.0, 0.0)
-        _check_chord_scale(cm1, float(x[-1]))
-        u = (y - x) - cm1 * x
-        return u, acosh_ratio(cm1)
+        cm1, ratio = self._chord_scalars(x, y)
+        return (y - x) - cm1 * x, ratio
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         u, ratio = self._chord(x.coords, y.coords)
@@ -167,9 +172,7 @@ class Hyperbolic(Manifold):
         # one Minkowski product where exp(y, t * log(y, z)) takes four, and it
         # stays accurate far out, where the composition loses its chord to
         # cancellation.  sinch is even, so any t works.
-        cm1 = max(-self.kappa * self._mdot(y.coords, z.coords) - 1.0, 0.0)
-        _check_chord_scale(cm1, float(y.coords[-1]))
-        ratio = acosh_ratio(cm1)
+        cm1, ratio = self._chord_scalars(y.coords, z.coords)
         theta = ratio * math.sqrt(cm1 * (cm1 + 2.0))
         w = max(abs(t), abs(1.0 - t)) * theta
         if w > _MAX_ARG:

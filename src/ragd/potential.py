@@ -35,7 +35,7 @@ logarithms, norms and distances in the stacked kernels with one base per
 row, which round as the single-pair methods do.
 Every check allows :data:`CERT_TOL` (the envelope :data:`ENVELOPE_TOL`)
 times the magnitudes it compares.
-Every per-step check but the certifier reports as a
+Every per-step check, the certifier included, reports as a
 :class:`StepAuditReport`, tallied by one rule: a NaN residual is a
 violation, and an infinite allowance marks a row that is not compared
 (its bound lies below a floor, or its step hypotheses fail).
@@ -60,7 +60,6 @@ from .xi import XiParams, settle_steps, step_gain
 __all__ = [
     "CERT_TOL",
     "ENVELOPE_TOL",
-    "PotentialRecord",
     "CertificationReport",
     "certify_trace",
     "StepAuditReport",
@@ -98,61 +97,6 @@ def _step_params(trace: ConvergenceTrace) -> np.ndarray:
     return np.array(steps).reshape(-1, 3).T
 
 
-@dataclass(frozen=True)
-class PotentialRecord:
-    """Potential bookkeeping for one trace row.
-
-    ``margin`` is the normalized certified decrease
-    (1 - xi_{t+1}) * phi_t - phi_{t+1} for the step leaving this row (NaN
-    on the last row); the step passes when margin >= -allowed and the
-    margin is the one the recorded phi_t and phi_{t+1} give.
-    """
-
-    t: int
-    phi: float
-    margin: float
-    allowed: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class CertificationReport:
-    records: list[PotentialRecord]
-    violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-def certify_trace(trace: ConvergenceTrace, problem: Problem | None = None) -> CertificationReport:
-    """Certify the potential's descent at every step of the run as recorded.
-
-    Reads phi_t, xi_t and the margin (1 - xi_{t+1}) * phi_t - phi_{t+1}
-    from the trace's columns, so ``problem`` is not read and the run needs
-    no diagnostics, only a known optimum.  The per-step condition is
-    Phi_{t+1} <= Phi_t + CERT_TOL * (1 + |Phi_t|), checked in normalized form.
-    An independent replay in higher precision is ROADMAP.md item 3, step 2.
-    """
-    phi = _recorded_potential(trace)
-    xis = trace.column("xi")
-    shrink = 1.0 - xis[1:]
-    margins = trace.column("decrease_margin")[:-1]
-    allowed = CERT_TOL * (_weight_decay(xis)[1:] + shrink * np.abs(phi[:-1]))
-    # a margin must match its phi cells, so a spoiled cell of either column fails
-    oks = (margins >= -allowed) & (margins == shrink * phi[:-1] - phi[1:])
-    records = [
-        PotentialRecord(t=t, phi=p, margin=margin, allowed=allow, ok=ok)
-        for t, (p, margin, allow, ok) in enumerate(zip(
-            phi.tolist(),
-            margins.tolist() + [math.nan],
-            allowed.tolist() + [math.nan],
-            oks.tolist() + [True],
-        ))
-    ]
-    return CertificationReport(records=records, violations=int(np.count_nonzero(~oks)))
-
-
 # ----- per-step identity and inequality audits --------------------------------
 
 
@@ -182,6 +126,48 @@ class StepAuditReport:
     @property
     def ok(self) -> bool:
         return self.violations == 0
+
+
+@dataclass(frozen=True)
+class CertificationReport(StepAuditReport):
+    """The certificate as a step audit: ``phi`` holds phi_t of the T+1 rows,
+    ``margin`` the recorded (1 - xi_{t+1}) * phi_t - phi_{t+1} of the T
+    steps, and step t's residual is -margin_t, NaN where the margin is not
+    the one its recorded phi cells give."""
+
+    phi: np.ndarray
+    margin: np.ndarray
+
+    @property
+    def records(self) -> np.recarray:
+        """The T+1 rows as a read-only record array (``t, phi, margin, allowed,
+        ok``); the last row leaves no step: NaN margin and allowance, ok."""
+        view = np.rec.fromarrays(
+            [np.arange(self.phi.size), self.phi, np.append(self.margin, math.nan),
+             np.append(self.allowed, math.nan), np.append(self.residuals <= self.allowed, True)],
+            names="t,phi,margin,allowed,ok",
+        )
+        view.flags.writeable = False
+        return view
+
+
+def certify_trace(trace: ConvergenceTrace, problem: Problem | None = None) -> CertificationReport:
+    """Certify the potential's descent at every step of the run as recorded.
+
+    Reads phi_t, xi_t and the margin (1 - xi_{t+1}) * phi_t - phi_{t+1}
+    from the trace's columns, so ``problem`` is not read and the run needs
+    no diagnostics, only a known optimum.  The per-step condition is
+    Phi_{t+1} <= Phi_t + CERT_TOL * (1 + |Phi_t|), checked in normalized form.
+    An independent replay in higher precision is ROADMAP.md item 3, step 2.
+    """
+    phi = _recorded_potential(trace)
+    xis = trace.column("xi")
+    shrink = 1.0 - xis[1:]
+    margins = trace.column("decrease_margin")[:-1]
+    allowed = CERT_TOL * (_weight_decay(xis)[1:] + shrink * np.abs(phi[:-1]))
+    # a margin must match its phi cells, so a spoiled cell of either column fails
+    residuals = np.where(margins == shrink * phi[:-1] - phi[1:], -margins, math.nan)
+    return CertificationReport("certificate", residuals, allowed, phi, margins)
 
 
 def _kept_rows(trace: ConvergenceTrace, problem: Problem | None = None) -> tuple:

@@ -72,24 +72,26 @@ def run_enlarging(
     problem: Problem, config: SolverConfig
 ) -> tuple[ConvergenceTrace, SolverConfig]:
     """Run ``config`` on ``problem``, and once more when the iterates leave
-    its certified ball and ``problem.certify`` gives a larger L for the
-    ball of the largest observed excursion.
+    its certified ball and ``problem.certify`` gives, for the ball of the
+    largest observed excursion, an L above the one ``config`` ran at.
 
     The re-run takes that ball's (L, certified radius) and a gamma rebuilt
-    from the new L, and its trace records the new L as
-    ``meta["enlarged_L"]``.  A problem certified everywhere keeps the first
-    run; on a manifold that is not Hadamard, :func:`~ragd.solvers.run`
-    raises at the first step out of the ball instead.  Returns the trace
-    and the settings that made it.
+    from the new L: the default one, or an explicit gamma scaled by
+    ``config.L / L``, so gamma * L stays what the settings chose.  Its
+    trace records the new L as ``meta["enlarged_L"]``.  A problem
+    certified everywhere keeps the first run; on a manifold that is not
+    Hadamard, :func:`~ragd.solvers.run` raises at the first step out of
+    the ball instead.  Returns the trace and the settings that made it.
     """
     trace = run(problem, config)
     if not trace.meta["left_feasible_radius"] or problem.certify is None:
         return trace, config
     _, lips, radius = problem.certify(trace.meta["max_reference_distance"])
-    if not lips > problem.L:
+    if not lips > config.L:
         return trace, config
     logger.info("iterates left the certified ball; re-running with L enlarged to %r", lips)
-    new_config = replace(config, L=lips)
+    gamma = None if config.gamma is None else config.gamma * (config.L / lips)
+    new_config = replace(config, L=lips, gamma=gamma)
     trace = run(replace(problem, L=lips, certified_radius=radius), new_config)
     trace.meta["enlarged_L"] = lips
     return trace, new_config

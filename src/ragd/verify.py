@@ -9,7 +9,8 @@ contract is broken by that much: ``count`` is the number of samples,
 ``violations`` the number whose residual exceeds ``tol`` (a NaN residual
 always does), and ``worst`` the largest residual, so
 ``ok == (violations == 0) == (worst <= tol)``.  The potential checks pass
-each step's defect minus the certifier's own allowance, at ``tol`` 0.
+each step's residual minus its own allowance, from the reports of
+:mod:`ragd.potential` (the certificate among them), at ``tol`` 0.
 Reports are plain dictionaries so the CLI can emit them as JSON.
 
 These suites are the one home of every check that the acceptance criteria
@@ -279,13 +280,10 @@ def _certified_karcher(manifold: Manifold, seed: int, steps: int) -> tuple:
     return prob, _diagnosed_run(prob, "ragd", steps, gamma=gamma, xi0=math.sqrt(a))[1]
 
 
-def _certified_decrease(cert) -> list[float]:
-    # a step whose margin does not match its potential cells fails outright
-    return [-(r.margin + r.allowed) if r.ok else math.inf for r in cert.records[:-1]]
-
-
-def _audit_check(name: str, rep) -> dict:
-    return _check(name, rep.residuals - rep.allowed, 0.0)
+def _audit_check(name: str, *reports) -> dict:
+    """One check over the steps of every report: each step's residual less
+    its allowance, at ``tol`` 0."""
+    return _check(name, np.concatenate([r.residuals - r.allowed for r in reports]), 0.0)
 
 
 def _flat_family_checks(seed: int, count: int, steps: int) -> list[dict]:
@@ -293,7 +291,7 @@ def _flat_family_checks(seed: int, count: int, steps: int) -> list[dict]:
     ``seed`` are certified at every step.  The coefficients of each step's
     quadratic form are proven, not sampled (``tests/test_step_algebra.py``)."""
     rng = rng_from_seed(seed)
-    decrease = []
+    reports = []
     for i in range(count):
         dim = int(rng.integers(2, 51))
         q = float(rng.uniform(1e-3, 1.0))
@@ -301,8 +299,8 @@ def _flat_family_checks(seed: int, count: int, steps: int) -> list[dict]:
         prob = make_quadratic(dim, q * big, big, seed=1000 + i, center=np.zeros(dim))
         tr = run(prob, SolverConfig(mode="euclid_nesterov", mu=prob.mu, L=prob.L,
                                     max_iters=steps))
-        decrease += _certified_decrease(certify_trace(tr, prob))
-    return [_check("flat-family/certified-decrease", decrease, 0.0)]
+        reports.append(certify_trace(tr, prob))
+    return [_audit_check("flat-family/certified-decrease", *reports)]
 
 
 def _flat_rate_checks(seed: int) -> list[dict]:
@@ -378,8 +376,7 @@ def _shrink_checks(prob, tr) -> list[dict]:
     reports = shrink_bounds(tr, prob, floor=_SHRINK_FLOOR)
     compared = sum(r.compared for r in reports)
     return [
-        _check("long-step/shrink-bounds",
-               np.concatenate([r.residuals - r.allowed for r in reports]), 0.0),
+        _audit_check("long-step/shrink-bounds", *reports),
         _check("long-step/shrink-compared", [_SHRINK_MIN_COMPARED - compared], 0.0),
     ]
 
@@ -459,8 +456,7 @@ def _certified_run_checks(seed: int) -> list[dict]:
         ("spd", *_certified_karcher(SPD(4), seed + 100, _POTENTIAL_STEPS)),
     ]
     for label, prob, tr in runs:
-        checks.append(_check(f"{label}/certified-decrease",
-                             _certified_decrease(certify_trace(tr, prob)), 0.0))
+        checks.append(_audit_check(f"{label}/certified-decrease", certify_trace(tr, prob)))
         for check, audit in (("mirror-identity", mirror_step_audit),
                              ("gradient-decrease", gradient_step_audit),
                              ("rate-envelope", rate_envelope)):

@@ -289,6 +289,9 @@ _BAD_CONFIG_CONTENTS = [
     {"problem": {"kind": "karcher", "manifold": {"kind": "euclidean", "dim": 2},
                  "anchors": [[0.0, 0.0], [1.0, True]]},
      "solvers": [{"mode": "ragd"}]},
+    # A config takes only its five top-level keys.
+    {"sed": 5, "emitt": "json"},
+    {"solver": [{"mode": "ragd", "max_iters": 5}]},
 ]
 
 

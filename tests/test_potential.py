@@ -56,10 +56,28 @@ def _curved_run(max_iters=120):
 def test_certify_flat_run_clean():
     prob, trace = _flat_run()
     report = certify_trace(trace, prob)
-    assert report.violations == 0
+    assert isinstance(report, StepAuditReport) and report.name == "certificate"
+    assert report.violations == 0 and report.ok
+    assert report.compared == trace.n_iters == report.residuals.size
     assert len(report.records) == trace.rows.shape[0]
+    assert report.records.dtype.names == ("t", "phi", "margin", "allowed", "ok")
     assert math.isnan(report.records[-1].margin)
+    assert math.isnan(report.records[-1].allowed)
     assert report.records[-1].ok
+
+
+def test_certificate_residual_is_the_negated_recorded_margin():
+    prob, trace = _flat_run()
+    report = certify_trace(trace, prob)
+    margins = trace.column("decrease_margin")[:-1]
+    assert np.array_equal(report.residuals, -margins)
+    assert np.array_equal(report.margin, margins)
+    assert np.array_equal(report.phi, trace.column("potential"))
+    records = report.records
+    assert np.array_equal(records.t, np.arange(trace.rows.shape[0]))
+    assert np.array_equal(records.ok[:-1], -margins <= report.allowed)
+    with pytest.raises(ValueError, match="read-only"):
+        records.phi[0] = 0.0
 
 
 def test_certifier_allowance_uses_the_weight_of_the_xi_column():
@@ -84,6 +102,7 @@ def test_certify_detects_corrupted_iterate():
     spoiled.rows[40, TRACE_COLUMNS.index("potential")] += 5.0
     report = certify_trace(spoiled, prob)
     assert [r.t for r in report.records if not r.ok] == [39, 40]
+    assert np.flatnonzero(np.isnan(report.residuals)).tolist() == [39, 40]
     m = prob.manifold
     x, y, z = trace.diagnostics[40]
     trace.diagnostics[40] = (x, m.point(y.coords + 5.0), z)
@@ -355,7 +374,7 @@ _RECORD_FIELDS = ("phi", "margin", "allowed", "ok")
 
 def _record_columns(report):
     """The certificate records as one array per field of ``_RECORD_FIELDS``."""
-    return [np.array([getattr(r, k) for r in report.records]) for k in _RECORD_FIELDS]
+    return [report.records[k] for k in _RECORD_FIELDS]
 
 
 def _assert_same_records(report, columns):

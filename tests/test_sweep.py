@@ -281,6 +281,37 @@ def test_run_enlarging_keeps_the_first_trace_when_the_observed_ball_needs_no_lar
     assert used is config
 
 
+def _far_start_karcher_h4():
+    # L = 1.58; the ball the iterates visit certifies L = 5.48.
+    prob = random_karcher(Hyperbolic(4, kappa=1.0), 5, 1.0, seed=2)
+    oracle_optimum(prob)
+    far = prob.manifold.random_point(np.random.default_rng(0), prob.reference, 3.0)
+    return dataclasses.replace(prob, start=far)
+
+
+def test_run_enlarging_never_lowers_the_L_the_run_used(monkeypatch):
+    prob = _far_start_karcher_h4()
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=10.0, max_iters=30)
+    runs = _recorded_runs(monkeypatch)
+    trace, used = run_enlarging(prob, config)
+    assert trace.meta["left_feasible_radius"] is True
+    assert prob.L < prob.certify(trace.meta["max_reference_distance"])[1] < config.L
+    assert len(runs) == 1
+    assert used is config and "enlarged_L" not in trace.meta
+
+
+def test_run_enlarging_rescales_an_explicit_gamma_to_the_new_L(monkeypatch):
+    prob = _far_start_karcher_h4()
+    config = SolverConfig(mode="ragd", mu=prob.mu, L=prob.L, gamma=1.9 / prob.L, max_iters=30)
+    runs = _recorded_runs(monkeypatch)
+    trace, used = run_enlarging(prob, config)
+    assert len(runs) == 2 and runs[1][1] is used
+    assert trace.meta["enlarged_L"] == used.L > config.L
+    assert used.gamma == config.gamma * (config.L / used.L)
+    assert used.gamma * used.L == pytest.approx(1.9, rel=1e-15)
+    assert dataclasses.replace(used, L=config.L, gamma=config.gamma) == config
+
+
 def test_run_enlarging_does_not_rerun_a_sphere_mean_that_leaves_its_cap(monkeypatch):
     # The run ends at its first step out of the cap, before any certificate
     # of a larger ball is asked for: past the cap there is none.
