@@ -43,7 +43,11 @@ def s_kappa(kappa: float, r: float) -> float:
     _check_args(kappa, r)
     if math.isinf(r):
         return math.inf
-    return _sinch(math.sqrt(kappa) * r) ** 2
+    try:
+        return _sinch(math.sqrt(kappa) * r) ** 2
+    except OverflowError:
+        # past sqrt(kappa) r of about 357 the factor exceeds the float range
+        return math.inf
 
 
 def trig_coeff(kappa: float, c: float) -> float:

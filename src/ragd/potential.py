@@ -365,11 +365,14 @@ def acceleration_threshold(
     """Iteration count after which the momentum provably sits within
     ``eps`` below its flat-space limit sqrt(2 * mu * Delta).
 
-    Combines the distance-shrinking constant, the curvature window in
-    which the distortion rate is quadratically close to 1, and the steps
-    the flat recursion takes to settle from ``2 sqrt(a)`` to ``eps``
-    (:func:`ragd.xi.settle_steps`).  Requires
-    gamma * L > 1 and positive curvature magnitude ``kappa``.
+    ``d0`` is the run's starting potential ``phi_0`` (row 0 of its
+    ``potential`` column).  Combines the distance-shrinking constant, the
+    curvature window in which the distortion rate is quadratically close
+    to 1, and the steps the flat recursion takes to settle from
+    ``2 sqrt(a)`` to ``eps`` (:func:`ragd.xi.settle_steps`).  Requires
+    gamma * L > 1 and positive curvature magnitude ``kappa``.  The settle
+    check of ``ragd verify`` (``long-step/settle-threshold``) compares one
+    past the run's last row with ``xi < sqrt(a) - eps`` against this count.
     """
     if not kappa > 0.0:
         raise DomainError(f"kappa must be positive, got {kappa}")

@@ -26,7 +26,7 @@ every tolerance and sample size is written once, in this module:
   steps on hyperbolic seeds 0-19 and SPD seeds 100-109;
 - 06 (flat rates against theory): :func:`_flat_rate_checks`;
 - 07 (constant-rate momentum lock): :func:`_momentum_lock_checks`;
-- 08 (acceleration entry threshold): :func:`_entry_threshold_checks` on a
+- 08 (acceleration threshold): :func:`_settle_threshold_checks` on a
   :func:`_long_step_run`;
 - 09 (distortion inequality families): the ``distortion`` suite at seed 9,
   ``ragd verify --suite distortion --seed 9``;
@@ -36,9 +36,11 @@ every tolerance and sample size is written once, in this module:
 
 The ``potential`` suite runs the checks of 04-08, 10 and 11 on small
 instances drawn from its seed, and :func:`_gradient_checks` on the problems
-of 10; the ``xi`` suite also checks the bound on ``theta``.  The step algebra
-behind each decrease is proven symbolically instead, by
-``tests/test_step_algebra.py``.
+of 10.  Facts that hold exactly are proven or pinned in the tests instead of
+sampled here: the step algebra behind each decrease, the fixed point
+``xi(1) = sqrt(a)`` and the derivative bound behind the contraction factor
+symbolically, by ``tests/test_step_algebra.py``; ``t_kappa_hat <= t_kappa``
+at the branches of its search, by ``tests/test_distortion.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import math
 
 import numpy as np
 
-from .distortion import s_kappa, t_kappa, t_kappa_hat, trig_coeff
+from .distortion import s_kappa, t_kappa, trig_coeff
 from .errors import DomainError
 from .geometry import SPD, Euclidean, Hyperbolic, Manifold, Sphere
 from .potential import (
@@ -68,10 +70,7 @@ from .problems import (
 )
 from .solvers import SolverConfig, run
 from .trace import estimate_rate
-from .xi import (
-    _C_THETA, XiParams, contraction_factor, fixed_point_xi, iterate_xi, next_xi, step_gain,
-    theta,
-)
+from .xi import XiParams, contraction_factor, fixed_point_xi, iterate_xi, next_xi, step_gain
 
 __all__ = ["VERIFY_SUITES", "run_suite"]
 
@@ -85,7 +84,7 @@ _XI_SLACK = 1e-12
 _RATE_REL_TOL = 0.10
 _GAP_RATIO_MIN = 1e3
 _LOCK_TOL = 1e-10
-_ENTRY_EPS = 1e-3
+_SETTLE_EPS = 1e-3
 _SHRINK_FLOOR = 1e-6
 _SHRINK_MIN_COMPARED = 100
 _FD_TOL = 1e-5
@@ -188,19 +187,12 @@ def _distortion_checks(seed: int) -> list[dict]:
         x, y, z = (sph.random_point(rng, sph.base_point(), cap / 2) for _ in range(3))
         sphere.append(sph.projected_distance(x, y, z) ** 2
                       - (1.0 + 2.0 * sph.distance(x, y) ** 2) * sph.distance(y, z) ** 2)
-
-    sharp = [
-        t_kappa_hat(kappa, float(r)) - t_kappa(kappa, float(r))
-        for r in np.logspace(-6, math.log10(5.0), 60)
-        for kappa in (0.5, 1.0, 2.0)
-    ]
     return [
         _check("improved-distortion", improved, _DISTORTION_SLACK),
         _check("rauch-distortion", rauch, _DISTORTION_SLACK),
         _check("trigonometric", trig, _DISTORTION_SLACK),
         _check("small-r-quadratic", small, 1e-9),
         _check("sphere-projection", sphere, _DISTORTION_SLACK),
-        _check("sharp-below-plain", sharp, 1e-12),
     ]
 
 
@@ -231,29 +223,15 @@ def _xi_checks(seed: int) -> list[dict]:
             xi = next_xi(xi, params)
             env *= lam
             excess.append(abs(xi - star) - env)
-    theta_a, theta_v = rng.uniform(0.0, 0.95, 1000), rng.uniform(1e-9, 1.0 - 1e-9, 1000)
     return [
         _check("staircase", [abs(xs[i + 1] - v) for i, v in enumerate(_STAIRCASE)], 1e-3),
         _check("staircase-limit", [abs(xs[-1] - 0.5)], 1e-8),
-        _check("fixed-point-flat", [
-            abs(fixed_point_xi(XiParams(a=a, delta=1.0)) - math.sqrt(a))
-            for a in (0.01, 0.09, 0.25)
-        ], 1e-12),
         _check("fixed-point-curved",
                [abs(fixed_point_xi(XiParams(a=0.25, delta=2.0)) - 0.366025)], 1e-6),
         _check("fixed-point-monotone", rises, 1e-14),
         _check("fixed-point-above-a", below, 0.0),
         _check("contraction-envelope", excess, _XI_SLACK),
-        _theta_check(theta_v, theta_a),
     ]
-
-
-def _theta_check(v, a) -> dict:
-    """``0 <= theta(v, a) < 1 - C v``, the bound behind
-    :func:`~ragd.xi.contraction_factor`, at each pair of entries."""
-    th = np.array([theta(float(vi), float(ai)) for vi, ai in zip(v, a)])
-    upper = np.nextafter(1.0 - _C_THETA * np.asarray(v, dtype=float), 0.0)  # a strict bound
-    return _check("theta-bound", np.maximum(-th, th - upper), 0.0)
 
 
 # ----- potential ------------------------------------------------------------
@@ -356,17 +334,20 @@ def _long_step_run(karcher_seed: int, start_seed: int) -> tuple:
                                  gamma=1.05 / prob.L)
 
 
-def _entry_threshold_checks(prob, cfg: SolverConfig, tr) -> list[dict]:
-    """Criterion 08: xi comes within ``_ENTRY_EPS`` of sqrt(a) no later than
-    :func:`~ragd.potential.acceleration_threshold` says, and stays above a."""
-    xi = tr.column("xi")[1:]
+def _settle_threshold_checks(prob, cfg: SolverConfig, tr) -> list[dict]:
+    """Criterion 08: xi settles within ``_SETTLE_EPS`` below sqrt(a) no later
+    than :func:`~ragd.potential.acceleration_threshold` says, and stays above
+    a.  The settle step is one past the last row whose xi lies below
+    ``sqrt(a) - _SETTLE_EPS`` (0 if none does); the threshold takes the run's
+    ``phi_0`` as its ``d0``."""
+    xi = tr.column("xi")
     threshold = acceleration_threshold(prob.mu, prob.L, cfg.resolved_gamma, prob.manifold.kappa,
-                                       float(tr.column("potential")[0]), eps=_ENTRY_EPS)
-    entered = np.nonzero(xi >= math.sqrt(cfg.a) - _ENTRY_EPS)[0]
-    first = int(entered[0]) + 1 if entered.size else math.inf
+                                       float(tr.column("potential")[0]), eps=_SETTLE_EPS)
+    below = np.nonzero(xi < math.sqrt(cfg.a) - _SETTLE_EPS)[0]
+    settled = int(below[-1]) + 1 if below.size else 0
     return [
-        _check("long-step/entry-threshold", [first - threshold], 0.0),
-        _check("long-step/xi-above-a", np.nextafter(cfg.a, 1.0) - xi, 0.0),
+        _check("long-step/settle-threshold", [settled - threshold], 0.0),
+        _check("long-step/xi-above-a", np.nextafter(cfg.a, 1.0) - xi[1:], 0.0),
     ]
 
 
@@ -470,7 +451,7 @@ def _potential_checks(seed: int) -> list[dict]:
     cases = _step_audit_cases(seed, seed, seed + 100, seed)
     checks += [
         *_flat_family_checks(seed, 3, _POTENTIAL_STEPS), *_flat_rate_checks(seed),
-        *_momentum_lock_checks(seed), *_entry_threshold_checks(prob, cfg, tr),
+        *_momentum_lock_checks(seed), *_settle_threshold_checks(prob, cfg, tr),
         *_shrink_checks(prob, tr), *_step_audit_checks(cases),
     ]
     # the four problems of the step audits

@@ -16,6 +16,8 @@ and its fixed points (one quadratic-root helper), the contraction estimate
 and the settle-step count of its envelope; and the step arithmetic it feeds
 (the ``_step_coefficients``, ``_recursion_defect`` and ``_form_coefficients``
 below), which checks no range, so floats, arrays and sympy symbols pass.
+``tests/test_step_algebra.py`` proves the step algebra, the fixed point and
+the derivative bound behind the contraction estimate through them.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ __all__ = [
     "xi_residual",
     "fixed_point_xi",
     "contraction_factor",
-    "theta",
     "settle_steps",
     "step_gain",
 ]
 
-# Slope constant of the derivative bound theta(v) < 1 - _C_THETA * v.
+# Slope C of the bound 0 <= theta(v, a) < 1 - C v on 0 < v < 1, 0 <= a < 1, where
+# theta(v, a) is the derivative of the root map at delta = 1 in xi_t, at xi_t = v;
+# tests/test_step_algebra.py proves it for this float.
 _C_THETA = 4.0 / (5.0 + math.sqrt(5.0))
 
 # Largest representable value strictly below 1; roots are clamped into
@@ -174,7 +177,9 @@ def contraction_factor(params: XiParams) -> float:
     """Per-step contraction rate of ``|xi_t - xi(delta)|``.
 
     Returns ``(1 - _C_THETA * a / sqrt(delta)) / sqrt(delta)``, which is a
-    valid Lipschitz bound of the update map around its fixed point.  The
+    valid Lipschitz bound of the update map around its fixed point; it rests
+    on the derivative bound ``theta(v, a) < 1 - _C_THETA * v`` of the map at
+    ``delta = 1``, which ``tests/test_step_algebra.py`` proves.  The
     value is strictly below 1 unless ``a == 0`` and ``delta == 1``, in
     which case the recursion does not contract and DomainError is raised.
     """
@@ -186,20 +191,6 @@ def contraction_factor(params: XiParams) -> float:
     if factor >= 1.0:
         raise DomainError("contraction requires a > 0 or delta > 1")
     return factor
-
-
-def theta(v: float, a: float) -> float:
-    """Derivative surrogate of the update map at ``delta = 1``.
-
-    ``theta(v) = (v (v^2 - a) + 2 v) / sqrt((v^2 - a)^2 + 4 v^2) - v``
-    satisfies ``0 <= theta(v) < 1 - _C_THETA * v`` on ``0 < v < 1``.
-    """
-    if not 0.0 < v < 1.0:
-        raise DomainError(f"theta is certified on 0 < v < 1, got {v}")
-    if not 0.0 <= a < 1.0:
-        raise DomainError(f"a must lie in [0, 1), got {a}")
-    q = v * v - a
-    return (v * q + 2.0 * v) / math.sqrt(q * q + 4.0 * v * v) - v
 
 
 def settle_steps(gap0: float, eps: float, params: XiParams) -> float:

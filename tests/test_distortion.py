@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ragd.distortion import (
@@ -194,12 +194,27 @@ def test_rate_below_one_is_rejected_where_it_enters_the_recursion():
     kappa=st.floats(min_value=1e-3, max_value=4.0),
     r=st.floats(min_value=0.0, max_value=5.0),
 )
+@example(kappa=1.0, r=0.0)
+@example(kappa=1.0, r=5e-324)
+@example(kappa=1.0, r=1e-6)
+@example(kappa=1.0, r=1.0)
+@example(kappa=1.0, r=10.0)
+# eps = 1 leaves the search interval [1e-3, min(10, 350/w - 1)] past w = 175,
+# and the interval empties past w = 350/1.001 = 349.65...
+@example(kappa=1.0, r=math.nextafter(175.0, 0.0))
+@example(kappa=1.0, r=175.0)
+@example(kappa=1.0, r=math.nextafter(175.0, math.inf))
+@example(kappa=1.0, r=349.6)
+@example(kappa=1.0, r=349.7)
+@example(kappa=1.0, r=400.0)
+@example(kappa=1.0, r=math.inf)
 def test_scalar_bounds_order(kappa, r):
-    # 1 <= That <= T, and S is also a valid (>= 1) factor
+    # 1 <= That <= T exactly: t_kappa_hat tries the split eps = 1, which is
+    # t_kappa, whenever t_kappa is finite; S is also a valid (>= 1) factor
     t_plain = t_kappa(kappa, r)
     t_sharp = t_kappa_hat(kappa, r)
     assert t_plain >= 1.0
-    assert 1.0 <= t_sharp <= t_plain + 1e-12
+    assert 1.0 <= t_sharp <= t_plain
     assert s_kappa(kappa, r) >= 1.0
     assert trig_coeff(kappa, r) >= 1.0
 

@@ -5,16 +5,19 @@ Each step's potential change is bounded by a six-coefficient quadratic form
 the library's own arithmetic, the functions the solver evaluates on floats,
 and prove that with the scheme's ``(alpha, beta, eta)`` and the momentum
 recursion, c2..c6 vanish identically and c1 <= 0, for every mu, Delta and
-distortion rate; and that the recursion's fixed point is the root that
+distortion rate; that the recursion's fixed point is the root that
 ``ragd.xi.fixed_point_xi`` takes, with its limits at delta = 1 and
-delta -> inf.
+delta -> inf; and that the derivative of the update map at delta = 1 obeys
+the bound behind ``ragd.xi.contraction_factor``.
 """
 
 import math
 
 import sympy as sp
 
-from ragd.xi import XiParams, _form_coefficients, _recursion_defect, fixed_point_xi, step_gain
+from ragd.xi import (
+    _C_THETA, XiParams, _form_coefficients, _recursion_defect, fixed_point_xi, step_gain,
+)
 
 MU, DELTA_GAMMA, RATE, XI_T, XI_N = sp.symbols("mu Delta delta xi_t xi_n", positive=True)
 # the gain a = 2 mu Delta of ragd.xi.step_gain, checked below
@@ -84,3 +87,33 @@ def test_fixed_point_at_delta_one_is_the_square_root_exactly():
     grid = [k / 1000 for k in range(1000)] + [1 / 3, 1.0 - 2.0**-53]
     for a in grid + [5e-324, 1e-300, 1e-17, 1e-3]:
         assert fixed_point_xi(XiParams(a, 1.0)) == math.sqrt(a)
+
+
+def test_the_update_map_at_delta_one_has_a_derivative_below_one_minus_c_v():
+    # theta(v, a) = d xi_next / d xi_t at delta = 1, from the implicit
+    # function theorem on the library's recursion defect at its root
+    v, a, x, q = sp.symbols("v a x q", real=True)
+    defect = _exact(_recursion_defect(x, v, a, 1.0))
+    s = sp.sqrt((v**2 - a) ** 2 + 4 * v**2)
+    root = (s - (v**2 - a)) / 2
+    assert sp.simplify(defect.subs(x, root)) == 0
+    theta = (-sp.diff(defect, v) / sp.diff(defect, x)).subs(x, root)
+    closed = v * (v**2 - a + 2) / s - v
+    assert sp.simplify(theta - closed) == 0
+    # On 0 < v < 1, 0 <= a < 1 both v**2 - a + 2 and s are positive, so
+    # theta >= 0 iff (v**2 - a + 2)**2 >= s**2, which reduces to 1 - a >= 0.
+    assert sp.expand((v**2 - a + 2) ** 2 - s**2) == 4 * (1 - a)
+    # theta < 1 - C v iff v (q + 2) < (1 + (1 - C) v) s, with q = v**2 - a;
+    # for C < 1 the right side is positive, so squaring keeps the order:
+    # (1 + (1 - C) v)**2 (q**2 + 4 v**2) - v**2 (q + 2)**2 > 0, a quadratic in q.
+    c = sp.Rational(_C_THETA)  # the float the library holds, exactly
+    assert 0 < c < 1
+    gap = sp.Poly((1 + (1 - c) * v) ** 2 * (q**2 + 4 * v**2) - v**2 * (q + 2) ** 2, q)
+    lead, mid, low = gap.all_coeffs()
+    # a positive leading coefficient on 0 < v < 1 ...
+    assert sp.expand(lead - (1 - c * v) * (1 + (2 - c) * v)) == 0
+    # ... and a discriminant 16 v**3 times a cubic that keeps its negative
+    # sign at v = 0 on all of [0, 1]: the quadratic has no real root in q.
+    cubic = sp.Poly(sp.cancel((mid**2 - 4 * lead * low) / (16 * v**3)), v)
+    assert cubic.degree() == 3
+    assert cubic.eval(0) < 0 and cubic.count_roots(0, 1) == 0

@@ -16,17 +16,52 @@ from ragd.potential import gradient_step_audit
 from ragd.problems import make_quadratic, random_karcher
 from ragd.solvers import run
 from ragd.verify import (
-    VERIFY_SUITES, _certified_run_checks, _entry_threshold_checks, _flat_family_checks,
-    _flat_rate_checks, _gradient_checks, _long_step_run, _momentum_lock_checks, _shrink_checks,
-    _step_audit_checks, run_suite,
+    VERIFY_SUITES, _certified_run_checks, _flat_family_checks, _flat_rate_checks,
+    _gradient_checks, _long_step_run, _momentum_lock_checks, _settle_threshold_checks,
+    _shrink_checks, _step_audit_checks, run_suite,
 )
-from ragd.xi import _C_THETA, fixed_point_xi
+from ragd.xi import fixed_point_xi
 
 logging.getLogger("ragd.solvers").setLevel(logging.ERROR)
 
 
 def test_suite_listing():
     assert VERIFY_SUITES == ("geometry", "distortion", "xi", "potential", "all")
+
+
+def _names(prefix, *checks):
+    return [f"{prefix}/{check}" for check in checks]
+
+
+def _product(prefixes, checks):
+    return tuple(name for prefix in prefixes for name in _names(prefix, *checks))
+
+
+# The checks of each suite, in order: a change to the list shows here.
+_SUITE_CHECKS = {
+    "geometry": _product(("euclidean", "hyperbolic-k1", "hyperbolic-k2", "sphere", "spd"),
+                         ("exp-log-roundtrip", "distance-vs-norm", "symmetry", "triangle",
+                          "identity")),
+    "distortion": ("improved-distortion", "rauch-distortion", "trigonometric",
+                   "small-r-quadratic", "sphere-projection"),
+    "xi": ("staircase", "staircase-limit", "fixed-point-curved", "fixed-point-monotone",
+           "fixed-point-above-a", "contraction-envelope"),
+    "potential": (
+        *_product(("quadratic", "hyperbolic", "spd"),
+                  ("certified-decrease", "mirror-identity", "gradient-decrease",
+                   "rate-envelope")),
+        "flat-family/certified-decrease",
+        *_names("flat-rates", "rate-vs-theory", "rgd-gap-ratio"),
+        *_names("constant-delta", "xi-lock", "lock-level", "distortion-rate", "gradient-decrease"),
+        *_names("long-step", "settle-threshold", "xi-above-a", "shrink-bounds", "shrink-compared"),
+        *_product(("step-audit/quadratic", "step-audit/hyperbolic", "step-audit/spd",
+                   "step-audit/sphere"), ("mirror-identity", "gradient-decrease")),
+        "step-audit/hyperbolic-rgd/gradient-decrease",
+        *_product(("gradient-audit/quadratic-d20", "gradient-audit/karcher-hyperbolic-k6",
+                   "gradient-audit/karcher-spd-k6", "gradient-audit/sphere-mean-k6"),
+                  ("fd-gradient", "strong-convexity", "smoothness")),
+    ),
+}
 
 
 def test_all_suite_aggregates(caplog):
@@ -36,12 +71,13 @@ def test_all_suite_aggregates(caplog):
     for seed in (0, 1):
         report = run_suite("all", seed=seed)
         assert (report["suite"], report["seed"], report["ok"]) == ("all", seed, True)
-        names = [s["suite"] for s in report["suites"]]
-        assert names == ["geometry", "distortion", "xi", "potential"]
+        names = {s["suite"]: tuple(c["name"] for c in s["checks"]) for s in report["suites"]}
+        assert names == _SUITE_CHECKS
+        assert list(names) == ["geometry", "distortion", "xi", "potential"]
         for suite in report["suites"]:
-            assert (suite["seed"], suite["ok"]) == (seed, True) and suite["checks"]
+            assert (suite["seed"], suite["ok"]) == (seed, True)
         checks = [c for suite in report["suites"] for c in suite["checks"]]
-        assert len(checks) == 83
+        assert len(checks) == 80
         for check in checks:
             assert check["count"] > 0 and check["ok"] is True, check
             ok_by_worst = check["worst"] <= check["tol"]
@@ -113,7 +149,7 @@ def _long_step():
 def _judged_with_mu_at_l():
     # a near 1: the momentum stays below it and never nears sqrt(a)
     prob, cfg, trace = _long_step()
-    return _entry_threshold_checks(prob, dataclasses.replace(cfg, mu=cfg.L), trace)
+    return _settle_threshold_checks(prob, dataclasses.replace(cfg, mu=cfg.L), trace)
 
 
 def _ascent_audits():
@@ -122,10 +158,6 @@ def _ascent_audits():
     quad = make_quadratic(6, 1.0, 10.0, seed=0)
     return _step_audit_checks([("quadratic", quad, "euclid_nesterov", 10),
                                ("hyperbolic", hyp, "ragd", 5), ("hyperbolic-rgd", hyp, "rgd", 5)])
-
-
-def _names(prefix, *checks):
-    return [f"{prefix}/{check}" for check in checks]
 
 
 def _run_scaling(column, row, factor):
@@ -177,7 +209,11 @@ _BROKEN = {
             tr, _scaled(prob, 2.0))},
         _names("constant-delta", "distortion-rate", "gradient-decrease", "lock-level", "xi-lock")),
     "other-config": (_judged_with_mu_at_l, {},
-                     _names("long-step", "entry-threshold", "xi-above-a")),
+                     _names("long-step", "settle-threshold", "xi-above-a")),
+    # xi enters sqrt(a) at step 1 and dips below it again at row 300, far past
+    # the threshold; a check of the first entry alone passes this run
+    "xi-dips-after-threshold": (lambda: _settle_threshold_checks(*_long_step_run(0, 0)), {
+        "ragd.verify.run": _run_scaling("xi", 300, 0.9)}, ["long-step/settle-threshold"]),
     "zero-shrink-constant": (lambda: _shrink_checks(*_long_step()[::2]), {
         "ragd.verify._SHRINK_FLOOR": 0.0,
         "ragd.potential.shrink_constant": lambda mu, L, gamma: 0.0}, ["long-step/shrink-bounds"]),
@@ -192,8 +228,6 @@ _BROKEN = {
         _scaled(random_karcher(Hyperbolic(4, kappa=1.0), 4, 1.0, seed=0), -1.0), 0), {},
         _names("gradient-audit/karcher-hyperbolic-k4", "fd-gradient", "smoothness",
                "strong-convexity")),
-    "theta-on-its-strict-bound": (lambda: run_suite("xi", seed=0)["checks"], {
-        "ragd.verify.theta": lambda v, a: 1.0 - _C_THETA * v}, ["theta-bound"]),
 }
 
 

@@ -14,7 +14,6 @@ from ragd.xi import (
     step_gain,
     xi_residual,
 )
-from ragd.verify import _theta_check
 
 tol = 1e-12
 
@@ -40,11 +39,6 @@ def test_recursion_residual_is_tiny():
         nxt = next_xi(xi, params)
         assert abs(xi_residual(nxt, xi, params)) < 1e-10
         assert a <= nxt < 1.0
-
-
-def test_fixed_point_flat_is_sqrt_a():
-    for a in (0.01, 0.09, 0.25, 0.64):
-        assert abs(fixed_point_xi(XiParams(a=a, delta=1.0)) - math.sqrt(a)) < tol
 
 
 def test_fixed_point_curved_value():
@@ -87,15 +81,6 @@ def test_contraction_factor_flat_form():
     a = 0.3
     lam = contraction_factor(XiParams(a=a, delta=1.0))
     assert abs(lam - (1.0 - 4.0 / (5.0 + math.sqrt(5.0)) * a)) < tol
-
-
-def test_theta_bounds():
-    # 0 <= theta(v) < 1 - C v, the bound behind the contraction factor, on
-    # the ``ragd verify`` xi suite's check
-    a = np.repeat([0.1, 0.3, 0.6], 50)
-    v = np.concatenate([np.linspace(ai + 1e-6, 0.999, 50) for ai in (0.1, 0.3, 0.6)])
-    check = _theta_check(v, a)
-    assert check["ok"] and check["count"] == 150, check
 
 
 # Reference closed forms, each with its own quadratic formula (next_xi's
